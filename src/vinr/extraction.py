@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, ScalarGrid, TriangleMesh
-from .mc_tables import EDGE_CORNERS, EDGE_TABLE, TRI_TABLE
+from .mc_tables import EDGE_CORNERS, TRI_TABLE
 
 __all__ = [
     "marching_cubes",

@@ -28,8 +28,6 @@ __all__ = [
     "sample_surface",
     "proportional_counts",
     "fit_transform",
-    "apply_transform",
-    "invert_transform",
     "point_to_mesh_distance",
     "signed_distance_to_mesh",
     "read_grid",
@@ -144,14 +142,6 @@ class DomainTransform:
         return p / self.scale + self.center
 
 
-def apply_transform(t: DomainTransform, p) -> np.ndarray:
-    return t.apply(p)
-
-
-def invert_transform(t: DomainTransform, p) -> np.ndarray:
-    return t.invert(p)
-
-
 def fit_transform(cloud: PointCloud, half_extent: float = 0.9) -> DomainTransform:
     """Isotropic normalization placing the cloud inside [-h, h]^3.
 
@@ -206,14 +196,6 @@ class ScalarGrid:
         return tuple(
             np.linspace(self.bbox_min[i], self.bbox_max[i], self.dims[i])
             for i in range(3)
-        )
-
-    def lattice_points(self) -> np.ndarray:
-        """All lattice coordinates, shape (nx*ny*nz, 3), x index fastest."""
-        ax, ay, az = self.axes()
-        gx, gy, gz = np.meshgrid(ax, ay, az, indexing="ij")
-        return np.stack(
-            [gx.ravel(order="F"), gy.ravel(order="F"), gz.ravel(order="F")], axis=1
         )
 
     def spacing(self) -> np.ndarray:

@@ -3,11 +3,15 @@ gradients, and exact parameter gradients of losses that involve those spatial
 gradients.
 
 The network maps normalized 3D coordinates to C signed-distance channels.
-Spatial gradients are propagated alongside activations (a 3-column Jacobian
-per unit), and the backward pass differentiates that augmented computation,
-so parameter gradients of gradient-penalty terms include the mixed
-d^2 f / dx dtheta path exactly. Everything is float64 so finite-difference
-checks are meaningful.
+Spatial gradients are propagated in forward mode as stacked tangent rows:
+each layer's activations form one matrix whose value rows are followed by
+three blocks of tangent rows, one block per input direction, so values and
+Jacobian-vector products come from the same GEMM. The backward pass
+differentiates that stacked computation, again with one GEMM per layer for
+the weight gradient and one for the input adjoint, so parameter gradients of
+gradient-penalty terms include the mixed d^2 f / dx dtheta path exactly. The
+data and Eikonal batches share one forward and one backward pass.
+Everything is float64 so finite-difference checks are meaningful.
 """
 
 from __future__ import annotations
@@ -129,11 +133,15 @@ class LossTerms:
 # activations
 
 
-def _act(arch: MlpArchitecture, z: np.ndarray) -> np.ndarray:
+def _act(arch: MlpArchitecture, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if arch.activation == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     bz = arch.softplus_beta * z
-    return np.where(bz > 30.0, z, np.log1p(np.exp(np.minimum(bz, 30.0))) / arch.softplus_beta)
+    sp = np.where(bz > 30.0, z, np.log1p(np.exp(np.minimum(bz, 30.0))) / arch.softplus_beta)
+    if out is None:
+        return sp
+    out[...] = sp
+    return out
 
 
 def _act_d1(arch: MlpArchitecture, z: np.ndarray) -> np.ndarray:
@@ -201,52 +209,52 @@ def init_model(arch: MlpArchitecture, seed: int, scheme: str = "standard") -> Ml
 
 # ---------------------------------------------------------------------------
 # forward / backward
+#
+# Every layer works on one stacked matrix of rows: first the N value rows,
+# one per query point, then three blocks of T tangent rows. Block k holds
+# the derivative d/dx_k of the last T value rows. A single GEMM per layer
+# then yields both the values and the Jacobian-vector products: the bias
+# goes on the value rows only, and each tangent row is scaled by act'(z) of
+# its value row.
 
 
-def _forward_pass(model: MlpModel, x: np.ndarray, with_jac: bool):
-    """Runs the MLP on a batch (B, 3), optionally propagating the Jacobian
-    of every unit w.r.t. the 3 inputs. Returns (y, G, caches)."""
+def _forward_pass(model: MlpModel, x: np.ndarray, n_tangent: int, caches: list | None = None):
+    """Runs the MLP on a batch x (N, 3), carrying the input Jacobian of the
+    last `n_tangent` points as 3 * n_tangent tangent rows. Returns the values
+    (N, C) and the spatial gradients (n_tangent, C, 3).
+
+    When `caches` is a list, appends to it per layer the (input,
+    pre-activation) pair of stacked row matrices that _backward_pass needs;
+    the output layer's pre-activation is the output. Without it, each
+    activation overwrites its pre-activation, so only a layer or two of rows
+    is alive at a time.
+    """
     arch = model.arch
-    B = x.shape[0]
-    a = x
-    Ja = np.broadcast_to(np.eye(INPUT_DIM), (B, INPUT_DIM, INPUT_DIM)).copy() if with_jac else None
-    caches = []
-    for l in range(1, arch.hidden_layers + 1):
-        W, b = model.weights[l - 1], model.biases[l - 1]
-        if l == arch.skip_layer and l != 1:
-            inp = np.concatenate([a, x], axis=1)
-            Jin = (
-                np.concatenate(
-                    [Ja, np.broadcast_to(np.eye(INPUT_DIM), (B, INPUT_DIM, INPUT_DIM))],
-                    axis=1,
-                )
-                if with_jac
-                else None
-            )
-        else:
-            inp, Jin = a, Ja
-        z = inp @ W.T + b
-        a = _act(arch, z)
-        if with_jac:
-            Jz = np.einsum("oi,bik->bok", W, Jin, optimize=True)
-            Ja = _act_d1(arch, z)[..., None] * Jz
-        else:
-            Jz = None
-        caches.append((inp, Jin, z, Jz))
-    Wout, bout = model.weights[-1], model.biases[-1]
-    y = a @ Wout.T + bout
-    G = np.einsum("ci,bik->bck", Wout, Ja, optimize=True) if with_jac else None
-    caches.append((a, Ja, None, None))  # output-layer input
-    return y, G, caches
+    N, T, C = x.shape[0], n_tangent, arch.output_channels
+    x0 = np.concatenate([x, np.repeat(np.eye(INPUT_DIM), T, axis=0)]) if T else x
+    h = x0
+    for l in range(1, arch.hidden_layers + 2):
+        inp = np.concatenate([h, x0], axis=1) if l == arch.skip_layer and l != 1 else h
+        s = inp @ model.weights[l - 1].T
+        s[:N] += model.biases[l - 1]
+        if caches is not None:
+            caches.append((inp, s))
+        if l > arch.hidden_layers:
+            break
+        h = s if caches is None else np.empty_like(s)
+        if T:  # tangents first: their act'(z) reads value rows that _act may overwrite
+            d1 = _act_d1(arch, s[N - T : N])
+            np.multiply(s[N:].reshape(INPUT_DIM, T, -1), d1, out=h[N:].reshape(INPUT_DIM, T, -1))
+        _act(arch, s[:N], out=h[:N])
+    return s[:N], s[N:].reshape(INPUT_DIM, T, C).transpose(1, 2, 0)
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Evaluate the network at normalized coordinates. Accepts (3,) or
     (B, 3); returns (C,) or (B, C)."""
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    y, _, _ = _forward_pass(model, np.atleast_2d(arr), with_jac=False)
-    return y[0] if single else y
+    y, _ = _forward_pass(model, np.atleast_2d(arr), 0)
+    return y[0] if arr.ndim == 1 else y
 
 
 def forward_with_input_grad(model: MlpModel, x) -> DualBatch:
@@ -254,64 +262,87 @@ def forward_with_input_grad(model: MlpModel, x) -> DualBatch:
     arr = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if arr.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    y, G, _ = _forward_pass(model, arr, with_jac=True)
+    y, G = _forward_pass(model, arr, arr.shape[0])
     return DualBatch(values=y, gradients=G)
 
 
 def _backward_pass(model: MlpModel, caches, ybar: np.ndarray, Gbar: np.ndarray | None):
-    """Reverse pass through the (optionally Jacobian-augmented) forward.
+    """Reverse pass through _forward_pass.
 
-    ybar: (B, C) adjoint of outputs; Gbar: (B, C, 3) adjoint of the spatial
-    gradients, or None when the loss does not touch them. Returns parameter
-    gradients in [W1, b1, ..., Wout, bout] order.
+    ybar: (N, C) adjoint of the values; Gbar: (T, C, 3) adjoint of the
+    spatial gradients of the last T points, or None when the forward pass
+    carried no tangents. Consumes `caches`, freeing each layer's matrices
+    once they are used. Returns parameter gradients in
+    [W1, b1, ..., Wout, bout] order.
     """
     arch = model.arch
-    with_jac = Gbar is not None
-    Wout = model.weights[-1]
-    a_last, Ja_last = caches[-1][0], caches[-1][1]
-
-    gWout = ybar.T @ a_last
-    gbout = ybar.sum(axis=0)
-    abar = ybar @ Wout
-    if with_jac:
-        gWout = gWout + np.einsum("bck,bik->ci", Gbar, Ja_last, optimize=True)
-        Jbar = np.einsum("bck,ci->bik", Gbar, Wout, optimize=True)
-    else:
-        Jbar = None
-
+    N = ybar.shape[0]
+    T = 0 if Gbar is None else Gbar.shape[0]
+    sbar = ybar
+    if T:
+        sbar = np.concatenate([ybar, Gbar.transpose(2, 0, 1).reshape(INPUT_DIM * T, -1)])
     grads = [None] * (2 * len(model.weights))
-    grads[-2], grads[-1] = gWout, gbout
-
-    for l in range(arch.hidden_layers, 0, -1):
-        inp, Jin, z, Jz = caches[l - 1]
-        W = model.weights[l - 1]
-        d1 = _act_d1(arch, z)
-        zbar = d1 * abar
-        if with_jac:
-            d2 = _act_d2(arch, z)
-            if d2 is not None:
-                zbar = zbar + d2 * np.einsum("bok,bok->bo", Jbar, Jz)
-            Jzbar = d1[..., None] * Jbar
-        gW = zbar.T @ inp
-        gb = zbar.sum(axis=0)
-        if with_jac:
-            gW = gW + np.einsum("bok,bik->oi", Jzbar, Jin, optimize=True)
-        grads[2 * (l - 1)] = gW
-        grads[2 * (l - 1) + 1] = gb
-        if l == 1:
+    for l in range(arch.hidden_layers, -1, -1):
+        grads[2 * l] = sbar.T @ caches.pop()[0]
+        grads[2 * l + 1] = sbar[:N].sum(axis=0)
+        if l == 0:
             break
-        inpbar = zbar @ W
-        if with_jac:
-            Jinbar = np.einsum("bok,oi->bik", Jzbar, W, optimize=True)
-        if l == arch.skip_layer:
-            abar = inpbar[:, : arch.hidden_width]
-            if with_jac:
-                Jbar = Jinbar[:, : arch.hidden_width]
-        else:
-            abar = inpbar
-            if with_jac:
-                Jbar = Jinbar
+        # the adjoint of this layer's input becomes, in place, the adjoint
+        # of the previous layer's pre-activation
+        sbar = (sbar @ model.weights[l])[:, : arch.hidden_width]
+        s = caches[l - 1][1]
+        d1 = _act_d1(arch, s[:N])
+        sbar[:N] *= d1
+        if T:
+            sbar_t = sbar[N:].reshape(INPUT_DIM, T, -1)
+            d2 = _act_d2(arch, s[N - T : N])
+            if d2 is not None:  # act'' moves tangent adjoints onto the Eikonal value rows
+                sbar[N - T : N] += d2 * (sbar_t * s[N:].reshape(INPUT_DIM, T, -1)).sum(axis=0)
+            sbar_t *= d1[N - T :]
     return grads
+
+
+def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: float):
+    """Runs the surface and Eikonal points through one forward pass and
+    returns (LossTerms, caches, ybar, Gbar), the input of _backward_pass."""
+    if lam < 0:
+        raise ValueError("lambda must be non-negative")
+    C = model.arch.output_channels
+    if isinstance(surface_batches, np.ndarray):
+        surface_batches = [surface_batches]
+    if len(surface_batches) != C:
+        raise ValueError(f"need {C} surface batches, got {len(surface_batches)}")
+    batches = [np.atleast_2d(np.asarray(b, dtype=np.float64)) for b in surface_batches]
+    if any(b.shape[0] == 0 for b in batches):
+        raise ValueError("surface batches must be non-empty")
+    eik = np.atleast_2d(np.asarray(eikonal_batch, dtype=np.float64))
+    if eik.shape[0] == 0:
+        raise ValueError("eikonal batch must be non-empty")
+
+    # rows: every channel's surface batch, then the Eikonal batch with tangents
+    B = eik.shape[0]
+    caches = []
+    y, G = _forward_pass(model, np.concatenate(batches + [eik]), B, caches)
+    ybar = np.zeros_like(y)
+    data = 0.0
+    row = 0
+    for c, b in enumerate(batches):
+        n = b.shape[0]
+        yc = y[row : row + n, c]
+        data += np.abs(yc).mean() / C
+        ybar[row : row + n, c] = np.sign(yc) / (n * C)
+        row += n
+
+    norms = np.linalg.norm(G, axis=2)  # (B, C)
+    eik_term = float(((norms - 1.0) ** 2).mean())
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = np.where(norms > 1e-300, 2.0 * (norms - 1.0) / norms, 0.0)
+    Gbar = (lam / (B * C)) * coef[..., None] * G
+
+    total = float(data) + lam * eik_term
+    if not np.isfinite(total):
+        raise FloatingPointError("non-finite loss")
+    return LossTerms(total=total, data=float(data), eikonal=eik_term), caches, ybar, Gbar
 
 
 def grad_of_loss(
@@ -332,50 +363,8 @@ def grad_of_loss(
     surface_batches: one (B_c, 3) array per channel (a single array is
     accepted for C=1).
     """
-    if lam < 0:
-        raise ValueError("lambda must be non-negative")
-    arch = model.arch
-    C = arch.output_channels
-    if isinstance(surface_batches, np.ndarray):
-        surface_batches = [surface_batches]
-    if len(surface_batches) != C:
-        raise ValueError(f"need {C} surface batches, got {len(surface_batches)}")
-    batches = [np.atleast_2d(np.asarray(b, dtype=np.float64)) for b in surface_batches]
-    if any(b.shape[0] == 0 for b in batches):
-        raise ValueError("surface batches must be non-empty")
-    eik = np.atleast_2d(np.asarray(eikonal_batch, dtype=np.float64))
-    if eik.shape[0] == 0:
-        raise ValueError("eikonal batch must be non-empty")
-
-    # data term: one pass over the concatenation, masked per channel
-    xs = np.concatenate(batches, axis=0)
-    y, _, caches = _forward_pass(model, xs, with_jac=False)
-    ybar = np.zeros_like(y)
-    data = 0.0
-    row = 0
-    for c, b in enumerate(batches):
-        n = b.shape[0]
-        yc = y[row : row + n, c]
-        data += np.abs(yc).mean() / C
-        ybar[row : row + n, c] = np.sign(yc) / (n * C)
-        row += n
-    grads = _backward_pass(model, caches, ybar, None)
-
-    # eikonal term
-    y_e, G, caches_e = _forward_pass(model, eik, with_jac=True)
-    norms = np.linalg.norm(G, axis=2)  # (B, C)
-    eik_term = float(((norms - 1.0) ** 2).mean())
-    B = eik.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(norms > 1e-300, 2.0 * (norms - 1.0) / norms, 0.0)
-    Gbar = (lam / (B * C)) * coef[..., None] * G
-    grads_e = _backward_pass(model, caches_e, np.zeros_like(y_e), Gbar)
-
-    total = float(data) + lam * eik_term
-    if not np.isfinite(total):
-        raise FloatingPointError("non-finite loss")
-    out = [g + ge for g, ge in zip(grads, grads_e)]
-    return LossTerms(total=total, data=float(data), eikonal=eik_term), out
+    terms, caches, ybar, Gbar = _loss_and_adjoints(model, surface_batches, eikonal_batch, lam)
+    return terms, _backward_pass(model, caches, ybar, Gbar)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .network import (
     MlpModel,
     _backward_pass,
     _forward_pass,
-    forward_with_input_grad,
+    _loss_and_adjoints,
     grad_of_loss,
     init_model,
 )
@@ -120,24 +120,8 @@ def sample_eikonal_points(
 
 
 def loss_value(model: MlpModel, surface_batches, eikonal_batch, lam: float) -> LossTerms:
-    """Loss value only (no gradients); same decomposition as grad_of_loss."""
-    if isinstance(surface_batches, np.ndarray):
-        surface_batches = [surface_batches]
-    C = model.arch.output_channels
-    if len(surface_batches) != C:
-        raise ValueError(f"need {C} surface batches, got {len(surface_batches)}")
-    data = 0.0
-    for c, b in enumerate(surface_batches):
-        b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-        y, _, _ = _forward_pass(model, b, with_jac=False)
-        data += float(np.abs(y[:, c]).mean()) / C
-    dual = forward_with_input_grad(model, eikonal_batch)
-    norms = np.linalg.norm(dual.gradients, axis=2)
-    eik = float(((norms - 1.0) ** 2).mean())
-    total = data + lam * eik
-    if not np.isfinite(total):
-        raise FloatingPointError("non-finite loss")
-    return LossTerms(total=total, data=data, eikonal=eik)
+    """Loss value only (no gradients), from the same forward pass as grad_of_loss."""
+    return _loss_and_adjoints(model, surface_batches, eikonal_batch, lam)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +264,8 @@ def fit_nested(
 def _nesting_hinge(model: MlpModel, batch: np.ndarray, weight: float):
     """Optional ordering regularizer: penalizes outer-channel SDF exceeding
     the next inner channel's (channels ordered innermost first)."""
-    y, _, caches = _forward_pass(model, batch, with_jac=False)
+    caches = []
+    y, _ = _forward_pass(model, batch, 0, caches)
     C = y.shape[1]
     B = y.shape[0]
     ybar = np.zeros_like(y)

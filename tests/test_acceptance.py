@@ -118,10 +118,10 @@ def _off_kink_points(model, n, rng, margin=1e-3):
     out = []
     for _ in range(200):
         cand = rng.uniform(-0.9, 0.9, size=(4 * n, 3))
-        y, _, caches = _forward_pass(model, cand, with_jac=False)
+        caches = []
+        y, _ = _forward_pass(model, cand, 0, caches)
         clear = np.abs(y[:, 0]) > margin
-        for layer in caches[:-1]:
-            z = layer[2]
+        for _, z in caches[:-1]:  # (input, pre-activation) of each hidden layer
             clear &= np.abs(z).min(axis=1) > margin
         out.append(cand[clear])
         if sum(len(o) for o in out) >= n:

@@ -1,10 +1,15 @@
+import einsum_oracle
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vinr.network import (
     MlpArchitecture,
     MlpModel,
     ModelFormatError,
+    _backward_pass,
+    _forward_pass,
     forward,
     forward_with_input_grad,
     grad_of_loss,
@@ -202,6 +207,80 @@ class TestLossGradients:
         # so allow rounding-level differences
         np.testing.assert_allclose(d1.values[:, 0], d2.values[:, 0], rtol=1e-14, atol=1e-16)
         np.testing.assert_allclose(d1.gradients[:, 0], d2.gradients[:, 0], rtol=1e-14, atol=1e-16)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random small network with nonzero biases, per-channel surface
+    batches of unequal sizes, and an Eikonal batch."""
+    layers = draw(st.integers(1, 4))
+    channels = draw(st.integers(1, 3))
+    arch = MlpArchitecture(
+        hidden_layers=layers,
+        hidden_width=draw(st.integers(1, 12)),
+        output_channels=channels,
+        skip_layer=draw(st.sampled_from(sorted({1, min(2, layers), layers}))),
+        activation=draw(st.sampled_from(["relu", "softplus"])),
+    )
+    sizes = draw(st.lists(st.integers(1, 9), min_size=channels, max_size=channels))
+    return arch, sizes, draw(st.integers(1, 9)), draw(st.integers(0, 2**32 - 1))
+
+
+def assert_rel_close(got, ref, rtol=1e-12):
+    """Max-norm relative agreement; an all-zero reference needs exact zeros."""
+    err = np.abs(np.asarray(got) - ref).max()
+    assert err <= rtol * np.abs(ref).max(), (err, np.abs(ref).max())
+
+
+class TestEinsumOracle:
+    """The stacked-tangent core against the einsum (B, width, 3) Jacobian
+    formulation in tests/einsum_oracle.py."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=oracle_cases())
+    @example(
+        case=(
+            MlpArchitecture(
+                hidden_layers=3, hidden_width=6, output_channels=3, skip_layer=3,
+                activation="softplus",
+            ),
+            [1, 1, 1],
+            1,
+            0,
+        )
+    )
+    def test_matches_oracle(self, case):
+        arch, sizes, n_eik, seed = case
+        rng = np.random.default_rng(seed)
+        m = init_model(arch, seed=seed % 1000, scheme="standard")
+        for b in m.biases:
+            b[:] = rng.normal(0.0, 0.3, size=b.shape)
+        surface = [rng.uniform(-1, 1, size=(n, 3)) for n in sizes]
+        eik = rng.uniform(-1, 1, size=(n_eik, 3))
+
+        terms, grads = grad_of_loss(m, surface, eik, lam=0.1)
+        ref_terms, ref_grads = einsum_oracle.grad_of_loss(m, surface, eik, 0.1)
+        for got, ref in zip((terms.total, terms.data, terms.eikonal), ref_terms):
+            assert_rel_close(got, ref)
+        assert len(grads) == len(ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape
+            assert_rel_close(g, ref)
+
+        y, G, _ = einsum_oracle.forward_pass(m, eik, with_jac=True)
+        dual = forward_with_input_grad(m, eik)
+        assert_rel_close(dual.values, y)
+        assert_rel_close(dual.gradients, G)
+        assert_rel_close(forward(m, eik), y)
+
+        # value-only backward, as the nesting penalty uses it
+        caches = []
+        y, _ = _forward_pass(m, eik, 0, caches)
+        ybar = rng.normal(size=y.shape)
+        _, _, ref_caches = einsum_oracle.forward_pass(m, eik, with_jac=False)
+        ref_grads = einsum_oracle.backward_pass(m, ref_caches, ybar, None)
+        for g, ref in zip(_backward_pass(m, caches, ybar, None), ref_grads):
+            assert_rel_close(g, ref)
 
 
 class TestSerialization:
