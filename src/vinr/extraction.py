@@ -111,22 +111,16 @@ class WatertightReport:
 def check_watertight(mesh: TriangleMesh) -> WatertightReport:
     """Edge-manifoldness audit: a closed mesh has every edge shared by
     exactly two triangles with opposite winding."""
-    counts: dict[tuple[int, int], list[int]] = {}
-    for t in mesh.triangles:
-        for i, j in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(i, j), max(i, j))
-            rec = counts.setdefault(key, [0, 0])
-            rec[0] += 1
-            rec[1] += 1 if i < j else -1
-    boundary = sum(1 for n, _ in counts.values() if n == 1)
-    non_manifold = sum(1 for n, _ in counts.values() if n > 2)
-    orientation = all(s == 0 for n, s in counts.values() if n == 2)
-    closed = (
-        mesh.num_triangles > 0
-        and boundary == 0
-        and non_manifold == 0
-        and orientation
-    )
+    start, end = mesh.triangles.ravel(), np.roll(mesh.triangles, -1, axis=1).ravel()
+    # one integer key per undirected edge, from its sorted vertex pair
+    key = np.minimum(start, end) * mesh.num_vertices + np.maximum(start, end)
+    _, edge, uses = np.unique(key, return_inverse=True, return_counts=True)
+    # winding sum: +1 per use in ascending vertex order, -1 per descending use
+    winding = 2 * np.bincount(edge[start < end], minlength=len(uses)) - uses
+    boundary = int(np.count_nonzero(uses == 1))
+    non_manifold = int(np.count_nonzero(uses > 2))
+    orientation = bool(np.all(winding[uses == 2] == 0))
+    closed = mesh.num_triangles > 0 and boundary == 0 and non_manifold == 0 and orientation
     return WatertightReport(
         closed=closed,
         boundary_edges=boundary,

@@ -1,10 +1,10 @@
 """Mesh and point-cloud types, file I/O, surface sampling, normalization and
-brute-force distance queries.
+exact distance queries.
 
 Coordinates are float64 throughout. Point clouds are (N, 3) arrays wrapped in
 PointCloud; meshes are vertex/triangle index arrays. Distance queries here are
-exact brute-force minima over all triangles and double as ground-truth oracles
-for the rest of the package.
+exact minima over all triangles (pruned by bounding boxes, never approximated)
+and double as ground-truth oracles for the rest of the package.
 """
 
 from __future__ import annotations
@@ -334,28 +334,24 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
-# brute-force distance queries
+# distance queries
+
+_PAIR_BUDGET = 1 << 18  # (point, triangle) bounds per chunk: 2 MB, cache-sized
+_SEED_TRIANGLES = 4  # exact distances per point that seed its upper bound
 
 
 def _point_triangle_closest(p: np.ndarray, a, b, c) -> np.ndarray:
-    """Closest points on triangles (a, b, c) to query points p.
+    """Closest points on triangles (a, b, c) to query points p, pair by pair.
 
-    p: (P, 3); a, b, c: (T, 3). Returns (P, T, 3). Vectorized form of
-    Ericson's closest-point-on-triangle region tests.
+    p, a, b, c: (N, 3); row i pairs point p[i] with triangle (a[i], b[i],
+    c[i]). Returns (N, 3). Vectorized form of Ericson's closest-point-on-
+    triangle region tests.
     """
     ab = b - a
     ac = c - a
-    ap = p[:, None, :] - a[None, :, :]
-    d1 = np.einsum("tk,ptk->pt", ab, ap)
-    d2 = np.einsum("tk,ptk->pt", ac, ap)
-
-    bp = p[:, None, :] - b[None, :, :]
-    d3 = np.einsum("tk,ptk->pt", ab, bp)
-    d4 = np.einsum("tk,ptk->pt", ac, bp)
-
-    cp = p[:, None, :] - c[None, :, :]
-    d5 = np.einsum("tk,ptk->pt", ab, cp)
-    d6 = np.einsum("tk,ptk->pt", ac, cp)
+    diffs = (p - a, p - b, p - c)
+    d1, d3, d5 = (np.einsum("nk,nk->n", ab, d) for d in diffs)
+    d2, d4, d6 = (np.einsum("nk,nk->n", ac, d) for d in diffs)
 
     vc = d1 * d4 - d3 * d2
     vb = d5 * d2 - d1 * d6
@@ -370,69 +366,73 @@ def _point_triangle_closest(p: np.ndarray, a, b, c) -> np.ndarray:
         v_in = np.where(denom != 0, vb / denom, 0.0)
         w_in = np.where(denom != 0, vc / denom, 0.0)
 
-    aT = a[None, :, :]
-    bT = b[None, :, :]
-    cT = c[None, :, :]
-    abT = ab[None, :, :]
-    acT = ac[None, :, :]
-
     # Ericson's checks are sequential with first-match-wins; replicated here
     # by overwriting in reverse priority order.
-    closest = aT + v_in[..., None] * abT + w_in[..., None] * acT
+    closest = a + v_in[:, None] * ab + w_in[:, None] * ac
     m = (va <= 0) & (d4 - d3 >= 0) & (d5 - d6 >= 0)
-    closest = np.where(m[..., None], bT + w_bc[..., None] * (cT - bT), closest)
+    closest = np.where(m[:, None], b + w_bc[:, None] * (c - b), closest)
     m = (vb <= 0) & (d2 >= 0) & (d6 <= 0)
-    closest = np.where(m[..., None], aT + w_ac[..., None] * acT, closest)
+    closest = np.where(m[:, None], a + w_ac[:, None] * ac, closest)
     m = (d6 >= 0) & (d5 <= d6)
-    closest = np.where(m[..., None], cT, closest)
+    closest = np.where(m[:, None], c, closest)
     m = (vc <= 0) & (d1 >= 0) & (d3 <= 0)
-    closest = np.where(m[..., None], aT + v_ab[..., None] * abT, closest)
+    closest = np.where(m[:, None], a + v_ab[:, None] * ab, closest)
     m = (d3 >= 0) & (d4 <= d3)
-    closest = np.where(m[..., None], bT, closest)
+    closest = np.where(m[:, None], b, closest)
     m = (d1 <= 0) & (d2 <= 0)
-    closest = np.where(m[..., None], aT, closest)
+    closest = np.where(m[:, None], a, closest)
     return closest
 
 
+def _pair_sq_distance(q, a, b, c) -> np.ndarray:
+    """Squared distance from q[i] to triangle (a[i], b[i], c[i]), all (N, 3)."""
+    return np.sum((q - _point_triangle_closest(q, a, b, c)) ** 2, axis=1)
+
+
 def point_to_mesh_distance(p, mesh: TriangleMesh) -> np.ndarray | float:
-    """Exact unsigned distance: minimum over all triangles.
+    """Exact unsigned distance: the minimum over all triangles, with the
+    closest-point test run only on triangles that could hold the nearest point.
 
     Accepts a single (3,) point or an (N, 3) batch; returns a scalar or (N,)
     array accordingly.
+
+    A point's squared distance to a triangle's bounding box, `lb`, bounds its
+    squared distance to the triangle from below. Per point, the exact test runs
+    on the few triangles of smallest `lb`, whose minimum `ub` bounds the answer
+    from above, and then on every triangle with `lb <= ub`; all others are
+    farther. `ub` is widened by 1e-12 of the distance and of the mesh's scale,
+    so that a closest point which rounds just outside its box is kept. So the
+    result is bitwise the minimum of the same pairwise kernel over all pairs.
     """
     if mesh.num_triangles == 0:
         raise GeometryError("cannot measure distance to an empty mesh")
     single = np.asarray(p).ndim == 1
     pts = _as_points(p)
     a, b, c = mesh.triangle_corners()
+    lo = np.minimum(np.minimum(a, b), c).T.copy()
+    hi = np.maximum(np.maximum(a, b), c).T.copy()
+    slack = 1e-12 * float(np.abs(mesh.vertices).max())
+    T = mesh.num_triangles
+    k = min(_SEED_TRIANGLES, T)
     out = np.empty(len(pts))
-    # chunked so the (P, T, 3) intermediate stays modest
-    chunk = max(1, int(4_000_000 // max(mesh.num_triangles, 1)))
+    chunk = max(1, _PAIR_BUDGET // T)
     for s in range(0, len(pts), chunk):
         q = pts[s : s + chunk]
-        closest = _point_triangle_closest(q, a, b, c)
-        d2 = np.sum((q[:, None, :] - closest) ** 2, axis=2)
-        out[s : s + chunk] = np.sqrt(d2.min(axis=1))
+        lb = np.zeros((len(q), T))
+        for axis in range(3):
+            qk = q[:, axis, None]
+            gap = lo[axis] - qk
+            np.maximum(gap, qk - hi[axis], out=gap)
+            np.maximum(gap, 0.0, out=gap)
+            lb += np.square(gap, out=gap)
+        pi = np.repeat(np.arange(len(q)), k)
+        ti = np.argpartition(lb, k - 1, axis=1)[:, :k].ravel()
+        best = _pair_sq_distance(q[pi], a[ti], b[ti], c[ti]).reshape(-1, k).min(axis=1)
+        bound = (np.sqrt(best) * (1 + 1e-12) + slack) ** 2
+        pi, ti = np.nonzero(lb <= bound[:, None])
+        np.minimum.at(best, pi, _pair_sq_distance(q[pi], a[ti], b[ti], c[ti]))
+        out[s : s + chunk] = np.sqrt(best)
     return float(out[0]) if single else out
-
-
-def _edge_counts(triangles: np.ndarray) -> dict:
-    counts: dict[tuple[int, int], list[int]] = {}
-    for t in triangles:
-        for i, j in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            key = (min(i, j), max(i, j))
-            rec = counts.setdefault(key, [0, 0])
-            rec[0] += 1
-            rec[1] += 1 if i < j else -1
-    return counts
-
-
-def mesh_is_closed(mesh: TriangleMesh) -> bool:
-    """True iff every edge is shared by exactly two opposite-winding faces."""
-    if mesh.num_triangles == 0:
-        return False
-    counts = _edge_counts(mesh.triangles)
-    return all(n == 2 and s == 0 for n, s in counts.values())
 
 
 def _ray_parity(pts: np.ndarray, mesh: TriangleMesh, rng: np.random.Generator) -> np.ndarray:
@@ -490,7 +490,9 @@ def _ray_parity(pts: np.ndarray, mesh: TriangleMesh, rng: np.random.Generator) -
 def signed_distance_to_mesh(p, mesh: TriangleMesh) -> np.ndarray | float:
     """Signed distance to a watertight mesh: negative inside, parity-based
     inside test with jittered re-casting on degenerate hits."""
-    if not mesh_is_closed(mesh):
+    from .extraction import check_watertight
+
+    if not check_watertight(mesh).closed:
         raise GeometryError("signed distance requires a watertight mesh")
     single = np.asarray(p).ndim == 1
     pts = _as_points(p)

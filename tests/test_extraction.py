@@ -1,15 +1,19 @@
+import mesh_oracle
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vinr.csg import GridSource, MeshSource, evaluate_on_grid, grid_lattice
 from vinr.extraction import (
+    WatertightReport,
     check_watertight,
     enclosed_volume,
     extract_model,
     marching_cubes,
 )
-from vinr.geometry import DomainTransform, ScalarGrid, point_to_mesh_distance
-from vinr.synthetic import Sphere, Torus, analytic_sdf
+from vinr.geometry import DomainTransform, ScalarGrid, TriangleMesh, point_to_mesh_distance
+from vinr.synthetic import Sphere, Torus, analytic_sdf, icosphere
 
 from test_network import linear_channel_model
 
@@ -148,6 +152,58 @@ class TestEnclosedVolume:
         mesh = TriangleMesh(v, f)
         assert enclosed_volume(mesh) == pytest.approx(1.0, abs=1e-12)
         assert check_watertight(mesh).closed
+
+
+@st.composite
+def triangle_soups(draw):
+    """Faces of a closed icosphere, some dropped (open edges), some flipped,
+    some repeated (non-manifold edges), plus random extra faces."""
+    sphere = icosphere(1)
+    face = st.integers(0, sphere.num_triangles - 1)
+    dropped = draw(st.sets(face, max_size=3))
+    flipped = draw(st.sets(face, max_size=3))
+    repeated = draw(st.lists(face, max_size=2))
+    corner = st.integers(0, sphere.num_vertices - 1)
+    extra = draw(st.lists(st.lists(corner, min_size=3, max_size=3, unique=True), max_size=3))
+    faces = sphere.triangles.copy()
+    faces[sorted(flipped)] = faces[sorted(flipped)][:, ::-1]
+    faces = np.concatenate([np.delete(faces, sorted(dropped), axis=0), faces[repeated]])
+    faces = np.concatenate([faces, np.array(extra, dtype=np.int64).reshape(-1, 3)])
+    return TriangleMesh(sphere.vertices, faces[draw(st.permutations(range(len(faces))))])
+
+
+class TestWatertightAudit:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(mesh=triangle_soups())
+    @example(mesh=icosphere(1))
+    @example(mesh=TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64)))
+    def test_matches_dict_audit(self, mesh):
+        boundary, non_manifold, orientation = mesh_oracle.watertight_counts(mesh.triangles)
+        closed = mesh.num_triangles > 0 and boundary == 0 and non_manifold == 0 and orientation
+        assert check_watertight(mesh) == WatertightReport(
+            closed=closed,
+            boundary_edges=boundary,
+            non_manifold_edges=non_manifold,
+            orientation_consistent=orientation,
+        )
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        dims=st.tuples(st.integers(3, 7), st.integers(3, 7), st.integers(3, 7)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_marching_cubes_closed_for_positive_border(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(-1, 1, size=dims)
+        vals[0], vals[-1] = 1.0, 1.0
+        vals[:, 0], vals[:, -1] = 1.0, 1.0
+        vals[:, :, 0], vals[:, :, -1] = 1.0, 1.0
+        vals[1, 1, 1] = -1.0
+        g = ScalarGrid(dims=dims, bbox_min=-np.ones(3), bbox_max=np.ones(3), values=vals)
+        mesh = marching_cubes(g)
+        rep = check_watertight(mesh)
+        assert rep.closed and rep.orientation_consistent, rep
+        assert enclosed_volume(mesh) > 0
 
 
 class TestExtractModel:

@@ -1,6 +1,10 @@
+import mesh_oracle
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from vinr import geometry
 from vinr.geometry import (
     GeometryError,
     PointCloud,
@@ -264,6 +268,95 @@ class TestDistance:
         mesh = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
         with pytest.raises(GeometryError):
             point_to_mesh_distance(np.zeros(3), mesh)
+
+
+def _unfiltered_mesh(verts, tris) -> TriangleMesh:
+    """A mesh that keeps zero-area faces, which the constructor drops, so the
+    distance kernel is also exercised on the faces it guards against."""
+    mesh = TriangleMesh(verts, np.zeros((0, 3), dtype=np.int64))
+    object.__setattr__(mesh, "triangles", np.asarray(tris, dtype=np.int64).reshape(-1, 3))
+    return mesh
+
+
+@st.composite
+def distance_cases(draw):
+    """Random triangle soups and query points. Lattice coordinates give
+    repeated vertices, collinear and axis-aligned faces; points sit on
+    vertices, on edges, near the soup or far outside its box."""
+    lattice = draw(st.booleans())
+    coord = (
+        st.integers(-3, 3).map(float)
+        if lattice
+        else st.floats(-10, 10, allow_nan=False, allow_subnormal=False)
+    )
+    n_verts = draw(st.integers(3, 9))
+    verts = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=n_verts, max_size=n_verts)))
+    index = st.integers(0, n_verts - 1)
+    tris = np.array(draw(st.lists(st.tuples(index, index, index), min_size=1, max_size=10)))
+    unit = st.floats(0, 1)
+    point = st.one_of(
+        index.map(lambda i: verts[i]),
+        st.tuples(index, index, unit).map(lambda e: verts[e[0]] + e[2] * (verts[e[1]] - verts[e[0]])),
+        st.tuples(coord, coord, coord).map(np.array),
+        st.tuples(coord, coord, coord, st.floats(1e3, 1e6)).map(lambda f: f[3] * (np.array(f[:3]) + 0.5)),
+    )
+    pts = np.array(draw(st.lists(point, min_size=1, max_size=12)), dtype=np.float64)
+    return verts, tris, pts
+
+
+class TestPrunedDistance:
+    """The pruned search must return bitwise the brute-force minimum."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=distance_cases())
+    @example(case=(np.eye(3), np.array([[0, 1, 2]]), np.array([[5.0, 5.0, 5.0]])))
+    def test_matches_brute_force_bitwise(self, case):
+        verts, tris, pts = case
+        mesh = _unfiltered_mesh(verts, tris)
+        expect = mesh_oracle.point_to_mesh_distance(pts, mesh)
+        np.testing.assert_array_equal(point_to_mesh_distance(pts, mesh), expect)
+        single = point_to_mesh_distance(pts[0], mesh)
+        assert isinstance(single, float) and single == expect[0]
+
+    def test_closest_point_rounding_outside_its_box_is_kept(self):
+        # The first face is tilted by a few ulps; its computed closest point
+        # rounds below the face's bounding box, so its box bound exceeds its
+        # computed distance. The second face is a little farther but has the
+        # smaller bound, and seeds the upper bound together with three far
+        # faces whose boxes contain the point.
+        p = np.array([[0.14180176897607608, 0.687003341102557, 0.9999999999999892]])
+        xs = p[0, 0] - 1.05e-14
+        verts = np.array(
+            [
+                [0.8904318297904276, 0.6937865542416475, 1.0000000000000002],
+                [0.40643022261891004, 0.5734727964162015, 0.9999999999999998],
+                [0.01637682746200597, 0.7371597103748804, 0.9999999999999998],
+                [xs, 0.6, 0.99], [xs, 0.8, 0.99], [xs, 0.7, 1.01],
+                [-5.0, -5.0, -5.0], [5.0, -5.0, 5.0], [5.0, 5.0, 5.0],
+            ]
+        )
+        mesh = TriangleMesh(verts, [[0, 1, 2], [3, 4, 5], [6, 7, 8], [6, 7, 8], [6, 7, 8]])
+        a, b, c = mesh.triangle_corners()
+        lo = np.minimum(np.minimum(a, b), c)
+        expect = mesh_oracle.point_to_mesh_distance(p, mesh)
+        assert np.sum((lo[0] - p[0]).clip(0) ** 2) > expect[0] ** 2
+        np.testing.assert_array_equal(point_to_mesh_distance(p, mesh), expect)
+
+    def test_near_surface_points_prune_almost_every_pair(self, monkeypatch):
+        mesh = icosphere(3)
+        rng = np.random.default_rng(12)
+        pts = sample_surface(mesh, 200, seed=13).points + 0.01 * rng.normal(size=(200, 3))
+        evaluated = []
+        kernel = geometry._pair_sq_distance
+
+        def counting(q, a, b, c):
+            evaluated.append(len(q))
+            return kernel(q, a, b, c)
+
+        monkeypatch.setattr(geometry, "_pair_sq_distance", counting)
+        d = point_to_mesh_distance(pts, mesh)
+        np.testing.assert_array_equal(d, mesh_oracle.point_to_mesh_distance(pts, mesh))
+        assert sum(evaluated) < 0.01 * len(pts) * mesh.num_triangles
 
 
 class TestSignedDistance:
