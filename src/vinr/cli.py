@@ -42,29 +42,6 @@ def _load_config_file(path) -> dict:
     return out
 
 
-def _shape_bbox(shape):
-    if isinstance(shape, synthetic.Sphere):
-        c = np.asarray(shape.center)
-        return c - shape.radius, c + shape.radius
-    if isinstance(shape, synthetic.Capsule):
-        a, b = np.asarray(shape.a), np.asarray(shape.b)
-        return np.minimum(a, b) - shape.radius, np.maximum(a, b) + shape.radius
-    if isinstance(shape, synthetic.Torus):
-        c = np.asarray(shape.center)
-        r = np.array([shape.major + shape.minor] * 2 + [shape.minor])
-        return c - r, c + r
-    if isinstance(shape, synthetic.Offset):
-        lo, hi = _shape_bbox(shape.shape)
-        return lo - shape.delta, hi + shape.delta
-    if isinstance(shape, synthetic.UnionList):
-        boxes = [_shape_bbox(s) for s in shape.shapes]
-        return (
-            np.min([b[0] for b in boxes], axis=0),
-            np.max([b[1] for b in boxes], axis=0),
-        )
-    raise ValueError(f"no bbox rule for {type(shape).__name__}")
-
-
 def _train_config(args, n_channels_hint=1) -> training.TrainConfig:
     return training.TrainConfig(
         epochs=args.epochs,
@@ -196,8 +173,10 @@ def cmd_eval(args) -> int:
         lo, hi = ref_mesh.bbox()
     else:
         shape = synthetic.parse_shape(args.ref_shape)
+        if isinstance(shape, tuple):
+            raise ValueError("--ref-shape needs a single shape, not nested walls")
         ref_source = shape
-        lo, hi = _shape_bbox(shape)
+        lo, hi = shape.bbox()
     if args.bbox:
         lo, hi = args.bbox
     else:
@@ -238,7 +217,7 @@ def _sweep_job(job):
             shape = synthetic.parse_shape(shape_spec)
             cloud = synthetic.sample_analytic_surface(shape, count + max(count // 2, 50), seed)
             ref = shape
-            lo, hi = _shape_bbox(shape)
+            lo, hi = shape.bbox()
         train, held = metrics.split_train_heldout(cloud, count, seed)
         cfg = training.TrainConfig(seed=seed, **cfg_kwargs)
         model, _ = training.fit(train, cfg)

@@ -137,7 +137,8 @@ class GridSource:
 
 @dataclass(frozen=True)
 class MeshSource:
-    """Brute-force signed distance to a watertight reference mesh."""
+    """Exact signed distance to a watertight reference mesh: the distance
+    to its nearest triangle, negative where its winding number is odd."""
 
     mesh: TriangleMesh
 

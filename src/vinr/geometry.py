@@ -336,7 +336,7 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
 # ---------------------------------------------------------------------------
 # distance queries
 
-_PAIR_BUDGET = 1 << 18  # (point, triangle) bounds per chunk: 2 MB, cache-sized
+_PAIR_BUDGET = 1 << 18  # (point, triangle) pairs per chunk: 2 MB per float64 pair array
 _SEED_TRIANGLES = 4  # exact distances per point that seed its upper bound
 
 
@@ -435,61 +435,41 @@ def point_to_mesh_distance(p, mesh: TriangleMesh) -> np.ndarray | float:
     return float(out[0]) if single else out
 
 
-def _ray_parity(pts: np.ndarray, mesh: TriangleMesh, rng: np.random.Generator) -> np.ndarray:
-    """Crossing parity (True = inside) via Moller-Trumbore ray casting.
+def _winding_number(pts: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
+    """Generalised winding number of the mesh around each point (Jacobson,
+    Kavan & Sorkine-Hornung 2013): the sum of the triangles' signed solid
+    angles over 4 pi, each by Van Oosterom and Strackee's formula
 
-    Rays hitting edges/vertices or grazing faces are re-cast with a fresh
-    jittered direction until the intersection is unambiguous.
+        Omega = 2 atan2(a.(b x c), |a||b||c| + (a.b)|c| + (b.c)|a| + (c.a)|b|)
+
+    with a, b, c the corners minus the point. Works on (points, triangles)
+    arrays per coordinate, chunked to the pair budget.
     """
-    a, b, c = mesh.triangle_corners()
-    e1 = b - a
-    e2 = c - a
-    n_pts = len(pts)
-    inside = np.zeros(n_pts, dtype=bool)
-    pending = np.arange(n_pts)
-    eps = 1e-10
-    direction = np.array([0.57735026, 0.267261241, 0.77459667])  # irrational-ish
-    for attempt in range(32):
-        if pending.size == 0:
-            break
-        d = direction / np.linalg.norm(direction)
-        q = pts[pending]
-        pvec = np.cross(d, e2)  # (T, 3)
-        det = np.einsum("tk,tk->t", e1, pvec)
-        ok_det = np.abs(det) > eps
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_det = np.where(ok_det, 1.0 / det, 0.0)
-        tvec = q[:, None, :] - a[None, :, :]
-        u = np.einsum("ptk,tk->pt", tvec, pvec) * inv_det
-        qvec = np.cross(tvec, e1[None, :, :])
-        v = np.einsum("ptk,k->pt", qvec, d) * inv_det
-        t_hit = np.einsum("ptk,tk->pt", qvec, e2) * inv_det
-        margin = 1e-9
-        hit = ok_det[None, :] & (u > margin) & (v > margin) & (u + v < 1 - margin) & (t_hit > margin)
-        grazing = (
-            (~ok_det[None, :]
-             & (np.abs(np.einsum("ptk,tk->pt", tvec, np.cross(e1, e2))) < 1e-12))
-            | (ok_det[None, :]
-               & (t_hit > margin)
-               & (u > -margin) & (v > -margin) & (u + v < 1 + margin)
-               & ~((u > margin) & (v > margin) & (u + v < 1 - margin)))
-        )
-        ambiguous = grazing.any(axis=1)
-        crossings = hit.sum(axis=1)
-        resolved = ~ambiguous
-        inside[pending[resolved]] = crossings[resolved] % 2 == 1
-        pending = pending[ambiguous]
-        direction = rng.normal(size=3)
-    else:
-        raise GeometryError("ray parity test failed to resolve after 32 jittered casts")
-    if pending.size:
-        raise GeometryError("ray parity test failed to resolve after 32 jittered casts")
-    return inside
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    corners = [v.T for v in mesh.triangle_corners()]  # three (3, T)
+    T = mesh.num_triangles
+    out = np.empty(len(pts))
+    chunk = max(1, _PAIR_BUDGET // T)
+    for s in range(0, len(pts), chunk):
+        q = pts[s : s + chunk]
+        a, b, c = ([v[k] - q[:, k, None] for k in range(3)] for v in corners)
+        bxc = (b[1] * c[2] - b[2] * c[1], b[2] * c[0] - b[0] * c[2], b[0] * c[1] - b[1] * c[0])
+        la, lb, lc = (np.sqrt(dot(u, u)) for u in (a, b, c))
+        den = la * lb * lc + dot(a, b) * lc + dot(b, c) * la + dot(c, a) * lb
+        out[s : s + chunk] = np.arctan2(dot(a, bxc), den).sum(axis=1)
+    return out / (2 * np.pi)
 
 
 def signed_distance_to_mesh(p, mesh: TriangleMesh) -> np.ndarray | float:
-    """Signed distance to a watertight mesh: negative inside, parity-based
-    inside test with jittered re-casting on degenerate hits."""
+    """Signed distance to a watertight mesh: negative inside.
+
+    The magnitude is point_to_mesh_distance. A point is inside when the
+    mesh's winding number around it rounds to an odd integer, which is the
+    ray-crossing parity of a closed mesh whatever its orientation, also for
+    nested shells, without degenerate rays.
+    """
     from .extraction import check_watertight
 
     if not check_watertight(mesh).closed:
@@ -497,11 +477,7 @@ def signed_distance_to_mesh(p, mesh: TriangleMesh) -> np.ndarray | float:
     single = np.asarray(p).ndim == 1
     pts = _as_points(p)
     dist = np.atleast_1d(point_to_mesh_distance(pts, mesh))
-    rng = np.random.default_rng(0x5D17)
-    inside = np.zeros(len(pts), dtype=bool)
-    chunk = max(1, int(4_000_000 // max(mesh.num_triangles, 1)))
-    for s in range(0, len(pts), chunk):
-        inside[s : s + chunk] = _ray_parity(pts[s : s + chunk], mesh, rng)
+    inside = np.rint(_winding_number(pts, mesh)) % 2 == 1
     out = np.where(inside, -dist, dist)
     return float(out[0]) if single else out
 

@@ -1,7 +1,8 @@
 """Analytic SDF shapes and tessellated fixtures used as exact ground truth.
 
 Every shape exposes value(points) -> signed distances, so shapes plug
-directly into grid evaluation, blending and metrics as SDF sources.
+directly into grid evaluation, blending and metrics as SDF sources, and
+bbox() -> (lo, hi), the axis-aligned box that holds the surface.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ __all__ = [
     "Torus",
     "Offset",
     "UnionList",
-    "analytic_sdf",
     "sample_analytic_surface",
     "nested_wall_fixture",
     "bifurcation_fixture",
@@ -48,6 +48,10 @@ class Sphere:
         d = np.linalg.norm(q - np.asarray(self.center), axis=1) - self.radius
         return float(d[0]) if single else d
 
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        c = np.asarray(self.center)
+        return c - self.radius, c + self.radius
+
 
 @dataclass(frozen=True)
 class Capsule:
@@ -73,6 +77,10 @@ class Capsule:
         d = np.linalg.norm(q - (a + t[:, None] * ab), axis=1) - self.radius
         return float(d[0]) if single else d
 
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        a, b = np.asarray(self.a), np.asarray(self.b)
+        return np.minimum(a, b) - self.radius, np.maximum(a, b) + self.radius
+
 
 @dataclass(frozen=True)
 class Torus:
@@ -93,6 +101,11 @@ class Torus:
         d = ring - self.minor
         return float(d[0]) if single else d
 
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        c = np.asarray(self.center)
+        r = np.array([self.major + self.minor] * 2 + [self.minor])
+        return c - r, c + r
+
 
 @dataclass(frozen=True)
 class Offset:
@@ -103,6 +116,10 @@ class Offset:
 
     def value(self, p):
         return self.shape.value(p) - self.delta
+
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        lo, hi = self.shape.bbox()
+        return lo - self.delta, hi + self.delta
 
 
 @dataclass(frozen=True)
@@ -122,10 +139,9 @@ class UnionList:
         d = np.min(np.stack([s.value(q) for s in self.shapes]), axis=0)
         return float(d[0]) if single else d
 
-
-def analytic_sdf(shape, p):
-    """Signed distance of an analytic shape at p ((3,) or (N, 3))."""
-    return shape.value(p)
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        boxes = [s.bbox() for s in self.shapes]
+        return np.min([b[0] for b in boxes], axis=0), np.max([b[1] for b in boxes], axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .network import (
     MlpArchitecture,
     MlpModel,
     _backward_pass,
-    _forward_pass,
     _loss_and_adjoints,
     grad_of_loss,
     init_model,
@@ -239,12 +238,14 @@ def fit_nested(
             batches.append(pts[idx])
         eik_batch = sample_eikonal_points(sampler, all_norm, n_eik, rng)
         try:
-            terms, grads = grad_of_loss(model, batches, eik_batch, config.lam)
+            if config.nesting_penalty > 0 and C > 1:
+                terms, _, grads = _grad_with_nesting_hinge(
+                    model, batches, eik_batch, config.lam, config.nesting_penalty
+                )
+            else:
+                terms, grads = grad_of_loss(model, batches, eik_batch, config.lam)
         except FloatingPointError:
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}") from None
-        if config.nesting_penalty > 0 and C > 1:
-            pen, pen_grads = _nesting_hinge(model, eik_batch, config.nesting_penalty)
-            grads = [g + pg for g, pg in zip(grads, pen_grads)]
         trace[epoch] = (terms.total, terms.data, terms.eikonal)
         if not np.isfinite(terms.total) or terms.total > DIVERGENCE_LIMIT:
             raise TrainingDiverged(
@@ -261,14 +262,17 @@ def fit_nested(
     return model, report
 
 
-def _nesting_hinge(model: MlpModel, batch: np.ndarray, weight: float):
-    """Optional ordering regularizer: penalizes outer-channel SDF exceeding
-    the next inner channel's (channels ordered innermost first)."""
-    caches = []
-    y, _ = _forward_pass(model, batch, 0, caches)
-    C = y.shape[1]
-    B = y.shape[0]
-    ybar = np.zeros_like(y)
+def _grad_with_nesting_hinge(model: MlpModel, surface_batches, eikonal_batch, lam: float, weight: float):
+    """grad_of_loss plus the optional ordering regularizer, from the loss's
+    one forward and one backward pass. The hinge penalizes, on the Eikonal
+    batch, outer-channel SDF exceeding the next inner channel's (channels
+    ordered innermost first). Returns (LossTerms, penalty, parameter
+    gradients of the loss plus the penalty)."""
+    terms, caches, ybar, Gbar = _loss_and_adjoints(model, surface_batches, eikonal_batch, lam)
+    N, B, C = ybar.shape[0], Gbar.shape[0], ybar.shape[1]
+    # the output layer's pre-activation is the output; the Eikonal batch's
+    # values are the last B of its N value rows
+    y, y_bar = caches[-1][1][N - B : N], ybar[N - B :]
     pen = 0.0
     pairs = C - 1
     for i in range(pairs):
@@ -276,7 +280,6 @@ def _nesting_hinge(model: MlpModel, batch: np.ndarray, weight: float):
         active = gap > 0
         pen += float(np.where(active, gap, 0.0).mean()) / pairs
         scale = weight / (B * pairs)
-        ybar[:, i + 1] += np.where(active, scale, 0.0)
-        ybar[:, i] -= np.where(active, scale, 0.0)
-    grads = _backward_pass(model, caches, ybar, None)
-    return weight * pen, grads
+        y_bar[:, i + 1] += np.where(active, scale, 0.0)
+        y_bar[:, i] -= np.where(active, scale, 0.0)
+    return terms, weight * pen, _backward_pass(model, caches, ybar, Gbar)

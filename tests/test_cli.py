@@ -3,7 +3,7 @@ import pytest
 
 from vinr import cli, geometry, network
 from vinr.extraction import check_watertight
-from vinr.synthetic import Sphere, analytic_sdf
+from vinr.synthetic import Sphere
 
 FAST_FIT = [
     "--epochs", "400",
@@ -136,7 +136,7 @@ class TestExtractAndEval:
         out = tmp_path / "mesh.obj"
         assert run(["extract", "--grid", grid_path, "--out", out]) == 0
         mesh = geometry.load_mesh(out)
-        assert np.abs(analytic_sdf(Sphere(radius=0.5), mesh.vertices)).max() < 0.01
+        assert np.abs(Sphere(radius=0.5).value(mesh.vertices)).max() < 0.01
 
     def test_eval_output_format(self, fitted_sphere, capsys):
         rc = run(
@@ -150,6 +150,11 @@ class TestExtractAndEval:
         assert float(dsc) > 0.9
         assert float(asd) < 0.05
         assert nesting == ""  # single channel, nothing to check
+
+    def test_eval_nested_ref_shape_errors(self, fitted_sphere, capsys):
+        rc = run(["eval", "--model", fitted_sphere["model"], "--ref-shape", "nested"])
+        assert rc == 1
+        assert "single shape" in capsys.readouterr().err
 
     def test_eval_report_file(self, fitted_sphere, tmp_path):
         rep = tmp_path / "metrics.txt"

@@ -13,14 +13,14 @@ from vinr.extraction import (
     marching_cubes,
 )
 from vinr.geometry import DomainTransform, ScalarGrid, TriangleMesh, point_to_mesh_distance
-from vinr.synthetic import Sphere, Torus, analytic_sdf, icosphere
+from vinr.synthetic import Sphere, Torus, icosphere
 
 from test_network import linear_channel_model
 
 
 def analytic_grid(shape, dims, lo, hi):
     pts = grid_lattice(dims, lo, hi)
-    vals = analytic_sdf(shape, pts).reshape(dims, order="F")
+    vals = shape.value(pts).reshape(dims, order="F")
     return ScalarGrid(
         dims=dims,
         bbox_min=np.asarray(lo, dtype=float),
@@ -172,6 +172,20 @@ def triangle_soups(draw):
     return TriangleMesh(sphere.vertices, faces[draw(st.permutations(range(len(faces))))])
 
 
+@st.composite
+def positive_border_grids(draw, levels=None):
+    """Grids of 3-7 points per axis over [-1, 1]^3 with a +1 border and one
+    negative point; other values uniform on [-1, 1], or drawn from `levels`."""
+    dims = draw(st.tuples(st.integers(3, 7), st.integers(3, 7), st.integers(3, 7)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vals = rng.uniform(-1, 1, size=dims) if levels is None else rng.choice(levels, size=dims)
+    vals[0], vals[-1] = 1.0, 1.0
+    vals[:, 0], vals[:, -1] = 1.0, 1.0
+    vals[:, :, 0], vals[:, :, -1] = 1.0, 1.0
+    vals[1, 1, 1] = -1.0
+    return ScalarGrid(dims=dims, bbox_min=-np.ones(3), bbox_max=np.ones(3), values=vals)
+
+
 class TestWatertightAudit:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(mesh=triangle_soups())
@@ -188,18 +202,8 @@ class TestWatertightAudit:
         )
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(
-        dims=st.tuples(st.integers(3, 7), st.integers(3, 7), st.integers(3, 7)),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_marching_cubes_closed_for_positive_border(self, dims, seed):
-        rng = np.random.default_rng(seed)
-        vals = rng.uniform(-1, 1, size=dims)
-        vals[0], vals[-1] = 1.0, 1.0
-        vals[:, 0], vals[:, -1] = 1.0, 1.0
-        vals[:, :, 0], vals[:, :, -1] = 1.0, 1.0
-        vals[1, 1, 1] = -1.0
-        g = ScalarGrid(dims=dims, bbox_min=-np.ones(3), bbox_max=np.ones(3), values=vals)
+    @given(g=positive_border_grids())
+    def test_marching_cubes_closed_for_positive_border(self, g):
         mesh = marching_cubes(g)
         rep = check_watertight(mesh)
         assert rep.closed and rep.orientation_consistent, rep

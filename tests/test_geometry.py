@@ -5,6 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vinr import geometry
+from vinr.csg import evaluate_on_grid, grid_lattice
+from vinr.extraction import marching_cubes
 from vinr.geometry import (
     GeometryError,
     PointCloud,
@@ -22,23 +24,29 @@ from vinr.geometry import (
     signed_distance_to_mesh,
     write_grid,
 )
-from vinr.synthetic import icosphere
+from vinr.metrics import padded_bbox
+from vinr.synthetic import bifurcation_fixture, icosphere
+
+from test_extraction import positive_border_grids
+
+
+# unit cube, outward-wound; each face is split along one diagonal
+CUBE_VERTICES = [
+    (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+    (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
+]
+CUBE_FACES = [  # 1-based, as in OBJ
+    (1, 3, 2), (1, 4, 3), (5, 6, 7), (5, 7, 8),
+    (1, 2, 6), (1, 6, 5), (2, 3, 7), (2, 7, 6),
+    (3, 4, 8), (3, 8, 7), (4, 1, 5), (4, 5, 8),
+]
 
 
 def cube_obj(path):
-    verts = [
-        (0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
-        (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
-    ]
-    faces = [
-        (1, 3, 2), (1, 4, 3), (5, 6, 7), (5, 7, 8),
-        (1, 2, 6), (1, 6, 5), (2, 3, 7), (2, 7, 6),
-        (3, 4, 8), (3, 8, 7), (4, 1, 5), (4, 5, 8),
-    ]
     with open(path, "w") as f:
-        for v in verts:
+        for v in CUBE_VERTICES:
             f.write(f"v {v[0]} {v[1]} {v[2]}\n")
-        for a, b, c in faces:
+        for a, b, c in CUBE_FACES:
             f.write(f"f {a} {b} {c}\n")
 
 
@@ -394,6 +402,57 @@ class TestSignedDistance:
         sd = signed_distance_to_mesh(pts, mesh)
         sd_scaled = signed_distance_to_mesh(s * pts + t, scaled)
         np.testing.assert_allclose(sd_scaled, s * sd, rtol=1e-9, atol=1e-9)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(g=positive_border_grids(levels=np.array([-2.0, -1.0, 1.0, 2.0])))
+    def test_sign_matches_grid_on_marching_cubes_mesh(self, g):
+        # every lattice point lies off the surface: each crossing is a third,
+        # a half or two thirds of the way along its edge
+        mesh = marching_cubes(g)
+        pts = grid_lattice(g.dims, g.bbox_min, g.bbox_max)
+        signs = np.sign(g.values.ravel(order="F"))
+        for m in (mesh, TriangleMesh(mesh.vertices, mesh.triangles[:, ::-1])):
+            np.testing.assert_array_equal(np.sign(signed_distance_to_mesh(pts, m)), signs)
+
+    def test_cube_rays_through_edges_and_vertices(self):
+        mesh = TriangleMesh(np.array(CUBE_VERTICES, dtype=float), np.array(CUBE_FACES) - 1)
+        pts = np.array([
+            # inside: axis rays hit face diagonals, the (1, 1, 1) ray a vertex
+            (0.5, 0.5, 0.5), (0.25, 0.25, 0.25), (0.3, 0.3, 0.7), (0.5, 0.5, 1 - 1e-9),
+            # outside: rays through two face diagonals, two vertices, along an
+            # edge, inside a face's plane and through two vertical edges
+            (0.5, 0.5, -1.0), (-1.0, -1.0, -1.0), (-1.0, 0.0, 0.0), (-1.0, 0.0, 0.5),
+            (1.5, 1.5, 0.5), (2.0, 0.5, 0.5), (0.5, 0.5, 1 + 1e-9),
+            # on a vertex and on an edge
+            (1.0, 1.0, 1.0), (0.5, 0.0, 0.0),
+        ])
+        q = np.abs(pts - 0.5) - 0.5
+        analytic = np.linalg.norm(np.maximum(q, 0.0), axis=1) + np.minimum(q.max(axis=1), 0.0)
+        np.testing.assert_allclose(signed_distance_to_mesh(pts, mesh), analytic, rtol=0, atol=1e-12)
+
+    def test_nested_shells_follow_crossing_parity(self):
+        outer, inner = icosphere(2, radius=1.0), icosphere(2, radius=0.5)
+        mesh = TriangleMesh(
+            np.concatenate([outer.vertices, inner.vertices]),
+            np.concatenate([outer.triangles, inner.triangles + outer.num_vertices]),
+        )
+        pts = np.array([(0.0, 0.0, 0.0), (0.2, -0.1, 0.1), (0.75, 0.0, 0.0), (0.0, -0.8, 0.1), (1.5, 0.0, 0.0)])
+        sd = signed_distance_to_mesh(pts, mesh)
+        # inside the inner shell two crossings lie ahead: outside
+        np.testing.assert_array_equal(np.sign(sd), [1, 1, -1, -1, 1])
+        np.testing.assert_array_equal(np.abs(sd), point_to_mesh_distance(pts, mesh))
+
+    def test_bifurcation_mesh_with_sliver_triangles(self):
+        union, _ = bifurcation_fixture()
+        lo, hi = padded_bbox(*union.bbox(), 0.1)
+        mesh = marching_cubes(evaluate_on_grid(union, (64,) * 3, lo, hi))
+        # faces of near-zero area, which look parallel to every ray
+        assert mesh.areas().min() < 1e-10
+        pts = np.random.default_rng(5).uniform(lo, hi, size=(200, 3))
+        sd, exact = signed_distance_to_mesh(pts, mesh), union.value(pts)
+        np.testing.assert_array_equal(np.sign(sd), np.sign(exact))
+        outside = exact > 0  # the union's min is exact outside only
+        np.testing.assert_allclose(sd[outside], exact[outside], atol=5e-3)
 
     def test_open_mesh_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)

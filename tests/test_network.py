@@ -273,7 +273,7 @@ class TestEinsumOracle:
         assert_rel_close(dual.gradients, G)
         assert_rel_close(forward(m, eik), y)
 
-        # value-only backward, as the nesting penalty uses it
+        # value-only backward (no tangent rows)
         caches = []
         y, _ = _forward_pass(m, eik, 0, caches)
         ybar = rng.normal(size=y.shape)

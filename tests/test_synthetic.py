@@ -9,7 +9,6 @@ from vinr.synthetic import (
     Sphere,
     Torus,
     UnionList,
-    analytic_sdf,
     bifurcation_fixture,
     capsule_mesh,
     icosphere,
@@ -24,38 +23,38 @@ scipy_stats = pytest.importorskip("scipy.stats")
 class TestAnalyticSdfs:
     def test_sphere_values(self):
         s = Sphere(radius=0.5)
-        assert analytic_sdf(s, np.zeros(3)) == pytest.approx(-0.5)
-        assert analytic_sdf(s, np.array([1.0, 0, 0])) == pytest.approx(0.5)
-        assert analytic_sdf(s, np.array([0.5, 0, 0])) == pytest.approx(0.0, abs=1e-15)
+        assert s.value(np.zeros(3)) == pytest.approx(-0.5)
+        assert s.value(np.array([1.0, 0, 0])) == pytest.approx(0.5)
+        assert s.value(np.array([0.5, 0, 0])) == pytest.approx(0.0, abs=1e-15)
 
     def test_sphere_offcenter(self):
         s = Sphere(center=(1.0, 0.0, 0.0), radius=0.2)
-        assert analytic_sdf(s, np.array([1.0, 0, 0])) == pytest.approx(-0.2)
+        assert s.value(np.array([1.0, 0, 0])) == pytest.approx(-0.2)
 
     def test_capsule_values(self):
         c = Capsule((0, 0, -1), (0, 0, 1), 0.3)
         # midpoint of the axis, on the axis
-        assert analytic_sdf(c, np.zeros(3)) == pytest.approx(-0.3)
+        assert c.value(np.zeros(3)) == pytest.approx(-0.3)
         # radially out from the axis
-        assert analytic_sdf(c, np.array([0.5, 0, 0])) == pytest.approx(0.2)
+        assert c.value(np.array([0.5, 0, 0])) == pytest.approx(0.2)
         # beyond a cap: distance to the end point minus radius
-        assert analytic_sdf(c, np.array([0, 0, 1.5])) == pytest.approx(0.2)
+        assert c.value(np.array([0, 0, 1.5])) == pytest.approx(0.2)
 
     def test_capsule_degenerate_segment_is_sphere(self):
         c = Capsule((0.1, 0.2, 0.3), (0.1, 0.2, 0.3), 0.4)
         s = Sphere(center=(0.1, 0.2, 0.3), radius=0.4)
         p = np.random.default_rng(0).uniform(-1, 1, size=(50, 3))
-        np.testing.assert_allclose(analytic_sdf(c, p), analytic_sdf(s, p), atol=1e-12)
+        np.testing.assert_allclose(c.value(p), s.value(p), atol=1e-12)
 
     def test_torus_values(self):
         t = Torus(major=0.6, minor=0.2)
-        assert analytic_sdf(t, np.array([0.6, 0, 0])) == pytest.approx(-0.2)
-        assert analytic_sdf(t, np.array([1.0, 0, 0])) == pytest.approx(0.2)
-        assert analytic_sdf(t, np.zeros(3)) == pytest.approx(0.4)
+        assert t.value(np.array([0.6, 0, 0])) == pytest.approx(-0.2)
+        assert t.value(np.array([1.0, 0, 0])) == pytest.approx(0.2)
+        assert t.value(np.zeros(3)) == pytest.approx(0.4)
 
     def test_offset_dilation(self):
         s = Offset(Sphere(radius=0.5), 0.1)  # sphere of radius 0.6
-        assert analytic_sdf(s, np.array([0.6, 0, 0])) == pytest.approx(0.0, abs=1e-15)
+        assert s.value(np.array([0.6, 0, 0])) == pytest.approx(0.0, abs=1e-15)
 
     def test_union_is_min(self):
         a = Sphere(center=(-0.5, 0, 0), radius=0.3)
@@ -63,7 +62,7 @@ class TestAnalyticSdfs:
         u = UnionList((a, b))
         p = np.random.default_rng(1).uniform(-1, 1, size=(100, 3))
         np.testing.assert_array_equal(
-            analytic_sdf(u, p), np.minimum(analytic_sdf(a, p), analytic_sdf(b, p))
+            u.value(p), np.minimum(a.value(p), b.value(p))
         )
 
     def test_eikonal_property_single_shapes(self):
@@ -75,7 +74,7 @@ class TestAnalyticSdfs:
             p = rng.uniform(-1, 1, size=(200, 3))
             g = np.stack(
                 [
-                    (analytic_sdf(shape, p + h * e) - analytic_sdf(shape, p - h * e)) / (2 * h)
+                    (shape.value(p + h * e) - shape.value(p - h * e)) / (2 * h)
                     for e in np.eye(3)
                 ],
                 axis=1,
@@ -83,7 +82,7 @@ class TestAnalyticSdfs:
             norms = np.linalg.norm(g, axis=1)
             # exclude points near the shape's medial axis where the
             # gradient is undefined
-            keep = np.abs(analytic_sdf(shape, p)) > 0.05
+            keep = np.abs(shape.value(p)) > 0.05
             assert np.abs(norms[keep] - 1).max() < 1e-4
 
     def test_validation(self):
@@ -109,7 +108,24 @@ class TestSurfaceSampling:
         for shape in shapes:
             cloud = sample_analytic_surface(shape, 500, seed=3)
             assert len(cloud) == 500
-            assert np.abs(analytic_sdf(shape, cloud.points)).max() < 1e-9
+            assert np.abs(shape.value(cloud.points)).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            Sphere(center=(0.2, -0.1, 0.3), radius=0.7),
+            Capsule((0.1, 0.0, -0.6), (-0.3, 0.4, 0.6), 0.25),
+            Torus(center=(0.0, 0.3, -0.2), major=0.6, minor=0.15),
+            Offset(Capsule((0, 0, -0.3), (0, 0, 0.3), 0.1), 0.2),
+            bifurcation_fixture()[0],
+        ],
+    )
+    def test_bbox_holds_the_surface_tightly(self, shape):
+        lo, hi = shape.bbox()
+        pts = sample_analytic_surface(shape, 4000, seed=2).points
+        assert np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12)
+        np.testing.assert_allclose(pts.min(axis=0), lo, atol=0.03)
+        np.testing.assert_allclose(pts.max(axis=0), hi, atol=0.03)
 
     def test_determinism(self):
         a = sample_analytic_surface(Sphere(radius=0.5), 100, seed=4)
@@ -146,29 +162,29 @@ class TestSurfaceSampling:
         u, _ = bifurcation_fixture()
         cloud = sample_analytic_surface(u, 2000, seed=9)
         # no sample may sit strictly inside any component
-        assert analytic_sdf(u, cloud.points).min() > -1e-9
+        assert u.value(cloud.points).min() > -1e-9
 
 
 class TestFixtures:
     def test_nested_wall_ordering(self):
         lumen, inner, outer = nested_wall_fixture(0.3, 0.2, 0.2)
         p = np.random.default_rng(10).uniform(-1.5, 1.5, size=(500, 3))
-        dl, di, do = (analytic_sdf(s, p) for s in (lumen, inner, outer))
+        dl, di, do = (s.value(p) for s in (lumen, inner, outer))
         assert np.all(do <= di + 1e-12)
         assert np.all(di <= dl + 1e-12)
 
     def test_nested_wall_radii(self):
         lumen, inner, outer = nested_wall_fixture(0.3, 0.2, 0.15)
-        assert analytic_sdf(lumen, np.array([0.3, 0, 0])) == pytest.approx(0.0, abs=1e-15)
-        assert analytic_sdf(inner, np.array([0.5, 0, 0])) == pytest.approx(0.0, abs=1e-15)
-        assert analytic_sdf(outer, np.array([0.65, 0, 0])) == pytest.approx(0.0, abs=1e-15)
+        assert lumen.value(np.array([0.3, 0, 0])) == pytest.approx(0.0, abs=1e-15)
+        assert inner.value(np.array([0.5, 0, 0])) == pytest.approx(0.0, abs=1e-15)
+        assert outer.value(np.array([0.65, 0, 0])) == pytest.approx(0.0, abs=1e-15)
 
     def test_bifurcation_parts_connect(self):
         union, parts = bifurcation_fixture()
         assert len(parts) == 3
         # all branches meet at the junction, which is interior to each
         for part in parts:
-            assert analytic_sdf(part, np.zeros(3)) < 0
+            assert part.value(np.zeros(3)) < 0
 
     def test_fixture_validation(self):
         with pytest.raises(GeometryError):
@@ -203,7 +219,7 @@ class TestMeshFactories:
         rep = check_watertight(mesh)
         assert rep.closed and rep.orientation_consistent
         c = Capsule((0, 0, -0.5), (0, 0, 0.5), 0.3)
-        assert np.abs(analytic_sdf(c, mesh.vertices)).max() < 5e-3
+        assert np.abs(c.value(mesh.vertices)).max() < 5e-3
 
     def test_capsule_mesh_volume(self):
         L, r = 1.0, 0.3

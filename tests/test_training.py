@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vinr.geometry import GeometryError, PointCloud
-from vinr.network import forward
+from vinr.network import forward, grad_of_loss
 from vinr.training import (
     AdamState,
     EikonalSampler,
@@ -252,29 +252,40 @@ class TestNestingPenalty:
     """The optional channel-ordering hinge of fit_nested (nesting_penalty > 0)."""
 
     def test_hinge_gradient_matches_central_difference(self):
+        """The one-pass gradient fit_nested steps on: loss plus hinge."""
         from vinr.network import MlpArchitecture, init_model
-        from vinr.training import _nesting_hinge
+        from vinr.training import _grad_with_nesting_hinge
 
         arch = MlpArchitecture(
             hidden_layers=2, hidden_width=6, output_channels=2, skip_layer=2, activation="softplus"
         )
         m = init_model(arch, seed=3)
-        batch = np.random.default_rng(4).uniform(-1, 1, size=(16, 3))
+        rng = np.random.default_rng(4)
+        batch = rng.uniform(-1, 1, size=(16, 3))
+        surface = [rng.uniform(-1, 1, size=(8, 3)) for _ in range(2)]
         y = forward(m, batch)
         gap = y[:, 1] - y[:, 0]
-        # both sides of the hinge, none within reach of the step below
+        # both sides of the hinge and of |f|, none within reach of the step below
         assert (gap > 0).any() and (gap < 0).any()
         assert np.abs(gap).min() > 1e-4
-        weight, h = 0.5, 1e-6
-        _, grads = _nesting_hinge(m, batch, weight)
+        assert min(np.abs(forward(m, s)[:, c]).min() for c, s in enumerate(surface)) > 1e-4
+        lam, weight, h = 0.1, 0.5, 1e-6
+
+        def objective():
+            terms, pen, _ = _grad_with_nesting_hinge(m, surface, batch, lam, weight)
+            return terms.total + pen
+
+        terms, pen, grads = _grad_with_nesting_hinge(m, surface, batch, lam, weight)
+        assert pen > 0
+        assert grad_of_loss(m, surface, batch, lam)[0] == terms
         for p, g in zip(m.parameters(), grads):
             numeric = np.empty_like(p)
             for idx in np.ndindex(p.shape):
                 old = p[idx]
                 p[idx] = old + h
-                up = _nesting_hinge(m, batch, weight)[0]
+                up = objective()
                 p[idx] = old - h
-                down = _nesting_hinge(m, batch, weight)[0]
+                down = objective()
                 p[idx] = old
                 numeric[idx] = (up - down) / (2 * h)
             np.testing.assert_allclose(g, numeric, rtol=1e-6, atol=1e-9)
