@@ -3,7 +3,7 @@ neural signed-distance fields, with multi-channel nested fitting, smooth CSG
 blending, isosurface extraction and quantitative evaluation."""
 
 from .csg import BlendSpec, GridSource, MeshSource, ModelSource, blend_grids, evaluate_on_grid, smooth_union, union_min
-from .extraction import check_watertight, extract_model, marching_cubes
+from .extraction import check_watertight, marching_cubes
 from .geometry import (
     DomainTransform,
     GeometryError,

@@ -9,7 +9,8 @@ the base seed.
 from __future__ import annotations
 
 import argparse
-import os
+import dataclasses
+import itertools
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -17,9 +18,6 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import csg, extraction, geometry, metrics, network, synthetic, training
-
-FULL_DEFAULTS = dict(epochs=25_000, lr=1e-4, lam=0.1, layers=6, width=256, skip=3)
-
 
 def _bbox_arg(text: str):
     vals = [float(v) for v in text.replace(",", " ").split()]
@@ -29,6 +27,8 @@ def _bbox_arg(text: str):
 
 
 def _load_config_file(path) -> dict:
+    """`key = value` lines, keys being flag dests. Values stay strings, which
+    argparse converts with the flag's own type when it applies a default."""
     out = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -38,40 +38,36 @@ def _load_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
             k, _, v = line.partition("=")
-            out[k.strip()] = v.strip()
+            out[k.strip().replace("-", "_")] = v.strip()
     return out
 
 
-def _train_config(args, n_channels_hint=1) -> training.TrainConfig:
-    return training.TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        lam=args.lam,
-        surface_batch_size=args.batch,
-        seed=args.seed,
-        activation=args.activation,
-        init_scheme=args.init,
-        hidden_layers=args.layers,
-        hidden_width=args.width,
-        skip_layer=args.skip,
-        half_extent=args.half_extent,
-        nesting_penalty=args.nesting_penalty,
-    )
+# fit flag, its argparse dest (the config key), the TrainConfig field it sets,
+# and its parsing; the defaults are TrainConfig's
+_FIT_FLAGS = (
+    ("--epochs", "epochs", "epochs", dict(type=int)),
+    ("--lr", "lr", "learning_rate", dict(type=float)),
+    ("--lambda", "lam", "lam", dict(type=float)),
+    ("--layers", "layers", "hidden_layers", dict(type=int)),
+    ("--width", "width", "hidden_width", dict(type=int)),
+    ("--skip", "skip", "skip_layer", dict(type=int)),
+    ("--activation", "activation", "activation", dict(choices=("relu", "softplus"))),
+    ("--init", "init", "init_scheme", dict(choices=("standard", "sphere"))),
+    ("--batch", "batch", "surface_batch_size", dict(type=int)),
+    ("--seed", "seed", "seed", dict(type=int)),
+    ("--half-extent", "half_extent", "half_extent", dict(type=float)),
+    ("--nesting-penalty", "nesting_penalty", "nesting_penalty", dict(type=float)),
+)
+
+
+def _train_config(args) -> training.TrainConfig:
+    return training.TrainConfig(**{field: getattr(args, dest) for _, dest, field, _ in _FIT_FLAGS})
 
 
 def _add_fit_flags(p: argparse.ArgumentParser):
-    p.add_argument("--epochs", type=int, default=FULL_DEFAULTS["epochs"])
-    p.add_argument("--lr", type=float, default=FULL_DEFAULTS["lr"])
-    p.add_argument("--lambda", dest="lam", type=float, default=FULL_DEFAULTS["lam"])
-    p.add_argument("--layers", type=int, default=FULL_DEFAULTS["layers"])
-    p.add_argument("--width", type=int, default=FULL_DEFAULTS["width"])
-    p.add_argument("--skip", type=int, default=FULL_DEFAULTS["skip"])
-    p.add_argument("--activation", choices=("relu", "softplus"), default="relu")
-    p.add_argument("--init", choices=("standard", "sphere"), default="sphere")
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--half-extent", type=float, default=0.9)
-    p.add_argument("--nesting-penalty", type=float, default=0.0)
+    defaults = training.TrainConfig()
+    for flag, dest, field, kwargs in _FIT_FLAGS:
+        p.add_argument(flag, dest=dest, default=getattr(defaults, field), **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +98,7 @@ def _with_suffix(path: str, suffix: str) -> str:
 
 def cmd_fit(args) -> int:
     clouds = [geometry.load_point_cloud(p) for p in args.points]
-    cfg = _train_config(args, len(clouds))
+    cfg = _train_config(args)
     try:
         model, report = training.fit_nested(clouds, cfg, channel_names=args.channel_names)
     except training.TrainingDiverged as e:
@@ -204,8 +200,8 @@ def cmd_eval(args) -> int:
 
 def _sweep_job(job):
     """One (count, repeat) cell: sample, fit, evaluate. Returns a CSV row."""
-    (shape_spec, mesh_path, count, repeat, base_seed, job_index, cfg_kwargs, dsc_dims) = job
-    seed = base_seed + job_index
+    (shape_spec, mesh_path, count, repeat, job_index, cfg, dsc_dims) = job
+    seed = cfg.seed + job_index
     t0 = time.perf_counter()
     try:
         if mesh_path:
@@ -219,8 +215,7 @@ def _sweep_job(job):
             ref = shape
             lo, hi = shape.bbox()
         train, held = metrics.split_train_heldout(cloud, count, seed)
-        cfg = training.TrainConfig(seed=seed, **cfg_kwargs)
-        model, _ = training.fit(train, cfg)
+        model, _ = training.fit(train, dataclasses.replace(cfg, seed=seed))
         lo, hi = metrics.padded_bbox(lo, hi, 0.1)
         dsc = metrics.dice(csg.ModelSource(model, 0), ref, (dsc_dims,) * 3, lo, hi)
         asd = metrics.average_surface_distance(
@@ -234,29 +229,13 @@ def _sweep_job(job):
 
 def cmd_sweep(args) -> int:
     counts = [int(c) for c in args.counts.split(",") if c.strip()]
-    cfg_kwargs = dict(
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        lam=args.lam,
-        hidden_layers=args.layers,
-        hidden_width=args.width,
-        skip_layer=args.skip,
-        activation=args.activation,
-        init_scheme=args.init,
-        surface_batch_size=args.batch,
-        half_extent=args.half_extent,
-    )
-    jobs = []
-    job_index = 0
-    for count in counts:
-        for repeat in range(args.repeats):
-            jobs.append(
-                (args.shape, args.mesh, count, repeat, args.seed, job_index, cfg_kwargs, args.dsc_dims)
-            )
-            job_index += 1
-    n_jobs = args.jobs or int(os.environ.get("VINR_JOBS", "1"))
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    cfg = _train_config(args)
+    jobs = [
+        (args.shape, args.mesh, count, repeat, job_index, cfg, args.dsc_dims)
+        for job_index, (count, repeat) in enumerate(itertools.product(counts, range(args.repeats)))
+    ]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_job, jobs))
     else:
         rows = [_sweep_job(j) for j in jobs]
@@ -307,13 +286,17 @@ def cmd_fixtures(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config=None) -> argparse.ArgumentParser:
+    """The `vinr` parser. `config` maps flag dests to string defaults (a
+    config file's contents); explicit flags still win."""
     parser = argparse.ArgumentParser(
         prog="vinr",
         description="Fit, blend, extract and evaluate neural signed-distance surfaces.",
+        allow_abbrev=False,
     )
-    parser.add_argument("--config", help="key = value config file; explicit flags win")
+    parser.add_argument("--config", help="key = value file of flag defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = config or {}
 
     p = sub.add_parser("sample", help="sample a point cloud from a mesh or analytic shape")
     src = p.add_mutually_exclusive_group(required=True)
@@ -324,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--heldout", type=int, default=0, help="also write N disjoint held-out points")
     p.add_argument("--heldout-out")
+    p.set_defaults(**config)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("fit", help="fit an SDF model to one or more point clouds")
@@ -333,6 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.add_argument("--channel-names", nargs="*", default=None)
     _add_fit_flags(p)
+    p.set_defaults(**config)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("blend", help="blend trained models on a shared grid")
@@ -344,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--out-grid")
     p.add_argument("--out-mesh")
+    p.set_defaults(**config)
     p.set_defaults(func=cmd_blend)
 
     p = sub.add_parser("extract", help="marching-cubes mesh from a model or grid")
@@ -355,6 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--iso", type=float, default=0.0)
     p.add_argument("--out", required=True)
+    p.set_defaults(**config)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("eval", help="DSC / ASD / nesting metrics for a model")
@@ -368,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bbox", type=_bbox_arg)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--report")
+    p.set_defaults(**config)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="robustness sweep over point-cloud sizes")
@@ -377,9 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", default="100,200,400,800")
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--dsc-dims", type=int, default=64)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     _add_fit_flags(p)
+    p.set_defaults(**config)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fixtures", help="emit analytic fixture meshes / point clouds")
@@ -389,33 +378,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-mesh")
     p.add_argument("--out-points")
+    p.set_defaults(**config)
     p.set_defaults(func=cmd_fixtures)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    # pre-scan for --config so file values become defaults (flags still win)
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
-        raw = _load_config_file(cfg_path)
-        converted = {}
-        for k, v in raw.items():
-            key = k.replace("-", "_")
-            try:
-                converted[key] = int(v)
-            except ValueError:
-                try:
-                    converted[key] = float(v)
-                except ValueError:
-                    converted[key] = v
-        for sp in parser._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-            known = {a.dest for a in sp._actions}  # noqa: SLF001
-            sp.set_defaults(**{k: v for k, v in converted.items() if k in known})
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # find --config first, so that the file's values become the defaults
+    pre = argparse.ArgumentParser(prog="vinr", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    config_path = pre.parse_known_args(argv)[0].config
     try:
+        config = _load_config_file(config_path) if config_path else {}
+        args = build_parser(config).parse_args(argv)
         return args.func(args)
     except (geometry.GeometryError, network.ModelFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

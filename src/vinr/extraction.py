@@ -12,7 +12,6 @@ from .mc_tables import EDGE_CORNERS, TRI_TABLE
 __all__ = [
     "marching_cubes",
     "check_watertight",
-    "extract_model",
     "WatertightReport",
     "enclosed_volume",
 ]
@@ -135,11 +134,3 @@ def enclosed_volume(mesh: TriangleMesh) -> float:
     a, b, c = mesh.triangle_corners()
     return float(np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0)
 
-
-def extract_model(model, channel: int, dims, bbox_min, bbox_max, iso: float = 0.0) -> TriangleMesh:
-    """Evaluate one model channel on a real-coordinate grid and polygonize."""
-    from .csg import ModelSource, evaluate_on_grid
-
-    source = ModelSource(model, channel)
-    grid = evaluate_on_grid(source, dims, bbox_min, bbox_max)
-    return marching_cubes(grid, iso)

@@ -26,7 +26,6 @@ __all__ = [
     "load_mesh",
     "save_mesh",
     "sample_surface",
-    "proportional_counts",
     "fit_transform",
     "point_to_mesh_distance",
     "signed_distance_to_mesh",
@@ -198,11 +197,6 @@ class ScalarGrid:
             for i in range(3)
         )
 
-    def spacing(self) -> np.ndarray:
-        dims = np.array(self.dims)
-        span = self.bbox_max - self.bbox_min
-        return span / np.maximum(dims - 1, 1)
-
 
 # ---------------------------------------------------------------------------
 # file I/O
@@ -284,28 +278,6 @@ def save_mesh(mesh: TriangleMesh, path) -> None:
 
 # ---------------------------------------------------------------------------
 # sampling and normalization
-
-
-def proportional_counts(areas, total: int) -> list[int]:
-    """Split `total` into counts proportional to `areas` (largest-remainder
-    rounding, so the counts sum to `total` exactly)."""
-    areas = np.asarray(areas, dtype=np.float64)
-    if total < 0:
-        raise GeometryError("total must be non-negative")
-    if areas.size == 0:
-        if total > 0:
-            raise GeometryError("cannot distribute counts over empty area list")
-        return []
-    if np.any(areas <= 0):
-        raise GeometryError("areas must be positive")
-    raw = total * areas / areas.sum()
-    counts = np.floor(raw).astype(np.int64)
-    remainder = raw - counts
-    deficit = int(total - counts.sum())
-    if deficit > 0:
-        order = np.argsort(-remainder, kind="stable")
-        counts[order[:deficit]] += 1
-    return [int(c) for c in counts]
 
 
 def sample_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:

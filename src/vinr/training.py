@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 DIVERGENCE_LIMIT = 1e6
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class TrainingDiverged(RuntimeError):
@@ -54,20 +58,14 @@ class TrainConfig:
     epochs: int = 25_000
     learning_rate: float = 1e-4
     lam: float = 0.1  # weight of the gradient-norm penalty
-    surface_batch_size: int | None = None  # None -> min(N, 1024)
-    eikonal_batch_size: int | None = None  # None -> surface batch size
+    surface_batch_size: int | None = None  # None -> min(N, 1024); Eikonal batch = largest
     seed: int = 0
     activation: str = "relu"
     init_scheme: str = "sphere"
     hidden_layers: int = 6
     hidden_width: int = 256
     skip_layer: int = 3
-    softplus_beta: float = 100.0
     half_extent: float = 0.9
-    perturb_sigma: float = 0.1  # normalized units
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     nesting_penalty: float = 0.0  # optional hinge on channel ordering, off by default
 
     def __post_init__(self):
@@ -77,10 +75,8 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.lam < 0:
             raise ValueError("lambda must be non-negative")
-        for name in ("surface_batch_size", "eikonal_batch_size"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if self.surface_batch_size is not None and self.surface_batch_size < 1:
+            raise ValueError("surface_batch_size must be >= 1")
 
     def architecture(self, channels: int) -> MlpArchitecture:
         return MlpArchitecture(
@@ -89,7 +85,6 @@ class TrainConfig:
             output_channels=channels,
             skip_layer=self.skip_layer,
             activation=self.activation,
-            softplus_beta=self.softplus_beta,
         )
 
 
@@ -132,26 +127,17 @@ class AdamState:
     m: list
     v: list
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def for_params(cls, params) -> "AdamState":
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(state: AdamState, params, grads, lr: float) -> None:
     """One bias-corrected Adam update, applied to `params` in place."""
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -161,7 +147,7 @@ def adam_step(state: AdamState, params, grads, lr: float) -> None:
         m += (1 - b1) * g
         v *= b2
         v += (1 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +204,13 @@ def fit_nested(
     model.channel_names = list(channel_names) if channel_names else None
 
     params = model.parameters()
-    opt = AdamState.for_params(
-        params, beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps
-    )
-    sampler = EikonalSampler(half_extent=1.0, sigma=config.perturb_sigma)
+    opt = AdamState.for_params(params)
+    sampler = EikonalSampler(half_extent=1.0)
     rng = np.random.default_rng(config.seed)
 
     n_surf = config.surface_batch_size
     batch_sizes = [min(len(c), 1024) if n_surf is None else min(len(c), n_surf) for c in clouds]
-    n_eik = config.eikonal_batch_size or max(batch_sizes)
+    n_eik = max(batch_sizes)
 
     trace = np.zeros((config.epochs, 3))
     start = time.perf_counter()

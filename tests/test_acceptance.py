@@ -212,12 +212,13 @@ def test_criterion_4_robustness_sweep(capsys):
 
     counts = (100, 200, 400, 800)
     repeats = 5
-    cfg_kwargs = dict(
+    cfg = TrainConfig(
         epochs=800,
         learning_rate=1e-3,
         hidden_layers=4,
         hidden_width=40,
         skip_layer=2,
+        seed=0,
     )
     # a thin capsule: 100 surface points barely cover it, so reconstruction
     # quality genuinely depends on which points were drawn
@@ -228,7 +229,7 @@ def test_criterion_4_robustness_sweep(capsys):
         for repeat in range(repeats):
             rows.append(
                 cli._sweep_job(
-                    (shape_spec, None, count, repeat, 0, job_index, cfg_kwargs, 48)
+                    (shape_spec, None, count, repeat, job_index, cfg, 48)
                 )
             )
             job_index += 1

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vinr import cli, geometry, network
 from vinr.extraction import check_watertight
 from vinr.synthetic import Sphere
+from vinr.training import TrainConfig
 
 FAST_FIT = [
     "--epochs", "400",
@@ -228,6 +231,22 @@ class TestSweep:
             dsc = float(row.split(",")[2])
             assert 0.0 <= dsc <= 1.0
 
+    def test_parallel_jobs_match_serial(self, tmp_path):
+        def columns(jobs):
+            out = tmp_path / f"sweep{jobs}.csv"
+            rc = run(
+                ["sweep", "--shape", "sphere:0.5", "--counts", "40,60", "--repeats", "2",
+                 "--dsc-dims", "16", "--jobs", jobs, "--out", out,
+                 "--epochs", "20", "--lr", "1e-3", "--layers", "2", "--width", "8", "--skip", "1"]
+            )
+            assert rc == 0
+            # count,repeat,dsc,asd; the seconds column differs run to run
+            return [l.split(",")[:4] for l in out.read_text().splitlines()[1:]]
+
+        serial = columns(1)
+        assert len(serial) == 1 + 4 + 2 * 2
+        assert columns(2) == serial
+
 
 class TestFixtures:
     def test_sphere_mesh(self, tmp_path):
@@ -276,8 +295,97 @@ class TestConfigFile:
         assert rc == 0
         assert len(report.read_text().splitlines()) == 2 + 3
 
-    def test_malformed_config(self, tmp_path):
+    def test_equals_form_is_honoured(self, tmp_path):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("epochs = 4\n")
+        pts = tmp_path / "p.xyz"
+        run(["sample", "--shape", "sphere", "--count", "30", "--out", pts])
+        report = tmp_path / "r.csv"
+        rc = run(
+            [f"--config={cfg}", "fit", "--points", pts, "--out", tmp_path / "m.inr",
+             "--report", report, "--layers", "2", "--width", "8", "--skip", "1"]
+        )
+        assert rc == 0
+        assert len(report.read_text().splitlines()) == 2 + 4
+
+    def test_malformed_config(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epochs 7\n")
-        with pytest.raises(ValueError):
-            run(["--config", cfg, "fixtures", "--shape", "sphere"])
+        assert run(["--config", cfg, "fixtures", "--shape", "sphere"]) == 1
+        assert f"error: {cfg}:1: expected key = value" in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert run(["--config", tmp_path / "absent.cfg", "fixtures", "--shape", "sphere"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_trailing_config_flag(self):
+        with pytest.raises(SystemExit) as e:
+            run(["fixtures", "--shape", "sphere", "--config"])
+        assert e.value.code == 2
+
+    def test_abbreviated_config_flag_is_rejected(self, tmp_path):
+        # an abbreviation the config look-up would not see must not parse either
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("count = 5\n")
+        with pytest.raises(SystemExit) as e:
+            run(["--conf", cfg, "fixtures", "--shape", "sphere", "--out-points", tmp_path / "p.xyz"])
+        assert e.value.code == 2
+
+    def test_bad_config_value_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("epochs = many\n")
+        with pytest.raises(SystemExit) as e:
+            run(["--config", cfg, "fit", "--points", "p.xyz", "--out", "m.inr"])
+        assert e.value.code == 2
+
+
+# every fit flag: (flag, config key, TrainConfig field, config value, field
+# value it gives, flag value, field value it gives)
+FIT_FLAGS = [
+    ("--epochs", "epochs", "epochs", "7", 7, "3", 3),
+    ("--lr", "lr", "learning_rate", "1e-3", 1e-3, "0.5", 0.5),
+    ("--lambda", "lam", "lam", "0.25", 0.25, "0", 0.0),
+    ("--layers", "layers", "hidden_layers", "4", 4, "2", 2),
+    ("--width", "width", "hidden_width", "32", 32, "8", 8),
+    ("--skip", "skip", "skip_layer", "2", 2, "1", 1),
+    ("--activation", "activation", "activation", "softplus", "softplus", "relu", "relu"),
+    ("--init", "init", "init_scheme", "standard", "standard", "sphere", "sphere"),
+    ("--batch", "batch", "surface_batch_size", "128", 128, "64", 64),
+    ("--seed", "seed", "seed", "5", 5, "9", 9),
+    ("--half-extent", "half_extent", "half_extent", "0.8", 0.8, "0.7", 0.7),
+    ("--nesting-penalty", "nesting_penalty", "nesting_penalty", "0.5", 0.5, "2", 2.0),
+]
+
+COMMAND_ARGS = {
+    "fit": ["--points", "p.xyz", "--out", "m.inr"],
+    "sweep": ["--shape", "sphere", "--out", "s.csv"],
+}
+
+
+def parsed_train_config(monkeypatch, argv, command):
+    """The TrainConfig that `vinr <argv>` would run with, through `main`."""
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(cli._train_config(args)) or 0)
+    assert run(argv) == 0
+    return seen[0]
+
+
+def test_fit_flags_cover_every_train_config_field():
+    assert sorted(row[2] for row in FIT_FLAGS) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+@pytest.mark.parametrize("flag,key,field,cfg_text,cfg_value,flag_text,flag_value", FIT_FLAGS)
+def test_fit_flag_default_config_and_override(
+    monkeypatch, tmp_path, command, flag, key, field, cfg_text, cfg_value, flag_text, flag_value
+):
+    cmd = [command, *COMMAND_ARGS[command]]
+    assert parsed_train_config(monkeypatch, cmd, command) == TrainConfig()
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {cfg_text}\n")
+    from_config = parsed_train_config(monkeypatch, ["--config", cfg, *cmd], command)
+    assert from_config == dataclasses.replace(TrainConfig(), **{field: cfg_value})
+
+    from_flag = parsed_train_config(monkeypatch, ["--config", cfg, *cmd, flag, flag_text], command)
+    assert getattr(from_flag, field) == flag_value

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vinr.csg import GridSource, MeshSource, evaluate_on_grid, grid_lattice
+from vinr.csg import GridSource, MeshSource, ModelSource, evaluate_on_grid, grid_lattice
 from vinr.extraction import (
     WatertightReport,
     check_watertight,
     enclosed_volume,
-    extract_model,
     marching_cubes,
 )
 from vinr.geometry import DomainTransform, ScalarGrid, TriangleMesh, point_to_mesh_distance
@@ -214,7 +213,8 @@ class TestExtractModel:
     def test_plane_model(self):
         m = linear_channel_model([0.0, 0.0, 1.0])  # f = z in normalized units
         m.transform = DomainTransform(scale=0.5, center=np.zeros(3))
-        mesh = extract_model(m, 0, (12, 12, 12), -np.ones(3), np.ones(3))
+        grid = evaluate_on_grid(ModelSource(m, 0), (12, 12, 12), -np.ones(3), np.ones(3))
+        mesh = marching_cubes(grid)
         assert len(mesh.triangles) > 0
         assert np.abs(mesh.vertices[:, 2]).max() < 1e-6
 

@@ -16,7 +16,6 @@ from vinr.geometry import (
     load_mesh,
     load_point_cloud,
     point_to_mesh_distance,
-    proportional_counts,
     read_grid,
     sample_surface,
     save_mesh,
@@ -164,21 +163,6 @@ class TestSampling:
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
         with pytest.raises(GeometryError):
             sample_surface(TriangleMesh(verts, np.array([[0, 1, 2]])), 5, seed=0)
-
-
-class TestProportionalCounts:
-    def test_equal_split(self):
-        assert proportional_counts([1, 1], 10) == [5, 5]
-
-    def test_hand_case(self):
-        assert proportional_counts([1, 3], 8) == [2, 6]
-
-    def test_sum_is_exact(self):
-        assert sum(proportional_counts([1, 1, 1], 10)) == 10
-
-    def test_empty_with_total_rejected(self):
-        with pytest.raises(GeometryError):
-            proportional_counts([], 3)
 
 
 class TestTransform:
