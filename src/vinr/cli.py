@@ -144,18 +144,8 @@ def cmd_extract(args) -> int:
         if args.bbox is None:
             print("--bbox is required when extracting from a model", file=sys.stderr)
             return 2
-        model = network.load_model(args.model)
-        if not (0 <= args.channel < model.arch.output_channels):
-            print(
-                f"channel {args.channel} out of range (model has "
-                f"{model.arch.output_channels})",
-                file=sys.stderr,
-            )
-            return 2
-        lo, hi = args.bbox
-        grid = csg.evaluate_on_grid(
-            csg.ModelSource(model, args.channel), (args.dims,) * 3, lo, hi
-        )
+        source = csg.ModelSource(network.load_model(args.model), args.channel)
+        grid = csg.evaluate_on_grid(source, (args.dims,) * 3, *args.bbox)
     mesh = extraction.marching_cubes(grid, iso=args.iso)
     geometry.save_mesh(mesh, args.out)
     return 0
@@ -288,7 +278,8 @@ def cmd_fixtures(args) -> int:
 
 def build_parser(config=None) -> argparse.ArgumentParser:
     """The `vinr` parser. `config` maps flag dests to string defaults (a
-    config file's contents); explicit flags still win."""
+    config file's contents), split on whitespace for list-valued flags;
+    explicit flags still win."""
     parser = argparse.ArgumentParser(
         prog="vinr",
         description="Fit, blend, extract and evaluate neural signed-distance surfaces.",
@@ -296,7 +287,10 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key = value file of flag defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
-    config = config or {}
+    config = {k: v.split() if k in ("channel_names", "models") else v
+              for k, v in (config or {}).items()}
+    if "points" in config:  # an `append` default would be added to, not replaced by, --points
+        parser.error("config key 'points' is not supported: give the clouds with --points")
 
     p = sub.add_parser("sample", help="sample a point cloud from a mesh or analytic shape")
     src = p.add_mutually_exclusive_group(required=True)

@@ -76,8 +76,8 @@ class ModelSource:
     """One channel of a trained model, queried in real coordinates.
 
     Values are network outputs at the mapped point divided by the transform
-    scale, converting normalized distances back to real units. Queries whose
-    mapped point leaves [-1,1]^3 are network extrapolations; validity()
+    scale, from one `forward` call, which blocks the rows to fit a cache. Queries
+    whose mapped point leaves [-1,1]^3 are network extrapolations; validity()
     reports where values are trustworthy.
     """
 
@@ -92,14 +92,13 @@ class ModelSource:
         if self.model.transform is None:
             raise GeometryError("model has no stored domain transform")
 
-    def value(self, p):
-        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
+    def values(self, p):
+        """Every channel at once, (N, C), in real units."""
         t = self.model.transform
-        out = np.empty(len(p))
-        for s in range(0, len(p), 65536):
-            q = t.apply(p[s : s + 65536])
-            out[s : s + 65536] = forward(self.model, q)[:, self.channel]
-        return out / t.scale
+        return forward(self.model, t.apply(np.atleast_2d(np.asarray(p, dtype=np.float64)))) / t.scale
+
+    def value(self, p):
+        return self.values(p)[:, self.channel]
 
     def validity(self, p):
         q = self.model.transform.apply(np.atleast_2d(np.asarray(p, dtype=np.float64)))
@@ -153,6 +152,8 @@ class MeshSource:
 def grid_lattice(dims, bbox_min, bbox_max) -> np.ndarray:
     """Lattice coordinates for the given dims/bbox, x index fastest."""
     dims = tuple(int(d) for d in dims)
+    if any(d < 2 for d in dims):
+        raise GeometryError("grid needs at least 2 samples per axis")
     axes = [np.linspace(bbox_min[i], bbox_max[i], dims[i]) for i in range(3)]
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
     return np.stack(
@@ -168,8 +169,6 @@ def evaluate_on_grid(source, dims, bbox_min, bbox_max) -> ScalarGrid:
     value and are marked False in the grid's validity mask.
     """
     dims = tuple(int(d) for d in dims)
-    if any(d < 2 for d in dims):
-        raise GeometryError("grid needs at least 2 samples per axis")
     pts = grid_lattice(dims, bbox_min, bbox_max)
     vals = np.asarray(source.value(pts), dtype=np.float64)
     validity = None

@@ -308,7 +308,8 @@ def sample_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
 # ---------------------------------------------------------------------------
 # distance queries
 
-_PAIR_BUDGET = 1 << 18  # (point, triangle) pairs per chunk: 2 MB per float64 pair array
+_DISTANCE_PAIRS = 1 << 16  # (point, triangle) pairs per chunk: ~4 live (P, T) arrays in 2 MB (L2)
+_WINDING_PAIRS = 1 << 14  # the same for _winding_number, which keeps ~15 (P, T) arrays alive
 _SEED_TRIANGLES = 4  # exact distances per point that seed its upper bound
 
 
@@ -387,7 +388,7 @@ def point_to_mesh_distance(p, mesh: TriangleMesh) -> np.ndarray | float:
     T = mesh.num_triangles
     k = min(_SEED_TRIANGLES, T)
     out = np.empty(len(pts))
-    chunk = max(1, _PAIR_BUDGET // T)
+    chunk = max(1, _DISTANCE_PAIRS // T)
     for s in range(0, len(pts), chunk):
         q = pts[s : s + chunk]
         lb = np.zeros((len(q), T))
@@ -415,7 +416,7 @@ def _winding_number(pts: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
         Omega = 2 atan2(a.(b x c), |a||b||c| + (a.b)|c| + (b.c)|a| + (c.a)|b|)
 
     with a, b, c the corners minus the point. Works on (points, triangles)
-    arrays per coordinate, chunked to the pair budget.
+    arrays per coordinate, chunked to _WINDING_PAIRS.
     """
     def dot(u, v):
         return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
@@ -423,7 +424,7 @@ def _winding_number(pts: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
     corners = [v.T for v in mesh.triangle_corners()]  # three (3, T)
     T = mesh.num_triangles
     out = np.empty(len(pts))
-    chunk = max(1, _PAIR_BUDGET // T)
+    chunk = max(1, _WINDING_PAIRS // T)
     for s in range(0, len(pts), chunk):
         q = pts[s : s + chunk]
         a, b, c = ([v[k] - q[:, k, None] for k in range(3)] for v in corners)

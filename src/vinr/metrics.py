@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csg import ModelSource, evaluate_on_grid
+from .csg import ModelSource, evaluate_on_grid, grid_lattice
 from .extraction import marching_cubes
 from .geometry import GeometryError, PointCloud, point_to_mesh_distance
 from .network import MlpModel
@@ -109,16 +109,15 @@ def nesting_violation(
     if C < 2:
         raise GeometryError("nesting check needs at least 2 channels")
     order = list(channel_order) if channel_order is not None else list(range(C - 1, -1, -1))
-    vals = [
-        evaluate_on_grid(ModelSource(model, c), dims, bbox_min, bbox_max).values.astype(
-            np.float64
-        )
-        for c in order
-    ]
+    if not all(0 <= c < C for c in order):
+        raise GeometryError(f"channel_order {order} out of range for C={C}")
+    # one forward for all channels, rounded to float32 as a ScalarGrid stores them
+    vals = ModelSource(model).values(grid_lattice(dims, bbox_min, bbox_max))
+    vals = vals.astype(np.float32).astype(np.float64)
     worst = -np.inf
-    violated = np.zeros(vals[0].shape, dtype=bool)
-    for outer, inner in zip(vals[:-1], vals[1:]):
-        gap = outer - inner
+    violated = np.zeros(len(vals), dtype=bool)
+    for outer, inner in zip(order[:-1], order[1:]):
+        gap = vals[:, outer] - vals[:, inner]
         worst = max(worst, float(gap.max()))
         violated |= gap > tolerance
     return NestingReport(fraction_violated=float(violated.mean()), max_violation=worst)

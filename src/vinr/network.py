@@ -251,9 +251,14 @@ def _forward_pass(model: MlpModel, x: np.ndarray, n_tangent: int, caches: list |
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Evaluate the network at normalized coordinates. Accepts (3,) or
-    (B, 3); returns (C,) or (B, C)."""
+    (B, 3); returns (C,) or (B, C). Runs in blocks of 2^18 / hidden_width
+    rows, so a layer's activations are ~2 MB of float64 and fit one L2 cache."""
     arr = np.asarray(x, dtype=np.float64)
-    y, _ = _forward_pass(model, np.atleast_2d(arr), 0)
+    pts = np.atleast_2d(arr)
+    rows = max(1, 2**18 // model.arch.hidden_width)
+    y = np.empty((len(pts), model.arch.output_channels))
+    for s in range(0, len(pts), rows):
+        y[s : s + rows] = _forward_pass(model, pts[s : s + rows], 0)[0]
     return y[0] if arr.ndim == 1 else y
 
 

@@ -194,6 +194,8 @@ def fit_nested(
     if any(len(c) < 4 for c in clouds):
         raise GeometryError("each cloud needs at least 4 points")
     C = len(clouds)
+    if channel_names and len(channel_names) != C:
+        raise ValueError(f"got {len(channel_names)} channel names for {C} point clouds")
 
     union = PointCloud(np.concatenate([c.points for c in clouds]))
     transform = fit_transform(union, half_extent=config.half_extent)

@@ -17,6 +17,9 @@ FAST_FIT = [
 ]
 
 
+TINY_FIT = ["--epochs", "3", "--layers", "2", "--width", "8", "--skip", "1"]
+
+
 def run(argv):
     return cli.main([str(a) for a in argv])
 
@@ -112,6 +115,15 @@ class TestFit:
         assert m.arch.output_channels == 2
         assert m.channel_names == ["lumen", "wall"]
 
+    def test_channel_name_count_must_match_clouds(self, tmp_path, capsys):
+        pts = tmp_path / "p.xyz"
+        run(["sample", "--shape", "sphere", "--count", "30", "--out", pts])
+        model = tmp_path / "m.inr"
+        rc = run(["fit", "--points", pts, "--channel-names", "a", "b", "--out", model, *TINY_FIT])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: got 2 channel names for 1 point clouds")
+        assert not model.exists()
+
 
 class TestExtractAndEval:
     def test_extract_from_model(self, fitted_sphere, tmp_path):
@@ -125,6 +137,14 @@ class TestExtractAndEval:
         assert check_watertight(mesh).closed
         r = np.linalg.norm(mesh.vertices, axis=1)
         assert abs(np.median(r) - 0.5) < 0.05
+
+    def test_extract_channel_out_of_range(self, fitted_sphere, tmp_path, capsys):
+        rc = run(
+            ["extract", "--model", fitted_sphere["model"], "--channel", "3", "--dims", "8",
+             "--bbox", "-1 -1 -1 1 1 1", "--out", tmp_path / "m.obj"]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: channel 3 out of range")
 
     def test_extract_requires_bbox_for_model(self, fitted_sphere, tmp_path):
         rc = run(["extract", "--model", fitted_sphere["model"], "--out", tmp_path / "m.obj"])
@@ -330,6 +350,27 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as e:
             run(["--conf", cfg, "fixtures", "--shape", "sphere", "--out-points", tmp_path / "p.xyz"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("names", [["lumen"], ["lumen", "wall"]])
+    def test_channel_names_from_config_are_split(self, tmp_path, names):
+        clouds = []
+        for i in range(len(names)):
+            clouds += ["--points", tmp_path / f"p{i}.xyz"]
+            run(["sample", "--shape", f"sphere:{0.4 + 0.3 * i}", "--count", "30", "--out", clouds[-1]])
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(f"channel_names = {' '.join(names)}\n")
+        model = tmp_path / "m.inr"
+        assert run(["--config", cfg, "fit", *clouds, "--out", model, *TINY_FIT]) == 0
+        assert network.load_model(model).channel_names == names
+
+    def test_points_in_config_is_a_usage_error(self, tmp_path, capsys):
+        # an `append` flag would add --points to the file's list, not replace it
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("points = a.xyz\n")
+        with pytest.raises(SystemExit) as e:
+            run(["--config", cfg, "fit", "--points", "b.xyz", "--out", tmp_path / "m.inr"])
+        assert e.value.code == 2
+        assert "config key 'points'" in capsys.readouterr().err
 
     def test_bad_config_value_is_a_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from vinr.csg import ModelSource, evaluate_on_grid
 from vinr.geometry import DomainTransform, GeometryError, PointCloud
 from vinr.metrics import (
+    NestingReport,
     average_surface_distance,
     dice,
     nesting_violation,
     padded_bbox,
     split_train_heldout,
 )
-from vinr.network import MlpArchitecture, MlpModel
+from vinr.network import MlpArchitecture, MlpModel, init_model
 from vinr.synthetic import Sphere, icosphere
 
 
@@ -144,6 +146,32 @@ class TestNestingViolation:
         )
         assert rep.fraction_violated == 0.0
         assert rep.max_violation > 0
+
+    def test_matches_per_channel_grids(self):
+        # oracle: the per-channel path, one lattice evaluation per channel
+        arch = MlpArchitecture(hidden_layers=2, hidden_width=16, output_channels=3, skip_layer=2)
+        m = init_model(arch, seed=7, scheme="standard")
+        m.biases[-1][:] = [0.05, 0.0, -0.05]
+        m.transform = DomainTransform(scale=0.8, center=np.array([0.1, -0.2, 0.0]))
+        dims, lo, hi = (12, 10, 9), -np.ones(3), np.ones(3)
+        for order in (None, [0, 1, 2], [2, 0, 1]):
+            rep = nesting_violation(m, dims, lo, hi, channel_order=order, tolerance=0.01)
+            grids = [
+                evaluate_on_grid(ModelSource(m, c), dims, lo, hi).values.astype(np.float64)
+                for c in (order or [2, 1, 0])
+            ]
+            gaps = [outer - inner for outer, inner in zip(grids[:-1], grids[1:])]
+            violated = np.any([g > 0.01 for g in gaps], axis=0)
+            assert rep == NestingReport(
+                fraction_violated=float(violated.mean()),
+                max_violation=max(float(g.max()) for g in gaps),
+            )
+            assert 0.0 < rep.fraction_violated < 1.0
+
+    @pytest.mark.parametrize("order", [[2, 0], [-1, 0]])
+    def test_channel_order_out_of_range(self, order):
+        with pytest.raises(GeometryError):
+            nesting_violation(two_plane_model(), (8, 8, 8), -np.ones(3), np.ones(3), channel_order=order)
 
     def test_needs_two_channels(self):
         from test_network import linear_channel_model

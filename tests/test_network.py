@@ -1,7 +1,9 @@
+import tracemalloc
+
 import einsum_oracle
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from vinr.network import (
@@ -90,6 +92,84 @@ class TestForward:
         a = forward(m, np.array([0.0, 0.3, -0.2]))
         b = forward(m, np.array([-0.0, 0.3, -0.2]))
         np.testing.assert_array_equal(a, b)
+
+
+def block_rows(arch):
+    """Rows per block of `forward`: ~2 MB of float64 activations."""
+    return max(1, 2**18 // arch.hidden_width)
+
+
+@st.composite
+def split_cases(draw):
+    """The desk and paper sizes and a few between; N near a multiple of the
+    block size; arbitrary cuts, which may leave 1-row pieces."""
+    layers, width = draw(st.sampled_from([(4, 64), (6, 256), (3, 128), (2, 32), (3, 16)]))
+    arch = MlpArchitecture(
+        hidden_layers=layers, hidden_width=width, skip_layer=min(3, layers),
+        output_channels=draw(st.integers(1, 3)),
+        activation=draw(st.sampled_from(["relu", "softplus"])),
+    )
+    n = draw(st.integers(1, 3)) * block_rows(arch) + draw(st.sampled_from([-1, 0, 1]))
+    cuts = draw(st.lists(st.integers(1, n - 1), max_size=4, unique=True))
+    return arch, n, sorted(cuts), draw(st.integers(0, 2**16))
+
+
+def normwise_rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestBlockedForward:
+    """`forward` runs in row blocks; the split may move a value by rounding
+    only (BLAS picks other kernels for few rows), never by more."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(case=split_cases())
+    @example(  # N = 2 * rows + 1: a 1-row trailing block, also cut off as a piece
+        case=(MlpArchitecture(hidden_layers=4, hidden_width=64), 8193, [8192], 0)
+    )
+    def test_row_splits_agree(self, case):
+        arch, n, cuts, seed = case
+        rng = np.random.default_rng(seed)
+        m = init_model(arch, seed=seed, scheme="sphere")
+        x = rng.uniform(-1, 1, size=(n, 3))
+        y = forward(m, x)
+        edges = [0, *cuts, n]
+        pieces = np.concatenate([forward(m, x[a:b]) for a, b in zip(edges[:-1], edges[1:])])
+        unblocked, _ = _forward_pass(m, x, 0)
+        assert pieces.shape == unblocked.shape == y.shape
+        assert normwise_rel(pieces, y) <= 1e-15
+        assert normwise_rel(unblocked, y) <= 1e-15
+        event(f"split bitwise equal: {np.array_equal(pieces, y)}")
+        event(f"unblocked bitwise equal: {np.array_equal(unblocked, y)}")
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_boundaries_at_paper_size(self, offset):
+        arch = MlpArchitecture(hidden_layers=6, hidden_width=256, output_channels=2)
+        m = init_model(arch, seed=3, scheme="sphere")
+        n = 2 * block_rows(arch) + offset
+        x = np.random.default_rng(4).uniform(-1, 1, size=(n, 3))
+        y = forward(m, x)
+        ref = np.concatenate([_forward_pass(m, x[i : i + 1], 0)[0] for i in range(n)])
+        assert normwise_rel(ref, y) <= 1e-15
+
+    def test_empty_and_single_point(self):
+        m = init_model(MlpArchitecture(hidden_layers=2, hidden_width=8, skip_layer=2), seed=0)
+        assert forward(m, np.empty((0, 3))).shape == (0, 1)
+        assert forward(m, np.zeros(3)).shape == (1,)
+
+    def test_peak_memory_is_one_block(self):
+        # 200k points at 6x256: one 65536-row activation matrix alone is 128 MB
+        arch = MlpArchitecture(hidden_layers=6, hidden_width=256)
+        m = init_model(arch, seed=0, scheme="sphere")
+        x = np.random.default_rng(0).uniform(-1, 1, size=(200_000, 3))
+        tracemalloc.start()
+        try:
+            forward(m, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one_matrix = 65536 * arch.hidden_width * 8
+        assert peak < one_matrix / 8
 
 
 class TestInputGradients:

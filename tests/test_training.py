@@ -218,6 +218,16 @@ class TestFitNested:
         with pytest.raises(GeometryError):
             fit_nested([], desk_config())
 
+    def test_channel_names_must_match_clouds(self, monkeypatch):
+        import vinr.training
+
+        # raised before the first epoch, so the saved model can never be unloadable
+        monkeypatch.setattr(vinr.training, "grad_of_loss", lambda *a: pytest.fail("trained first"))
+        one, two = [sphere_cloud(50)], [sphere_cloud(50), sphere_cloud(50, r=0.5)]
+        for clouds, names in ((one, ["a", "b"]), (two, ["lumen"])):
+            with pytest.raises(ValueError, match=f"{len(names)} channel names for {len(clouds)}"):
+                fit_nested(clouds, desk_config(), names)
+
     def test_divergence_guard(self):
         cloud = sphere_cloud(100)
         with pytest.raises(TrainingDiverged):
