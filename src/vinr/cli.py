@@ -244,6 +244,10 @@ def cmd_sweep(args) -> int:
             )
             f.write(f"{count},iqr,{q75 - q25:.6f},"
                     f"{np.nanpercentile(asds, 75) - np.nanpercentile(asds, 25):.6f},\n")
+    failed = sum(np.isnan(r[2]) for r in rows)
+    if failed:
+        print(f"error: {failed} of {len(rows)} sweep jobs failed", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -1,6 +1,6 @@
-"""Constructive solid geometry on signed distance fields: hard and smoothed
-unions, grid evaluation of SDF sources in real coordinates, and blending of
-per-structure grids into one field.
+"""Constructive solid geometry on signed distance fields: smoothed unions
+(k = 0 gives the hard minimum), grid evaluation of SDF sources in real
+coordinates, and blending of per-structure grids into one field.
 
 Sources expose value(points) in real units. Trained models are wrapped so
 queries map through the stored domain transform and the returned distances
@@ -21,17 +21,11 @@ __all__ = [
     "ModelSource",
     "GridSource",
     "MeshSource",
-    "union_min",
     "smooth_union",
     "evaluate_on_grid",
     "blend_grids",
     "grid_lattice",
 ]
-
-
-def union_min(d1, d2):
-    """Hard union of SDF values: the pointwise minimum."""
-    return np.minimum(d1, d2)
 
 
 @dataclass(frozen=True)
@@ -154,11 +148,12 @@ def grid_lattice(dims, bbox_min, bbox_max) -> np.ndarray:
     dims = tuple(int(d) for d in dims)
     if any(d < 2 for d in dims):
         raise GeometryError("grid needs at least 2 samples per axis")
-    axes = [np.linspace(bbox_min[i], bbox_max[i], dims[i]) for i in range(3)]
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    return np.stack(
-        [gx.ravel(order="F"), gy.ravel(order="F"), gz.ravel(order="F")], axis=1
-    )
+    ax, ay, az = (np.linspace(bbox_min[i], bbox_max[i], dims[i]) for i in range(3))
+    pts = np.empty((dims[2], dims[1], dims[0], 3))  # filled in place: no full-size temporaries
+    pts[..., 0] = ax
+    pts[..., 1] = ay[:, None]
+    pts[..., 2] = az[:, None, None]
+    return pts.reshape(-1, 3)
 
 
 def evaluate_on_grid(source, dims, bbox_min, bbox_max) -> ScalarGrid:

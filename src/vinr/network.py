@@ -33,6 +33,7 @@ __all__ = [
     "forward",
     "forward_with_input_grad",
     "grad_of_loss",
+    "loss_value",
     "save_model",
     "load_model",
     "ModelFormatError",
@@ -124,9 +125,10 @@ class DualBatch:
 
 @dataclass(frozen=True)
 class LossTerms:
-    total: float
+    total: float  # data + lam * eikonal + nesting weight * nesting
     data: float
     eikonal: float
+    nesting: float  # unweighted channel-ordering hinge
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +309,13 @@ def _backward_pass(model: MlpModel, caches, ybar: np.ndarray, Gbar: np.ndarray |
     return grads
 
 
-def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: float):
+def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float):
     """Runs the surface and Eikonal points through one forward pass and
     returns (LossTerms, caches, ybar, Gbar), the input of _backward_pass."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
+    if nesting < 0:
+        raise ValueError("nesting weight must be non-negative")
     C = model.arch.output_channels
     if isinstance(surface_batches, np.ndarray):
         surface_batches = [surface_batches]
@@ -338,16 +342,30 @@ def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: flo
         ybar[row : row + n, c] = np.sign(yc) / (n * C)
         row += n
 
+    # the hinge: on the Eikonal batch, each outer channel should not exceed
+    # the next inner one (channels are ordered innermost first)
+    hinge = 0.0
+    pairs = C - 1
+    y_eik, ybar_eik = y[row:], ybar[row:]
+    for i in range(pairs):
+        gap = y_eik[:, i + 1] - y_eik[:, i]
+        active = gap > 0
+        hinge += float(np.where(active, gap, 0.0).mean()) / pairs
+        step = np.where(active, nesting / (B * pairs), 0.0)
+        ybar_eik[:, i + 1] += step
+        ybar_eik[:, i] -= step
+
     norms = np.linalg.norm(G, axis=2)  # (B, C)
     eik_term = float(((norms - 1.0) ** 2).mean())
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(norms > 1e-300, 2.0 * (norms - 1.0) / norms, 0.0)
     Gbar = (lam / (B * C)) * coef[..., None] * G
 
-    total = float(data) + lam * eik_term
+    total = float(data) + lam * eik_term + nesting * hinge
     if not np.isfinite(total):
         raise FloatingPointError("non-finite loss")
-    return LossTerms(total=total, data=float(data), eikonal=eik_term), caches, ybar, Gbar
+    terms = LossTerms(total=total, data=float(data), eikonal=eik_term, nesting=hinge)
+    return terms, caches, ybar, Gbar
 
 
 def grad_of_loss(
@@ -355,21 +373,29 @@ def grad_of_loss(
     surface_batches,
     eikonal_batch,
     lam: float,
+    nesting: float = 0.0,
 ) -> tuple[LossTerms, list]:
     """Loss value and exact parameter gradients for
 
-        data + lam * eikonal
+        data + lam * eikonal + nesting * hinge
 
     where data averages |f_c(x)| over channel c's own surface batch (then
-    over channels) and eikonal averages (||grad f_c|| - 1)^2 over a shared
-    off-surface batch and all channels. The gradient includes the
-    second-order path through the spatial gradients.
+    over channels), eikonal averages (||grad f_c|| - 1)^2 over a shared
+    off-surface batch and all channels, and hinge averages
+    max(f_{c+1} - f_c, 0) over that batch and the C - 1 adjacent channel
+    pairs. The gradient includes the second-order path through the spatial
+    gradients.
 
     surface_batches: one (B_c, 3) array per channel (a single array is
     accepted for C=1).
     """
-    terms, caches, ybar, Gbar = _loss_and_adjoints(model, surface_batches, eikonal_batch, lam)
+    terms, caches, ybar, Gbar = _loss_and_adjoints(model, surface_batches, eikonal_batch, lam, nesting)
     return terms, _backward_pass(model, caches, ybar, Gbar)
+
+
+def loss_value(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float = 0.0) -> LossTerms:
+    """Loss value only (no gradients), from the same forward pass as grad_of_loss."""
+    return _loss_and_adjoints(model, surface_batches, eikonal_batch, lam, nesting)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""SDF fitting: Eikonal-point sampling, loss assembly, Adam, and the
-single-shape / nested multi-channel training loops.
+"""SDF fitting: Eikonal-point sampling, Adam, and the single-shape / nested
+multi-channel training loops.
 
-The per-epoch loss is
+The per-epoch loss, network.grad_of_loss, is
 
     mean_c mean_i |f_c(x_i)|  +  lambda * mean_{x,c} (||grad f_c(x)|| - 1)^2
+        +  nesting_penalty * mean_{x,c<C} max(f_{c+1}(x) - f_c(x), 0)
 
 with surface points drawn from the input cloud(s) and off-surface points
 from a 50/50 mixture of uniform samples over [-1,1]^3 and Gaussian
@@ -19,15 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, PointCloud, fit_transform
-from .network import (
-    LossTerms,
-    MlpArchitecture,
-    MlpModel,
-    _backward_pass,
-    _loss_and_adjoints,
-    grad_of_loss,
-    init_model,
-)
+from .network import MlpArchitecture, MlpModel, grad_of_loss, init_model, loss_value
 
 __all__ = [
     "TrainConfig",
@@ -77,6 +70,8 @@ class TrainConfig:
             raise ValueError("lambda must be non-negative")
         if self.surface_batch_size is not None and self.surface_batch_size < 1:
             raise ValueError("surface_batch_size must be >= 1")
+        if self.nesting_penalty < 0:
+            raise ValueError("nesting_penalty must be non-negative")
 
     def architecture(self, channels: int) -> MlpArchitecture:
         return MlpArchitecture(
@@ -111,11 +106,6 @@ def sample_eikonal_points(
     noisy = surface_points[idx] + sampler.sigma * rng.normal(size=(k, 3))
     pts[n_uniform:] = np.clip(noisy, -h, h)
     return pts
-
-
-def loss_value(model: MlpModel, surface_batches, eikonal_batch, lam: float) -> LossTerms:
-    """Loss value only (no gradients), from the same forward pass as grad_of_loss."""
-    return _loss_and_adjoints(model, surface_batches, eikonal_batch, lam)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +151,12 @@ class FitReport:
     trace: np.ndarray  # (epochs, 3): total, data, eikonal
     wall_time: float
     config: TrainConfig
-    completed_epochs: int
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write("# " + _config_echo(self.config) + "\n")
             f.write("epoch,total,data,eik\n")
-            for i in range(self.completed_epochs):
-                t, d, e = self.trace[i]
+            for i, (t, d, e) in enumerate(self.trace):
                 f.write(f"{i},{t:.12g},{d:.12g},{e:.12g}\n")
 
 
@@ -207,7 +195,7 @@ def fit_nested(
 
     params = model.parameters()
     opt = AdamState.for_params(params)
-    sampler = EikonalSampler(half_extent=1.0)
+    sampler = EikonalSampler()
     rng = np.random.default_rng(config.seed)
 
     n_surf = config.surface_batch_size
@@ -224,48 +212,15 @@ def fit_nested(
             batches.append(pts[idx])
         eik_batch = sample_eikonal_points(sampler, all_norm, n_eik, rng)
         try:
-            if config.nesting_penalty > 0 and C > 1:
-                terms, _, grads = _grad_with_nesting_hinge(
-                    model, batches, eik_batch, config.lam, config.nesting_penalty
-                )
-            else:
-                terms, grads = grad_of_loss(model, batches, eik_batch, config.lam)
+            terms, grads = grad_of_loss(model, batches, eik_batch, config.lam, config.nesting_penalty)
         except FloatingPointError:
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}") from None
         trace[epoch] = (terms.total, terms.data, terms.eikonal)
-        if not np.isfinite(terms.total) or terms.total > DIVERGENCE_LIMIT:
+        if terms.total > DIVERGENCE_LIMIT:
             raise TrainingDiverged(
                 f"loss diverged at epoch {epoch}: total={terms.total}"
             )
         adam_step(opt, params, grads, config.learning_rate)
 
-    report = FitReport(
-        trace=trace,
-        wall_time=time.perf_counter() - start,
-        config=config,
-        completed_epochs=config.epochs,
-    )
+    report = FitReport(trace=trace, wall_time=time.perf_counter() - start, config=config)
     return model, report
-
-
-def _grad_with_nesting_hinge(model: MlpModel, surface_batches, eikonal_batch, lam: float, weight: float):
-    """grad_of_loss plus the optional ordering regularizer, from the loss's
-    one forward and one backward pass. The hinge penalizes, on the Eikonal
-    batch, outer-channel SDF exceeding the next inner channel's (channels
-    ordered innermost first). Returns (LossTerms, penalty, parameter
-    gradients of the loss plus the penalty)."""
-    terms, caches, ybar, Gbar = _loss_and_adjoints(model, surface_batches, eikonal_batch, lam)
-    N, B, C = ybar.shape[0], Gbar.shape[0], ybar.shape[1]
-    # the output layer's pre-activation is the output; the Eikonal batch's
-    # values are the last B of its N value rows
-    y, y_bar = caches[-1][1][N - B : N], ybar[N - B :]
-    pen = 0.0
-    pairs = C - 1
-    for i in range(pairs):
-        gap = y[:, i + 1] - y[:, i]  # outer minus inner, should be <= 0
-        active = gap > 0
-        pen += float(np.where(active, gap, 0.0).mean()) / pairs
-        scale = weight / (B * pairs)
-        y_bar[:, i + 1] += np.where(active, scale, 0.0)
-        y_bar[:, i] -= np.where(active, scale, 0.0)
-    return terms, weight * pen, _backward_pass(model, caches, ybar, Gbar)

@@ -90,10 +90,11 @@ def backward_pass(model, caches, ybar, Gbar):
     return grads
 
 
-def grad_of_loss(model, surface_batches, eikonal_batch, lam):
-    """(total, data, eikonal), gradients: the loss of vinr.network.grad_of_loss
-    from one value pass over the surface batches and one Jacobian pass over
-    the Eikonal batch."""
+def grad_of_loss(model, surface_batches, eikonal_batch, lam, nesting=0.0):
+    """(total, data, eikonal, hinge), gradients: the loss of
+    vinr.network.grad_of_loss from one value pass over the surface batches
+    and one Jacobian pass over the Eikonal batch, whose values also carry
+    the channel-ordering hinge."""
     C = model.arch.output_channels
     xs = np.concatenate(surface_batches, axis=0)
     y, _, caches = forward_pass(model, xs, with_jac=False)
@@ -115,6 +116,15 @@ def grad_of_loss(model, surface_batches, eikonal_batch, lam):
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = np.where(norms > 1e-300, 2.0 * (norms - 1.0) / norms, 0.0)
     Gbar = (lam / (B * C)) * coef[..., None] * G
-    grads_e = backward_pass(model, caches_e, np.zeros_like(y_e), Gbar)
-    total = float(data) + lam * eik
-    return (total, float(data), eik), [g + ge for g, ge in zip(grads, grads_e)]
+    # hinge: mean over points and adjacent pairs of max(outer - inner, 0),
+    # whose derivative is +-1 / (B * pairs) on the points where it is active
+    gaps = y_e[:, 1:] - y_e[:, :-1]  # (B, C - 1), outer minus inner
+    active = (gaps > 0).astype(np.float64)
+    hinge = float((gaps * active).mean()) if C > 1 else 0.0
+    ybar_e = np.zeros_like(y_e)
+    if C > 1:
+        ybar_e[:, 1:] += nesting * active / active.size
+        ybar_e[:, :-1] -= nesting * active / active.size
+    grads_e = backward_pass(model, caches_e, ybar_e, Gbar)
+    total = float(data) + lam * eik + nesting * hinge
+    return (total, float(data), eik, hinge), [g + ge for g, ge in zip(grads, grads_e)]

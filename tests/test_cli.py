@@ -124,6 +124,16 @@ class TestFit:
         assert capsys.readouterr().err.startswith("error: got 2 channel names for 1 point clouds")
         assert not model.exists()
 
+    def test_negative_nesting_penalty_rejected(self, tmp_path, capsys):
+        pts = tmp_path / "p.xyz"
+        run(["sample", "--shape", "sphere", "--count", "30", "--out", pts])
+        model = tmp_path / "m.inr"
+        rc = run(["fit", "--points", pts, "--points", pts, "--nesting-penalty", "-1",
+                  "--out", model, *TINY_FIT])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: nesting_penalty must be non-negative")
+        assert not model.exists()
+
 
 class TestExtractAndEval:
     def test_extract_from_model(self, fitted_sphere, tmp_path):
@@ -266,6 +276,16 @@ class TestSweep:
         serial = columns(1)
         assert len(serial) == 1 + 4 + 2 * 2
         assert columns(2) == serial
+
+    def test_failed_jobs_exit_nonzero(self, tmp_path, capsys):
+        # nested walls are several surfaces, which a single-channel sweep cannot fit
+        out = tmp_path / "sweep.csv"
+        rc = run(["sweep", "--shape", "nested", "--counts", "20", "--repeats", "2",
+                  "--dsc-dims", "8", "--out", out, *TINY_FIT])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: 2 of 2 sweep jobs failed"
+        rows = out.read_text().splitlines()[2:4]  # every row is still written
+        assert [r.split(",")[:3] for r in rows] == [["20", "0", "nan"], ["20", "1", "nan"]]
 
 
 class TestFixtures:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,25 +12,11 @@ from vinr.csg import (
     evaluate_on_grid,
     grid_lattice,
     smooth_union,
-    union_min,
 )
 from vinr.geometry import DomainTransform, GeometryError, ScalarGrid
 from vinr.synthetic import icosphere
 
 from test_network import linear_channel_model
-
-
-class TestUnionMin:
-    def test_basic(self):
-        assert union_min(0.3, -0.1) == -0.1
-        np.testing.assert_array_equal(
-            union_min(np.array([1.0, -1.0]), np.array([-2.0, 0.5])), [-2.0, -1.0]
-        )
-
-    def test_commutative(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=100), rng.normal(size=100)
-        np.testing.assert_array_equal(union_min(a, b), union_min(b, a))
 
 
 class TestSmoothUnion:
@@ -182,6 +170,27 @@ class TestGridEvaluation:
         src = MeshSource(icosphere(1))
         with pytest.raises(GeometryError):
             evaluate_on_grid(src, (1, 4, 4), -np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 5, 7), (9, 4, 11), (17, 13, 2)])
+    def test_lattice_matches_meshgrid(self, dims):
+        lo, hi = np.array([-1.3, 0.2, -0.7]), np.array([0.9, 2.1, 0.4])
+        axes = [np.linspace(lo[i], hi[i], dims[i]) for i in range(3)]
+        ref = np.stack([g.ravel(order="F") for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        pts = grid_lattice(dims, lo, hi)
+        assert pts.shape == ref.shape
+        np.testing.assert_array_equal(pts, ref)
+
+    def test_lattice_peak_memory_is_the_result(self):
+        dims = (64, 65, 66)
+        result_bytes = 8 * 3 * int(np.prod(dims))
+        tracemalloc.start()
+        try:
+            pts = grid_lattice(dims, -np.ones(3), np.ones(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pts.nbytes == result_bytes
+        assert peak <= 1.1 * result_bytes, (peak, result_bytes)
 
 
 class TestBlendGrids:

@@ -17,9 +17,9 @@ from vinr.network import (
     grad_of_loss,
     init_model,
     load_model,
+    loss_value,
     save_model,
 )
-from vinr.training import loss_value
 
 
 def linear_channel_model(w, b=0.0):
@@ -292,7 +292,8 @@ class TestLossGradients:
 @st.composite
 def oracle_cases(draw):
     """A random small network with nonzero biases, per-channel surface
-    batches of unequal sizes, and an Eikonal batch."""
+    batches of unequal sizes, an Eikonal batch, and a nesting weight that is
+    0 or positive for C >= 2 (C = 1 has no channel pairs)."""
     layers = draw(st.integers(1, 4))
     channels = draw(st.integers(1, 3))
     arch = MlpArchitecture(
@@ -303,7 +304,10 @@ def oracle_cases(draw):
         activation=draw(st.sampled_from(["relu", "softplus"])),
     )
     sizes = draw(st.lists(st.integers(1, 9), min_size=channels, max_size=channels))
-    return arch, sizes, draw(st.integers(1, 9)), draw(st.integers(0, 2**32 - 1))
+    nesting = 0.0
+    if channels >= 2:
+        nesting = draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0)))
+    return arch, sizes, draw(st.integers(1, 9)), draw(st.integers(0, 2**32 - 1)), nesting
 
 
 def assert_rel_close(got, ref, rtol=1e-12):
@@ -327,10 +331,11 @@ class TestEinsumOracle:
             [1, 1, 1],
             1,
             0,
+            0.5,
         )
     )
     def test_matches_oracle(self, case):
-        arch, sizes, n_eik, seed = case
+        arch, sizes, n_eik, seed, nesting = case
         rng = np.random.default_rng(seed)
         m = init_model(arch, seed=seed % 1000, scheme="standard")
         for b in m.biases:
@@ -338,10 +343,12 @@ class TestEinsumOracle:
         surface = [rng.uniform(-1, 1, size=(n, 3)) for n in sizes]
         eik = rng.uniform(-1, 1, size=(n_eik, 3))
 
-        terms, grads = grad_of_loss(m, surface, eik, lam=0.1)
-        ref_terms, ref_grads = einsum_oracle.grad_of_loss(m, surface, eik, 0.1)
-        for got, ref in zip((terms.total, terms.data, terms.eikonal), ref_terms):
+        terms, grads = grad_of_loss(m, surface, eik, 0.1, nesting)
+        ref_terms, ref_grads = einsum_oracle.grad_of_loss(m, surface, eik, 0.1, nesting)
+        event(f"nesting {'on' if nesting > 0 else 'off'}, hinge {'active' if ref_terms[3] else 'idle'}")
+        for got, ref in zip((terms.total, terms.data, terms.eikonal, terms.nesting), ref_terms):
             assert_rel_close(got, ref)
+        assert terms.total == terms.data + 0.1 * terms.eikonal + nesting * terms.nesting
         assert len(grads) == len(ref_grads)
         for g, ref in zip(grads, ref_grads):
             assert g.shape == ref.shape

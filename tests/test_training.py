@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vinr.geometry import GeometryError, PointCloud
-from vinr.network import forward, grad_of_loss
+from vinr.network import MlpArchitecture, forward, grad_of_loss, init_model
 from vinr.training import (
     AdamState,
     EikonalSampler,
@@ -56,6 +56,9 @@ class TestConfig:
             TrainConfig(lam=-0.1)
         with pytest.raises(ValueError):
             TrainConfig(surface_batch_size=0)
+        with pytest.raises(ValueError, match="nesting_penalty"):
+            TrainConfig(nesting_penalty=-1.0)
+        assert TrainConfig(nesting_penalty=0.0).nesting_penalty == 0.0
 
 
 class TestEikonalSampling:
@@ -141,7 +144,7 @@ class TestFit:
     def test_loss_decreases_on_sphere(self):
         cloud = sphere_cloud(400)
         model, report = fit(cloud, desk_config())
-        trace = report.trace[: report.completed_epochs, 0]
+        trace = report.trace[:, 0]
         assert trace[-10:].mean() < 0.25 * trace[:10].mean()
         assert report.wall_time > 0
 
@@ -236,8 +239,6 @@ class TestFitNested:
 
 class TestLossValue:
     def test_matches_gradient_path_decomposition(self):
-        from vinr.network import MlpArchitecture, grad_of_loss, init_model
-
         rng = np.random.default_rng(5)
         m = init_model(MlpArchitecture(hidden_layers=2, hidden_width=8, skip_layer=2), seed=6)
         surf = rng.uniform(-0.5, 0.5, size=(10, 3))
@@ -259,13 +260,11 @@ class TestLossValue:
 
 
 class TestNestingPenalty:
-    """The optional channel-ordering hinge of fit_nested (nesting_penalty > 0)."""
+    """The optional channel-ordering hinge, weighted by nesting_penalty in
+    the one loss that grad_of_loss differentiates."""
 
-    def test_hinge_gradient_matches_central_difference(self):
-        """The one-pass gradient fit_nested steps on: loss plus hinge."""
-        from vinr.network import MlpArchitecture, init_model
-        from vinr.training import _grad_with_nesting_hinge
-
+    @staticmethod
+    def two_channel_case():
         arch = MlpArchitecture(
             hidden_layers=2, hidden_width=6, output_channels=2, skip_layer=2, activation="softplus"
         )
@@ -275,30 +274,52 @@ class TestNestingPenalty:
         surface = [rng.uniform(-1, 1, size=(8, 3)) for _ in range(2)]
         y = forward(m, batch)
         gap = y[:, 1] - y[:, 0]
-        # both sides of the hinge and of |f|, none within reach of the step below
+        # both sides of the hinge and of |f|, none within reach of a central-difference step
         assert (gap > 0).any() and (gap < 0).any()
         assert np.abs(gap).min() > 1e-4
         assert min(np.abs(forward(m, s)[:, c]).min() for c, s in enumerate(surface)) > 1e-4
+        return m, surface, batch
+
+    def test_hinge_gradient_matches_central_difference(self):
+        """The one-pass gradient fit_nested steps on: loss plus weighted hinge."""
+        m, surface, batch = self.two_channel_case()
         lam, weight, h = 0.1, 0.5, 1e-6
-
-        def objective():
-            terms, pen, _ = _grad_with_nesting_hinge(m, surface, batch, lam, weight)
-            return terms.total + pen
-
-        terms, pen, grads = _grad_with_nesting_hinge(m, surface, batch, lam, weight)
-        assert pen > 0
-        assert grad_of_loss(m, surface, batch, lam)[0] == terms
+        terms, grads = grad_of_loss(m, surface, batch, lam, weight)
+        assert terms.nesting > 0
         for p, g in zip(m.parameters(), grads):
             numeric = np.empty_like(p)
             for idx in np.ndindex(p.shape):
                 old = p[idx]
                 p[idx] = old + h
-                up = objective()
+                up = loss_value(m, surface, batch, lam, weight).total
                 p[idx] = old - h
-                down = objective()
+                down = loss_value(m, surface, batch, lam, weight).total
                 p[idx] = old
                 numeric[idx] = (up - down) / (2 * h)
             np.testing.assert_allclose(g, numeric, rtol=1e-6, atol=1e-9)
+
+    def test_total_includes_weighted_hinge(self):
+        m, surface, batch = self.two_channel_case()
+        lam = 0.1
+        off, _ = grad_of_loss(m, surface, batch, lam)
+        assert off.nesting > 0 and off.total == off.data + lam * off.eikonal
+        for weight in (0.5, 2.0):
+            terms, _ = grad_of_loss(m, surface, batch, lam, weight)
+            assert terms.total == terms.data + lam * terms.eikonal + weight * terms.nesting
+            assert (terms.data, terms.eikonal, terms.nesting) == (off.data, off.eikonal, off.nesting)
+            assert loss_value(m, surface, batch, lam, weight) == terms
+        with pytest.raises(ValueError):
+            grad_of_loss(m, surface, batch, lam, -0.5)
+
+    def test_single_channel_has_no_hinge(self):
+        rng = np.random.default_rng(8)
+        m = init_model(MlpArchitecture(hidden_layers=2, hidden_width=6, skip_layer=2), seed=9)
+        surface, batch = rng.uniform(-1, 1, size=(8, 3)), rng.uniform(-1, 1, size=(10, 3))
+        off, off_grads = grad_of_loss(m, surface, batch, 0.1)
+        terms, grads = grad_of_loss(m, surface, batch, 0.1, 3.0)
+        assert terms == off and terms.nesting == 0.0
+        for g, ref in zip(grads, off_grads):
+            assert g.tobytes() == ref.tobytes()
 
     def test_fit_nested_with_penalty_runs(self):
         inner = sphere_cloud(100, r=0.5, seed=0)
@@ -306,7 +327,10 @@ class TestNestingPenalty:
         sizes = dict(epochs=20, hidden_width=16, surface_batch_size=64)
         plain, _ = fit_nested([inner, outer], desk_config(**sizes))
         model, report = fit_nested([inner, outer], desk_config(**sizes, nesting_penalty=1.0))
-        assert report.completed_epochs == 20
+        assert report.trace.shape == (20, 3)
         assert np.all(np.isfinite(report.trace))
+        # the reported total is the objective Adam steps on: it carries the weighted hinge
+        total, plain_part = report.trace[:, 0], report.trace[:, 1] + 0.1 * report.trace[:, 2]
+        assert np.all(total >= plain_part) and np.any(total > plain_part)
         # the hinge changed the parameter updates
         assert any(not np.array_equal(a, b) for a, b in zip(model.parameters(), plain.parameters()))
