@@ -145,7 +145,7 @@ def cmd_extract(args) -> int:
             print("--bbox is required when extracting from a model", file=sys.stderr)
             return 2
         source = csg.ModelSource(network.load_model(args.model), args.channel)
-        grid = csg.evaluate_on_grid(source, (args.dims,) * 3, *args.bbox)
+        grid = csg.evaluate_near_level(source, (args.dims,) * 3, *args.bbox, iso=args.iso)
     mesh = extraction.marching_cubes(grid, iso=args.iso)
     geometry.save_mesh(mesh, args.out)
     return 0
@@ -217,6 +217,16 @@ def _sweep_job(job):
         return (count, repeat, float("nan"), float("nan"), time.perf_counter() - t0)
 
 
+def _median_iqr(values) -> tuple[float, float]:
+    """Median and interquartile range over the jobs that succeeded (failed
+    jobs hold NaN); NaN for both when every job failed."""
+    a = np.asarray(values, dtype=np.float64)
+    a = a[~np.isnan(a)]
+    if a.size == 0:
+        return float("nan"), float("nan")
+    return float(np.median(a)), float(np.percentile(a, 75) - np.percentile(a, 25))
+
+
 def cmd_sweep(args) -> int:
     counts = [int(c) for c in args.counts.split(",") if c.strip()]
     cfg = _train_config(args)
@@ -236,14 +246,11 @@ def cmd_sweep(args) -> int:
         for count, repeat, dsc, asd, secs in rows:
             f.write(f"{count},{repeat},{dsc:.6f},{asd:.6f},{secs:.3f}\n")
         for count in counts:
-            ds = np.array([r[2] for r in rows if r[0] == count])
-            asds = np.array([r[3] for r in rows if r[0] == count])
-            q75, q25 = np.nanpercentile(ds, 75), np.nanpercentile(ds, 25)
-            f.write(
-                f"{count},median,{np.nanmedian(ds):.6f},{np.nanmedian(asds):.6f},\n"
+            (dsc, dsc_iqr), (asd, asd_iqr) = (
+                _median_iqr([r[k] for r in rows if r[0] == count]) for k in (2, 3)
             )
-            f.write(f"{count},iqr,{q75 - q25:.6f},"
-                    f"{np.nanpercentile(asds, 75) - np.nanpercentile(asds, 25):.6f},\n")
+            f.write(f"{count},median,{dsc:.6f},{asd:.6f},\n")
+            f.write(f"{count},iqr,{dsc_iqr:.6f},{asd_iqr:.6f},\n")
     failed = sum(np.isnan(r[2]) for r in rows)
     if failed:
         print(f"error: {failed} of {len(rows)} sweep jobs failed", file=sys.stderr)

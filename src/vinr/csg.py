@@ -4,7 +4,9 @@ coordinates, and blending of per-structure grids into one field.
 
 Sources expose value(points) in real units. Trained models are wrapped so
 queries map through the stored domain transform and the returned distances
-rescale back to real units (division by the transform scale).
+rescale back to real units (division by the transform scale). Sources that
+can bound their slope also expose value_and_slope(points), which lets
+evaluate_near_level evaluate only a narrow band around a level set.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .extraction import cell_corners
 from .geometry import GeometryError, ScalarGrid, TriangleMesh, signed_distance_to_mesh
-from .network import MlpModel, forward
+from .network import MlpModel, forward, forward_with_input_grad
 
 __all__ = [
     "BlendSpec",
@@ -23,6 +26,7 @@ __all__ = [
     "MeshSource",
     "smooth_union",
     "evaluate_on_grid",
+    "evaluate_near_level",
     "blend_grids",
     "grid_lattice",
 ]
@@ -64,6 +68,11 @@ def smooth_union(d1, d2, spec: BlendSpec):
 # ---------------------------------------------------------------------------
 # SDF sources
 
+# A fitted network is only about 1-Lipschitz, and its largest gradient norm
+# on the coarse lattice can miss a steeper spot between the samples, so the
+# slope bound it gives evaluate_near_level is this factor times that norm.
+_SLOPE_SAFETY = 2.0
+
 
 @dataclass(frozen=True)
 class ModelSource:
@@ -93,6 +102,17 @@ class ModelSource:
 
     def value(self, p):
         return self.values(p)[:, self.channel]
+
+    def value_and_slope(self, p):
+        """Values at p and the slope bound evaluate_near_level trusts
+        between them: _SLOPE_SAFETY times the largest gradient norm at p.
+        The real-unit field f(scale * (x - center)) / scale has the
+        network's own gradient."""
+        t = self.model.transform
+        q = t.apply(np.atleast_2d(np.asarray(p, dtype=np.float64)))
+        dual = forward_with_input_grad(self.model, q)
+        norms = np.linalg.norm(dual.gradients[:, self.channel], axis=1)
+        return dual.values[:, self.channel] / t.scale, _SLOPE_SAFETY * float(norms.max())
 
     def validity(self, p):
         q = self.model.transform.apply(np.atleast_2d(np.asarray(p, dtype=np.float64)))
@@ -138,22 +158,33 @@ class MeshSource:
     def value(self, p):
         return np.atleast_1d(signed_distance_to_mesh(p, self.mesh))
 
+    def value_and_slope(self, p):
+        """An exact distance is 1-Lipschitz."""
+        return self.value(p), 1.0
+
 
 # ---------------------------------------------------------------------------
 # grid evaluation and blending
 
 
-def grid_lattice(dims, bbox_min, bbox_max) -> np.ndarray:
-    """Lattice coordinates for the given dims/bbox, x index fastest."""
-    dims = tuple(int(d) for d in dims)
+def _grid_axes(dims, bbox_min, bbox_max):
     if any(d < 2 for d in dims):
         raise GeometryError("grid needs at least 2 samples per axis")
-    ax, ay, az = (np.linspace(bbox_min[i], bbox_max[i], dims[i]) for i in range(3))
-    pts = np.empty((dims[2], dims[1], dims[0], 3))  # filled in place: no full-size temporaries
+    return [np.linspace(bbox_min[i], bbox_max[i], dims[i]) for i in range(3)]
+
+
+def _lattice_points(ax, ay, az) -> np.ndarray:
+    pts = np.empty((len(az), len(ay), len(ax), 3))  # filled in place: no full-size temporaries
     pts[..., 0] = ax
     pts[..., 1] = ay[:, None]
     pts[..., 2] = az[:, None, None]
     return pts.reshape(-1, 3)
+
+
+def grid_lattice(dims, bbox_min, bbox_max) -> np.ndarray:
+    """Lattice coordinates for the given dims/bbox, x index fastest."""
+    dims = tuple(int(d) for d in dims)
+    return _lattice_points(*_grid_axes(dims, bbox_min, bbox_max))
 
 
 def evaluate_on_grid(source, dims, bbox_min, bbox_max) -> ScalarGrid:
@@ -175,6 +206,83 @@ def evaluate_on_grid(source, dims, bbox_min, bbox_max) -> ScalarGrid:
         bbox_max=np.asarray(bbox_max, dtype=np.float64),
         values=vals.reshape(dims, order="F"),
         validity=validity,
+    )
+
+
+# coarse lattice of evaluate_near_level: every _COARSE_STEP-th index per
+# axis, plus the last
+_COARSE_STEP = 4
+
+
+def _straddles(inside):
+    """Cells whose corners lie on both sides of the level."""
+    corners = cell_corners(inside)
+    return np.logical_or.reduce(corners) & ~np.logical_and.reduce(corners)
+
+
+def _nearest_knot(axis, knots):
+    """For each sample of a lattice axis: the index into `knots` of the
+    nearest knot, and the distance to it."""
+    below = np.searchsorted(knots, np.arange(len(axis)), side="right") - 1
+    above = np.minimum(below + 1, len(knots) - 1)
+    to_below, to_above = axis - axis[knots[below]], axis[knots[above]] - axis
+    return np.where(to_above < to_below, above, below), np.minimum(to_below, to_above)
+
+
+def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> ScalarGrid:
+    """Sample a source on the lattice of evaluate_on_grid, exactly only near
+    its iso level set, coarse to fine (after MISE, Mescheder et al. 2019,
+    and the Lipschitz pruning of sphere tracing, Hart 1996).
+
+    The source's value_and_slope gives values and a slope bound L on a
+    coarse lattice. A lattice point whose nearest coarse sample c has
+    |f(c) - iso| > L |p - c| is on c's side of iso and keeps c's value;
+    every other point is evaluated with source.value, and so are the
+    points the bound placed that are corners of a cell across the level.
+    Marching cubes and a sign test then read the grid as they read the
+    dense one. If one of those exact corner values is on the other side
+    from where the bound placed it, the bound failed, and the grid is
+    evaluated densely instead. Sources without value_and_slope are
+    evaluated densely.
+
+    Values are float32 as in any ScalarGrid; the grid has no validity mask.
+    """
+    dims = tuple(int(d) for d in dims)
+    if not hasattr(source, "value_and_slope"):
+        return evaluate_on_grid(source, dims, bbox_min, bbox_max)
+    axes = _grid_axes(dims, bbox_min, bbox_max)
+    knots = [np.unique(np.r_[np.arange(0, n, _COARSE_STEP), n - 1]) for n in dims]
+    coarse, slope = source.value_and_slope(_lattice_points(*(a[k] for a, k in zip(axes, knots))))
+    coarse = np.asarray(coarse, dtype=np.float64).reshape(tuple(len(k) for k in knots), order="F")
+
+    (px, dx), (py, dy), (pz, dz) = (_nearest_knot(a, k) for a, k in zip(axes, knots))
+    reach = dx[:, None, None] ** 2 + dy[:, None] ** 2 + dz**2
+    np.sqrt(reach, out=reach)
+    reach *= slope  # how far the field can move from the nearest knot
+    near = coarse[np.ix_(px, py, pz)]
+    placed = np.abs(near - iso) > reach
+    values = near.astype(np.float32)  # as a ScalarGrid stores it
+    del reach, near
+
+    def evaluate(mask):
+        ix, iy, iz = np.nonzero(mask)
+        values[ix, iy, iz] = source.value(np.stack([axes[0][ix], axes[1][iy], axes[2][iz]], axis=1))
+
+    evaluate(~placed)
+    inside = values.astype(np.float64) < iso
+    across = np.zeros(dims, dtype=bool)
+    straddles = _straddles(inside)
+    for view in cell_corners(across):
+        view |= straddles
+    across &= placed
+    evaluate(across)
+    if np.any((values[across].astype(np.float64) < iso) != inside[across]):
+        return evaluate_on_grid(source, dims, bbox_min, bbox_max)
+    return ScalarGrid(
+        dims=dims,
+        bbox_min=np.asarray(bbox_min, dtype=np.float64),
+        bbox_max=np.asarray(bbox_max, dtype=np.float64),
+        values=values,
     )
 
 

@@ -10,6 +10,7 @@ from .geometry import GeometryError, ScalarGrid, TriangleMesh
 from .mc_tables import EDGE_CORNERS, TRI_TABLE
 
 __all__ = [
+    "cell_corners",
     "marching_cubes",
     "check_watertight",
     "WatertightReport",
@@ -22,13 +23,27 @@ _CORNER_OFFSETS = (
     (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1),
 )
 
-# edge id -> (axis, offset of the edge's low-corner within the cell)
-_EDGE_CANONICAL = []
+# per table edge: the axis it runs along and its low corner within the cell
+_EDGE_AXIS = np.empty(12, dtype=np.int64)
+_EDGE_LOW = np.empty((12, 3), dtype=np.int64)
 for _e, (_c1, _c2) in enumerate(EDGE_CORNERS):
     _o1 = np.array(_CORNER_OFFSETS[_c1])
     _o2 = np.array(_CORNER_OFFSETS[_c2])
-    _axis = int(np.nonzero(_o1 != _o2)[0][0])
-    _EDGE_CANONICAL.append((_axis, tuple(np.minimum(_o1, _o2))))
+    _EDGE_AXIS[_e] = np.nonzero(_o1 != _o2)[0][0]
+    _EDGE_LOW[_e] = np.minimum(_o1, _o2)
+
+def cell_corners(a: np.ndarray) -> list:
+    """Views of the eight corner samples of every cell of a 3D lattice
+    array, in mc_tables corner order: corner i of cell (x, y, z) is
+    cell_corners(a)[i][x, y, z]."""
+    nx, ny, nz = a.shape
+    return [a[dx : dx + nx - 1, dy : dy + ny - 1, dz : dz + nz - 1] for dx, dy, dz in _CORNER_OFFSETS]
+
+
+# TRI_TABLE as one (256, 16) array, each row's edge list padded with -1
+_TRI_EDGES = np.full((256, 16), -1, dtype=np.int64)
+for _case, _edges in enumerate(TRI_TABLE):
+    _TRI_EDGES[_case, : len(_edges)] = _edges
 
 
 def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
@@ -36,8 +51,10 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
 
     Vertices are placed on cell edges by linear interpolation and welded by
     their canonical edge key, so shared edges produce shared vertices and the
-    output is scheduling-independent. Grid values exactly equal to iso are
-    nudged by +1e-12 first to avoid degenerate vertices. Triangles are
+    output is scheduling-independent: vertices are numbered in the order
+    their edges are first met, walking the active cells in index order and
+    each cell's table triangles in order. Grid values exactly equal to iso
+    are nudged by +1e-12 first to avoid degenerate vertices. Triangles are
     oriented with normals pointing toward positive field values.
     """
     nx, ny, nz = grid.dims
@@ -46,57 +63,48 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
     v = grid.values.astype(np.float64)
     v = np.where(v == iso, iso + 1e-12, v)
 
-    inside = v < iso
     # cube index per cell, bit i set when corner i is inside
     cube = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint16)
-    for bit, (dx, dy, dz) in enumerate(_CORNER_OFFSETS):
-        cube |= (
-            inside[dx : dx + nx - 1, dy : dy + ny - 1, dz : dz + nz - 1].astype(np.uint16)
-            << bit
-        )
+    for bit, corner in enumerate(cell_corners(v < iso)):
+        cube |= corner.astype(np.uint16) << bit
     active = np.argwhere((cube != 0) & (cube != 255))
-
-    ax, ay, az = grid.axes()
-    axes = (ax, ay, az)
-
-    vert_index: dict[tuple[int, int, int, int], int] = {}
-    vertices: list[tuple[float, float, float]] = []
-    triangles: list[tuple[int, int, int]] = []
-
-    def edge_vertex(cx: int, cy: int, cz: int, edge: int) -> int:
-        axis, off = _EDGE_CANONICAL[edge]
-        ix, iy, iz = cx + off[0], cy + off[1], cz + off[2]
-        key = (axis, ix, iy, iz)
-        idx = vert_index.get(key)
-        if idx is not None:
-            return idx
-        v1 = v[ix, iy, iz]
-        step = [0, 0, 0]
-        step[axis] = 1
-        v2 = v[ix + step[0], iy + step[1], iz + step[2]]
-        t = (iso - v1) / (v2 - v1)
-        pos = [axes[0][ix], axes[1][iy], axes[2][iz]]
-        hi = axes[axis][(ix, iy, iz)[axis] + 1]
-        pos[axis] = pos[axis] + t * (hi - pos[axis])
-        idx = len(vertices)
-        vertices.append((pos[0], pos[1], pos[2]))
-        vert_index[key] = idx
-        return idx
-
-    for cx, cy, cz in active:
-        tris = TRI_TABLE[cube[cx, cy, cz]]
-        for i in range(0, len(tris), 3):
-            a = edge_vertex(cx, cy, cz, tris[i])
-            b = edge_vertex(cx, cy, cz, tris[i + 1])
-            c = edge_vertex(cx, cy, cz, tris[i + 2])
-            if a != b and b != c and a != c:
-                # table order has normals toward the inside; flip so they
-                # point toward positive field values
-                triangles.append((a, c, b))
-
-    if not vertices:
+    if len(active) == 0:
         return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
-    return TriangleMesh(np.array(vertices), np.array(triangles, dtype=np.int64))
+
+    # every triangle corner of every active cell, in emission order
+    table = _TRI_EDGES[cube[tuple(active.T)]]
+    cell, slot = np.nonzero(table >= 0)
+    edge = table[cell, slot]
+    axis = _EDGE_AXIS[edge]
+    low = active[cell] + _EDGE_LOW[edge]
+    # one id per lattice edge: its axis, then its low corner's linear index
+    key = axis * (nx * ny * nz) + np.ravel_multi_index(tuple(low.T), (nx, ny, nz))
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    corner = rank[inverse.ravel()].reshape(-1, 3)
+
+    # vertices, in numbering order, from their edge's first occurrence
+    sel = first[order]
+    axis, low = axis[sel], low[sel]
+    high = low.copy()
+    high[np.arange(len(sel)), axis] += 1
+    v1 = v[tuple(low.T)]
+    v2 = v[tuple(high.T)]
+    t = (iso - v1) / (v2 - v1)
+    axes = grid.axes()
+    vertices = np.stack([axes[k][low[:, k]] for k in range(3)], axis=1)
+    for k in range(3):
+        on = axis == k
+        lo = vertices[on, k]
+        vertices[on, k] = lo + t[on] * (axes[k][high[on, k]] - lo)
+
+    a, b, c = corner.T
+    keep = (a != b) & (b != c) & (a != c)
+    # table order has normals toward the inside; (a, c, b) points them
+    # toward positive field values
+    return TriangleMesh(vertices, np.stack([a, c, b], axis=1)[keep])
 
 
 @dataclass(frozen=True)

@@ -269,11 +269,12 @@ def load_mesh(path) -> TriangleMesh:
 
 
 def save_mesh(mesh: TriangleMesh, path) -> None:
+    """Wavefront OBJ: `v` lines with 17 significant digits (round-trip
+    exact), then 1-based `f` lines; the text is formatted in one pass."""
+    text = ("v %.17g %.17g %.17g\n" * mesh.num_vertices) % tuple(mesh.vertices.ravel().tolist())
+    text += ("f %d %d %d\n" * mesh.num_triangles) % tuple((mesh.triangles + 1).ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for v in mesh.vertices:
-            f.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for t in mesh.triangles:
-            f.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+        f.write(text)
 
 
 # ---------------------------------------------------------------------------

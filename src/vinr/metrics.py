@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csg import ModelSource, evaluate_on_grid, grid_lattice
+from .csg import ModelSource, evaluate_near_level, grid_lattice
+from .csg import evaluate_on_grid  # noqa: F401  (bench/tracing.py wraps metrics.evaluate_on_grid)
 from .extraction import marching_cubes
 from .geometry import GeometryError, PointCloud, point_to_mesh_distance
 from .network import MlpModel
@@ -33,9 +34,11 @@ def padded_bbox(lo, hi, pad_fraction: float = 0.1):
 
 def dice(source_a, source_b, dims, bbox_min, bbox_max) -> float:
     """Dice similarity of two SDF sources voxelized by sign on a shared
-    lattice. Inside is strictly negative; exact zeros count as outside."""
-    ga = evaluate_on_grid(source_a, dims, bbox_min, bbox_max)
-    gb = evaluate_on_grid(source_b, dims, bbox_min, bbox_max)
+    lattice. Inside is strictly negative; exact zeros count as outside.
+    Only the signs are read, so sources that bound their slope are
+    evaluated exactly only near their zero level set."""
+    ga = evaluate_near_level(source_a, dims, bbox_min, bbox_max)
+    gb = evaluate_near_level(source_b, dims, bbox_min, bbox_max)
     a = ga.values < 0
     b = gb.values < 0
     denom = int(a.sum()) + int(b.sum())
@@ -77,7 +80,7 @@ def average_surface_distance(
         if bbox_min is None or bbox_max is None:
             lo, hi = heldout.bbox()
             bbox_min, bbox_max = padded_bbox(lo, hi, 0.2)
-        grid = evaluate_on_grid(source, dims, bbox_min, bbox_max)
+        grid = evaluate_near_level(source, dims, bbox_min, bbox_max)
         mesh = marching_cubes(grid)
         if mesh.num_triangles == 0:
             raise GeometryError("reconstruction has an empty zero level set")

@@ -265,11 +265,19 @@ def forward(model: MlpModel, x) -> np.ndarray:
 
 
 def forward_with_input_grad(model: MlpModel, x) -> DualBatch:
-    """Values plus exact per-channel spatial gradients for a batch (B, 3)."""
+    """Values plus exact per-channel spatial gradients for a batch (B, 3).
+    Each point carries 4 stacked rows (its value and three tangents), so it
+    runs in blocks of 2^16 / hidden_width points: ~2 MB per activation
+    matrix, as in `forward`."""
     arr = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if arr.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    y, G = _forward_pass(model, arr, arr.shape[0])
+    rows = max(1, 2**16 // model.arch.hidden_width)
+    C = model.arch.output_channels
+    y, G = np.empty((len(arr), C)), np.empty((len(arr), C, INPUT_DIM))
+    for s in range(0, len(arr), rows):
+        block = arr[s : s + rows]
+        y[s : s + rows], G[s : s + rows] = _forward_pass(model, block, len(block))
     return DualBatch(values=y, gradients=G)
 
 

@@ -9,7 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from vinr.csg import BlendSpec, GridSource, ModelSource, blend_grids, evaluate_on_grid
+from vinr.csg import (
+    BlendSpec,
+    GridSource,
+    ModelSource,
+    blend_grids,
+    evaluate_near_level,
+    evaluate_on_grid,
+)
 from vinr.extraction import check_watertight, enclosed_volume, marching_cubes
 from vinr.geometry import save_mesh, signed_distance_to_mesh
 from vinr.metrics import average_surface_distance, dice, nesting_violation, split_train_heldout
@@ -23,6 +30,8 @@ from vinr.synthetic import (
     sample_analytic_surface,
 )
 from vinr.training import TrainConfig, fit, fit_nested, loss_value
+
+from test_csg import assert_band_matches_dense
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -401,3 +410,15 @@ def test_criterion_10_oracle_equivalence(capsys):
     worst = float(np.abs(sd - analytic).max())
     ok = worst < 5e-3
     announce(capsys, 10, ok, f"max |mesh SDF - analytic| = {worst:.2e} < 5e-3 at 1e4 points")
+
+
+def test_narrow_band_matches_dense(sphere_run, nested_run, bifurcation_run):
+    # every fitted model at the lattices the criteria extract and score on:
+    # the same signs, straddling values and mesh bytes, so the same DSC and ASD
+    cases = [(sphere_run["model"], 0, dims, -1.2 * np.ones(3), 1.2 * np.ones(3)) for dims in (64, 96)]
+    cases += [(nested_run["model"], c, 64, -0.9 * np.ones(3), 0.9 * np.ones(3)) for c in range(3)]
+    cases += [(m, 0, 96, *bifurcation_run["bbox"]) for m in bifurcation_run["models"]]
+    for model, channel, n, lo, hi in cases:
+        source = ModelSource(model, channel)
+        band = evaluate_near_level(source, (n,) * 3, lo, hi)
+        assert_band_matches_dense(band, evaluate_on_grid(source, (n,) * 3, lo, hi))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -280,12 +281,20 @@ class TestSweep:
     def test_failed_jobs_exit_nonzero(self, tmp_path, capsys):
         # nested walls are several surfaces, which a single-channel sweep cannot fit
         out = tmp_path / "sweep.csv"
-        rc = run(["sweep", "--shape", "nested", "--counts", "20", "--repeats", "2",
-                  "--dsc-dims", "8", "--out", out, *TINY_FIT])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(["sweep", "--shape", "nested", "--counts", "20", "--repeats", "2",
+                      "--dsc-dims", "8", "--out", out, *TINY_FIT])
         assert rc == 1
-        assert capsys.readouterr().err.splitlines()[-1] == "error: 2 of 2 sweep jobs failed"
-        rows = out.read_text().splitlines()[2:4]  # every row is still written
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: 2 of 2 sweep jobs failed"
+        # summary rows of a count whose every job failed are nan, silently
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        lines = out.read_text().splitlines()
+        rows = lines[2:4]  # every row is still written
         assert [r.split(",")[:3] for r in rows] == [["20", "0", "nan"], ["20", "1", "nan"]]
+        assert lines[4:] == ["20,median,nan,nan,", "20,iqr,nan,nan,"]
 
 
 class TestFixtures:

@@ -2,19 +2,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vinr import csg
 from vinr.csg import (
     BlendSpec,
     GridSource,
     MeshSource,
     ModelSource,
     blend_grids,
+    evaluate_near_level,
     evaluate_on_grid,
     grid_lattice,
     smooth_union,
 )
+from vinr.extraction import cell_corners, marching_cubes
 from vinr.geometry import DomainTransform, GeometryError, ScalarGrid
-from vinr.synthetic import icosphere
+from vinr.network import MlpArchitecture, init_model
+from vinr.synthetic import Sphere, icosphere
 
 from test_network import linear_channel_model
 
@@ -191,6 +197,136 @@ class TestGridEvaluation:
             tracemalloc.stop()
         assert pts.nbytes == result_bytes
         assert peak <= 1.1 * result_bytes, (peak, result_bytes)
+
+
+def assert_band_matches_dense(band, dense, iso=0.0):
+    """What a narrow-band grid must share with the dense one: the side of
+    iso at every point, the float32 value at every corner of every cell
+    that straddles iso, and so the marching-cubes mesh, byte for byte."""
+    inside = dense.values.astype(np.float64) < iso
+    np.testing.assert_array_equal(band.values.astype(np.float64) < iso, inside)
+    corners = np.zeros(dense.dims, dtype=bool)
+    straddles = csg._straddles(inside)
+    for view in cell_corners(corners):
+        view |= straddles
+    assert band.values[corners].tobytes() == dense.values[corners].tobytes()
+    a, b = marching_cubes(band, iso), marching_cubes(dense, iso)
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    assert a.triangles.tobytes() == b.triangles.tobytes()
+
+
+@st.composite
+def sdf_models(draw):
+    """Small nets from the sphere initialisation, every weight perturbed,
+    behind a random domain transform: each has a bumpy closed level set."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arch = MlpArchitecture(
+        hidden_layers=int(rng.integers(2, 4)),
+        hidden_width=int(rng.integers(8, 33)),
+        skip_layer=2,
+        activation=str(rng.choice(["relu", "softplus"])),
+    )
+    model = init_model(arch, seed=int(rng.integers(2**31)), scheme="sphere")
+    for w in model.weights:
+        w += rng.normal(0.0, 0.1, size=w.shape)
+    model.transform = DomainTransform(scale=float(rng.uniform(0.8, 1.6)), center=rng.uniform(-0.2, 0.2, 3))
+    return model
+
+
+class SlopeUnderstated:
+    """Sphere SDF of radius 0.5 with a blob: a negative spike of height 2
+    and radius 0.15 at `blob`, 13 times steeper than the slope bound of 1
+    that value_and_slope claims."""
+
+    def __init__(self, blob):
+        self.blob = np.asarray(blob)
+
+    def value(self, p):
+        p = np.atleast_2d(p)
+        spike = 2.0 * np.maximum(0.0, 1.0 - np.linalg.norm(p - self.blob, axis=1) / 0.15)
+        return np.linalg.norm(p, axis=1) - 0.5 - spike
+
+    def value_and_slope(self, p):
+        return self.value(p), 1.0
+
+
+class TestNarrowBand:
+    LO, HI = -np.ones(3), np.ones(3)
+
+    @pytest.fixture
+    def dense_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return evaluate_on_grid(*args)
+
+        monkeypatch.setattr(csg, "evaluate_on_grid", counted)
+        return calls
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        model=sdf_models(),
+        dims=st.tuples(st.integers(2, 24), st.integers(2, 24), st.integers(2, 24)),
+        iso=st.sampled_from([0.0, 0.1, -0.05]),
+    )
+    def test_matches_dense_on_random_models(self, model, dims, iso):
+        source = ModelSource(model)
+        band = evaluate_near_level(source, dims, self.LO, self.HI, iso)
+        assert_band_matches_dense(band, evaluate_on_grid(source, dims, self.LO, self.HI), iso)
+
+    def test_evaluates_only_near_the_level(self, dense_calls, monkeypatch):
+        m = linear_channel_model([0.0, 0.0, 1.0])  # the plane z = 0.3 in real units
+        m.transform = DomainTransform(scale=1.0, center=np.array([0.0, 0.0, 0.3]))
+        source = ModelSource(m)
+        evaluated = []
+        value = ModelSource.value
+        monkeypatch.setattr(ModelSource, "value", lambda self, p: evaluated.append(p) or value(self, p))
+        dims = (33, 33, 33)
+        band = evaluate_near_level(source, dims, self.LO, self.HI)
+        assert dense_calls == []
+        z = np.concatenate(evaluated)[:, 2]
+        # with slope bound 2 (twice |grad| = 1), a point is evaluated only if
+        # its nearest coarse sample, at most sqrt(3) * 0.125 away, is within
+        # 2 * 0.2165 of the level, so the point is within 0.65 of it; every
+        # point within one lattice step of the level is evaluated
+        assert np.abs(z - 0.3).max() < 0.65
+        assert np.count_nonzero(np.abs(z - 0.3) < 0.0625) == 33 * 33 * 2
+        assert len(z) < 0.4 * 33**3
+        assert_band_matches_dense(band, evaluate_on_grid(source, dims, self.LO, self.HI))
+
+    def test_understated_slope_falls_back_to_dense(self, dense_calls):
+        # the blob reaches from the sphere's band into points the claimed
+        # slope places outside, where a band without the check would put 10
+        # lattice points on the wrong side; the exact values at the corners
+        # of the cells across the level contradict the bound
+        source = SlopeUnderstated([0.6875, 0.125, 0.125])
+        dims = (33, 33, 33)
+        band = evaluate_near_level(source, dims, self.LO, self.HI)
+        assert dense_calls == [dims]
+        dense = evaluate_on_grid(source, dims, self.LO, self.HI)
+        np.testing.assert_array_equal(band.values, dense.values)
+        assert dense.values[27, 18, 18] < 0  # the blob's centre
+
+    def test_mesh_source_takes_the_band(self, dense_calls):
+        source = MeshSource(icosphere(2, radius=0.5))
+        dims = (14, 13, 12)
+        band = evaluate_near_level(source, dims, self.LO, self.HI)
+        assert dense_calls == []
+        assert_band_matches_dense(band, evaluate_on_grid(source, dims, self.LO, self.HI))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Sphere(radius=0.5),
+        lambda: GridSource(ScalarGrid((3, 3, 3), -np.ones(3), np.ones(3), np.linspace(-1, 1, 27))),
+    ])
+    def test_sources_without_slope_bound_go_dense(self, dense_calls, make):
+        grid = evaluate_near_level(make(), (9, 9, 9), self.LO, self.HI)
+        assert dense_calls == [(9, 9, 9)]
+        np.testing.assert_array_equal(grid.values, evaluate_on_grid(make(), (9, 9, 9), self.LO, self.HI).values)
+
+    def test_rejects_degenerate_dims(self):
+        with pytest.raises(GeometryError):
+            evaluate_near_level(MeshSource(icosphere(1)), (1, 4, 4), self.LO, self.HI)
 
 
 class TestBlendGrids:

@@ -185,6 +185,43 @@ def positive_border_grids(draw, levels=None):
     return ScalarGrid(dims=dims, bbox_min=-np.ones(3), bbox_max=np.ones(3), values=vals)
 
 
+@st.composite
+def random_grids(draw):
+    """Grids of 2-9 points per axis over a random box, values uniform on
+    [-1, 1] or, for about half the grids, drawn from levels that include
+    every iso the tests use, so some values equal iso exactly."""
+    dims = draw(st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(2, 9)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = rng.uniform(-2, 0, size=3)
+    hi = lo + rng.uniform(0.1, 3, size=3)
+    if draw(st.booleans()):
+        vals = rng.choice([-1.0, -0.25, 0.0, 0.5, 1.0], size=dims)
+    else:
+        vals = rng.uniform(-1, 1, size=dims)
+    return ScalarGrid(dims=dims, bbox_min=lo, bbox_max=hi, values=vals)
+
+
+def assert_same_mesh(a, b):
+    assert a.vertices.tobytes() == b.vertices.tobytes()
+    assert a.triangles.tobytes() == b.triangles.tobytes()
+
+
+class TestMarchingCubesOracle:
+    """The array formulation against the per-cell loop: bit-identical
+    vertices, triangles and numbering."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(g=random_grids(), iso=st.sampled_from([0.0, 0.5, -0.25]))
+    def test_matches_loop_on_random_grids(self, g, iso):
+        assert_same_mesh(marching_cubes(g, iso), mesh_oracle.marching_cubes(g, iso))
+
+    @pytest.mark.parametrize("shape", [Sphere(radius=0.7), Torus(major=0.6, minor=0.2)])
+    @pytest.mark.parametrize("iso", [0.0, 0.05])
+    def test_matches_loop_on_sdf_grids(self, shape, iso):
+        g = analytic_grid(shape, (40, 44, 48), -np.ones(3), np.ones(3))
+        assert_same_mesh(marching_cubes(g, iso), mesh_oracle.marching_cubes(g, iso))
+
+
 class TestWatertightAudit:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(mesh=triangle_soups())

@@ -118,6 +118,18 @@ class TestMeshIO:
         assert again.num_triangles == mesh.num_triangles
         assert np.max(np.abs(again.vertices - mesh.vertices)) < 1e-6
 
+    @pytest.mark.parametrize("subdiv", [0, 3])
+    def test_bytes_match_row_writer(self, tmp_path, subdiv):
+        rng = np.random.default_rng(subdiv)
+        mesh = icosphere(subdiv)
+        verts = mesh.vertices * 10.0 ** rng.integers(-50, 50, size=mesh.vertices.shape)
+        verts[0] = [0.0, -0.0, 3.0]
+        verts[1] = [1 / 3, -2.5e-17, 123456789.0]
+        for m in (TriangleMesh(verts, mesh.triangles), TriangleMesh(np.empty((0, 3)), np.empty((0, 3)))):
+            save_mesh(m, tmp_path / "fast.obj")
+            mesh_oracle.save_mesh(m, tmp_path / "rows.obj")
+            assert (tmp_path / "fast.obj").read_bytes() == (tmp_path / "rows.obj").read_bytes()
+
     def test_unknown_records_warn(self, tmp_path):
         p = tmp_path / "n.obj"
         p.write_text("vn 0 0 1\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")

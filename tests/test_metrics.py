@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from vinr.csg import ModelSource, evaluate_on_grid
+from vinr.csg import MeshSource, ModelSource, evaluate_on_grid
+from vinr.extraction import marching_cubes
+from vinr.geometry import point_to_mesh_distance
 from vinr.geometry import DomainTransform, GeometryError, PointCloud
 from vinr.metrics import (
     NestingReport,
@@ -35,6 +37,16 @@ def two_plane_model(offset=0.2):
     m = MlpModel(arch=arch, weights=weights, biases=biases)
     m.transform = DomainTransform(scale=1.0, center=np.zeros(3))
     return m
+
+
+def bumpy_sphere_model():
+    """A 3x32 net from the sphere initialisation with perturbed weights."""
+    rng = np.random.default_rng(11)
+    model = init_model(MlpArchitecture(hidden_layers=3, hidden_width=32, skip_layer=2), seed=3, scheme="sphere")
+    for w in model.weights:
+        w += rng.normal(0.0, 0.1, size=w.shape)
+    model.transform = DomainTransform(scale=1.0, center=np.zeros(3))
+    return model
 
 
 class TestPaddedBbox:
@@ -73,6 +85,17 @@ class TestDice:
         with pytest.raises(GeometryError):
             dice(a, a, (8, 8, 8), 2 * np.ones(3), 3 * np.ones(3))
 
+    def test_band_matches_dense(self):
+        # a bumpy net against an exact mesh distance: both take the narrow
+        # band; the score must be the dense lattice's, exactly
+        model = bumpy_sphere_model()
+        ref = MeshSource(icosphere(3, radius=0.5))
+        dims, lo, hi = (16, 17, 18), -0.8 * np.ones(3), 0.8 * np.ones(3)
+        a = evaluate_on_grid(ModelSource(model), dims, lo, hi).values < 0
+        b = evaluate_on_grid(ref, dims, lo, hi).values < 0
+        dense = 2.0 * int(np.logical_and(a, b).sum()) / (int(a.sum()) + int(b.sum()))
+        assert dice(ModelSource(model), ref, dims, lo, hi) == dense
+
 
 class TestAverageSurfaceDistance:
     def test_points_on_mesh(self):
@@ -109,6 +132,14 @@ class TestAverageSurfaceDistance:
             src, held, dims=(64, 64, 64), bbox_min=-np.ones(3), bbox_max=np.ones(3)
         )
         assert asd < 5e-3
+
+    def test_band_matches_dense(self):
+        model = bumpy_sphere_model()
+        held = sphere_points(100, 0.5, seed=7)
+        dims, lo, hi = (40, 40, 40), -0.8 * np.ones(3), 0.8 * np.ones(3)
+        mesh = marching_cubes(evaluate_on_grid(ModelSource(model), dims, lo, hi))
+        dense = float(np.mean(point_to_mesh_distance(held.points, mesh)))
+        assert average_surface_distance(model, held, dims, lo, hi) == dense
 
     def test_empty_heldout_rejected(self):
         with pytest.raises(GeometryError):

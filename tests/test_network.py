@@ -171,6 +171,28 @@ class TestBlockedForward:
         one_matrix = 65536 * arch.hidden_width * 8
         assert peak < one_matrix / 8
 
+    def test_input_grad_blocks_agree(self):
+        # 2^16 / 64 = 1024 points per block: two full blocks and a 1-point one
+        m = init_model(MlpArchitecture(hidden_layers=4, hidden_width=64), seed=1, scheme="sphere")
+        x = np.random.default_rng(1).uniform(-1, 1, size=(2049, 3))
+        dual = forward_with_input_grad(m, x)
+        y, G = _forward_pass(m, x, len(x))
+        assert normwise_rel(dual.values, y) <= 1e-15
+        assert normwise_rel(dual.gradients, G) <= 1e-15
+
+    def test_input_grad_peak_memory_is_one_block(self):
+        # 8192 points at 6x256 carry 32768 rows: 64 MB per activation
+        # matrix unblocked, 2 MB in blocks of 256 points
+        m = init_model(MlpArchitecture(hidden_layers=6, hidden_width=256), seed=0, scheme="sphere")
+        x = np.random.default_rng(0).uniform(-1, 1, size=(8192, 3))
+        tracemalloc.start()
+        try:
+            forward_with_input_grad(m, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20 / 8
+
 
 class TestInputGradients:
     def test_linear_model_gradient(self):
