@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import sys
 import time
@@ -70,17 +71,25 @@ def _add_fit_flags(p: argparse.ArgumentParser):
         p.add_argument(flag, dest=dest, default=getattr(defaults, field), **kwargs)
 
 
+def _reference(mesh_path, shape_spec):
+    """The reference surface a --mesh/--shape (or --ref-mesh/--ref-shape)
+    pair names, exactly one of the two being set: its SDF source, which has
+    bbox(), and a function (n, seed) -> PointCloud sampling its surface.
+    `nested` parses to a tuple of walls, which has neither."""
+    if mesh_path:
+        mesh = geometry.load_mesh(mesh_path)
+        return csg.MeshSource(mesh), functools.partial(geometry.sample_surface, mesh)
+    shape = synthetic.parse_shape(shape_spec)
+    return shape, functools.partial(synthetic.sample_analytic_surface, shape)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_sample(args) -> int:
-    if args.mesh:
-        mesh = geometry.load_mesh(args.mesh)
-        cloud = geometry.sample_surface(mesh, args.count + args.heldout, args.seed)
-    else:
-        shape = synthetic.parse_shape(args.shape)
-        cloud = synthetic.sample_analytic_surface(shape, args.count + args.heldout, args.seed)
+    _, sample = _reference(args.mesh, args.shape)
+    cloud = sample(args.count + args.heldout, args.seed)
     if args.heldout:
         train, held = metrics.split_train_heldout(cloud, args.count, args.seed)
         geometry.save_point_cloud(train, args.out)
@@ -153,22 +162,12 @@ def cmd_extract(args) -> int:
 
 def cmd_eval(args) -> int:
     model = network.load_model(args.model)
-    if args.ref_mesh:
-        ref_mesh = geometry.load_mesh(args.ref_mesh)
-        ref_source = csg.MeshSource(ref_mesh)
-        lo, hi = ref_mesh.bbox()
-    else:
-        shape = synthetic.parse_shape(args.ref_shape)
-        if isinstance(shape, tuple):
-            raise ValueError("--ref-shape needs a single shape, not nested walls")
-        ref_source = shape
-        lo, hi = shape.bbox()
-    if args.bbox:
-        lo, hi = args.bbox
-    else:
-        lo, hi = metrics.padded_bbox(lo, hi, 0.1)
+    ref, _ = _reference(args.ref_mesh, args.ref_shape)
+    if isinstance(ref, tuple):
+        raise ValueError("--ref-shape needs a single shape, not nested walls")
+    lo, hi = args.bbox if args.bbox else metrics.padded_bbox(*ref.bbox(), 0.1)
     dims = (args.dsc_dims,) * 3
-    dsc = metrics.dice(csg.ModelSource(model, args.channel), ref_source, dims, lo, hi)
+    dsc = metrics.dice(csg.ModelSource(model, args.channel), ref, dims, lo, hi)
     asd = ""
     if args.heldout:
         held = geometry.load_point_cloud(args.heldout)
@@ -194,19 +193,11 @@ def _sweep_job(job):
     seed = cfg.seed + job_index
     t0 = time.perf_counter()
     try:
-        if mesh_path:
-            mesh = geometry.load_mesh(mesh_path)
-            cloud = geometry.sample_surface(mesh, count + max(count // 2, 50), seed)
-            ref = csg.MeshSource(mesh)
-            lo, hi = mesh.bbox()
-        else:
-            shape = synthetic.parse_shape(shape_spec)
-            cloud = synthetic.sample_analytic_surface(shape, count + max(count // 2, 50), seed)
-            ref = shape
-            lo, hi = shape.bbox()
+        ref, sample = _reference(mesh_path, shape_spec)
+        cloud = sample(count + max(count // 2, 50), seed)
         train, held = metrics.split_train_heldout(cloud, count, seed)
         model, _ = training.fit(train, dataclasses.replace(cfg, seed=seed))
-        lo, hi = metrics.padded_bbox(lo, hi, 0.1)
+        lo, hi = metrics.padded_bbox(*ref.bbox(), 0.1)
         dsc = metrics.dice(csg.ModelSource(model, 0), ref, (dsc_dims,) * 3, lo, hi)
         asd = metrics.average_surface_distance(
             model, held, dims=(dsc_dims,) * 3, bbox_min=lo, bbox_max=hi

@@ -2,11 +2,13 @@
 (k = 0 gives the hard minimum), grid evaluation of SDF sources in real
 coordinates, and blending of per-structure grids into one field.
 
-Sources expose value(points) in real units. Trained models are wrapped so
-queries map through the stored domain transform and the returned distances
-rescale back to real units (division by the transform scale). Sources that
-can bound their slope also expose value_and_slope(points), which lets
-evaluate_near_level evaluate only a narrow band around a level set.
+Sources expose value(points) in real units: (N,) signed distances for the
+(N, 3) points of geometry.as_points. Trained models are wrapped so queries
+map through the stored domain transform and the returned distances rescale
+back to real units (division by the transform scale). Sources that can bound
+their slope also expose value_and_slope(points), which lets
+evaluate_near_level evaluate only a narrow band around a level set; that is
+the only optional capability of a source.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extraction import cell_corners
-from .geometry import GeometryError, ScalarGrid, TriangleMesh, signed_distance_to_mesh
+from .geometry import GeometryError, ScalarGrid, TriangleMesh, as_points, lattice_axes, signed_distance_to_mesh
 from .network import MlpModel, forward, forward_with_input_grad
 
 __all__ = [
@@ -54,15 +56,13 @@ def smooth_union(d1, d2, spec: BlendSpec):
     d1 = np.asarray(d1, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
     if spec.k == 0.0:
-        out = np.minimum(d1, d2)
-        return float(out) if out.ndim == 0 else out
+        return np.minimum(d1, d2)
     h = np.maximum(spec.k - np.abs(d1 - d2), 0.0)
     if spec.variant == "cubic":
         gamma = 0.25 * spec.k * h * h
     else:
         gamma = 0.25 * h * h / spec.k
-    out = np.minimum(d1, d2) - gamma
-    return float(out) if out.ndim == 0 else out
+    return np.minimum(d1, d2) - gamma
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +80,7 @@ class ModelSource:
 
     Values are network outputs at the mapped point divided by the transform
     scale, from one `forward` call, which blocks the rows to fit a cache. Queries
-    whose mapped point leaves [-1,1]^3 are network extrapolations; validity()
-    reports where values are trustworthy.
+    whose mapped point leaves [-1,1]^3 are network extrapolations.
     """
 
     model: MlpModel
@@ -98,7 +97,7 @@ class ModelSource:
     def values(self, p):
         """Every channel at once, (N, C), in real units."""
         t = self.model.transform
-        return forward(self.model, t.apply(np.atleast_2d(np.asarray(p, dtype=np.float64)))) / t.scale
+        return forward(self.model, t.apply(as_points(p))) / t.scale
 
     def value(self, p):
         return self.values(p)[:, self.channel]
@@ -109,14 +108,10 @@ class ModelSource:
         The real-unit field f(scale * (x - center)) / scale has the
         network's own gradient."""
         t = self.model.transform
-        q = t.apply(np.atleast_2d(np.asarray(p, dtype=np.float64)))
+        q = t.apply(as_points(p))
         dual = forward_with_input_grad(self.model, q)
         norms = np.linalg.norm(dual.gradients[:, self.channel], axis=1)
         return dual.values[:, self.channel] / t.scale, _SLOPE_SAFETY * float(norms.max())
-
-    def validity(self, p):
-        q = self.model.transform.apply(np.atleast_2d(np.asarray(p, dtype=np.float64)))
-        return np.all(np.abs(q) <= 1.0, axis=1)
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,7 @@ class GridSource:
 
     def value(self, p):
         g = self.grid
-        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
+        p = as_points(p)
         dims = np.array(g.dims)
         span = g.bbox_max - g.bbox_min
         u = (p - g.bbox_min) / span * (dims - 1)
@@ -156,11 +151,14 @@ class MeshSource:
     mesh: TriangleMesh
 
     def value(self, p):
-        return np.atleast_1d(signed_distance_to_mesh(p, self.mesh))
+        return signed_distance_to_mesh(p, self.mesh)
 
     def value_and_slope(self, p):
         """An exact distance is 1-Lipschitz."""
         return self.value(p), 1.0
+
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.mesh.bbox()
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +168,7 @@ class MeshSource:
 def _grid_axes(dims, bbox_min, bbox_max):
     if any(d < 2 for d in dims):
         raise GeometryError("grid needs at least 2 samples per axis")
-    return [np.linspace(bbox_min[i], bbox_max[i], dims[i]) for i in range(3)]
+    return lattice_axes(dims, bbox_min, bbox_max)
 
 
 def _lattice_points(ax, ay, az) -> np.ndarray:
@@ -192,20 +190,15 @@ def evaluate_on_grid(source, dims, bbox_min, bbox_max) -> ScalarGrid:
 
     For model-backed sources the values are already rescaled to real units;
     lattice points outside the model's trusted domain keep the extrapolated
-    value and are marked False in the grid's validity mask.
+    value.
     """
     dims = tuple(int(d) for d in dims)
-    pts = grid_lattice(dims, bbox_min, bbox_max)
-    vals = np.asarray(source.value(pts), dtype=np.float64)
-    validity = None
-    if hasattr(source, "validity"):
-        validity = np.asarray(source.validity(pts)).reshape(dims, order="F")
+    vals = source.value(grid_lattice(dims, bbox_min, bbox_max))
     return ScalarGrid(
         dims=dims,
         bbox_min=np.asarray(bbox_min, dtype=np.float64),
         bbox_max=np.asarray(bbox_max, dtype=np.float64),
         values=vals.reshape(dims, order="F"),
-        validity=validity,
     )
 
 
@@ -245,7 +238,7 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
     evaluated densely instead. Sources without value_and_slope are
     evaluated densely.
 
-    Values are float32 as in any ScalarGrid; the grid has no validity mask.
+    Values are float32 as in any ScalarGrid.
     """
     dims = tuple(int(d) for d in dims)
     if not hasattr(source, "value_and_slope"):
@@ -253,7 +246,7 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
     axes = _grid_axes(dims, bbox_min, bbox_max)
     knots = [np.unique(np.r_[np.arange(0, n, _COARSE_STEP), n - 1]) for n in dims]
     coarse, slope = source.value_and_slope(_lattice_points(*(a[k] for a, k in zip(axes, knots))))
-    coarse = np.asarray(coarse, dtype=np.float64).reshape(tuple(len(k) for k in knots), order="F")
+    coarse = coarse.reshape(tuple(len(k) for k in knots), order="F")
 
     (px, dx), (py, dy), (pz, dz) = (_nearest_knot(a, k) for a, k in zip(axes, knots))
     reach = dx[:, None, None] ** 2 + dy[:, None] ** 2 + dz**2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,8 @@ __all__ = [
     "DomainTransform",
     "ScalarGrid",
     "GeometryError",
+    "as_points",
+    "lattice_axes",
     "load_point_cloud",
     "save_point_cloud",
     "load_mesh",
@@ -38,7 +40,10 @@ class GeometryError(ValueError):
     """Raised for malformed geometry files or invalid geometric inputs."""
 
 
-def _as_points(a) -> np.ndarray:
+def as_points(a) -> np.ndarray:
+    """Query points as an (N, 3) float64 array; a (3,) point is a batch of
+    one. Every SDF query (`value`, the mesh distances, `network.forward`)
+    takes its points through here and returns one result per point."""
     pts = np.atleast_2d(np.asarray(a, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise GeometryError(f"expected (N, 3) point array, got shape {pts.shape}")
@@ -165,15 +170,13 @@ class ScalarGrid:
 
     values[ix, iy, iz] corresponds to the lattice point with x varying along
     the first axis. Values are stored as float32 to match the on-disk format
-    bit-exactly. `validity` is optional in-memory metadata (True where the
-    value came from inside a source's trusted domain); it is not serialized.
+    bit-exactly.
     """
 
     dims: tuple[int, int, int]
     bbox_min: np.ndarray  # (3,)
     bbox_max: np.ndarray  # (3,)
     values: np.ndarray  # (nx, ny, nz) float32
-    validity: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -192,10 +195,16 @@ class ScalarGrid:
         object.__setattr__(self, "values", vals)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(
-            np.linspace(self.bbox_min[i], self.bbox_max[i], self.dims[i])
-            for i in range(3)
-        )
+        return lattice_axes(self.dims, self.bbox_min, self.bbox_max)
+
+
+def lattice_axes(dims, bbox_min, bbox_max) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sample coordinates along each axis of a Cartesian lattice:
+    dims[i] evenly spaced values from bbox_min[i] to bbox_max[i], both ends
+    included. Grid evaluation and marching cubes both place points by it."""
+    lo = np.asarray(bbox_min, dtype=np.float64)
+    hi = np.asarray(bbox_max, dtype=np.float64)
+    return tuple(np.linspace(lo[i], hi[i], int(dims[i])) for i in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +372,10 @@ def _pair_sq_distance(q, a, b, c) -> np.ndarray:
     return np.sum((q - _point_triangle_closest(q, a, b, c)) ** 2, axis=1)
 
 
-def point_to_mesh_distance(p, mesh: TriangleMesh) -> np.ndarray | float:
+def point_to_mesh_distance(p, mesh: TriangleMesh) -> np.ndarray:
     """Exact unsigned distance: the minimum over all triangles, with the
     closest-point test run only on triangles that could hold the nearest point.
-
-    Accepts a single (3,) point or an (N, 3) batch; returns a scalar or (N,)
-    array accordingly.
+    Returns (N,) for the (N, 3) points of `as_points(p)`.
 
     A point's squared distance to a triangle's bounding box, `lb`, bounds its
     squared distance to the triangle from below. Per point, the exact test runs
@@ -380,8 +387,7 @@ def point_to_mesh_distance(p, mesh: TriangleMesh) -> np.ndarray | float:
     """
     if mesh.num_triangles == 0:
         raise GeometryError("cannot measure distance to an empty mesh")
-    single = np.asarray(p).ndim == 1
-    pts = _as_points(p)
+    pts = as_points(p)
     a, b, c = mesh.triangle_corners()
     lo = np.minimum(np.minimum(a, b), c).T.copy()
     hi = np.maximum(np.maximum(a, b), c).T.copy()
@@ -406,7 +412,7 @@ def point_to_mesh_distance(p, mesh: TriangleMesh) -> np.ndarray | float:
         pi, ti = np.nonzero(lb <= bound[:, None])
         np.minimum.at(best, pi, _pair_sq_distance(q[pi], a[ti], b[ti], c[ti]))
         out[s : s + chunk] = np.sqrt(best)
-    return float(out[0]) if single else out
+    return out
 
 
 def _winding_number(pts: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
@@ -436,7 +442,7 @@ def _winding_number(pts: np.ndarray, mesh: TriangleMesh) -> np.ndarray:
     return out / (2 * np.pi)
 
 
-def signed_distance_to_mesh(p, mesh: TriangleMesh) -> np.ndarray | float:
+def signed_distance_to_mesh(p, mesh: TriangleMesh) -> np.ndarray:
     """Signed distance to a watertight mesh: negative inside.
 
     The magnitude is point_to_mesh_distance. A point is inside when the
@@ -448,12 +454,10 @@ def signed_distance_to_mesh(p, mesh: TriangleMesh) -> np.ndarray | float:
 
     if not check_watertight(mesh).closed:
         raise GeometryError("signed distance requires a watertight mesh")
-    single = np.asarray(p).ndim == 1
-    pts = _as_points(p)
-    dist = np.atleast_1d(point_to_mesh_distance(pts, mesh))
+    pts = as_points(p)
+    dist = point_to_mesh_distance(pts, mesh)
     inside = np.rint(_winding_number(pts, mesh)) % 2 == 1
-    out = np.where(inside, -dist, dist)
-    return float(out[0]) if single else out
+    return np.where(inside, -dist, dist)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DomainTransform, GeometryError
+from .geometry import DomainTransform, GeometryError, as_points
 
 __all__ = [
     "MlpArchitecture",
@@ -252,16 +252,15 @@ def _forward_pass(model: MlpModel, x: np.ndarray, n_tangent: int, caches: list |
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
-    """Evaluate the network at normalized coordinates. Accepts (3,) or
-    (B, 3); returns (C,) or (B, C). Runs in blocks of 2^18 / hidden_width
-    rows, so a layer's activations are ~2 MB of float64 and fit one L2 cache."""
-    arr = np.asarray(x, dtype=np.float64)
-    pts = np.atleast_2d(arr)
+    """Evaluate the network at normalized coordinates: (B, C) for the (B, 3)
+    points of `as_points(x)`. Runs in blocks of 2^18 / hidden_width rows, so
+    a layer's activations are ~2 MB of float64 and fit one L2 cache."""
+    pts = as_points(x)
     rows = max(1, 2**18 // model.arch.hidden_width)
     y = np.empty((len(pts), model.arch.output_channels))
     for s in range(0, len(pts), rows):
         y[s : s + rows] = _forward_pass(model, pts[s : s + rows], 0)[0]
-    return y[0] if arr.ndim == 1 else y
+    return y
 
 
 def forward_with_input_grad(model: MlpModel, x) -> DualBatch:
@@ -269,7 +268,7 @@ def forward_with_input_grad(model: MlpModel, x) -> DualBatch:
     Each point carries 4 stacked rows (its value and three tangents), so it
     runs in blocks of 2^16 / hidden_width points: ~2 MB per activation
     matrix, as in `forward`."""
-    arr = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    arr = as_points(x)
     if arr.shape[0] == 0:
         raise ValueError("batch must be non-empty")
     rows = max(1, 2**16 // model.arch.hidden_width)

@@ -1,8 +1,9 @@
 """Analytic SDF shapes and tessellated fixtures used as exact ground truth.
 
-Every shape exposes value(points) -> signed distances, so shapes plug
-directly into grid evaluation, blending and metrics as SDF sources, and
-bbox() -> (lo, hi), the axis-aligned box that holds the surface.
+Every shape exposes value(points) -> signed distances, (N,) for the (N, 3)
+points of geometry.as_points, so shapes plug directly into grid evaluation,
+blending and metrics as SDF sources, and bbox() -> (lo, hi), the
+axis-aligned box that holds the surface.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, PointCloud, TriangleMesh
+from .geometry import GeometryError, PointCloud, TriangleMesh, as_points
 
 __all__ = [
     "Sphere",
@@ -28,12 +29,6 @@ __all__ = [
 ]
 
 
-def _pts(p) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(p, dtype=np.float64)
-    single = arr.ndim == 1
-    return np.atleast_2d(arr), single
-
-
 @dataclass(frozen=True)
 class Sphere:
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -44,9 +39,7 @@ class Sphere:
             raise GeometryError("sphere radius must be positive")
 
     def value(self, p):
-        q, single = _pts(p)
-        d = np.linalg.norm(q - np.asarray(self.center), axis=1) - self.radius
-        return float(d[0]) if single else d
+        return np.linalg.norm(as_points(p) - np.asarray(self.center), axis=1) - self.radius
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center)
@@ -66,7 +59,7 @@ class Capsule:
             raise GeometryError("capsule radius must be positive")
 
     def value(self, p):
-        q, single = _pts(p)
+        q = as_points(p)
         a = np.asarray(self.a, dtype=np.float64)
         ab = np.asarray(self.b, dtype=np.float64) - a
         denom = float(ab @ ab)
@@ -74,8 +67,7 @@ class Capsule:
             t = np.zeros(len(q))
         else:
             t = np.clip((q - a) @ ab / denom, 0.0, 1.0)
-        d = np.linalg.norm(q - (a + t[:, None] * ab), axis=1) - self.radius
-        return float(d[0]) if single else d
+        return np.linalg.norm(q - (a + t[:, None] * ab), axis=1) - self.radius
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         a, b = np.asarray(self.a), np.asarray(self.b)
@@ -95,11 +87,8 @@ class Torus:
             raise GeometryError("torus radii must be positive")
 
     def value(self, p):
-        q, single = _pts(p)
-        rel = q - np.asarray(self.center)
-        ring = np.hypot(np.hypot(rel[:, 0], rel[:, 1]) - self.major, rel[:, 2])
-        d = ring - self.minor
-        return float(d[0]) if single else d
+        rel = as_points(p) - np.asarray(self.center)
+        return np.hypot(np.hypot(rel[:, 0], rel[:, 1]) - self.major, rel[:, 2]) - self.minor
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center)
@@ -135,9 +124,7 @@ class UnionList:
             raise GeometryError("union of zero shapes")
 
     def value(self, p):
-        q, single = _pts(p)
-        d = np.min(np.stack([s.value(q) for s in self.shapes]), axis=0)
-        return float(d[0]) if single else d
+        return np.min(np.stack([s.value(p) for s in self.shapes]), axis=0)
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         boxes = [s.bbox() for s in self.shapes]
@@ -402,9 +389,9 @@ def parse_shape(spec: str):
     name, _, rest = spec.partition(":")
     args = [float(v) for v in rest.split(",")] if rest else []
     if name == "sphere":
-        r = args[0] if args else 1.0
-        c = tuple(args[1:4]) if len(args) >= 4 else (0.0, 0.0, 0.0)
-        return Sphere(center=c, radius=r)
+        if len(args) not in (0, 1, 4):
+            raise GeometryError("sphere spec needs r or r,cx,cy,cz")
+        return Sphere(center=tuple(args[1:]) or (0.0, 0.0, 0.0), radius=args[0] if args else 1.0)
     if name == "capsule":
         if len(args) != 7:
             raise GeometryError("capsule spec needs ax,ay,az,bx,by,bz,r")
@@ -414,8 +401,11 @@ def parse_shape(spec: str):
             raise GeometryError("torus spec needs R,r")
         return Torus(major=args[0], minor=args[1])
     if name == "nested":
-        r, w1, w2 = args if args else (0.3, 0.2, 0.2)
-        return nested_wall_fixture(r, w1, w2)
+        if len(args) not in (0, 3):
+            raise GeometryError("nested spec needs r,w1,w2")
+        return nested_wall_fixture(*(args or (0.3, 0.2, 0.2)))
     if name == "bifurcation":
+        if args:
+            raise GeometryError("bifurcation spec takes no numbers")
         return bifurcation_fixture()[0]
     raise GeometryError(f"unknown shape spec {spec!r}")

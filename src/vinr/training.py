@@ -146,18 +146,19 @@ def adam_step(state: AdamState, params, grads, lr: float) -> None:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Per-epoch loss trace and run metadata."""
+    """Per-epoch loss trace and run metadata. Each row holds the fields of
+    network.LossTerms: total = data + lam * eikonal + nesting_penalty * nesting."""
 
-    trace: np.ndarray  # (epochs, 3): total, data, eikonal
+    trace: np.ndarray  # (epochs, 4): total, data, eikonal, unweighted nesting hinge
     wall_time: float
     config: TrainConfig
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write("# " + _config_echo(self.config) + "\n")
-            f.write("epoch,total,data,eik\n")
-            for i, (t, d, e) in enumerate(self.trace):
-                f.write(f"{i},{t:.12g},{d:.12g},{e:.12g}\n")
+            f.write("epoch,total,data,eik,nesting\n")
+            for i, (t, d, e, n) in enumerate(self.trace):
+                f.write(f"{i},{t:.12g},{d:.12g},{e:.12g},{n:.12g}\n")
 
 
 def _config_echo(cfg: TrainConfig) -> str:
@@ -202,7 +203,7 @@ def fit_nested(
     batch_sizes = [min(len(c), 1024) if n_surf is None else min(len(c), n_surf) for c in clouds]
     n_eik = max(batch_sizes)
 
-    trace = np.zeros((config.epochs, 3))
+    trace = np.zeros((config.epochs, 4))
     start = time.perf_counter()
     all_norm = np.concatenate(norm_points)
     for epoch in range(config.epochs):
@@ -215,7 +216,7 @@ def fit_nested(
             terms, grads = grad_of_loss(model, batches, eik_batch, config.lam, config.nesting_penalty)
         except FloatingPointError:
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}") from None
-        trace[epoch] = (terms.total, terms.data, terms.eikonal)
+        trace[epoch] = (terms.total, terms.data, terms.eikonal, terms.nesting)
         if terms.total > DIVERGENCE_LIMIT:
             raise TrainingDiverged(
                 f"loss diverged at epoch {epoch}: total={terms.total}"

@@ -182,7 +182,7 @@ def test_criterion_1_gradient_correctness(capsys):
                 xp, xm = x[b].copy(), x[b].copy()
                 xp[k] += hx
                 xm[k] -= hx
-                fd = (forward(model, xp)[0] - forward(model, xm)[0]) / (2 * hx)
+                fd = (forward(model, xp)[0, 0] - forward(model, xm)[0, 0]) / (2 * hx)
                 rel = abs(dual.gradients[b, 0, k] - fd) / max(abs(fd), 1e-3)
                 worst_input = max(worst_input, rel)
     secs = time.perf_counter() - t0

@@ -92,7 +92,7 @@ class TestFit:
 
     def test_report_rows(self, fitted_sphere):
         lines = fitted_sphere["report"].read_text().splitlines()
-        assert lines[1] == "epoch,total,data,eik"
+        assert lines[1] == "epoch,total,data,eik,nesting"
         assert len(lines) == 2 + 400
 
     def test_deterministic(self, fitted_sphere, tmp_path):

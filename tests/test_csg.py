@@ -18,9 +18,15 @@ from vinr.csg import (
     smooth_union,
 )
 from vinr.extraction import cell_corners, marching_cubes
-from vinr.geometry import DomainTransform, GeometryError, ScalarGrid
+from vinr.geometry import (
+    DomainTransform,
+    GeometryError,
+    ScalarGrid,
+    point_to_mesh_distance,
+    signed_distance_to_mesh,
+)
 from vinr.network import MlpArchitecture, init_model
-from vinr.synthetic import Sphere, icosphere
+from vinr.synthetic import Capsule, Offset, Sphere, Torus, UnionList, icosphere
 
 from test_network import linear_channel_model
 
@@ -76,6 +82,46 @@ class TestSmoothUnion:
             BlendSpec(variant="exponential")
 
 
+def _query_cases():
+    """(query, rows_exact) for every SDF query of the package. `rows_exact`
+    is False where a batch row may round differently from a batch of one:
+    the network's matrix products, whose BLAS kernels depend on the row count."""
+    capsule = Capsule((0.0, 0.0, -0.5), (0.2, 0.1, 0.5), 0.2)
+    mesh = icosphere(1, radius=0.6)
+    model = init_model(MlpArchitecture(hidden_layers=2, hidden_width=8, skip_layer=2), seed=1, scheme="sphere")
+    model.transform = DomainTransform(scale=0.8, center=np.array([0.1, 0.2, 0.3]))
+    grid = evaluate_on_grid(Sphere(radius=0.5), (5, 6, 7), -np.ones(3), np.ones(3))
+    return [
+        pytest.param(Sphere((0.1, -0.2, 0.3), 0.5).value, True, id="sphere"),
+        pytest.param(capsule.value, True, id="capsule"),
+        pytest.param(Torus((0.0, 0.1, 0.0), 0.5, 0.15).value, True, id="torus"),
+        pytest.param(Offset(capsule, 0.1).value, True, id="offset"),
+        pytest.param(UnionList((Sphere(radius=0.3), capsule)).value, True, id="union"),
+        pytest.param(ModelSource(model).value, False, id="model"),
+        pytest.param(GridSource(grid).value, True, id="grid"),
+        pytest.param(MeshSource(mesh).value, True, id="mesh"),
+        pytest.param(lambda p: point_to_mesh_distance(p, mesh), True, id="point_to_mesh_distance"),
+        pytest.param(lambda p: signed_distance_to_mesh(p, mesh), True, id="signed_distance_to_mesh"),
+    ]
+
+
+@pytest.mark.parametrize("query, rows_exact", _query_cases())
+def test_query_contract(query, rows_exact):
+    """Batch in, batch out: a (3,) point is a batch of one, and every query
+    returns one float64 value per point."""
+    pts = np.random.default_rng(11).uniform(-1, 1, size=(40, 3))
+    batch = query(pts)
+    assert batch.dtype == np.float64 and batch.shape == (40,)
+    for i, p in enumerate(pts):
+        one = query(p)
+        assert one.dtype == np.float64 and one.shape == (1,)
+        assert one.tobytes() == query(pts[i : i + 1]).tobytes()
+        if rows_exact:
+            assert one.tobytes() == batch[i : i + 1].tobytes()
+        else:
+            np.testing.assert_allclose(one, batch[i : i + 1], rtol=1e-15, atol=1e-15)
+
+
 class TestModelSource:
     def make_source(self):
         m = linear_channel_model([1.0, 0.0, 0.0])  # f(x) = x1 in normalized units
@@ -87,11 +133,6 @@ class TestModelSource:
         # normalized value at p=(3,0,0) is 0.4*(3-2) = 0.4; real value 0.4/0.4 = 1
         assert src.value(np.array([3.0, 0.0, 0.0]))[0] == pytest.approx(1.0, abs=1e-12)
         assert src.value(np.array([1.5, 0.0, 0.0]))[0] == pytest.approx(-0.5, abs=1e-12)
-
-    def test_validity_window(self):
-        src = self.make_source()
-        pts = np.array([[2.0, 0, 0], [4.4, 0, 0], [4.6, 0, 0], [2.0, 2.6, 0]])
-        np.testing.assert_array_equal(src.validity(pts), [True, True, False, False])
 
     def test_channel_bounds_checked(self):
         m = linear_channel_model([1.0, 0.0, 0.0])
@@ -162,15 +203,6 @@ class TestGridEvaluation:
         g = evaluate_on_grid(src, (6, 6, 6), lo, hi)
         pts = grid_lattice((6, 6, 6), lo, hi)
         np.testing.assert_allclose(g.values.ravel(order="F"), src.value(pts), atol=1e-12)
-
-    def test_validity_mask_present_for_model(self):
-        m = linear_channel_model([1.0, 0, 0])
-        m.transform = DomainTransform(scale=1.0, center=np.zeros(3))
-        g = evaluate_on_grid(ModelSource(m), (4, 4, 4), -2 * np.ones(3), 2 * np.ones(3))
-        assert g.validity is not None
-        # the two interior lattice planes per axis sit inside [-1,1]
-        assert g.validity.sum() == 2**3
-        assert not g.validity[0, 0, 0]
 
     def test_rejects_degenerate_dims(self):
         src = MeshSource(icosphere(1))

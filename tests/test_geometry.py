@@ -319,8 +319,7 @@ class TestPrunedDistance:
         mesh = _unfiltered_mesh(verts, tris)
         expect = mesh_oracle.point_to_mesh_distance(pts, mesh)
         np.testing.assert_array_equal(point_to_mesh_distance(pts, mesh), expect)
-        single = point_to_mesh_distance(pts[0], mesh)
-        assert isinstance(single, float) and single == expect[0]
+        assert point_to_mesh_distance(pts[0], mesh).tobytes() == expect[:1].tobytes()
 
     def test_closest_point_rounding_outside_its_box_is_kept(self):
         # The first face is tilted by a few ulps; its computed closest point

@@ -155,7 +155,7 @@ class TestBlockedForward:
     def test_empty_and_single_point(self):
         m = init_model(MlpArchitecture(hidden_layers=2, hidden_width=8, skip_layer=2), seed=0)
         assert forward(m, np.empty((0, 3))).shape == (0, 1)
-        assert forward(m, np.zeros(3)).shape == (1,)
+        assert forward(m, np.zeros(3)).shape == (1, 1)
 
     def test_peak_memory_is_one_block(self):
         # 200k points at 6x256: one 65536-row activation matrix alone is 128 MB
@@ -217,7 +217,7 @@ class TestInputGradients:
                     xp, xm = x[b].copy(), x[b].copy()
                     xp[k] += h
                     xm[k] -= h
-                    fd = (forward(m, xp) - forward(m, xm)) / (2 * h)
+                    fd = (forward(m, xp)[0] - forward(m, xm)[0]) / (2 * h)
                     for c in range(arch.output_channels):
                         ref = fd[c]
                         got = dual.gradients[b, c, k]

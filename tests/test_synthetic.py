@@ -254,3 +254,19 @@ class TestShapeSpecs:
         for bad in ("cube", "capsule:1,2,3", "torus:0.5"):
             with pytest.raises(GeometryError):
                 parse_shape(bad)
+
+    @pytest.mark.parametrize(
+        "spec, form",
+        [
+            ("sphere:0.5,1,2", "r or r,cx,cy,cz"),
+            ("sphere:0.5,1,2,3,4", "r or r,cx,cy,cz"),
+            ("nested:0.3,0.2", "r,w1,w2"),
+            ("nested:0.3,0.2,0.2,0.1", "r,w1,w2"),
+            ("bifurcation:1", "no numbers"),
+            ("capsule:1,2,3", "ax,ay,az,bx,by,bz,r"),
+            ("torus:0.5", "R,r"),
+        ],
+    )
+    def test_wrong_number_count_names_the_form(self, spec, form):
+        with pytest.raises(GeometryError, match=form):
+            parse_shape(spec)

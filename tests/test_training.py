@@ -191,7 +191,7 @@ class TestFit:
         report.to_csv(p)
         lines = p.read_text().splitlines()
         assert lines[0].startswith("#")
-        assert lines[1] == "epoch,total,data,eik"
+        assert lines[1] == "epoch,total,data,eik,nesting"
         assert len(lines) == 2 + 5
         row = lines[2].split(",")
         assert float(row[1]) == pytest.approx(float(row[2]) + 0.1 * float(row[3]), rel=1e-9)
@@ -326,11 +326,12 @@ class TestNestingPenalty:
         outer = sphere_cloud(100, r=1.0, seed=1)
         sizes = dict(epochs=20, hidden_width=16, surface_batch_size=64)
         plain, _ = fit_nested([inner, outer], desk_config(**sizes))
-        model, report = fit_nested([inner, outer], desk_config(**sizes, nesting_penalty=1.0))
-        assert report.trace.shape == (20, 3)
+        model, report = fit_nested([inner, outer], desk_config(**sizes, nesting_penalty=0.5))
+        assert report.trace.shape == (20, 4)
         assert np.all(np.isfinite(report.trace))
-        # the reported total is the objective Adam steps on: it carries the weighted hinge
-        total, plain_part = report.trace[:, 0], report.trace[:, 1] + 0.1 * report.trace[:, 2]
-        assert np.all(total >= plain_part) and np.any(total > plain_part)
+        # the reported total is the objective Adam steps on: its columns account for all of it
+        total, data, eik, nesting = report.trace.T
+        np.testing.assert_allclose(total, data + 0.1 * eik + 0.5 * nesting, rtol=0, atol=1e-12)
+        assert np.any(nesting > 0)
         # the hinge changed the parameter updates
         assert any(not np.array_equal(a, b) for a, b in zip(model.parameters(), plain.parameters()))
