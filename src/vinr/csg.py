@@ -129,7 +129,6 @@ class GridSource:
         u = np.clip(u, 0, dims - 1)
         i0 = np.minimum(u.astype(np.int64), dims - 2)
         f = u - i0
-        v = g.values.astype(np.float64)
         out = np.zeros(len(p))
         for dx in (0, 1):
             for dy in (0, 1):
@@ -139,7 +138,8 @@ class GridSource:
                         * (f[:, 1] if dy else 1 - f[:, 1])
                         * (f[:, 2] if dz else 1 - f[:, 2])
                     )
-                    out += w * v[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
+                    corner = g.values[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
+                    out += w * corner.astype(np.float64)  # widen the 8 gathered corners only
         return out
 
 

@@ -12,6 +12,13 @@ the weight gradient and one for the input adjoint, so parameter gradients of
 gradient-penalty terms include the mixed d^2 f / dx dtheta path exactly. The
 data and Eikonal batches share one forward and one backward pass.
 Everything is float64 so finite-difference checks are meaningful.
+
+Both passes run in a caller-owned row workspace (`_Rows`): `fit_nested`
+makes one per fit (`loss_workspace`), `forward` and `forward_with_input_grad`
+one per call, reused across row blocks. GEMMs write into the next layer's
+input buffer; the backward pass reads ReLU's act' = [h > 0] from there and
+then overwrites the buffer with the adjoint of that input. Only softplus
+keeps pre-activations. Returned gradients are fresh arrays.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ __all__ = [
     "forward_with_input_grad",
     "grad_of_loss",
     "loss_value",
+    "loss_workspace",
     "save_model",
     "load_model",
     "ModelFormatError",
@@ -148,8 +156,8 @@ def _act(arch: MlpArchitecture, z: np.ndarray, out: np.ndarray | None = None) ->
 
 def _act_d1(arch: MlpArchitecture, z: np.ndarray) -> np.ndarray:
     if arch.activation == "relu":
-        # subgradient 0 at exactly 0
-        return (z > 0.0).astype(np.float64)
+        # subgradient 0 at exactly 0; products with the mask cast it to 0.0/1.0
+        return z > 0.0
     return _sigmoid(arch.softplus_beta * z)
 
 
@@ -220,35 +228,76 @@ def init_model(arch: MlpArchitecture, seed: int, scheme: str = "standard") -> Ml
 # its value row.
 
 
-def _forward_pass(model: MlpModel, x: np.ndarray, n_tangent: int, caches: list | None = None):
-    """Runs the MLP on a batch x (N, 3), carrying the input Jacobian of the
-    last `n_tangent` points as 3 * n_tangent tangent rows. Returns the values
-    (N, C) and the spatial gradients (n_tangent, C, 3).
+class _Rows:
+    """Stacked row matrices for one (arch, N, T) shape. `inputs[l]` holds
+    the input rows of weight layer l: inputs[0] is x0 = [x; identity
+    tangent rows], and the skip layer's buffer ends in x0's columns. With
+    keep=True each layer has its own buffer, so a backward pass can follow,
+    and softplus keeps its pre-activations in `pre` (act'' needs z itself).
+    With keep=False two buffers take turns, besides the skip buffer."""
 
-    When `caches` is a list, appends to it per layer the (input,
-    pre-activation) pair of stacked row matrices that _backward_pass needs;
-    the output layer's pre-activation is the output. Without it, each
-    activation overwrites its pre-activation, so only a layer or two of rows
-    is alive at a time.
+    def __init__(self, arch: MlpArchitecture, n_rows: int, n_tangent: int, keep: bool):
+        self.arch, self.n_rows, self.n_tangent, self.keep = arch, n_rows, n_tangent, keep
+        R, width = n_rows + INPUT_DIM * n_tangent, arch.hidden_width
+        self.x0 = np.empty((R, INPUT_DIM))
+        self.x0[n_rows:] = np.repeat(np.eye(INPUT_DIM), n_tangent, axis=0)
+        turns = None if keep else [np.empty((R, width)), np.empty((R, width))]
+        self.inputs = [self.x0]
+        for l in range(2, arch.hidden_layers + 2):
+            if l == arch.skip_layer or keep:
+                self.inputs.append(np.zeros((R, arch.layer_in_dim(l))))
+            else:
+                self.inputs.append(turns[l % 2])
+        softplus = keep and arch.activation == "softplus"
+        self.pre = [np.empty((R, width)) for _ in range(arch.hidden_layers)] if softplus else None
+
+
+def _forward_pass(model: MlpModel, x: np.ndarray, rows: _Rows):
+    """Runs the MLP on a batch x (N, 3) in the caller's workspace `rows`,
+    carrying the input Jacobian of the last T = rows.n_tangent points as 3T
+    tangent rows. Returns the values (N, C) and the spatial gradients
+    (T, C, 3), views of one fresh output matrix. Each GEMM writes into the
+    next layer's input buffer (softplus with keep: its `pre` buffer) and the
+    activation runs in place, so the ReLU outputs left there give the
+    backward pass act'; _backward_pass then overwrites them with adjoints.
     """
     arch = model.arch
-    N, T, C = x.shape[0], n_tangent, arch.output_channels
-    x0 = np.concatenate([x, np.repeat(np.eye(INPUT_DIM), T, axis=0)]) if T else x
-    h = x0
-    for l in range(1, arch.hidden_layers + 2):
-        inp = np.concatenate([h, x0], axis=1) if l == arch.skip_layer and l != 1 else h
-        s = inp @ model.weights[l - 1].T
-        s[:N] += model.biases[l - 1]
-        if caches is not None:
-            caches.append((inp, s))
-        if l > arch.hidden_layers:
-            break
-        h = s if caches is None else np.empty_like(s)
+    N, T, C = rows.n_rows, rows.n_tangent, arch.output_channels
+    rows.x0[:N] = x
+    for l in range(1, arch.hidden_layers + 1):
+        inp = rows.inputs[l - 1]
+        if l == arch.skip_layer and l != 1:  # the layer below and a backward pass write here
+            inp[:, -INPUT_DIM:] = rows.x0
+        out, b = rows.inputs[l], model.biases[l - 1]
+        if rows.pre is None:
+            # whole rows keep elementwise work contiguous; the skip buffer's xyz
+            # columns take junk (finite: the buffer starts zeroed) until refilled
+            np.matmul(inp, model.weights[l - 1].T, out=out[:, : arch.hidden_width])
+            s = h = out
+            b = np.concatenate([b, np.zeros(out.shape[1] - len(b))])
+        else:
+            s, h = rows.pre[l - 1], out[:, : arch.hidden_width]
+            np.matmul(inp, model.weights[l - 1].T, out=s)
+        s[:N] += b
         if T:  # tangents first: their act'(z) reads value rows that _act may overwrite
             d1 = _act_d1(arch, s[N - T : N])
             np.multiply(s[N:].reshape(INPUT_DIM, T, -1), d1, out=h[N:].reshape(INPUT_DIM, T, -1))
         _act(arch, s[:N], out=h[:N])
+    s = rows.inputs[-1] @ model.weights[-1].T
+    s[:N] += model.biases[-1]
     return s[:N], s[N:].reshape(INPUT_DIM, T, C).transpose(1, 2, 0)
+
+
+def _blocked_forward(model: MlpModel, pts: np.ndarray, step: int, tangents: bool):
+    """Yields (start, values, gradients) of _forward_pass over blocks of
+    `step` points, all run in one keep=False workspace."""
+    rows = None
+    for s in range(0, len(pts), step):
+        block = pts[s : s + step]
+        if rows is None or rows.n_rows != len(block):
+            rows = None  # free the previous block's workspace before allocating the tail's
+            rows = _Rows(model.arch, len(block), len(block) if tangents else 0, keep=False)
+        yield (s, *_forward_pass(model, block, rows))
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
@@ -258,8 +307,8 @@ def forward(model: MlpModel, x) -> np.ndarray:
     pts = as_points(x)
     rows = max(1, 2**18 // model.arch.hidden_width)
     y = np.empty((len(pts), model.arch.output_channels))
-    for s in range(0, len(pts), rows):
-        y[s : s + rows] = _forward_pass(model, pts[s : s + rows], 0)[0]
+    for s, values, _ in _blocked_forward(model, pts, rows, tangents=False):
+        y[s : s + rows] = values
     return y
 
 
@@ -274,38 +323,40 @@ def forward_with_input_grad(model: MlpModel, x) -> DualBatch:
     rows = max(1, 2**16 // model.arch.hidden_width)
     C = model.arch.output_channels
     y, G = np.empty((len(arr), C)), np.empty((len(arr), C, INPUT_DIM))
-    for s in range(0, len(arr), rows):
-        block = arr[s : s + rows]
-        y[s : s + rows], G[s : s + rows] = _forward_pass(model, block, len(block))
+    for s, values, grads in _blocked_forward(model, arr, rows, tangents=True):
+        y[s : s + rows], G[s : s + rows] = values, grads
     return DualBatch(values=y, gradients=G)
 
 
-def _backward_pass(model: MlpModel, caches, ybar: np.ndarray, Gbar: np.ndarray | None):
-    """Reverse pass through _forward_pass.
+def _backward_pass(model: MlpModel, rows: _Rows, ybar: np.ndarray, Gbar: np.ndarray | None):
+    """Reverse pass through the _forward_pass last run in the keep=True
+    workspace `rows`.
 
     ybar: (N, C) adjoint of the values; Gbar: (T, C, 3) adjoint of the
     spatial gradients of the last T points, or None when the forward pass
-    carried no tangents. Consumes `caches`, freeing each layer's matrices
-    once they are used. Returns parameter gradients in
-    [W1, b1, ..., Wout, bout] order.
+    carried no tangents. Once a layer's weight gradient and ReLU mask are
+    read from its input buffer, the adjoint of that input overwrites it.
+    Returns fresh parameter gradients in [W1, b1, ..., Wout, bout] order.
     """
     arch = model.arch
-    N = ybar.shape[0]
-    T = 0 if Gbar is None else Gbar.shape[0]
+    N, T = rows.n_rows, rows.n_tangent
     sbar = ybar
     if T:
         sbar = np.concatenate([ybar, Gbar.transpose(2, 0, 1).reshape(INPUT_DIM * T, -1)])
     grads = [None] * (2 * len(model.weights))
     for l in range(arch.hidden_layers, -1, -1):
-        grads[2 * l] = sbar.T @ caches.pop()[0]
+        inp = rows.inputs[l]
+        grads[2 * l] = sbar.T @ inp
         grads[2 * l + 1] = sbar[:N].sum(axis=0)
         if l == 0:
             break
+        # z of the previous layer; for ReLU its output has z's sign
+        s = inp[:, : arch.hidden_width] if rows.pre is None else rows.pre[l - 1]
+        d1 = _act_d1(arch, s[:N])
         # the adjoint of this layer's input becomes, in place, the adjoint
         # of the previous layer's pre-activation
-        sbar = (sbar @ model.weights[l])[:, : arch.hidden_width]
-        s = caches[l - 1][1]
-        d1 = _act_d1(arch, s[:N])
+        np.matmul(sbar, model.weights[l], out=inp)
+        sbar = inp[:, : arch.hidden_width]
         sbar[:N] *= d1
         if T:
             sbar_t = sbar[N:].reshape(INPUT_DIM, T, -1)
@@ -316,9 +367,10 @@ def _backward_pass(model: MlpModel, caches, ybar: np.ndarray, Gbar: np.ndarray |
     return grads
 
 
-def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float):
-    """Runs the surface and Eikonal points through one forward pass and
-    returns (LossTerms, caches, ybar, Gbar), the input of _backward_pass."""
+def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float, rows):
+    """Runs the surface and Eikonal points through one forward pass in the
+    keep=True workspace `rows` (a new one when None) and returns (LossTerms,
+    rows, ybar, Gbar), the input of _backward_pass."""
     if lam < 0:
         raise ValueError("lambda must be non-negative")
     if nesting < 0:
@@ -337,8 +389,12 @@ def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: flo
 
     # rows: every channel's surface batch, then the Eikonal batch with tangents
     B = eik.shape[0]
-    caches = []
-    y, G = _forward_pass(model, np.concatenate(batches + [eik]), B, caches)
+    x = np.concatenate(batches + [eik])
+    if rows is None:
+        rows = _Rows(model.arch, len(x), B, keep=True)
+    elif (rows.arch, rows.n_rows, rows.n_tangent, rows.keep) != (model.arch, len(x), B, True):
+        raise ValueError("workspace was not built by loss_workspace for this model and batch sizes")
+    y, G = _forward_pass(model, x, rows)
     ybar = np.zeros_like(y)
     data = 0.0
     row = 0
@@ -372,7 +428,7 @@ def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: flo
     if not np.isfinite(total):
         raise FloatingPointError("non-finite loss")
     terms = LossTerms(total=total, data=float(data), eikonal=eik_term, nesting=hinge)
-    return terms, caches, ybar, Gbar
+    return terms, rows, ybar, Gbar
 
 
 def grad_of_loss(
@@ -381,6 +437,7 @@ def grad_of_loss(
     eikonal_batch,
     lam: float,
     nesting: float = 0.0,
+    workspace: _Rows | None = None,
 ) -> tuple[LossTerms, list]:
     """Loss value and exact parameter gradients for
 
@@ -395,14 +452,26 @@ def grad_of_loss(
 
     surface_batches: one (B_c, 3) array per channel (a single array is
     accepted for C=1).
+
+    workspace: caller-owned row buffers from `loss_workspace` for batches
+    of these sizes (ValueError otherwise), reused on every call as
+    `fit_nested` does; without one, the call builds its own. Its layer
+    inputs are overwritten by their adjoints and ReLU derivatives are read
+    from layer outputs. The returned gradients are fresh arrays.
     """
-    terms, caches, ybar, Gbar = _loss_and_adjoints(model, surface_batches, eikonal_batch, lam, nesting)
-    return terms, _backward_pass(model, caches, ybar, Gbar)
+    terms, rows, ybar, Gbar = _loss_and_adjoints(model, surface_batches, eikonal_batch, lam, nesting, workspace)
+    return terms, _backward_pass(model, rows, ybar, Gbar)
+
+
+def loss_workspace(model: MlpModel, surface_sizes, n_eikonal: int) -> _Rows:
+    """Row buffers for `grad_of_loss(..., workspace=)` on one surface batch
+    per channel of the given sizes and an Eikonal batch of `n_eikonal`."""
+    return _Rows(model.arch, sum(surface_sizes) + n_eikonal, n_eikonal, keep=True)
 
 
 def loss_value(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float = 0.0) -> LossTerms:
     """Loss value only (no gradients), from the same forward pass as grad_of_loss."""
-    return _loss_and_adjoints(model, surface_batches, eikonal_batch, lam, nesting)[0]
+    return _loss_and_adjoints(model, surface_batches, eikonal_batch, lam, nesting, None)[0]
 
 
 # ---------------------------------------------------------------------------

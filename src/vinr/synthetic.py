@@ -380,14 +380,16 @@ def capsule_mesh(a, b, radius: float, segments: int = 24, rings: int = 12) -> Tr
     return TriangleMesh(np.array(verts), tris)
 
 
-def parse_shape(spec: str):
-    """Shape spec mini-language for the CLI.
+_SHAPE_FORMS = "sphere[:r[,cx,cy,cz]] | capsule:ax,ay,az,bx,by,bz,r | torus:R,r | nested[:r,w1,w2] | bifurcation"
 
-    sphere[:r[,cx,cy,cz]] | capsule:ax,ay,az,bx,by,bz,r | torus:R,r |
-    nested[:r,w1,w2] | bifurcation
-    """
+
+def parse_shape(spec: str):
+    """Shape spec mini-language for the CLI, in the forms of _SHAPE_FORMS."""
     name, _, rest = spec.partition(":")
-    args = [float(v) for v in rest.split(",")] if rest else []
+    try:
+        args = [float(v) for v in rest.split(",")] if rest else []
+    except ValueError:
+        raise GeometryError(f"shape spec {spec!r} has a non-numeric field; accepted forms: {_SHAPE_FORMS}") from None
     if name == "sphere":
         if len(args) not in (0, 1, 4):
             raise GeometryError("sphere spec needs r or r,cx,cy,cz")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, PointCloud, fit_transform
-from .network import MlpArchitecture, MlpModel, grad_of_loss, init_model, loss_value
+from .network import MlpArchitecture, MlpModel, grad_of_loss, init_model, loss_value, loss_workspace
 
 __all__ = [
     "TrainConfig",
@@ -202,6 +202,7 @@ def fit_nested(
     n_surf = config.surface_batch_size
     batch_sizes = [min(len(c), 1024) if n_surf is None else min(len(c), n_surf) for c in clouds]
     n_eik = max(batch_sizes)
+    rows = loss_workspace(model, batch_sizes, n_eik)  # every epoch's batches have these sizes
 
     trace = np.zeros((config.epochs, 4))
     start = time.perf_counter()
@@ -213,7 +214,7 @@ def fit_nested(
             batches.append(pts[idx])
         eik_batch = sample_eikonal_points(sampler, all_norm, n_eik, rng)
         try:
-            terms, grads = grad_of_loss(model, batches, eik_batch, config.lam, config.nesting_penalty)
+            terms, grads = grad_of_loss(model, batches, eik_batch, config.lam, config.nesting_penalty, workspace=rows)
         except FloatingPointError:
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}") from None
         trace[epoch] = (terms.total, terms.data, terms.eikonal, terms.nesting)

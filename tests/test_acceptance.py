@@ -31,6 +31,7 @@ from vinr.synthetic import (
 )
 from vinr.training import TrainConfig, fit, fit_nested, loss_value
 
+import einsum_oracle
 from test_csg import assert_band_matches_dense
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -122,15 +123,12 @@ def _off_kink_points(model, n, rng, margin=1e-3):
     """Sample points where no ReLU pre-activation (or output value, which the
     data term takes the absolute value of) is within `margin` of zero, so
     central differences see a locally smooth loss."""
-    from vinr.network import _forward_pass
-
     out = []
     for _ in range(200):
         cand = rng.uniform(-0.9, 0.9, size=(4 * n, 3))
-        caches = []
-        y, _ = _forward_pass(model, cand, 0, caches)
+        y, _, caches = einsum_oracle.forward_pass(model, cand, with_jac=False)
         clear = np.abs(y[:, 0]) > margin
-        for _, z in caches[:-1]:  # (input, pre-activation) of each hidden layer
+        for _, _, z, _ in caches[:-1]:  # (input, Jacobian, pre-activation, ...) of each hidden layer
             clear &= np.abs(z).min(axis=1) > margin
         out.append(cand[clear])
         if sum(len(o) for o in out) >= n:

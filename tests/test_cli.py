@@ -67,6 +67,15 @@ class TestSample:
         rc = run(["sample", "--shape", "pyramid", "--count", "10", "--out", tmp_path / "x.xyz"])
         assert rc == 1
 
+    @pytest.mark.parametrize("spec", ["sphere:abc", "torus:0.6,x", "capsule:0,0,-1,0,0,1,"])
+    def test_non_numeric_shape_field(self, tmp_path, capsys, spec):
+        rc = run(["sample", "--shape", spec, "--count", "3", "--out", tmp_path / "x.xyz"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: shape spec {spec!r} has a non-numeric field; accepted forms: sphere[:r")
+        assert "torus:R,r" in err
+        assert not (tmp_path / "x.xyz").exists()
+
 
 @pytest.fixture(scope="module")
 def fitted_sphere(tmp_path_factory):

@@ -180,6 +180,39 @@ class TestGridSource:
         outside = src.value(np.array([5.0, 9.0, 7.0]))[0]
         assert outside == pytest.approx(inside_corner, abs=1e-6)
 
+    def sphere_grid(self, n):
+        lo, hi = np.full(3, -1.0), np.full(3, 1.0)
+        pts = grid_lattice((n, n, n), lo, hi)
+        vals = (np.linalg.norm(pts, axis=1) - 0.5).reshape((n, n, n), order="F")
+        return ScalarGrid(dims=(n, n, n), bbox_min=lo, bbox_max=hi, values=vals.astype(np.float32))
+
+    def test_matches_widened_grid_bitwise(self):
+        # the same trilinear sum over a float64 copy of the whole grid
+        g = self.sphere_grid(17)
+        p = np.random.default_rng(6).uniform(-1.2, 1.2, size=(500, 3))
+        dims = np.array(g.dims)
+        u = np.clip((p - g.bbox_min) / (g.bbox_max - g.bbox_min) * (dims - 1), 0, dims - 1)
+        i0 = np.minimum(u.astype(np.int64), dims - 2)
+        f, v = u - i0, g.values.astype(np.float64)
+        expect = np.zeros(len(p))
+        for dx in (0, 1):
+            for dy in (0, 1):
+                for dz in (0, 1):
+                    w = (f[:, 0] if dx else 1 - f[:, 0]) * (f[:, 1] if dy else 1 - f[:, 1])
+                    expect += w * (f[:, 2] if dz else 1 - f[:, 2]) * v[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
+        np.testing.assert_array_equal(GridSource(g).value(p), expect)
+
+    def test_point_query_allocates_no_grid_copy(self):
+        g = self.sphere_grid(128)  # 8 MB of float32; a float64 copy is 16 MB
+        src = GridSource(g)
+        tracemalloc.start()
+        try:
+            src.value(np.array([0.1, 0.2, 0.3]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < g.values.nbytes / 100
+
 
 class TestMeshSource:
     def test_sphere_signs(self):

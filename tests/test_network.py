@@ -12,12 +12,14 @@ from vinr.network import (
     ModelFormatError,
     _backward_pass,
     _forward_pass,
+    _Rows,
     forward,
     forward_with_input_grad,
     grad_of_loss,
     init_model,
     load_model,
     loss_value,
+    loss_workspace,
     save_model,
 )
 
@@ -94,6 +96,11 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
 
+def whole_batch(m, x, n_tangent=0):
+    """The core on all of x at once, in a workspace of its own."""
+    return _forward_pass(m, x, _Rows(m.arch, len(x), n_tangent, keep=False))
+
+
 def block_rows(arch):
     """Rows per block of `forward`: ~2 MB of float64 activations."""
     return max(1, 2**18 // arch.hidden_width)
@@ -135,7 +142,7 @@ class TestBlockedForward:
         y = forward(m, x)
         edges = [0, *cuts, n]
         pieces = np.concatenate([forward(m, x[a:b]) for a, b in zip(edges[:-1], edges[1:])])
-        unblocked, _ = _forward_pass(m, x, 0)
+        unblocked, _ = whole_batch(m, x)
         assert pieces.shape == unblocked.shape == y.shape
         assert normwise_rel(pieces, y) <= 1e-15
         assert normwise_rel(unblocked, y) <= 1e-15
@@ -149,7 +156,7 @@ class TestBlockedForward:
         n = 2 * block_rows(arch) + offset
         x = np.random.default_rng(4).uniform(-1, 1, size=(n, 3))
         y = forward(m, x)
-        ref = np.concatenate([_forward_pass(m, x[i : i + 1], 0)[0] for i in range(n)])
+        ref = np.concatenate([whole_batch(m, x[i : i + 1])[0] for i in range(n)])
         assert normwise_rel(ref, y) <= 1e-15
 
     def test_empty_and_single_point(self):
@@ -176,7 +183,7 @@ class TestBlockedForward:
         m = init_model(MlpArchitecture(hidden_layers=4, hidden_width=64), seed=1, scheme="sphere")
         x = np.random.default_rng(1).uniform(-1, 1, size=(2049, 3))
         dual = forward_with_input_grad(m, x)
-        y, G = _forward_pass(m, x, len(x))
+        y, G = whole_batch(m, x, len(x))
         assert normwise_rel(dual.values, y) <= 1e-15
         assert normwise_rel(dual.gradients, G) <= 1e-15
 
@@ -383,13 +390,54 @@ class TestEinsumOracle:
         assert_rel_close(forward(m, eik), y)
 
         # value-only backward (no tangent rows)
-        caches = []
-        y, _ = _forward_pass(m, eik, 0, caches)
+        rows = _Rows(m.arch, len(eik), 0, keep=True)
+        y, _ = _forward_pass(m, eik, rows)
         ybar = rng.normal(size=y.shape)
         _, _, ref_caches = einsum_oracle.forward_pass(m, eik, with_jac=False)
         ref_grads = einsum_oracle.backward_pass(m, ref_caches, ybar, None)
-        for g, ref in zip(_backward_pass(m, caches, ybar, None), ref_grads):
+        for g, ref in zip(_backward_pass(m, rows, ybar, None), ref_grads):
             assert_rel_close(g, ref)
+
+        # a reused workspace: other points and parameters in between leave
+        # no trace, and the gradients never alias its buffers
+        ws = loss_workspace(m, sizes, n_eik)
+        other = MlpModel(
+            arch=arch,
+            weights=[w + rng.normal(0.0, 0.1, size=w.shape) for w in m.weights],
+            biases=[b + rng.normal(0.0, 0.1, size=b.shape) for b in m.biases],
+        )
+        for model, pts, e in [
+            (m, surface, eik),
+            (other, [rng.uniform(-1, 1, size=(n, 3)) for n in sizes], rng.uniform(-1, 1, size=(n_eik, 3))),
+            (m, surface, eik),
+        ]:
+            reused = grad_of_loss(model, pts, e, 0.1, nesting, workspace=ws)
+            fresh = grad_of_loss(model, pts, e, 0.1, nesting)
+            assert reused[0] == fresh[0]
+            for g, f in zip(reused[1], fresh[1]):
+                np.testing.assert_array_equal(g, f)
+                assert not any(np.shares_memory(g, buf) for buf in ws.inputs + (ws.pre or []))
+        assert reused[0] == terms
+
+    def test_mismatched_workspace_raises(self):
+        arch = MlpArchitecture(hidden_layers=3, hidden_width=8, output_channels=2, skip_layer=2)
+        m = init_model(arch, seed=0, scheme="standard")
+        rng = np.random.default_rng(0)
+        surface = [rng.uniform(-1, 1, size=(4, 3)), rng.uniform(-1, 1, size=(5, 3))]
+        eik = rng.uniform(-1, 1, size=(6, 3))
+        wider = init_model(MlpArchitecture(3, 9, 2, 2), seed=0, scheme="standard")
+        softplus = init_model(MlpArchitecture(3, 8, 2, 2, "softplus"), seed=0, scheme="standard")
+        for ws in [
+            loss_workspace(wider, [4, 5], 6),
+            loss_workspace(softplus, [4, 5], 6),
+            loss_workspace(m, [4, 5], 7),
+            loss_workspace(m, [4, 6], 6),
+            loss_workspace(m, [5, 5], 5),  # same row total, other tangent count
+            _Rows(arch, 15, 6, keep=False),  # forward-only buffers cannot run a backward
+        ]:
+            with pytest.raises(ValueError, match="workspace"):
+                grad_of_loss(m, surface, eik, 0.1, workspace=ws)
+        grad_of_loss(m, surface, eik, 0.1, workspace=loss_workspace(m, [4, 5], 6))
 
 
 class TestSerialization:
