@@ -16,16 +16,21 @@ Everything is float64 so finite-difference checks are meaningful.
 Both passes run in a caller-owned row workspace (`_Rows`): `fit_nested`
 makes one per fit (`loss_workspace`), `forward` and `forward_with_input_grad`
 one per call, reused across row blocks. GEMMs write into the next layer's
-input buffer; the backward pass reads ReLU's act' = [h > 0] from there and
-then overwrites the buffer with the adjoint of that input. Only softplus
-keeps pre-activations. Returned gradients are fresh arrays.
+input buffer and the activation runs there in place; the backward pass reads
+the derivatives it needs from those outputs h = act(z), then overwrites the
+buffer with the adjoint of that input. No pre-activation is kept: ReLU's
+act' is [h > 0], and for softplus with sharpness beta,
+    act'(z) = sigma(beta z) = 1 - exp(-beta h),
+    act''(z) Jz = beta exp(-beta h) Ja,
+where Ja = act'(z) Jz is the tangent row the forward pass stores. Returned
+gradients are fresh arrays.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -146,35 +151,31 @@ class LossTerms:
 def _act(arch: MlpArchitecture, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if arch.activation == "relu":
         return np.maximum(z, 0.0, out=out)
+    # above beta z = 37, exp(-beta z) < 2^-52: softplus is z to rounding, and
+    # so are the derivatives _act_d1 and _act_d2 read from it
     bz = arch.softplus_beta * z
-    sp = np.where(bz > 30.0, z, np.log1p(np.exp(np.minimum(bz, 30.0))) / arch.softplus_beta)
+    sp = np.where(bz > 37.0, z, np.log1p(np.exp(np.minimum(bz, 37.0))) / arch.softplus_beta)
     if out is None:
         return sp
     out[...] = sp
     return out
 
 
-def _act_d1(arch: MlpArchitecture, z: np.ndarray) -> np.ndarray:
+def _act_d1(arch: MlpArchitecture, h: np.ndarray) -> np.ndarray:
+    """act'(z) from the output h = act(z): ReLU's [h > 0] (subgradient 0 at
+    exactly 0; products cast the mask to 0.0/1.0), softplus's
+    sigma(beta z) = 1 - exp(-beta h)."""
     if arch.activation == "relu":
-        # subgradient 0 at exactly 0; products with the mask cast it to 0.0/1.0
-        return z > 0.0
-    return _sigmoid(arch.softplus_beta * z)
+        return h > 0.0
+    return -np.expm1(-arch.softplus_beta * h)
 
 
-def _act_d2(arch: MlpArchitecture, z: np.ndarray) -> np.ndarray | None:
+def _act_d2(arch: MlpArchitecture, h: np.ndarray) -> np.ndarray | None:
+    """act''(z) / act'(z) from the output h, or None where act'' is zero:
+    softplus's beta (1 - sigma(beta z)) = beta exp(-beta h)."""
     if arch.activation == "relu":
         return None
-    s = _sigmoid(arch.softplus_beta * z)
-    return arch.softplus_beta * s * (1.0 - s)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return arch.softplus_beta * np.exp(-arch.softplus_beta * h)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +233,10 @@ class _Rows:
     """Stacked row matrices for one (arch, N, T) shape. `inputs[l]` holds
     the input rows of weight layer l: inputs[0] is x0 = [x; identity
     tangent rows], and the skip layer's buffer ends in x0's columns. With
-    keep=True each layer has its own buffer, so a backward pass can follow,
-    and softplus keeps its pre-activations in `pre` (act'' needs z itself).
-    With keep=False two buffers take turns, besides the skip buffer."""
+    keep=True each layer has its own buffer, so a backward pass can follow;
+    with keep=False two buffers take turns, besides the skip buffer. Both
+    activations read their derivatives from these outputs, so nothing else
+    is kept."""
 
     def __init__(self, arch: MlpArchitecture, n_rows: int, n_tangent: int, keep: bool):
         self.arch, self.n_rows, self.n_tangent, self.keep = arch, n_rows, n_tangent, keep
@@ -248,8 +250,6 @@ class _Rows:
                 self.inputs.append(np.zeros((R, arch.layer_in_dim(l))))
             else:
                 self.inputs.append(turns[l % 2])
-        softplus = keep and arch.activation == "softplus"
-        self.pre = [np.empty((R, width)) for _ in range(arch.hidden_layers)] if softplus else None
 
 
 def _forward_pass(model: MlpModel, x: np.ndarray, rows: _Rows):
@@ -257,32 +257,26 @@ def _forward_pass(model: MlpModel, x: np.ndarray, rows: _Rows):
     carrying the input Jacobian of the last T = rows.n_tangent points as 3T
     tangent rows. Returns the values (N, C) and the spatial gradients
     (T, C, 3), views of one fresh output matrix. Each GEMM writes into the
-    next layer's input buffer (softplus with keep: its `pre` buffer) and the
-    activation runs in place, so the ReLU outputs left there give the
-    backward pass act'; _backward_pass then overwrites them with adjoints.
+    next layer's input buffer, the activation runs there in place, and the
+    tangent rows are scaled by act' read from the value rows' outputs. The
+    outputs left there give the backward pass act' and act''/act';
+    _backward_pass then overwrites them with adjoints.
     """
     arch = model.arch
     N, T, C = rows.n_rows, rows.n_tangent, arch.output_channels
     rows.x0[:N] = x
     for l in range(1, arch.hidden_layers + 1):
-        inp = rows.inputs[l - 1]
+        inp, out = rows.inputs[l - 1], rows.inputs[l]
         if l == arch.skip_layer and l != 1:  # the layer below and a backward pass write here
             inp[:, -INPUT_DIM:] = rows.x0
-        out, b = rows.inputs[l], model.biases[l - 1]
-        if rows.pre is None:
-            # whole rows keep elementwise work contiguous; the skip buffer's xyz
-            # columns take junk (finite: the buffer starts zeroed) until refilled
-            np.matmul(inp, model.weights[l - 1].T, out=out[:, : arch.hidden_width])
-            s = h = out
-            b = np.concatenate([b, np.zeros(out.shape[1] - len(b))])
-        else:
-            s, h = rows.pre[l - 1], out[:, : arch.hidden_width]
-            np.matmul(inp, model.weights[l - 1].T, out=s)
-        s[:N] += b
-        if T:  # tangents first: their act'(z) reads value rows that _act may overwrite
-            d1 = _act_d1(arch, s[N - T : N])
-            np.multiply(s[N:].reshape(INPUT_DIM, T, -1), d1, out=h[N:].reshape(INPUT_DIM, T, -1))
-        _act(arch, s[:N], out=h[:N])
+        # whole rows keep elementwise work contiguous; the skip buffer's xyz
+        # columns take junk (finite: the buffer starts zeroed) until refilled
+        np.matmul(inp, model.weights[l - 1].T, out=out[:, : arch.hidden_width])
+        out[:N] += np.concatenate([model.biases[l - 1], np.zeros(out.shape[1] - arch.hidden_width)])
+        _act(arch, out[:N], out=out[:N])
+        if T:
+            t = out[N:].reshape(INPUT_DIM, T, -1)
+            t *= _act_d1(arch, out[N - T : N])
     s = rows.inputs[-1] @ model.weights[-1].T
     s[:N] += model.biases[-1]
     return s[:N], s[N:].reshape(INPUT_DIM, T, C).transpose(1, 2, 0)
@@ -334,9 +328,12 @@ def _backward_pass(model: MlpModel, rows: _Rows, ybar: np.ndarray, Gbar: np.ndar
 
     ybar: (N, C) adjoint of the values; Gbar: (T, C, 3) adjoint of the
     spatial gradients of the last T points, or None when the forward pass
-    carried no tangents. Once a layer's weight gradient and ReLU mask are
-    read from its input buffer, the adjoint of that input overwrites it.
-    Returns fresh parameter gradients in [W1, b1, ..., Wout, bout] order.
+    carried no tangents. Once a layer's weight gradient, act' and act''/act'
+    are read from its input buffer, the adjoint of that input overwrites it.
+    With Ja = act'(z) Jz the tangent rows stored there, act''(z) Jz =
+    (act''/act')(z) Ja, so softplus needs no pre-activations: only its copy
+    of the tangent rows outlives the overwrite. Returns fresh parameter
+    gradients in [W1, b1, ..., Wout, bout] order.
     """
     arch = model.arch
     N, T = rows.n_rows, rows.n_tangent
@@ -350,20 +347,21 @@ def _backward_pass(model: MlpModel, rows: _Rows, ybar: np.ndarray, Gbar: np.ndar
         grads[2 * l + 1] = sbar[:N].sum(axis=0)
         if l == 0:
             break
-        # z of the previous layer; for ReLU its output has z's sign
-        s = inp[:, : arch.hidden_width] if rows.pre is None else rows.pre[l - 1]
-        d1 = _act_d1(arch, s[:N])
+        # whole rows, as in the forward; the skip buffer's xyz columns are x0,
+        # not outputs, so they are zeroed first to keep their junk finite
+        inp[:, arch.hidden_width :] = 0.0
+        d1, d2 = _act_d1(arch, inp[:N]), _act_d2(arch, inp[N - T : N])
+        ja = None if d2 is None else inp[N:].copy()
         # the adjoint of this layer's input becomes, in place, the adjoint
         # of the previous layer's pre-activation
         np.matmul(sbar, model.weights[l], out=inp)
-        sbar = inp[:, : arch.hidden_width]
-        sbar[:N] *= d1
+        inp[:N] *= d1
         if T:
-            sbar_t = sbar[N:].reshape(INPUT_DIM, T, -1)
-            d2 = _act_d2(arch, s[N - T : N])
+            sbar_t = inp[N:].reshape(INPUT_DIM, T, -1)
             if d2 is not None:  # act'' moves tangent adjoints onto the Eikonal value rows
-                sbar[N - T : N] += d2 * (sbar_t * s[N:].reshape(INPUT_DIM, T, -1)).sum(axis=0)
+                inp[N - T : N] += d2 * (sbar_t * ja.reshape(INPUT_DIM, T, -1)).sum(axis=0)
             sbar_t *= d1[N - T :]
+        sbar = inp[:, : arch.hidden_width]
     return grads
 
 
@@ -482,14 +480,7 @@ def save_model(model: MlpModel, path) -> None:
     header = {
         "magic": "VINR",
         "format_version": 1,
-        "arch": {
-            "hidden_layers": model.arch.hidden_layers,
-            "hidden_width": model.arch.hidden_width,
-            "output_channels": model.arch.output_channels,
-            "skip_layer": model.arch.skip_layer,
-            "activation": model.arch.activation,
-            "softplus_beta": model.arch.softplus_beta,
-        },
+        "arch": asdict(model.arch),  # keys in field order
         "transform": None
         if model.transform is None
         else {

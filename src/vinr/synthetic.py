@@ -389,7 +389,9 @@ def parse_shape(spec: str):
     try:
         args = [float(v) for v in rest.split(",")] if rest else []
     except ValueError:
-        raise GeometryError(f"shape spec {spec!r} has a non-numeric field; accepted forms: {_SHAPE_FORMS}") from None
+        args = [np.nan]
+    if not np.isfinite(args).all():  # float() also reads "nan" and "inf"
+        raise GeometryError(f"shape spec {spec!r} has a non-numeric field; accepted forms: {_SHAPE_FORMS}")
     if name == "sphere":
         if len(args) not in (0, 1, 4):
             raise GeometryError("sphere spec needs r or r,cx,cy,cz")

@@ -9,7 +9,29 @@ formulation.
 
 import numpy as np
 
-from vinr.network import INPUT_DIM, _act, _act_d1, _act_d2
+from vinr.network import INPUT_DIM, _act
+
+
+def _sigmoid(x):
+    """Logistic function without overflow: exp only of non-positive values."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _act_d1(arch, z):
+    """act'(z) from the pre-activation, independently of the library, which
+    reads it from the output."""
+    if arch.activation == "relu":
+        return z > 0.0
+    return _sigmoid(arch.softplus_beta * z)
+
+
+def _act_d2(arch, z):
+    """act''(z), or None for ReLU."""
+    if arch.activation == "relu":
+        return None
+    s = _sigmoid(arch.softplus_beta * z)
+    return arch.softplus_beta * s * (1.0 - s)
 
 
 def forward_pass(model, x, with_jac):

@@ -67,7 +67,9 @@ class TestSample:
         rc = run(["sample", "--shape", "pyramid", "--count", "10", "--out", tmp_path / "x.xyz"])
         assert rc == 1
 
-    @pytest.mark.parametrize("spec", ["sphere:abc", "torus:0.6,x", "capsule:0,0,-1,0,0,1,"])
+    @pytest.mark.parametrize(
+        "spec", ["sphere:abc", "torus:0.6,x", "capsule:0,0,-1,0,0,1,", "sphere:nan", "torus:inf,0.1"]
+    )
     def test_non_numeric_shape_field(self, tmp_path, capsys, spec):
         rc = run(["sample", "--shape", spec, "--count", "3", "--out", tmp_path / "x.xyz"])
         assert rc == 1

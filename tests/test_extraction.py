@@ -270,23 +270,26 @@ class TestExtractModel:
 class TestCaseTables:
     """Consistency of the 256-entry cube case tables, checked exhaustively."""
 
-    def test_edge_flags_match_triangle_edges(self):
-        from vinr.mc_tables import EDGE_TABLE, TRI_TABLE
+    @staticmethod
+    def _crossing_and_used(case):
+        """The edges whose corners differ in sign for this case, and the
+        edges its TRI_TABLE triangles place vertices on."""
+        from vinr.mc_tables import EDGE_CORNERS, TRI_TABLE
 
+        inside = [(case >> c) & 1 for c in range(8)]
+        crossing = {e for e, (c1, c2) in enumerate(EDGE_CORNERS) if inside[c1] != inside[c2]}
+        used = {e for tri in np.reshape(TRI_TABLE[case], (-1, 3)) for e in tri}
+        return crossing, used
+
+    def test_every_crossing_edge_is_used(self):
         for case in range(256):
-            used = {e for tri in np.reshape(TRI_TABLE[case], (-1, 3)) for e in tri}
-            flagged = {e for e in range(12) if EDGE_TABLE[case] & (1 << e)}
-            assert used == flagged, f"case {case}"
+            crossing, used = self._crossing_and_used(case)
+            assert crossing <= used, f"case {case}"
 
-    def test_flagged_edges_are_sign_crossing(self):
-        from vinr.mc_tables import EDGE_CORNERS, EDGE_TABLE
-
+    def test_triangle_edges_are_sign_crossing(self):
         for case in range(256):
-            inside = [(case >> c) & 1 for c in range(8)]
-            for e in range(12):
-                if EDGE_TABLE[case] & (1 << e):
-                    c1, c2 = EDGE_CORNERS[e]
-                    assert inside[c1] != inside[c2], f"case {case} edge {e}"
+            crossing, used = self._crossing_and_used(case)
+            assert used <= crossing, f"case {case}"
 
     def test_patch_edges_used_at_most_twice(self):
         # a triangle-patch edge shared by more than two triangles would make

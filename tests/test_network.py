@@ -10,6 +10,9 @@ from vinr.network import (
     MlpArchitecture,
     MlpModel,
     ModelFormatError,
+    _act,
+    _act_d1,
+    _act_d2,
     _backward_pass,
     _forward_pass,
     _Rows,
@@ -318,6 +321,51 @@ class TestLossGradients:
         np.testing.assert_allclose(d1.gradients[:, 0], d2.gradients[:, 0], rtol=1e-14, atol=1e-16)
 
 
+class TestActivationDerivatives:
+    """act' and act''/act' read from the activation's output h = act(z),
+    against their stable pre-activation forms over beta z in [-700, 700],
+    where exp(beta z) stays finite."""
+
+    SOFTPLUS = MlpArchitecture(hidden_layers=1, hidden_width=1, skip_layer=1, activation="softplus")
+
+    def pre_activations(self):
+        """z, sigma(beta z) and beta / (1 + exp(beta z)) = beta sigma(-beta z)."""
+        beta = self.SOFTPLUS.softplus_beta
+        bz = np.concatenate([np.linspace(-700.0, 700.0, 14001), [29.99, 30.0, 30.01, 36.99, 37.0, 37.01]])
+        z = bz / beta
+        bz = beta * z  # as _act rounds it
+        return z, einsum_oracle._sigmoid(bz), beta * einsum_oracle._sigmoid(-bz)
+
+    def test_softplus_d1_is_sigmoid(self):
+        z, sigma, _ = self.pre_activations()
+        d1 = _act_d1(self.SOFTPLUS, _act(self.SOFTPLUS, z))
+        assert np.max(np.abs(d1 / sigma - 1.0)) <= 1e-14
+
+    def test_softplus_d2_is_stable_ratio(self):
+        z, _, ratio = self.pre_activations()
+        d2 = _act_d2(self.SOFTPLUS, _act(self.SOFTPLUS, z))
+        assert np.max(np.abs(d2 / ratio - 1.0)) <= 1e-14
+
+    def test_relu_reads_sign(self):
+        relu = MlpArchitecture(hidden_layers=1, hidden_width=1, skip_layer=1)
+        z = np.array([-np.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, np.inf])
+        np.testing.assert_array_equal(_act_d1(relu, _act(relu, z)), z > 0)
+        assert _act_d2(relu, _act(relu, z)) is None
+
+    def test_workspace_bytes_independent_of_activation(self):
+        def nbytes(ws):
+            arrays = {}
+            for v in vars(ws).values():
+                for a in v if isinstance(v, list) else [v]:
+                    if isinstance(a, np.ndarray):
+                        arrays[id(a)] = a.nbytes
+            return sum(arrays.values())
+
+        relu = init_model(MlpArchitecture(4, 16, 2, 3), seed=0)
+        softplus = init_model(MlpArchitecture(4, 16, 2, 3, "softplus"), seed=0)
+        assert nbytes(loss_workspace(softplus, [5, 6], 7)) == nbytes(loss_workspace(relu, [5, 6], 7))
+
+
 @st.composite
 def oracle_cases(draw):
     """A random small network with nonzero biases, per-channel surface
@@ -416,7 +464,7 @@ class TestEinsumOracle:
             assert reused[0] == fresh[0]
             for g, f in zip(reused[1], fresh[1]):
                 np.testing.assert_array_equal(g, f)
-                assert not any(np.shares_memory(g, buf) for buf in ws.inputs + (ws.pre or []))
+                assert not any(np.shares_memory(g, buf) for buf in ws.inputs)
         assert reused[0] == terms
 
     def test_mismatched_workspace_raises(self):
