@@ -2,6 +2,9 @@
 (k = 0 gives the hard minimum), grid evaluation of SDF sources in real
 coordinates, and blending of per-structure grids into one field.
 
+Lattice computations run over blocks of _LATTICE_BLOCK points into a float32
+result, so the peak is the float32 grid(s) plus one block.
+
 Sources expose value(points) in real units: (N,) signed distances for the
 (N, 3) points of geometry.as_points. Trained models are wrapped so queries
 map through the stored domain transform and the returned distances rescale
@@ -13,6 +16,7 @@ the only optional capability of a source.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,7 @@ __all__ = [
     "evaluate_near_level",
     "blend_grids",
     "grid_lattice",
+    "lattice_blocks",
 ]
 
 
@@ -181,25 +186,41 @@ def _lattice_points(ax, ay, az) -> np.ndarray:
 
 def grid_lattice(dims, bbox_min, bbox_max) -> np.ndarray:
     """Lattice coordinates for the given dims/bbox, x index fastest."""
-    dims = tuple(int(d) for d in dims)
     return _lattice_points(*_grid_axes(dims, bbox_min, bbox_max))
 
 
+# points per block of a streamed lattice computation: a multiple of
+# network.forward's row block at every power-of-two width >= 4, so a model
+# sees the same matrix products as in one call over the whole lattice
+_LATTICE_BLOCK = 2**16
+
+
+def lattice_blocks(dims, bbox_min, bbox_max):
+    """(s, e, points) for consecutive _LATTICE_BLOCK-point runs [s, e) of
+    grid_lattice(dims, bbox_min, bbox_max), each cut from the z-slabs that
+    cover it."""
+    ax, ay, az = _grid_axes(dims, bbox_min, bbox_max)
+    plane = len(ax) * len(ay)
+    for s in range(0, plane * len(az), _LATTICE_BLOCK):
+        e = min(s + _LATTICE_BLOCK, plane * len(az))
+        k0 = s // plane
+        yield s, e, _lattice_points(ax, ay, az[k0 : -(-e // plane)])[s - k0 * plane : e - k0 * plane]
+
+
 def evaluate_on_grid(source, dims, bbox_min, bbox_max) -> ScalarGrid:
-    """Sample an SDF source on a real-coordinate Cartesian lattice.
+    """Sample an SDF source on a real-coordinate Cartesian lattice, one
+    lattice block per source.value call; the values are bitwise those of a
+    single call over grid_lattice, rounded to float32.
 
     For model-backed sources the values are already rescaled to real units;
     lattice points outside the model's trusted domain keep the extrapolated
     value.
     """
     dims = tuple(int(d) for d in dims)
-    vals = source.value(grid_lattice(dims, bbox_min, bbox_max))
-    return ScalarGrid(
-        dims=dims,
-        bbox_min=np.asarray(bbox_min, dtype=np.float64),
-        bbox_max=np.asarray(bbox_max, dtype=np.float64),
-        values=vals.reshape(dims, order="F"),
-    )
+    vals = np.empty(int(np.prod(dims)), dtype=np.float32)
+    for s, e, pts in lattice_blocks(dims, bbox_min, bbox_max):
+        vals[s:e] = source.value(pts)
+    return ScalarGrid(dims, bbox_min, bbox_max, vals.reshape(dims, order="F"))
 
 
 # coarse lattice of evaluate_near_level: every _COARSE_STEP-th index per
@@ -208,9 +229,10 @@ _COARSE_STEP = 4
 
 
 def _straddles(inside):
-    """Cells whose corners lie on both sides of the level."""
+    """Cells whose corners lie on both sides of the level, folded view by
+    view (a ufunc reduce over the list would stack all eight)."""
     corners = cell_corners(inside)
-    return np.logical_or.reduce(corners) & ~np.logical_and.reduce(corners)
+    return functools.reduce(np.logical_or, corners) & ~functools.reduce(np.logical_and, corners)
 
 
 def _nearest_knot(axis, knots):
@@ -238,7 +260,8 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
     evaluated densely instead. Sources without value_and_slope are
     evaluated densely.
 
-    Values are float32 as in any ScalarGrid.
+    Placement runs per x-slab and the band in _LATTICE_BLOCK-point batches
+    in lattice order. Values are float32 as in any ScalarGrid.
     """
     dims = tuple(int(d) for d in dims)
     if not hasattr(source, "value_and_slope"):
@@ -249,38 +272,41 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
     coarse = coarse.reshape(tuple(len(k) for k in knots), order="F")
 
     (px, dx), (py, dy), (pz, dz) = (_nearest_knot(a, k) for a, k in zip(axes, knots))
-    reach = dx[:, None, None] ** 2 + dy[:, None] ** 2 + dz**2
-    np.sqrt(reach, out=reach)
-    reach *= slope  # how far the field can move from the nearest knot
-    near = coarse[np.ix_(px, py, pz)]
-    placed = np.abs(near - iso) > reach
-    values = near.astype(np.float32)  # as a ScalarGrid stores it
-    del reach, near
+    placed = np.empty(dims, dtype=bool)
+    values = np.empty(dims, dtype=np.float32)  # as a ScalarGrid stores it
+    slab = max(1, _LATTICE_BLOCK // (dims[1] * dims[2]))
+    for i in range(0, dims[0], slab):  # x-slabs: the placement test is separable
+        x = slice(i, i + slab)
+        reach = dx[x, None, None] ** 2 + dy[:, None] ** 2 + dz**2
+        np.sqrt(reach, out=reach)
+        reach *= slope  # how far the field can move from the nearest knot
+        near = coarse[np.ix_(px[x], py, pz)]
+        placed[x] = np.abs(near - iso) > reach
+        values[x] = near
 
-    def evaluate(mask):
-        ix, iy, iz = np.nonzero(mask)
-        values[ix, iy, iz] = source.value(np.stack([axes[0][ix], axes[1][iy], axes[2][iz]], axis=1))
+    def evaluate(flat):  # flat indices into values, in lattice order
+        for s in range(0, len(flat), _LATTICE_BLOCK):
+            at = flat[s : s + _LATTICE_BLOCK]
+            ix, iy, iz = np.unravel_index(at, dims)
+            values.reshape(-1)[at] = source.value(np.stack([axes[0][ix], axes[1][iy], axes[2][iz]], axis=1))
 
-    evaluate(~placed)
-    inside = values.astype(np.float64) < iso
+    evaluate(np.flatnonzero(~placed))
+    inside = np.less(values, np.float64(iso))  # in float64: iso may round to a grid value
     across = np.zeros(dims, dtype=bool)
     straddles = _straddles(inside)
     for view in cell_corners(across):
         view |= straddles
     across &= placed
-    evaluate(across)
-    if np.any((values[across].astype(np.float64) < iso) != inside[across]):
+    evaluate(np.flatnonzero(across))
+    if np.any(np.less(values[across], np.float64(iso)) != inside[across]):
         return evaluate_on_grid(source, dims, bbox_min, bbox_max)
-    return ScalarGrid(
-        dims=dims,
-        bbox_min=np.asarray(bbox_min, dtype=np.float64),
-        bbox_max=np.asarray(bbox_max, dtype=np.float64),
-        values=values,
-    )
+    return ScalarGrid(dims, bbox_min, bbox_max, values)
 
 
 def blend_grids(grids, spec: BlendSpec) -> ScalarGrid:
-    """Left-fold of smooth_union over grids on an identical lattice.
+    """Left-fold of smooth_union over grids on an identical lattice, in
+    float64 one lattice block at a time, rounded to float32 per block:
+    bitwise the whole-lattice fold, rounded once.
 
     Fold order is list order; with k=0 the result is the order-independent
     pointwise n-ary minimum.
@@ -295,9 +321,12 @@ def blend_grids(grids, spec: BlendSpec) -> ScalarGrid:
             and np.array_equal(g.bbox_max, first.bbox_max)
         ):
             raise GeometryError("all grids must share dims and bbox")
-    acc = first.values.astype(np.float64)
-    for g in grids[1:]:
-        acc = smooth_union(acc, g.values.astype(np.float64), spec)
-    return ScalarGrid(
-        dims=first.dims, bbox_min=first.bbox_min, bbox_max=first.bbox_max, values=acc
-    )
+    flats = [g.values.reshape(-1, order="F") for g in grids]  # views of F-ordered grids
+    out = np.empty(len(flats[0]), dtype=np.float32)
+    for s in range(0, len(out), _LATTICE_BLOCK):
+        block = slice(s, s + _LATTICE_BLOCK)
+        acc = flats[0][block]
+        for v in flats[1:]:
+            acc = smooth_union(acc, v[block], spec)  # in float64
+        out[block] = acc
+    return ScalarGrid(first.dims, first.bbox_min, first.bbox_max, out.reshape(first.dims, order="F"))

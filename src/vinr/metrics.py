@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csg import ModelSource, evaluate_near_level, grid_lattice
+from .csg import ModelSource, evaluate_near_level, lattice_blocks
 from .csg import evaluate_on_grid  # noqa: F401  (bench/tracing.py wraps metrics.evaluate_on_grid)
 from .extraction import marching_cubes
 from .geometry import GeometryError, PointCloud, point_to_mesh_distance
@@ -114,16 +114,17 @@ def nesting_violation(
     order = list(channel_order) if channel_order is not None else list(range(C - 1, -1, -1))
     if not all(0 <= c < C for c in order):
         raise GeometryError(f"channel_order {order} out of range for C={C}")
-    # one forward for all channels, rounded to float32 as a ScalarGrid stores them
-    vals = ModelSource(model).values(grid_lattice(dims, bbox_min, bbox_max))
-    vals = vals.astype(np.float32).astype(np.float64)
-    worst = -np.inf
-    violated = np.zeros(len(vals), dtype=bool)
-    for outer, inner in zip(order[:-1], order[1:]):
-        gap = vals[:, outer] - vals[:, inner]
-        worst = max(worst, float(gap.max()))
-        violated |= gap > tolerance
-    return NestingReport(fraction_violated=float(violated.mean()), max_violation=worst)
+    worst, count = -np.inf, 0
+    for s, e, pts in lattice_blocks(dims, bbox_min, bbox_max):
+        # one forward for all channels, rounded to float32 as a ScalarGrid stores them
+        vals = ModelSource(model).values(pts).astype(np.float32).astype(np.float64)
+        violated = np.zeros(e - s, dtype=bool)
+        for outer, inner in zip(order[:-1], order[1:]):
+            gap = vals[:, outer] - vals[:, inner]
+            worst = max(worst, float(gap.max()))
+            violated |= gap > tolerance
+        count += int(np.count_nonzero(violated))
+    return NestingReport(fraction_violated=count / e, max_violation=worst)  # e: the lattice size
 
 
 def split_train_heldout(cloud: PointCloud, n_train: int, seed: int) -> tuple[PointCloud, PointCloud]:

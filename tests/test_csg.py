@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vinr import csg
@@ -28,6 +28,7 @@ from vinr.geometry import (
 from vinr.network import MlpArchitecture, init_model
 from vinr.synthetic import Capsule, Offset, Sphere, Torus, UnionList, icosphere
 
+import band_oracle
 from test_network import linear_channel_model
 
 
@@ -437,3 +438,132 @@ class TestBlendGrids:
     def test_needs_two(self):
         with pytest.raises(GeometryError):
             blend_grids(self.make_grids(1), BlendSpec())
+
+
+BLOCK = csg._LATTICE_BLOCK
+
+
+def block_dims():
+    """Lattices below one block, of exactly one block, of four blocks and
+    one point, and above one block with blocks that start mid-plane."""
+    return st.one_of(
+        st.tuples(st.integers(2, 30), st.integers(2, 30), st.integers(2, 30)),
+        st.sampled_from([(64, 32, 32), (16, 64, 64), (2, 256, 128)]),
+        st.sampled_from([(65, 37, 109), (109, 65, 37)]),  # 4 * BLOCK + 1 points
+        st.tuples(st.integers(37, 48), st.integers(37, 48), st.integers(48, 60)),
+    )
+
+
+def bumpy_model(width, layers=3, seed=0):
+    rng = np.random.default_rng(seed)
+    model = init_model(MlpArchitecture(hidden_layers=layers, hidden_width=width, skip_layer=2), seed=seed, scheme="sphere")
+    for w in model.weights:
+        w += rng.normal(0.0, 0.05, size=w.shape)
+    model.transform = DomainTransform(scale=1.1, center=np.array([0.05, -0.02, 0.01]))
+    return model
+
+
+def peak_bytes(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLatticeBlocks:
+    """Streamed lattice evaluation is bitwise the one-shot evaluation of
+    band_oracle, and holds no lattice-sized float64 array."""
+
+    LO, HI = np.array([-1.0, -0.9, -1.1]), np.array([1.0, 1.2, 0.9])
+    SETTINGS = settings(max_examples=6, deadline=None, derandomize=True, database=None)
+
+    @SETTINGS
+    @given(dims=block_dims())
+    @example(dims=(65, 37, 109))
+    def test_blocks_tile_the_lattice(self, dims):
+        ends, parts = [0], []
+        for s, e, pts in csg.lattice_blocks(dims, self.LO, self.HI):
+            assert s == ends[-1] and e - s == len(pts) and (e - s == BLOCK or e == np.prod(dims))
+            ends.append(e)
+            parts.append(pts)
+        np.testing.assert_array_equal(np.concatenate(parts), grid_lattice(dims, self.LO, self.HI))
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: ModelSource(bumpy_model(4)), id="model-4"),
+        pytest.param(lambda: ModelSource(bumpy_model(16)), id="model-16"),
+        pytest.param(lambda: ModelSource(bumpy_model(64)), id="model-64"),
+        pytest.param(lambda: ModelSource(bumpy_model(37)), id="model-37"),
+        pytest.param(lambda: GridSource(evaluate_on_grid(Torus((0.0, 0.1, 0.0), 0.5, 0.15), (9, 8, 7), -np.ones(3), np.ones(3))), id="grid"),
+        pytest.param(lambda: UnionList((Sphere(radius=0.3), Capsule((0.0, 0.0, -0.5), (0.2, 0.1, 0.5), 0.2))), id="union"),
+    ])
+    @SETTINGS
+    @given(dims=block_dims())
+    @example(dims=(64, 32, 32))
+    @example(dims=(65, 37, 109))
+    def test_grid_matches_one_shot(self, make, dims):
+        source = make()
+        grid = evaluate_on_grid(source, dims, self.LO, self.HI)
+        assert grid.values.tobytes(order="F") == band_oracle.dense_values(source, dims, self.LO, self.HI).tobytes(order="F")
+
+    @settings(max_examples=3, deadline=None, derandomize=True, database=None)
+    @given(dims=st.sampled_from([(9, 10, 11), (64, 32, 32), (37, 41, 53)]))
+    def test_mesh_grid_matches_one_shot(self, dims):
+        source = MeshSource(icosphere(0, radius=0.6))
+        grid = evaluate_on_grid(source, dims, self.LO, self.HI)
+        assert grid.values.tobytes(order="F") == band_oracle.dense_values(source, dims, self.LO, self.HI).tobytes(order="F")
+
+    @pytest.mark.parametrize("spec", [BlendSpec(k=0.1), BlendSpec(k=0.3, variant="quilez"), BlendSpec(k=0.0)], ids=str)
+    @SETTINGS
+    @given(dims=block_dims(), seed=st.integers(0, 2**32 - 1))
+    @example(dims=(65, 37, 109), seed=0)
+    def test_blend_matches_whole_lattice_fold(self, spec, dims, seed):
+        rng = np.random.default_rng(seed)
+        values = [rng.normal(scale=0.1, size=dims).astype(np.float32) for _ in range(3)]
+        values[1] = np.asfortranarray(values[1])  # a grid in either memory order
+        grids = [ScalarGrid(dims, self.LO, self.HI, v) for v in values]
+        expect = band_oracle.blend_values(grids, spec)
+        assert blend_grids(grids, spec).values.tobytes(order="F") == expect.tobytes(order="F")
+
+    @pytest.mark.parametrize("iso", [0.1, 1 / 3])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(width=st.sampled_from([4, 16, 64]), dims=block_dims())
+    @example(width=64, dims=(65, 37, 109))
+    def test_band_matches_oracle(self, iso, width, dims):
+        source = ModelSource(bumpy_model(width, seed=width))
+        band = evaluate_near_level(source, dims, self.LO, self.HI, iso)
+        expect = band_oracle.near_level_values(source, dims, self.LO, self.HI, iso)
+        assert band.values.tobytes(order="F") == expect.tobytes(order="F")
+
+    @pytest.mark.parametrize("dims", [(33, 33, 33), (65, 37, 109)])
+    def test_band_dense_fallback_matches_oracle(self, dims):
+        source = SlopeUnderstated([0.6875, 0.125, 0.125])
+        band = evaluate_near_level(source, dims, -np.ones(3), np.ones(3))
+        expect = band_oracle.near_level_values(source, dims, -np.ones(3), np.ones(3))
+        assert band.values.tobytes(order="F") == expect.tobytes(order="F")
+        assert band.values.flags.f_contiguous  # the dense grid
+
+    # peak traced memory at 96^3 relative to the float32 grid returned;
+    # the whole-lattice forms peak at 22x, 15.9x, 10x and 8.0x
+    DIMS = (96, 96, 96)
+    GRID_BYTES = 4 * 96**3
+
+    def test_analytic_grid_peak(self):
+        peak = peak_bytes(lambda: evaluate_on_grid(Sphere(radius=0.5), self.DIMS, -np.ones(3), np.ones(3)))
+        assert peak <= 3 * self.GRID_BYTES, peak / self.GRID_BYTES
+
+    def test_model_grid_peak(self):
+        source = ModelSource(bumpy_model(64, layers=4))
+        peak = peak_bytes(lambda: evaluate_on_grid(source, self.DIMS, -np.ones(3), np.ones(3)))
+        assert peak <= 4.5 * self.GRID_BYTES, peak / self.GRID_BYTES
+
+    def test_blend_peak(self):
+        grids = [evaluate_on_grid(Sphere((0.1 * i, 0.0, 0.0), 0.5), self.DIMS, -np.ones(3), np.ones(3)) for i in range(3)]
+        peak = peak_bytes(lambda: blend_grids(grids, BlendSpec(k=0.1)))
+        assert peak <= 5 * self.GRID_BYTES, peak / self.GRID_BYTES
+
+    def test_band_peak(self):
+        source = ModelSource(bumpy_model(64, layers=4))
+        peak = peak_bytes(lambda: evaluate_near_level(source, self.DIMS, -np.ones(3), np.ones(3)))
+        assert peak <= 6 * self.GRID_BYTES, peak / self.GRID_BYTES

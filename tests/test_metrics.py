@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import band_oracle
 from vinr.csg import MeshSource, ModelSource, evaluate_on_grid
 from vinr.extraction import marching_cubes
 from vinr.geometry import point_to_mesh_distance
@@ -198,6 +199,19 @@ class TestNestingViolation:
                 max_violation=max(float(g.max()) for g in gaps),
             )
             assert 0.0 < rep.fraction_violated < 1.0
+
+    @pytest.mark.parametrize("dims", [(12, 10, 9), (64, 32, 32), (37, 41, 53), (65, 37, 109)])
+    def test_blocks_match_one_shot(self, dims):
+        # one block, exactly one block, blocks starting mid-plane, 4 blocks + 1 point
+        arch = MlpArchitecture(hidden_layers=2, hidden_width=16, output_channels=3, skip_layer=2)
+        m = init_model(arch, seed=7, scheme="standard")
+        m.biases[-1][:] = [0.05, 0.0, -0.05]
+        m.transform = DomainTransform(scale=0.8, center=np.array([0.1, -0.2, 0.0]))
+        lo, hi = -np.ones(3), np.ones(3)
+        rep = nesting_violation(m, dims, lo, hi, channel_order=[0, 2, 1], tolerance=0.01)
+        expect = band_oracle.nesting_violation(m, dims, lo, hi, [0, 2, 1], 0.01)
+        assert (rep.fraction_violated, rep.max_violation) == expect
+        assert 0.0 < rep.fraction_violated < 1.0
 
     @pytest.mark.parametrize("order", [[2, 0], [-1, 0]])
     def test_channel_order_out_of_range(self, order):
