@@ -31,15 +31,11 @@ def _load_config_file(path) -> dict:
     """`key = value` lines, keys being flag dests. Values stay strings, which
     argparse converts with the flag's own type when it applies a default."""
     out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value")
-            k, _, v = line.partition("=")
-            out[k.strip().replace("-", "_")] = v.strip()
+    for lineno, line in geometry.text_records(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key = value")
+        k, _, v = line.partition("=")
+        out[k.strip().replace("-", "_")] = v.strip()
     return out
 
 
@@ -123,6 +119,9 @@ def cmd_blend(args) -> int:
     if len(args.models) < 2:
         print("blend needs at least two models", file=sys.stderr)
         return 2
+    if not (args.out_grid or args.out_mesh):
+        print("nothing to write: pass --out-grid and/or --out-mesh", file=sys.stderr)
+        return 2
     models = [network.load_model(p) for p in args.models]
     lo, hi = args.bbox
     dims = (args.dims,) * 3
@@ -132,17 +131,11 @@ def cmd_blend(args) -> int:
     ]
     spec = csg.BlendSpec(k=args.k, variant=args.variant)
     blended = csg.blend_grids(grids, spec)
-    wrote = False
     if args.out_grid:
         geometry.write_grid(blended, args.out_grid)
-        wrote = True
     if args.out_mesh:
         mesh = extraction.marching_cubes(blended, iso=0.0)
         geometry.save_mesh(mesh, args.out_mesh)
-        wrote = True
-    if not wrote:
-        print("nothing to write: pass --out-grid and/or --out-mesh", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -250,27 +243,22 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    wrote = False
+    if not (args.out_mesh or args.out_points):
+        print("nothing to write: pass --out-mesh and/or --out-points", file=sys.stderr)
+        return 2
+    shape = synthetic.parse_shape(args.shape)
     if args.out_mesh:
-        if args.shape.startswith("sphere"):
-            shape = synthetic.parse_shape(args.shape)
+        if isinstance(shape, synthetic.Sphere):
             mesh = synthetic.icosphere(args.subdiv, shape.radius, shape.center)
-        elif args.shape.startswith("capsule"):
-            shape = synthetic.parse_shape(args.shape)
+        elif isinstance(shape, synthetic.Capsule):
             mesh = synthetic.capsule_mesh(shape.a, shape.b, shape.radius)
         else:
             print(f"no tessellation for shape {args.shape!r}", file=sys.stderr)
             return 2
         geometry.save_mesh(mesh, args.out_mesh)
-        wrote = True
     if args.out_points:
-        shape = synthetic.parse_shape(args.shape)
         cloud = synthetic.sample_analytic_surface(shape, args.count, args.seed)
         geometry.save_point_cloud(cloud, args.out_points)
-        wrote = True
-    if not wrote:
-        print("nothing to write: pass --out-mesh and/or --out-points", file=sys.stderr)
-        return 2
     return 0
 
 
@@ -303,8 +291,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--heldout", type=int, default=0, help="also write N disjoint held-out points")
     p.add_argument("--heldout-out")
-    p.set_defaults(**config)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(**{**config, "func": cmd_sample})
 
     p = sub.add_parser("fit", help="fit an SDF model to one or more point clouds")
     p.add_argument("--points", action="append", required=True,
@@ -313,8 +300,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.add_argument("--channel-names", nargs="*", default=None)
     _add_fit_flags(p)
-    p.set_defaults(**config)
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(**{**config, "func": cmd_fit})
 
     p = sub.add_parser("blend", help="blend trained models on a shared grid")
     p.add_argument("--models", nargs="+", required=True)
@@ -325,8 +311,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--out-grid")
     p.add_argument("--out-mesh")
-    p.set_defaults(**config)
-    p.set_defaults(func=cmd_blend)
+    p.set_defaults(**{**config, "func": cmd_blend})
 
     p = sub.add_parser("extract", help="marching-cubes mesh from a model or grid")
     src = p.add_mutually_exclusive_group(required=True)
@@ -337,8 +322,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--iso", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(**config)
-    p.set_defaults(func=cmd_extract)
+    p.set_defaults(**{**config, "func": cmd_extract})
 
     p = sub.add_parser("eval", help="DSC / ASD / nesting metrics for a model")
     p.add_argument("--model", required=True)
@@ -351,8 +335,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--bbox", type=_bbox_arg)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--report")
-    p.set_defaults(**config)
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(**{**config, "func": cmd_eval})
 
     p = sub.add_parser("sweep", help="robustness sweep over point-cloud sizes")
     src = p.add_mutually_exclusive_group(required=True)
@@ -364,8 +347,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     _add_fit_flags(p)
-    p.set_defaults(**config)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(**{**config, "func": cmd_sweep})
 
     p = sub.add_parser("fixtures", help="emit analytic fixture meshes / point clouds")
     p.add_argument("--shape", required=True)
@@ -374,8 +356,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-mesh")
     p.add_argument("--out-points")
-    p.set_defaults(**config)
-    p.set_defaults(func=cmd_fixtures)
+    p.set_defaults(**{**config, "func": cmd_fixtures})
 
     return parser
 

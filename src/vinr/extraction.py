@@ -60,12 +60,11 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
     nx, ny, nz = grid.dims
     if min(nx, ny, nz) < 2:
         raise GeometryError("marching cubes needs at least 2 samples per axis")
-    v = grid.values.astype(np.float64)
-    v = np.where(v == iso, iso + 1e-12, v)
-
-    # cube index per cell, bit i set when corner i is inside
+    # cube index per cell, bit i set when corner i is inside; the compare
+    # runs in float64, and a sample equal to iso counts as outside, where
+    # the nudge below puts it
     cube = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint16)
-    for bit, corner in enumerate(cell_corners(v < iso)):
+    for bit, corner in enumerate(cell_corners(np.less(grid.values, np.float64(iso)))):
         cube |= corner.astype(np.uint16) << bit
     active = np.argwhere((cube != 0) & (cube != 255))
     if len(active) == 0:
@@ -90,8 +89,9 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
     axis, low = axis[sel], low[sel]
     high = low.copy()
     high[np.arange(len(sel)), axis] += 1
-    v1 = v[tuple(low.T)]
-    v2 = v[tuple(high.T)]
+    # only the edge samples are widened, and nudged off iso
+    v1, v2 = (grid.values[tuple(c.T)].astype(np.float64) for c in (low, high))
+    v1, v2 = (np.where(x == iso, iso + 1e-12, x) for x in (v1, v2))
     t = (iso - v1) / (v2 - v1)
     axes = grid.axes()
     vertices = np.stack([axes[k][low[:, k]] for k in range(3)], axis=1)

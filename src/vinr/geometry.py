@@ -23,6 +23,7 @@ __all__ = [
     "GeometryError",
     "as_points",
     "lattice_axes",
+    "text_records",
     "load_point_cloud",
     "save_point_cloud",
     "load_mesh",
@@ -87,14 +88,10 @@ class TriangleMesh:
             raise GeometryError("mesh has non-finite vertex coordinates")
         if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
             raise GeometryError("triangle index out of range")
-        if tris.size:
-            a, b, c = (verts[tris[:, i]] for i in range(3))
-            areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-            keep = areas > 0.0
-            if not keep.all():
-                tris = tris[keep]
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
+        if tris.size and not (keep := self.areas() > 0.0).all():
+            object.__setattr__(self, "triangles", tris[keep])
 
     @property
     def num_vertices(self) -> int:
@@ -211,24 +208,31 @@ def lattice_axes(dims, bbox_min, bbox_max) -> tuple[np.ndarray, np.ndarray, np.n
 # file I/O
 
 
-def load_point_cloud(path) -> PointCloud:
-    """Parse an .xyz text file: one 'x y z' line per point, '#' comments."""
-    pts = []
+def text_records(path):
+    """Yield (line number, stripped line) for every line of a UTF-8 text
+    file that is neither blank nor a '#' comment: the line rule of the .xyz,
+    .obj and config readers."""
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise GeometryError(f"{path}:{lineno}: expected 3 values, got {len(parts)}")
-            try:
-                xyz = [float(v) for v in parts]
-            except ValueError:
-                raise GeometryError(f"{path}:{lineno}: malformed number") from None
-            if not all(np.isfinite(v) for v in xyz):
-                raise GeometryError(f"{path}:{lineno}: non-finite coordinate")
-            pts.append(xyz)
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
+def load_point_cloud(path) -> PointCloud:
+    """Parse an .xyz text file: one 'x y z' line per point, '#' comments."""
+    pts = []
+    for lineno, line in text_records(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise GeometryError(f"{path}:{lineno}: expected 3 values, got {len(parts)}")
+        try:
+            xyz = [float(v) for v in parts]
+        except ValueError:
+            raise GeometryError(f"{path}:{lineno}: malformed number") from None
+        if not all(np.isfinite(v) for v in xyz):
+            raise GeometryError(f"{path}:{lineno}: non-finite coordinate")
+        pts.append(xyz)
     return PointCloud(np.array(pts, dtype=np.float64).reshape(-1, 3))
 
 
@@ -244,30 +248,26 @@ def load_mesh(path) -> TriangleMesh:
     verts = []
     tris = []
     ignored: set[str] = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag == "v":
-                if len(parts) != 4:
-                    raise GeometryError(f"{path}:{lineno}: vertex needs 3 coordinates")
-                verts.append([float(v) for v in parts[1:]])
-            elif tag == "f":
-                if len(parts) != 4:
-                    raise GeometryError(f"{path}:{lineno}: only triangular faces supported")
-                idx = []
-                for tok in parts[1:]:
-                    # tolerate v/vt/vn face tokens, use the vertex index only
-                    i = int(tok.split("/")[0])
-                    if i < 0:
-                        raise GeometryError(f"{path}:{lineno}: negative indices unsupported")
-                    idx.append(i - 1)
-                tris.append(idx)
-            else:
-                ignored.add(tag)
+    for lineno, line in text_records(path):
+        parts = line.split()
+        tag = parts[0]
+        if tag == "v":
+            if len(parts) != 4:
+                raise GeometryError(f"{path}:{lineno}: vertex needs 3 coordinates")
+            verts.append([float(v) for v in parts[1:]])
+        elif tag == "f":
+            if len(parts) != 4:
+                raise GeometryError(f"{path}:{lineno}: only triangular faces supported")
+            idx = []
+            for tok in parts[1:]:
+                # tolerate v/vt/vn face tokens, use the vertex index only
+                i = int(tok.split("/")[0])
+                if i < 0:
+                    raise GeometryError(f"{path}:{lineno}: negative indices unsupported")
+                idx.append(i - 1)
+            tris.append(idx)
+        else:
+            ignored.add(tag)
     if ignored:
         warnings.warn(f"{path}: ignored OBJ records: {sorted(ignored)}", stacklevel=2)
     verts_arr = np.array(verts, dtype=np.float64).reshape(-1, 3)

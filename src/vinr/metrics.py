@@ -11,7 +11,7 @@ import numpy as np
 from .csg import ModelSource, evaluate_near_level, lattice_blocks
 from .csg import evaluate_on_grid  # noqa: F401  (bench/tracing.py wraps metrics.evaluate_on_grid)
 from .extraction import marching_cubes
-from .geometry import GeometryError, PointCloud, point_to_mesh_distance
+from .geometry import GeometryError, PointCloud, TriangleMesh, point_to_mesh_distance
 from .network import MlpModel
 
 __all__ = [
@@ -65,8 +65,6 @@ def average_surface_distance(
     """
     if len(heldout) < 1:
         raise GeometryError("need at least one held-out point")
-    from .geometry import TriangleMesh
-
     if isinstance(reconstruction, TriangleMesh):
         mesh = reconstruction
     else:

@@ -2,13 +2,16 @@
 
 Every shape exposes value(points) -> signed distances, (N,) for the (N, 3)
 points of geometry.as_points, so shapes plug directly into grid evaluation,
-blending and metrics as SDF sources, and bbox() -> (lo, hi), the
-axis-aligned box that holds the surface.
+blending and metrics as SDF sources; bbox() -> (lo, hi), the axis-aligned
+box that holds the surface; and sample(n, rng) -> (n, 3) approximately
+area-uniform points on the surface. Primitives and offsets also expose
+dilated(delta), the same kind of shape grown by delta, which is how an
+offset samples its surface.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +48,12 @@ class Sphere:
         c = np.asarray(self.center)
         return c - self.radius, c + self.radius
 
+    def sample(self, n, rng) -> np.ndarray:
+        return np.asarray(self.center) + self.radius * _directions(n, rng)
+
+    def dilated(self, delta) -> Sphere:
+        return replace(self, radius=self.radius + delta)
+
 
 @dataclass(frozen=True)
 class Capsule:
@@ -73,6 +82,34 @@ class Capsule:
         a, b = np.asarray(self.a), np.asarray(self.b)
         return np.minimum(a, b) - self.radius, np.maximum(a, b) + self.radius
 
+    def sample(self, n, rng) -> np.ndarray:
+        a = np.asarray(self.a, dtype=np.float64)
+        b = np.asarray(self.b, dtype=np.float64)
+        axis = b - a
+        r = self.radius
+        area_cyl = 2 * np.pi * r * np.linalg.norm(axis)
+        area_caps = 4 * np.pi * r * r  # two hemispheres
+        on_cyl = rng.random(n) < area_cyl / (area_cyl + area_caps)
+        ez, ex, ey = _frame(a, b)
+
+        pts = np.empty((n, 3))
+        # cylinder part
+        m = int(on_cyl.sum())
+        t = rng.random(m)
+        phi = rng.random(m) * 2 * np.pi
+        pts[on_cyl] = (
+            a
+            + t[:, None] * axis
+            + r * (np.cos(phi)[:, None] * ex + np.sin(phi)[:, None] * ey)
+        )
+        # caps: uniform sphere directions, assigned to the matching end
+        v = _directions(n - m, rng)
+        pts[~on_cyl] = np.where((v @ ez > 0)[:, None], b, a) + r * v
+        return pts
+
+    def dilated(self, delta) -> Capsule:
+        return replace(self, radius=self.radius + delta)
+
 
 @dataclass(frozen=True)
 class Torus:
@@ -95,6 +132,28 @@ class Torus:
         r = np.array([self.major + self.minor] * 2 + [self.minor])
         return c - r, c + r
 
+    def sample(self, n, rng) -> np.ndarray:
+        # area element is (R + r cos v) dv du: rejection-sample the tube angle
+        out = np.empty((n, 3))
+        filled = 0
+        R, r = self.major, self.minor
+        while filled < n:
+            m = 2 * (n - filled) + 16
+            u = rng.random(m) * 2 * np.pi
+            v = rng.random(m) * 2 * np.pi
+            accept = rng.random(m) * (R + r) <= R + r * np.cos(v)
+            u, v = u[accept], v[accept]
+            take = min(len(u), n - filled)
+            u, v = u[:take], v[:take]
+            ring = R + r * np.cos(v)
+            pts = np.stack([ring * np.cos(u), ring * np.sin(u), r * np.sin(v)], axis=1)
+            out[filled : filled + take] = np.asarray(self.center) + pts
+            filled += take
+        return out
+
+    def dilated(self, delta) -> Torus:
+        return replace(self, minor=self.minor + delta)
+
 
 @dataclass(frozen=True)
 class Offset:
@@ -109,6 +168,14 @@ class Offset:
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.shape.bbox()
         return lo - self.delta, hi + self.delta
+
+    def sample(self, n, rng) -> np.ndarray:
+        if not hasattr(self.shape, "dilated"):
+            raise GeometryError("offset sampling supported for primitives only")
+        return self.shape.dilated(self.delta).sample(n, rng)
+
+    def dilated(self, delta) -> Offset:
+        return replace(self, delta=self.delta + delta)
 
 
 @dataclass(frozen=True)
@@ -130,127 +197,56 @@ class UnionList:
         boxes = [s.bbox() for s in self.shapes]
         return np.min([b[0] for b in boxes], axis=0), np.max([b[1] for b in boxes], axis=0)
 
-
-# ---------------------------------------------------------------------------
-# surface sampling
-
-
-def _sample_sphere(shape: Sphere, n, rng):
-    v = rng.normal(size=(n, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return np.asarray(shape.center) + shape.radius * v
-
-
-def _sample_capsule(shape: Capsule, n, rng):
-    a = np.asarray(shape.a, dtype=np.float64)
-    b = np.asarray(shape.b, dtype=np.float64)
-    axis = b - a
-    length = np.linalg.norm(axis)
-    r = shape.radius
-    area_cyl = 2 * np.pi * r * length
-    area_caps = 4 * np.pi * r * r  # two hemispheres
-    u = rng.random(n)
-    on_cyl = u < area_cyl / (area_cyl + area_caps)
-
-    if length > 0:
-        ez = axis / length
-    else:
-        ez = np.array([0.0, 0.0, 1.0])
-    tmp = np.array([1.0, 0.0, 0.0]) if abs(ez[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    ex = np.cross(tmp, ez)
-    ex /= np.linalg.norm(ex)
-    ey = np.cross(ez, ex)
-
-    pts = np.empty((n, 3))
-    # cylinder part
-    m = int(on_cyl.sum())
-    t = rng.random(m)
-    phi = rng.random(m) * 2 * np.pi
-    pts[on_cyl] = (
-        a
-        + t[:, None] * axis
-        + r * (np.cos(phi)[:, None] * ex + np.sin(phi)[:, None] * ey)
-    )
-    # caps: uniform sphere directions, assigned to the matching end
-    k = n - m
-    v = rng.normal(size=(k, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    toward_b = v @ ez > 0
-    centers = np.where(toward_b[:, None], b, a)
-    pts[~on_cyl] = centers + r * v
-    return pts
-
-
-def _sample_torus(shape: Torus, n, rng):
-    # area element is (R + r cos v) dv du: rejection-sample the tube angle
-    out = np.empty((n, 3))
-    filled = 0
-    R, r = shape.major, shape.minor
-    while filled < n:
-        m = 2 * (n - filled) + 16
-        u = rng.random(m) * 2 * np.pi
-        v = rng.random(m) * 2 * np.pi
-        accept = rng.random(m) * (R + r) <= R + r * np.cos(v)
-        u, v = u[accept], v[accept]
-        take = min(len(u), n - filled)
-        u, v = u[:take], v[:take]
-        ring = R + r * np.cos(v)
-        pts = np.stack([ring * np.cos(u), ring * np.sin(u), r * np.sin(v)], axis=1)
-        out[filled : filled + take] = np.asarray(shape.center) + pts
-        filled += take
-    return out
-
-
-def sample_analytic_surface(shape, n: int, seed: int) -> PointCloud:
-    """n approximately area-uniform samples on the shape's surface.
-
-    Spheres/capsules/tori use closed-form parameterizations; offsets sample
-    the dilated primitive; unions sample components area-proportionally and
-    reject points swallowed by another component.
-    """
-    rng = np.random.default_rng(seed)
-    return PointCloud(_sample_shape(shape, n, rng))
-
-
-def _sample_shape(shape, n, rng) -> np.ndarray:
-    if n == 0:
-        return np.empty((0, 3))
-    if isinstance(shape, Sphere):
-        return _sample_sphere(shape, n, rng)
-    if isinstance(shape, Capsule):
-        return _sample_capsule(shape, n, rng)
-    if isinstance(shape, Torus):
-        return _sample_torus(shape, n, rng)
-    if isinstance(shape, Offset):
-        return _sample_shape(_dilated(shape), n, rng)
-    if isinstance(shape, UnionList):
+    def sample(self, n, rng) -> np.ndarray:
+        # sample every component, drop the points another one swallows
         out = np.empty((0, 3))
         for attempt in range(64):
             need = n - len(out)
             if need <= 0:
                 break
-            batch = np.concatenate(
-                [_sample_shape(s, need + 8, rng) for s in shape.shapes]
-            )
-            keep = np.abs(shape.value(batch)) < 1e-9
-            batch = batch[keep]
+            batch = np.concatenate([_sample(s, need + 8, rng) for s in self.shapes])
+            batch = batch[np.abs(self.value(batch)) < 1e-9]
             rng.shuffle(batch)
             out = np.concatenate([out, batch])
         if len(out) < n:
             raise GeometryError("rejection sampling of union surface failed")
         return out[:n]
-    raise GeometryError(f"cannot sample surface of {type(shape).__name__}")
 
 
-def _dilated(shape: Offset):
-    inner = shape.shape
-    if isinstance(inner, Sphere):
-        return Sphere(inner.center, inner.radius + shape.delta)
-    if isinstance(inner, Capsule):
-        return Capsule(inner.a, inner.b, inner.radius + shape.delta)
-    if isinstance(inner, Torus):
-        return Torus(inner.center, inner.major, inner.minor + shape.delta)
-    raise GeometryError("offset sampling supported for primitives only")
+# ---------------------------------------------------------------------------
+# surface sampling
+
+
+def _directions(n, rng) -> np.ndarray:
+    """n uniformly distributed unit vectors, (n, 3)."""
+    v = rng.normal(size=(n, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
+
+
+def _frame(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal (ez, ex, ey) with ez along a-b (+z when a == b)."""
+    axis = b - a
+    length = np.linalg.norm(axis)
+    ez = axis / length if length > 0 else np.array([0.0, 0.0, 1.0])
+    tmp = np.array([1.0, 0.0, 0.0]) if abs(ez[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    ex = np.cross(tmp, ez)
+    ex /= np.linalg.norm(ex)
+    return ez, ex, np.cross(ez, ex)
+
+
+def _sample(shape, n, rng) -> np.ndarray:
+    if not hasattr(shape, "sample"):
+        raise GeometryError(f"cannot sample surface of {type(shape).__name__}")
+    return shape.sample(n, rng)
+
+
+def sample_analytic_surface(shape, n: int, seed: int) -> PointCloud:
+    """n samples on the shape's surface (area-uniform on each primitive),
+    drawn by its sample(n, rng) from a generator seeded with `seed`."""
+    if n == 0:
+        return PointCloud(np.empty((0, 3)))
+    return PointCloud(_sample(shape, n, np.random.default_rng(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +331,7 @@ def capsule_mesh(a, b, radius: float, segments: int = 24, rings: int = 12) -> Tr
     """Closed lat/long tessellation of a capsule, poles along the a-b axis."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    axis = b - a
-    length = np.linalg.norm(axis)
-    ez = axis / length if length > 0 else np.array([0.0, 0.0, 1.0])
-    tmp = np.array([1.0, 0.0, 0.0]) if abs(ez[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    ex = np.cross(tmp, ez)
-    ex /= np.linalg.norm(ex)
-    ey = np.cross(ez, ex)
+    ez, ex, ey = _frame(a, b)
 
     # stack of latitude rings: lower hemisphere around a, upper around b
     rows = []
@@ -382,6 +372,17 @@ def capsule_mesh(a, b, radius: float, segments: int = 24, rings: int = 12) -> Tr
 
 _SHAPE_FORMS = "sphere[:r[,cx,cy,cz]] | capsule:ax,ay,az,bx,by,bz,r | torus:R,r | nested[:r,w1,w2] | bifurcation"
 
+# spec name -> (accepted counts of numbers, what the numbers must be, the
+# shape built from them)
+_SHAPE_SPECS = {
+    "sphere": ((0, 1, 4), "needs r or r,cx,cy,cz",
+               lambda *a: Sphere(center=a[1:] or (0.0, 0.0, 0.0), radius=a[0] if a else 1.0)),
+    "capsule": ((7,), "needs ax,ay,az,bx,by,bz,r", lambda *a: Capsule(a[0:3], a[3:6], a[6])),
+    "torus": ((2,), "needs R,r", lambda R, r: Torus(major=R, minor=r)),
+    "nested": ((0, 3), "needs r,w1,w2", lambda *a: nested_wall_fixture(*(a or (0.3, 0.2, 0.2)))),
+    "bifurcation": ((0,), "takes no numbers", lambda: bifurcation_fixture()[0]),
+}
+
 
 def parse_shape(spec: str):
     """Shape spec mini-language for the CLI, in the forms of _SHAPE_FORMS."""
@@ -392,24 +393,9 @@ def parse_shape(spec: str):
         args = [np.nan]
     if not np.isfinite(args).all():  # float() also reads "nan" and "inf"
         raise GeometryError(f"shape spec {spec!r} has a non-numeric field; accepted forms: {_SHAPE_FORMS}")
-    if name == "sphere":
-        if len(args) not in (0, 1, 4):
-            raise GeometryError("sphere spec needs r or r,cx,cy,cz")
-        return Sphere(center=tuple(args[1:]) or (0.0, 0.0, 0.0), radius=args[0] if args else 1.0)
-    if name == "capsule":
-        if len(args) != 7:
-            raise GeometryError("capsule spec needs ax,ay,az,bx,by,bz,r")
-        return Capsule(tuple(args[0:3]), tuple(args[3:6]), args[6])
-    if name == "torus":
-        if len(args) != 2:
-            raise GeometryError("torus spec needs R,r")
-        return Torus(major=args[0], minor=args[1])
-    if name == "nested":
-        if len(args) not in (0, 3):
-            raise GeometryError("nested spec needs r,w1,w2")
-        return nested_wall_fixture(*(args or (0.3, 0.2, 0.2)))
-    if name == "bifurcation":
-        if args:
-            raise GeometryError("bifurcation spec takes no numbers")
-        return bifurcation_fixture()[0]
-    raise GeometryError(f"unknown shape spec {spec!r}")
+    if name not in _SHAPE_SPECS:
+        raise GeometryError(f"unknown shape spec {spec!r}")
+    counts, form, build = _SHAPE_SPECS[name]
+    if len(args) not in counts:
+        raise GeometryError(f"{name} spec {form}")
+    return build(*args)

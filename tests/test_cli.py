@@ -251,6 +251,11 @@ class TestBlend:
         )
         assert rc == 2
 
+    def test_outputs_checked_before_models_load(self, tmp_path, capsys):
+        missing = [tmp_path / "missing1.inr", tmp_path / "missing2.inr"]
+        assert run(["blend", "--models", *missing, "--bbox", "-1 -1 -1 1 1 1"]) == 2
+        assert "nothing to write" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_small_sweep_csv(self, tmp_path):

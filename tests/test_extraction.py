@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mesh_oracle
 import numpy as np
 import pytest
@@ -128,6 +130,18 @@ class TestMarchingCubes:
         mesh = marching_cubes(g)
         uniq = np.unique(np.round(mesh.vertices, 9), axis=0)
         assert len(uniq) == len(mesh.vertices)
+
+    def test_peak_memory_stays_near_the_grid(self):
+        # traced peak relative to the float32 grid at 128^3; one float64
+        # copy of the lattice alone would add 2x
+        g = analytic_grid(Sphere(radius=0.5), (128, 128, 128), -np.ones(3), np.ones(3))
+        tracemalloc.start()
+        try:
+            marching_cubes(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * g.values.nbytes, peak / g.values.nbytes
 
 
 class TestEnclosedVolume:

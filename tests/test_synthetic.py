@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vinr.csg import MeshSource
 from vinr.extraction import check_watertight, enclosed_volume
 from vinr.geometry import GeometryError
 from vinr.synthetic import (
@@ -98,17 +99,38 @@ class TestAnalyticSdfs:
 
 class TestSurfaceSampling:
     def test_samples_on_surface(self):
+        # nested offsets add their deltas: the r = 0.5 sphere
+        nested = Offset(Offset(Sphere(radius=0.3), 0.1), 0.1)
         shapes = [
             Sphere(radius=0.7),
             Capsule((0, 0, -0.6), (0, 0, 0.6), 0.25),
             Torus(major=0.6, minor=0.15),
             Offset(Sphere(radius=0.3), 0.2),
             bifurcation_fixture()[0],
+            nested,
+            UnionList((Sphere(radius=0.3), Offset(Capsule((0, 0, 0), (0.6, 0, 0), 0.1), 0.05),
+                       Torus(major=0.4, minor=0.08))),
         ]
         for shape in shapes:
             cloud = sample_analytic_surface(shape, 500, seed=3)
             assert len(cloud) == 500
             assert np.abs(shape.value(cloud.points)).max() < 1e-9
+        cloud = sample_analytic_surface(nested, 500, seed=3)
+        assert np.abs(Sphere(radius=0.5).value(cloud.points)).max() < 1e-9
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            (Offset(bifurcation_fixture()[0], 0.1), "primitives only"),
+            (MeshSource(icosphere(1)), "cannot sample surface of MeshSource"),
+            (UnionList((Sphere(radius=0.3), MeshSource(icosphere(1)))), "of MeshSource"),
+            (nested_wall_fixture(0.3, 0.2, 0.2), "cannot sample surface of tuple"),
+        ],
+    )
+    def test_unsampleable_shapes_raise(self, shape, message):
+        with pytest.raises(GeometryError, match=message):
+            sample_analytic_surface(shape, 5, 0)
+        assert len(sample_analytic_surface(shape, 0, 0)) == 0
 
     @pytest.mark.parametrize(
         "shape",
@@ -118,6 +140,7 @@ class TestSurfaceSampling:
             Torus(center=(0.0, 0.3, -0.2), major=0.6, minor=0.15),
             Offset(Capsule((0, 0, -0.3), (0, 0, 0.3), 0.1), 0.2),
             bifurcation_fixture()[0],
+            Offset(Offset(Torus(major=0.5, minor=0.05), 0.05), 0.05),
         ],
     )
     def test_bbox_holds_the_surface_tightly(self, shape):
