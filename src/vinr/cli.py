@@ -160,12 +160,15 @@ def cmd_eval(args) -> int:
         raise ValueError("--ref-shape needs a single shape, not nested walls")
     lo, hi = args.bbox if args.bbox else metrics.padded_bbox(*ref.bbox(), 0.1)
     dims = (args.dsc_dims,) * 3
-    dsc = metrics.dice(csg.ModelSource(model, args.channel), ref, dims, lo, hi)
+    recon = csg.ModelSource(model, args.channel)
+    if args.heldout and args.asd_dims == args.dsc_dims:  # one band grid serves Dice and ASD
+        recon = csg.evaluate_near_level(recon, dims, lo, hi)
+    dsc = metrics.dice(recon, ref, dims, lo, hi)
     asd = ""
     if args.heldout:
         held = geometry.load_point_cloud(args.heldout)
         asd = metrics.average_surface_distance(
-            model, held, dims=(args.asd_dims,) * 3, bbox_min=lo, bbox_max=hi
+            recon, held, dims=(args.asd_dims,) * 3, bbox_min=lo, bbox_max=hi
         )
     nesting = ""
     if model.arch.output_channels >= 2:
@@ -191,10 +194,10 @@ def _sweep_job(job):
         train, held = metrics.split_train_heldout(cloud, count, seed)
         model, _ = training.fit(train, dataclasses.replace(cfg, seed=seed))
         lo, hi = metrics.padded_bbox(*ref.bbox(), 0.1)
-        dsc = metrics.dice(csg.ModelSource(model, 0), ref, (dsc_dims,) * 3, lo, hi)
-        asd = metrics.average_surface_distance(
-            model, held, dims=(dsc_dims,) * 3, bbox_min=lo, bbox_max=hi
-        )
+        dims = (dsc_dims,) * 3
+        grid = csg.evaluate_near_level(csg.ModelSource(model, 0), dims, lo, hi)  # for Dice and ASD
+        dsc = metrics.dice(grid, ref, dims, lo, hi)
+        asd = metrics.average_surface_distance(grid, held)
         return (count, repeat, dsc, asd, time.perf_counter() - t0)
     except Exception as e:  # failures become NaN rows, the sweep continues
         print(f"sweep job (count={count}, repeat={repeat}) failed: {e}", file=sys.stderr)

@@ -125,6 +125,30 @@ class GridSource:
 
     grid: ScalarGrid
 
+    @functools.cached_property
+    def slope(self) -> float:
+        """Exact bound on the interpolant's slope, sqrt(Gx^2 + Gy^2 + Gz^2).
+        In a cell, df/dx_a is a convex combination of the cell's four
+        a-edge differences over the step h_a, so |df/dx_a| <= G_a, the
+        largest |difference| along any a-edge over h_a; clamping outside
+        the box only zeroes derivatives. The differences are taken in
+        float64, over z-slabs of at most one lattice block plus the plane
+        the next slab starts with."""
+        g = self.grid
+        nx, ny, nz = g.dims
+        per_step = (np.array(g.dims) - 1) / (g.bbox_max - g.bbox_min)  # 1 / h_a
+        largest = np.zeros(3)
+        slab = max(1, _LATTICE_BLOCK // (nx * ny))
+        for k in range(0, max(nz - 1, 1), slab):
+            v = g.values[:, :, k : k + slab + 1].astype(np.float64)
+            for a in range(3):
+                if v.shape[a] > 1:
+                    largest[a] = max(largest[a], np.abs(np.diff(v, axis=a)).max())
+        return float(np.sqrt(np.sum((largest * per_step) ** 2)))
+
+    def value_and_slope(self, p):
+        return self.value(p), self.slope
+
     def value(self, p):
         g = self.grid
         p = as_points(p)

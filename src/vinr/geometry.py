@@ -219,6 +219,14 @@ def text_records(path):
                 yield lineno, line
 
 
+def _numbers(convert, tokens, path, lineno) -> list:
+    """The tokens of one record, each through `convert` (float or int)."""
+    try:
+        return [convert(t) for t in tokens]
+    except ValueError:
+        raise GeometryError(f"{path}:{lineno}: malformed number") from None
+
+
 def load_point_cloud(path) -> PointCloud:
     """Parse an .xyz text file: one 'x y z' line per point, '#' comments."""
     pts = []
@@ -226,10 +234,7 @@ def load_point_cloud(path) -> PointCloud:
         parts = line.split()
         if len(parts) != 3:
             raise GeometryError(f"{path}:{lineno}: expected 3 values, got {len(parts)}")
-        try:
-            xyz = [float(v) for v in parts]
-        except ValueError:
-            raise GeometryError(f"{path}:{lineno}: malformed number") from None
+        xyz = _numbers(float, parts, path, lineno)
         if not all(np.isfinite(v) for v in xyz):
             raise GeometryError(f"{path}:{lineno}: non-finite coordinate")
         pts.append(xyz)
@@ -254,18 +259,15 @@ def load_mesh(path) -> TriangleMesh:
         if tag == "v":
             if len(parts) != 4:
                 raise GeometryError(f"{path}:{lineno}: vertex needs 3 coordinates")
-            verts.append([float(v) for v in parts[1:]])
+            verts.append(_numbers(float, parts[1:], path, lineno))
         elif tag == "f":
             if len(parts) != 4:
                 raise GeometryError(f"{path}:{lineno}: only triangular faces supported")
-            idx = []
-            for tok in parts[1:]:
-                # tolerate v/vt/vn face tokens, use the vertex index only
-                i = int(tok.split("/")[0])
-                if i < 0:
-                    raise GeometryError(f"{path}:{lineno}: negative indices unsupported")
-                idx.append(i - 1)
-            tris.append(idx)
+            # tolerate v/vt/vn face tokens, use the vertex index only
+            idx = _numbers(int, [tok.split("/")[0] for tok in parts[1:]], path, lineno)
+            if min(idx) < 0:
+                raise GeometryError(f"{path}:{lineno}: negative indices unsupported")
+            tris.append([i - 1 for i in idx])
         else:
             ignored.add(tag)
     if ignored:

@@ -11,7 +11,7 @@ import numpy as np
 from .csg import ModelSource, evaluate_near_level, lattice_blocks
 from .csg import evaluate_on_grid  # noqa: F401  (bench/tracing.py wraps metrics.evaluate_on_grid)
 from .extraction import marching_cubes
-from .geometry import GeometryError, PointCloud, TriangleMesh, point_to_mesh_distance
+from .geometry import GeometryError, PointCloud, ScalarGrid, TriangleMesh, point_to_mesh_distance
 from .network import MlpModel
 
 __all__ = [
@@ -32,15 +32,26 @@ def padded_bbox(lo, hi, pad_fraction: float = 0.1):
     return lo - pad, hi + pad
 
 
+def _on_lattice(source, dims, bbox_min, bbox_max) -> ScalarGrid:
+    """A ScalarGrid as it is, which must lie on the given lattice; any other
+    SDF source sampled there by evaluate_near_level."""
+    if not isinstance(source, ScalarGrid):
+        return evaluate_near_level(source, dims, bbox_min, bbox_max)
+    if source.dims != tuple(int(d) for d in dims) or not (
+        np.array_equal(source.bbox_min, bbox_min) and np.array_equal(source.bbox_max, bbox_max)
+    ):
+        raise GeometryError("grid does not lie on the Dice lattice")
+    return source
+
+
 def dice(source_a, source_b, dims, bbox_min, bbox_max) -> float:
     """Dice similarity of two SDF sources voxelized by sign on a shared
     lattice. Inside is strictly negative; exact zeros count as outside.
     Only the signs are read, so sources that bound their slope are
-    evaluated exactly only near their zero level set."""
-    ga = evaluate_near_level(source_a, dims, bbox_min, bbox_max)
-    gb = evaluate_near_level(source_b, dims, bbox_min, bbox_max)
-    a = ga.values < 0
-    b = gb.values < 0
+    evaluated exactly only near their zero level set. Either source may be
+    a ScalarGrid already sampled on that lattice, which is read as it is."""
+    a = _on_lattice(source_a, dims, bbox_min, bbox_max).values < 0
+    b = _on_lattice(source_b, dims, bbox_min, bbox_max).values < 0
     denom = int(a.sum()) + int(b.sum())
     if denom == 0:
         raise GeometryError("both shapes are empty on the lattice; DSC undefined")
@@ -58,27 +69,31 @@ def average_surface_distance(
     """Mean distance from held-out reference points to the reconstructed
     surface.
 
-    `reconstruction` is a mesh, a trained model, or any SDF source. Unless
-    `use_field_values` is set, the surface is realized as an extracted mesh
-    (default 128^3 over the held-out bbox padded 20%) and distances measured
-    to it; with the flag, |field value| at each point is used instead.
+    `reconstruction` is a mesh, a grid, a trained model (its channel 0), or
+    any SDF source. A mesh is measured as it is, and a grid through its own
+    marching-cubes mesh. A model or source is realized as the mesh of its
+    grid from evaluate_near_level (default 128^3 over the held-out bbox
+    padded 20%), unless `use_field_values` is set: then |field value| at
+    each point is used instead.
     """
     if len(heldout) < 1:
         raise GeometryError("need at least one held-out point")
     if isinstance(reconstruction, TriangleMesh):
         mesh = reconstruction
     else:
-        source = (
-            ModelSource(reconstruction, 0)
-            if isinstance(reconstruction, MlpModel)
-            else reconstruction
-        )
-        if use_field_values:
-            return float(np.abs(source.value(heldout.points)).mean())
-        if bbox_min is None or bbox_max is None:
-            lo, hi = heldout.bbox()
-            bbox_min, bbox_max = padded_bbox(lo, hi, 0.2)
-        grid = evaluate_near_level(source, dims, bbox_min, bbox_max)
+        grid = reconstruction
+        if not isinstance(grid, ScalarGrid):
+            source = (
+                ModelSource(reconstruction, 0)
+                if isinstance(reconstruction, MlpModel)
+                else reconstruction
+            )
+            if use_field_values:
+                return float(np.abs(source.value(heldout.points)).mean())
+            if bbox_min is None or bbox_max is None:
+                lo, hi = heldout.bbox()
+                bbox_min, bbox_max = padded_bbox(lo, hi, 0.2)
+            grid = evaluate_near_level(source, dims, bbox_min, bbox_max)
         mesh = marching_cubes(grid)
         if mesh.num_triangles == 0:
             raise GeometryError("reconstruction has an empty zero level set")

@@ -7,10 +7,16 @@ box that holds the surface; and sample(n, rng) -> (n, 3) approximately
 area-uniform points on the surface. Primitives and offsets also expose
 dilated(delta), the same kind of shape grown by delta, which is how an
 offset samples its surface.
+
+Each shape also bounds its slope by a constant, `slope`: 1 for the exact
+distances, the inner shape's for an offset, the largest component's for a
+union. value_and_slope(points) returns the values with that bound, which is
+what csg.evaluate_near_level needs to evaluate a shape only near a level set.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,8 +38,22 @@ __all__ = [
 ]
 
 
+class _Bounded:
+    """The slope-bound capability every shape shares. A shape whose `slope`
+    cannot be read (a composite with a part that bounds no slope) has no
+    value_and_slope either: hasattr reads both as absent, and
+    csg.evaluate_near_level evaluates such a shape densely."""
+
+    slope = 1.0  # an exact signed distance is 1-Lipschitz
+
+    @property
+    def value_and_slope(self):
+        slope = self.slope
+        return lambda p: (self.value(p), slope)
+
+
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_Bounded):
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     radius: float = 1.0
 
@@ -56,7 +76,7 @@ class Sphere:
 
 
 @dataclass(frozen=True)
-class Capsule:
+class Capsule(_Bounded):
     """Segment a-b dilated by radius r (a tube with hemispherical caps)."""
 
     a: tuple[float, float, float]
@@ -112,7 +132,7 @@ class Capsule:
 
 
 @dataclass(frozen=True)
-class Torus:
+class Torus(_Bounded):
     """Torus around the z axis through `center`: major radius R, tube r."""
 
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -156,11 +176,16 @@ class Torus:
 
 
 @dataclass(frozen=True)
-class Offset:
-    """Dilation by delta: the SDF shifts down by exactly delta."""
+class Offset(_Bounded):
+    """Dilation by delta: the SDF shifts down by exactly delta, so the slope
+    is the inner shape's."""
 
     shape: object
     delta: float
+
+    @property
+    def slope(self):
+        return self.shape.slope
 
     def value(self, p):
         return self.shape.value(p) - self.delta
@@ -179,9 +204,10 @@ class Offset:
 
 
 @dataclass(frozen=True)
-class UnionList:
+class UnionList(_Bounded):
     """min-combination of component SDFs. Exact signed distance outside the
-    union; a lower bound (not exact) in overlapping interiors."""
+    union; a lower bound (not exact) in overlapping interiors. A minimum is
+    no steeper than its steepest component."""
 
     shapes: tuple
 
@@ -190,8 +216,12 @@ class UnionList:
         if len(self.shapes) == 0:
             raise GeometryError("union of zero shapes")
 
+    @property
+    def slope(self):
+        return max(s.slope for s in self.shapes)
+
     def value(self, p):
-        return np.min(np.stack([s.value(p) for s in self.shapes]), axis=0)
+        return functools.reduce(np.minimum, (s.value(p) for s in self.shapes))
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         boxes = [s.bbox() for s in self.shapes]

@@ -19,6 +19,14 @@ from vinr.csg import (
 from vinr.extraction import cell_corners
 
 
+class ValueOnly:
+    """A source's values without its slope bound: evaluate_near_level must
+    evaluate it densely."""
+
+    def __init__(self, source):
+        self.value = source.value
+
+
 def dense_values(source, dims, bbox_min, bbox_max):
     """One source.value call over the whole lattice, rounded to float32,
     as an (nx, ny, nz) array."""

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from vinr import cli, geometry, network
+from vinr import cli, geometry, metrics, network
+from vinr.csg import ModelSource
 from vinr.extraction import check_watertight
 from vinr.synthetic import Sphere
 from vinr.training import TrainConfig
@@ -210,6 +211,39 @@ class TestExtractAndEval:
         assert rc == 0
         text = rep.read_text()
         assert text.startswith("dsc = ")
+
+
+@pytest.fixture(scope="module")
+def nested_spheres(tmp_path_factory):
+    """A two-channel fit of spheres of radius 0.3 and 0.6, and held-out
+    points of the outer one."""
+    d = tmp_path_factory.mktemp("nested")
+    run(["sample", "--shape", "sphere:0.3", "--count", "150", "--out", d / "inner.xyz"])
+    run(["sample", "--shape", "sphere:0.6", "--count", "150", "--heldout", "60",
+         "--out", d / "outer.xyz", "--heldout-out", d / "held.xyz"])
+    assert run(["fit", "--points", d / "inner.xyz", "--points", d / "outer.xyz", "--out", d / "n.inr",
+                "--epochs", "150", "--lr", "1e-3", "--layers", "3", "--width", "16", "--skip", "2"]) == 0
+    return d
+
+
+class TestEvalChannel:
+    @pytest.mark.parametrize("asd_dims", [24, 20], ids=["one-band", "two-grids"])
+    def test_asd_scores_the_requested_channel(self, nested_spheres, tmp_path, asd_dims):
+        d = nested_spheres
+        model = network.load_model(d / "n.inr")
+        held = geometry.load_point_cloud(d / "held.xyz")
+        lo, hi = metrics.padded_bbox(*Sphere(radius=0.6).bbox(), 0.1)
+        scores = {}
+        for channel in (0, 1):
+            rep = tmp_path / f"c{channel}.txt"
+            assert run(["eval", "--model", d / "n.inr", "--ref-shape", "sphere:0.6", "--heldout", d / "held.xyz",
+                        "--channel", channel, "--dsc-dims", 24, "--asd-dims", asd_dims, "--report", rep]) == 0
+            scores[channel] = dict(line.split(" = ") for line in rep.read_text().splitlines())
+            source = ModelSource(model, channel)
+            dims = (asd_dims,) * 3
+            assert float(scores[channel]["asd"]) == metrics.average_surface_distance(source, held, dims, lo, hi)
+            assert float(scores[channel]["dsc"]) == metrics.dice(source, Sphere(radius=0.6), (24,) * 3, lo, hi)
+        assert scores[0]["asd"] != scores[1]["asd"]
 
 
 class TestBlend:

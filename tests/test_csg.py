@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from vinr import csg
@@ -29,6 +29,7 @@ from vinr.network import MlpArchitecture, init_model
 from vinr.synthetic import Capsule, Offset, Sphere, Torus, UnionList, icosphere
 
 import band_oracle
+from band_oracle import ValueOnly
 from test_network import linear_channel_model
 
 
@@ -299,6 +300,91 @@ def sdf_models(draw):
     return model
 
 
+BOUNDED_KINDS = ["sphere", "capsule", "torus", "offset", "union", "grid"]
+
+
+def random_bounded_source(rng, depth=2, kind=None):
+    """An analytic shape, an offset, a union or a GridSource (`kind`, or a
+    random one), nested up to `depth` deep: every source that bounds its
+    slope by a constant."""
+    if kind is None:
+        kinds = BOUNDED_KINDS if depth else BOUNDED_KINDS[:3]
+        kind = kinds[rng.integers(len(kinds))]
+    if kind == "sphere":
+        return Sphere(tuple(rng.uniform(-0.3, 0.3, 3)), rng.uniform(0.1, 0.7))
+    if kind == "capsule":
+        return Capsule(tuple(rng.uniform(-0.6, 0.6, 3)), tuple(rng.uniform(-0.6, 0.6, 3)), rng.uniform(0.05, 0.4))
+    if kind == "torus":
+        return Torus(tuple(rng.uniform(-0.3, 0.3, 3)), rng.uniform(0.2, 0.6), rng.uniform(0.05, 0.2))
+    if kind == "offset":
+        return Offset(random_bounded_source(rng, depth - 1), rng.uniform(-0.05, 0.2))
+    if kind == "union":
+        return UnionList(tuple(random_bounded_source(rng, depth - 1) for _ in range(rng.integers(1, 4))))
+    # a shape sampled on its own anisotropic lattice, plus noise of some scale
+    dims = tuple(rng.integers(2, 20, 3))
+    lo, hi = -rng.uniform(0.4, 1.5, 3), rng.uniform(0.4, 1.5, 3)
+    values = evaluate_on_grid(random_bounded_source(rng, depth - 1), dims, lo, hi).values
+    values = values + rng.normal(scale=[0.0, 0.02, 0.3][rng.integers(3)], size=dims)
+    return GridSource(ScalarGrid(dims, lo, hi, values))
+
+
+@st.composite
+def boxes(draw):
+    """Anisotropic boxes: half-extents from 0.3 to 1.4 per axis, off centre."""
+    center = np.array(draw(st.tuples(*[st.floats(-0.2, 0.2)] * 3)))
+    half = np.array(draw(st.tuples(*[st.floats(0.3, 1.4)] * 3)))
+    return center - half, center + half
+
+
+class TestSlopeBounds:
+    @pytest.mark.parametrize("kind", BOUNDED_KINDS)
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([1e-3, 0.05, 0.5, 2.0]))
+    def test_declared_slope_is_never_exceeded(self, kind, seed, spread):
+        # pairs in [-2, 2]^3: many lie outside a grid's box, where it clamps
+        rng = np.random.default_rng(seed)
+        source = random_bounded_source(rng, kind=kind)
+        p = rng.uniform(-2, 2, size=(2000, 3))
+        q = p + rng.normal(scale=spread, size=p.shape)
+        values, slope = source.value_and_slope(p)
+        assert values.tobytes() == source.value(p).tobytes()
+        change = np.abs(values - source.value(q))
+        assert np.all(change <= slope * np.linalg.norm(p - q, axis=1) * (1 + 1e-12) + 1e-12)
+
+    def test_grid_slope_is_the_steepest_edge(self):
+        dims, lo, hi = (5, 4, 3), np.array([-1.0, 0.0, 2.0]), np.array([1.0, 2.0, 3.0])
+        pts = grid_lattice(dims, lo, hi)
+        linear = (2 * pts[:, 0] - pts[:, 1] + 0.5 * pts[:, 2]).reshape(dims, order="F")
+        assert GridSource(ScalarGrid(dims, lo, hi, linear)).slope == pytest.approx(np.sqrt(5.25), rel=1e-6)
+        spike = np.zeros(dims)
+        spike[2, 1, 1] = 3.0  # one x-edge step of 3 over h = 0.5, y: 3 / (2/3), z: 3 / 0.5
+        assert GridSource(ScalarGrid(dims, lo, hi, spike)).slope == pytest.approx(np.sqrt(36 + 20.25 + 36))
+
+    @pytest.mark.parametrize("dims", [(1, 5, 5), (5, 5, 1), (2, 2, 2), (7, 30, 40)])
+    def test_grid_slope_slabs_cover_every_edge(self, dims):
+        # the streamed maximum equals the whole-lattice one on flat and thin grids
+        values = np.random.default_rng(1).normal(size=dims).astype(np.float32)
+        g = ScalarGrid(dims, -np.ones(3), np.ones(3), values)
+        v, per_step = values.astype(np.float64), (np.array(dims) - 1) / 2.0
+        largest = [np.abs(np.diff(v, axis=a)).max() if dims[a] > 1 else 0.0 for a in range(3)]
+        assert GridSource(g).slope == float(np.sqrt(np.sum((np.array(largest) * per_step) ** 2)))
+
+    def test_grid_slope_sees_every_z_edge(self):
+        # a single unit step between planes k - 1 and k, for every k: the
+        # edges between two slabs count as well as those inside one
+        dims = (7, 300, 40)
+        z = np.arange(dims[2])
+        for k in range(1, dims[2]):
+            values = np.broadcast_to((z >= k).astype(np.float32), dims)
+            assert GridSource(ScalarGrid(dims, -np.ones(3), np.ones(3), values)).slope == (dims[2] - 1) / 2.0
+
+    def test_grid_slope_builds_no_float64_lattice(self):
+        dims = (128, 128, 128)
+        values = np.random.default_rng(2).normal(size=dims).astype(np.float32)  # 8 MB
+        source = GridSource(ScalarGrid(dims, -np.ones(3), np.ones(3), values))
+        assert peak_bytes(lambda: source.slope) < values.nbytes / 2
+
+
 class SlopeUnderstated:
     """Sphere SDF of radius 0.5 with a blob: a negative spike of height 2
     and radius 0.15 at `blob`, 13 times steeper than the slope bound of 1
@@ -381,9 +467,27 @@ class TestNarrowBand:
         assert dense_calls == []
         assert_band_matches_dense(band, evaluate_on_grid(source, dims, self.LO, self.HI))
 
+    @pytest.mark.parametrize("kind", BOUNDED_KINDS)
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        box=boxes(),
+        dims=st.tuples(st.integers(2, 24), st.integers(2, 24), st.integers(2, 24)),
+        iso=st.sampled_from([0.0, 0.1, -0.05]),
+    )
+    @example(seed=0, box=(-np.ones(3), np.ones(3)), dims=(9, 9, 9), iso=0.0)
+    def test_bounded_sources_take_the_band(self, dense_calls, kind, seed, box, dims, iso):
+        dense_calls.clear()
+        source = random_bounded_source(np.random.default_rng(seed), kind=kind)
+        band = evaluate_near_level(source, dims, *box, iso)
+        assert dense_calls == []
+        assert_band_matches_dense(band, evaluate_on_grid(source, dims, *box), iso)
+
     @pytest.mark.parametrize("make", [
-        lambda: Sphere(radius=0.5),
-        lambda: GridSource(ScalarGrid((3, 3, 3), -np.ones(3), np.ones(3), np.linspace(-1, 1, 27))),
+        lambda: ValueOnly(Sphere(radius=0.5)),
+        lambda: ValueOnly(GridSource(ScalarGrid((3, 3, 3), -np.ones(3), np.ones(3), np.linspace(-1, 1, 27)))),
+        lambda: UnionList((Sphere(radius=0.5), ValueOnly(Sphere((0.3, 0.0, 0.0), 0.3)))),
     ])
     def test_sources_without_slope_bound_go_dense(self, dense_calls, make):
         grid = evaluate_near_level(make(), (9, 9, 9), self.LO, self.HI)

@@ -110,6 +110,18 @@ class TestMeshIO:
         with pytest.raises(GeometryError):
             load_mesh(p)
 
+    @pytest.mark.parametrize("text, line", [
+        ("v 0 0 0\nv 0 0 x\n", 2),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 a\n", 4),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\n# c\nf 1 2.5/1 3\n", 5),
+    ], ids=["vertex", "face", "face-token"])
+    def test_malformed_number_reports_location(self, tmp_path, text, line):
+        p = tmp_path / "bad.obj"
+        p.write_text(text)
+        with pytest.raises(GeometryError) as info:
+            load_mesh(p)
+        assert str(info.value) == f"{p}:{line}: malformed number"
+
     def test_icosphere_roundtrip(self, tmp_path):
         mesh = icosphere(2)
         p = tmp_path / "ico.obj"

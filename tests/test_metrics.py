@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import band_oracle
-from vinr.csg import MeshSource, ModelSource, evaluate_on_grid
+from vinr.csg import MeshSource, ModelSource, evaluate_near_level, evaluate_on_grid
 from vinr.extraction import marching_cubes
 from vinr.geometry import point_to_mesh_distance
 from vinr.geometry import DomainTransform, GeometryError, PointCloud
@@ -98,6 +98,21 @@ class TestDice:
         assert dice(ModelSource(model), ref, dims, lo, hi) == dense
 
 
+    def test_grid_is_read_as_it_is(self):
+        model = bumpy_sphere_model()
+        ref = Sphere(radius=0.5)
+        dims, lo, hi = (16, 17, 18), -0.8 * np.ones(3), 0.8 * np.ones(3)
+        grid = evaluate_near_level(ModelSource(model), dims, lo, hi)
+        assert dice(grid, ref, dims, lo, hi) == dice(ModelSource(model), ref, dims, lo, hi)
+        assert dice(ref, grid, dims, lo, hi) == dice(grid, ref, dims, lo, hi)
+
+    @pytest.mark.parametrize("dims, hi", [((16, 17, 19), 0.8), ((16, 17, 18), 0.9)])
+    def test_grid_off_the_lattice_rejected(self, dims, hi):
+        grid = evaluate_on_grid(Sphere(radius=0.5), (16, 17, 18), -0.8 * np.ones(3), 0.8 * np.ones(3))
+        with pytest.raises(GeometryError, match="Dice lattice"):
+            dice(grid, Sphere(radius=0.5), dims, -0.8 * np.ones(3), hi * np.ones(3))
+
+
 class TestAverageSurfaceDistance:
     def test_points_on_mesh(self):
         mesh = icosphere(3, radius=0.5)
@@ -141,6 +156,14 @@ class TestAverageSurfaceDistance:
         mesh = marching_cubes(evaluate_on_grid(ModelSource(model), dims, lo, hi))
         dense = float(np.mean(point_to_mesh_distance(held.points, mesh)))
         assert average_surface_distance(model, held, dims, lo, hi) == dense
+
+    def test_grid_is_meshed_as_it_is(self):
+        model = bumpy_sphere_model()
+        held = sphere_points(100, 0.5, seed=8)
+        dims, lo, hi = (40, 40, 40), -0.8 * np.ones(3), 0.8 * np.ones(3)
+        grid = evaluate_near_level(ModelSource(model), dims, lo, hi)
+        # the dims and bbox arguments (here the defaults) apply to sources only
+        assert average_surface_distance(grid, held) == average_surface_distance(model, held, dims, lo, hi)
 
     def test_empty_heldout_rejected(self):
         with pytest.raises(GeometryError):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from vinr.csg import MeshSource
+from vinr.csg import GridSource, MeshSource
 from vinr.extraction import check_watertight, enclosed_volume
-from vinr.geometry import GeometryError
+from vinr.geometry import GeometryError, ScalarGrid
 from vinr.synthetic import (
     Capsule,
     Offset,
@@ -17,6 +17,8 @@ from vinr.synthetic import (
     parse_shape,
     sample_analytic_surface,
 )
+
+from band_oracle import ValueOnly
 
 scipy_stats = pytest.importorskip("scipy.stats")
 
@@ -65,6 +67,32 @@ class TestAnalyticSdfs:
         np.testing.assert_array_equal(
             u.value(p), np.minimum(a.value(p), b.value(p))
         )
+
+    def test_union_fold_equals_stacked_min(self):
+        parts = (Sphere(radius=0.3), Capsule((0, 0, -0.5), (0.2, 0.1, 0.5), 0.2), Torus(), Offset(Torus(), -0.05))
+        p = np.random.default_rng(3).uniform(-1, 1, size=(500, 3))
+        for k in range(1, len(parts) + 1):
+            stacked = np.min(np.stack([s.value(p) for s in parts[:k]]), axis=0)
+            assert UnionList(parts[:k]).value(p).tobytes() == stacked.tobytes()
+
+    def test_slope_bounds(self):
+        capsule = Capsule((0, 0, -0.5), (0, 0, 0.5), 0.2)
+        assert Sphere().slope == capsule.slope == Torus().slope == 1.0
+        assert Offset(Offset(capsule, 0.1), -0.05).slope == 1.0
+        assert UnionList((Sphere(), Offset(Torus(), 0.1))).slope == 1.0
+        steep = GridSource(ScalarGrid((2, 2, 2), -np.ones(3), np.ones(3), np.array([0.0, 6.0] * 4)))
+        assert steep.slope == 3.0
+        assert UnionList((Sphere(), Offset(steep, 0.1))).slope == Offset(UnionList((steep,)), 0.1).slope == 3.0
+        p = np.random.default_rng(4).uniform(-1, 1, size=(20, 3))
+        values, slope = UnionList((capsule, Torus())).value_and_slope(p)
+        assert slope == 1.0
+        assert values.tobytes() == UnionList((capsule, Torus())).value(p).tobytes()
+
+    def test_parts_without_a_bound_leave_none(self):
+        bare = ValueOnly(Sphere())
+        for shape in (Offset(bare, 0.1), UnionList((Sphere(), bare)), Offset(UnionList((bare,)), 0.1)):
+            assert not hasattr(shape, "slope")
+            assert not hasattr(shape, "value_and_slope")
 
     def test_eikonal_property_single_shapes(self):
         # |grad| = 1 almost everywhere for the primitives, checked by
