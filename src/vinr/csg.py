@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extraction import cell_corners
-from .geometry import GeometryError, ScalarGrid, TriangleMesh, as_points, lattice_axes, signed_distance_to_mesh
+from .geometry import GeometryError, ScalarGrid, SlopeBounded, TriangleMesh, as_points, lattice_axes, signed_distance_to_mesh
 from .network import MlpModel, forward, forward_with_input_grad
 
 __all__ = [
@@ -120,7 +120,7 @@ class ModelSource:
 
 
 @dataclass(frozen=True)
-class GridSource:
+class GridSource(SlopeBounded):
     """Trilinear interpolation of a scalar grid (clamped at the boundary)."""
 
     grid: ScalarGrid
@@ -132,22 +132,19 @@ class GridSource:
         a-edge differences over the step h_a, so |df/dx_a| <= G_a, the
         largest |difference| along any a-edge over h_a; clamping outside
         the box only zeroes derivatives. The differences are taken in
-        float64, over z-slabs of at most one lattice block plus the plane
-        the next slab starts with."""
+        float64, over contiguous x-slabs of at most one lattice block plus
+        the plane the next slab starts with."""
         g = self.grid
         nx, ny, nz = g.dims
         per_step = (np.array(g.dims) - 1) / (g.bbox_max - g.bbox_min)  # 1 / h_a
         largest = np.zeros(3)
-        slab = max(1, _LATTICE_BLOCK // (nx * ny))
-        for k in range(0, max(nz - 1, 1), slab):
-            v = g.values[:, :, k : k + slab + 1].astype(np.float64)
+        slab = max(1, _LATTICE_BLOCK // (ny * nz))
+        for i in range(0, max(nx - 1, 1), slab):
+            v = g.values[i : i + slab + 1].astype(np.float64)
             for a in range(3):
                 if v.shape[a] > 1:
                     largest[a] = max(largest[a], np.abs(np.diff(v, axis=a)).max())
         return float(np.sqrt(np.sum((largest * per_step) ** 2)))
-
-    def value_and_slope(self, p):
-        return self.value(p), self.slope
 
     def value(self, p):
         g = self.grid
@@ -173,18 +170,15 @@ class GridSource:
 
 
 @dataclass(frozen=True)
-class MeshSource:
+class MeshSource(SlopeBounded):
     """Exact signed distance to a watertight reference mesh: the distance
-    to its nearest triangle, negative where its winding number is odd."""
+    to its nearest triangle, negative where its winding number is odd. An
+    exact distance has slope 1."""
 
     mesh: TriangleMesh
 
     def value(self, p):
         return signed_distance_to_mesh(p, self.mesh)
-
-    def value_and_slope(self, p):
-        """An exact distance is 1-Lipschitz."""
-        return self.value(p), 1.0
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         return self.mesh.bbox()
@@ -201,15 +195,16 @@ def _grid_axes(dims, bbox_min, bbox_max):
 
 
 def _lattice_points(ax, ay, az) -> np.ndarray:
-    pts = np.empty((len(az), len(ay), len(ax), 3))  # filled in place: no full-size temporaries
-    pts[..., 0] = ax
+    pts = np.empty((len(ax), len(ay), len(az), 3))  # filled in place: no full-size temporaries
+    pts[..., 0] = ax[:, None, None]
     pts[..., 1] = ay[:, None]
-    pts[..., 2] = az[:, None, None]
+    pts[..., 2] = az
     return pts.reshape(-1, 3)
 
 
 def grid_lattice(dims, bbox_min, bbox_max) -> np.ndarray:
-    """Lattice coordinates for the given dims/bbox, x index fastest."""
+    """Lattice coordinates for the given dims/bbox in ScalarGrid order:
+    point i is at values.flat[i], z index fastest."""
     return _lattice_points(*_grid_axes(dims, bbox_min, bbox_max))
 
 
@@ -221,14 +216,14 @@ _LATTICE_BLOCK = 2**16
 
 def lattice_blocks(dims, bbox_min, bbox_max):
     """(s, e, points) for consecutive _LATTICE_BLOCK-point runs [s, e) of
-    grid_lattice(dims, bbox_min, bbox_max), each cut from the z-slabs that
-    cover it."""
+    grid_lattice(dims, bbox_min, bbox_max), each cut from the x-slabs of
+    whole yz-planes that cover it."""
     ax, ay, az = _grid_axes(dims, bbox_min, bbox_max)
-    plane = len(ax) * len(ay)
-    for s in range(0, plane * len(az), _LATTICE_BLOCK):
-        e = min(s + _LATTICE_BLOCK, plane * len(az))
-        k0 = s // plane
-        yield s, e, _lattice_points(ax, ay, az[k0 : -(-e // plane)])[s - k0 * plane : e - k0 * plane]
+    plane = len(ay) * len(az)
+    for s in range(0, len(ax) * plane, _LATTICE_BLOCK):
+        e = min(s + _LATTICE_BLOCK, len(ax) * plane)
+        i0 = s // plane
+        yield s, e, _lattice_points(ax[i0 : -(-e // plane)], ay, az)[s - i0 * plane : e - i0 * plane]
 
 
 def evaluate_on_grid(source, dims, bbox_min, bbox_max) -> ScalarGrid:
@@ -244,7 +239,7 @@ def evaluate_on_grid(source, dims, bbox_min, bbox_max) -> ScalarGrid:
     vals = np.empty(int(np.prod(dims)), dtype=np.float32)
     for s, e, pts in lattice_blocks(dims, bbox_min, bbox_max):
         vals[s:e] = source.value(pts)
-    return ScalarGrid(dims, bbox_min, bbox_max, vals.reshape(dims, order="F"))
+    return ScalarGrid(dims, bbox_min, bbox_max, vals.reshape(dims))
 
 
 # coarse lattice of evaluate_near_level: every _COARSE_STEP-th index per
@@ -293,7 +288,7 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
     axes = _grid_axes(dims, bbox_min, bbox_max)
     knots = [np.unique(np.r_[np.arange(0, n, _COARSE_STEP), n - 1]) for n in dims]
     coarse, slope = source.value_and_slope(_lattice_points(*(a[k] for a, k in zip(axes, knots))))
-    coarse = coarse.reshape(tuple(len(k) for k in knots), order="F")
+    coarse = coarse.reshape(tuple(len(k) for k in knots))
 
     (px, dx), (py, dy), (pz, dz) = (_nearest_knot(a, k) for a, k in zip(axes, knots))
     placed = np.empty(dims, dtype=bool)
@@ -345,7 +340,7 @@ def blend_grids(grids, spec: BlendSpec) -> ScalarGrid:
             and np.array_equal(g.bbox_max, first.bbox_max)
         ):
             raise GeometryError("all grids must share dims and bbox")
-    flats = [g.values.reshape(-1, order="F") for g in grids]  # views of F-ordered grids
+    flats = [g.values.reshape(-1) for g in grids]  # views: a ScalarGrid is C-contiguous
     out = np.empty(len(flats[0]), dtype=np.float32)
     for s in range(0, len(out), _LATTICE_BLOCK):
         block = slice(s, s + _LATTICE_BLOCK)
@@ -353,4 +348,4 @@ def blend_grids(grids, spec: BlendSpec) -> ScalarGrid:
         for v in flats[1:]:
             acc = smooth_union(acc, v[block], spec)  # in float64
         out[block] = acc
-    return ScalarGrid(first.dims, first.bbox_min, first.bbox_max, out.reshape(first.dims, order="F"))
+    return ScalarGrid(first.dims, first.bbox_min, first.bbox_max, out.reshape(first.dims))

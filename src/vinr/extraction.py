@@ -62,10 +62,10 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
         raise GeometryError("marching cubes needs at least 2 samples per axis")
     # cube index per cell, bit i set when corner i is inside; the compare
     # runs in float64, and a sample equal to iso counts as outside, where
-    # the nudge below puts it
-    cube = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint16)
+    # the nudge below puts it; the 256 cases fit one byte
+    cube = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint8)
     for bit, corner in enumerate(cell_corners(np.less(grid.values, np.float64(iso)))):
-        cube |= corner.astype(np.uint16) << bit
+        cube |= corner.astype(np.uint8) << np.uint8(bit)
     active = np.argwhere((cube != 0) & (cube != 255))
     if len(active) == 0:
         return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))

@@ -20,6 +20,7 @@ __all__ = [
     "TriangleMesh",
     "DomainTransform",
     "ScalarGrid",
+    "SlopeBounded",
     "GeometryError",
     "as_points",
     "lattice_axes",
@@ -161,13 +162,29 @@ def fit_transform(cloud: PointCloud, half_extent: float = 0.9) -> DomainTransfor
     return DomainTransform(scale=scale, center=center, half_extent=half_extent)
 
 
+class SlopeBounded:
+    """A constant bound `slope` on how fast an SDF source's value(points)
+    changes; value_and_slope(points) returns the values with it, so that
+    csg.evaluate_near_level can evaluate the source only near a level set.
+    A source whose `slope` cannot be read (a composite with a part that
+    bounds no slope) has no value_and_slope either: it is evaluated densely."""
+
+    slope = 1.0  # an exact signed distance is 1-Lipschitz
+
+    @property
+    def value_and_slope(self):
+        slope = self.slope
+        return lambda p: (self.value(p), slope)
+
+
 @dataclass(frozen=True)
 class ScalarGrid:
     """Dense scalar field on an axis-aligned Cartesian lattice.
 
-    values[ix, iy, iz] corresponds to the lattice point with x varying along
-    the first axis. Values are stored as float32 to match the on-disk format
-    bit-exactly.
+    values[ix, iy, iz] is the lattice point (ax[ix], ay[iy], az[iz]) of
+    axes(). Values are stored C-contiguous, so values.flat[i] is the i-th
+    point of csg.grid_lattice (z fastest), and as float32 to match the
+    on-disk format bit-exactly.
     """
 
     dims: tuple[int, int, int]
@@ -183,7 +200,7 @@ class ScalarGrid:
         hi = np.asarray(self.bbox_max, dtype=np.float64).reshape(3)
         if not np.all(lo < hi):
             raise GeometryError("grid bbox min must be strictly below max")
-        vals = np.asarray(self.values, dtype=np.float32).reshape(dims)
+        vals = np.ascontiguousarray(self.values, dtype=np.float32).reshape(dims)
         if not np.all(np.isfinite(vals)):
             raise GeometryError("grid contains non-finite values")
         object.__setattr__(self, "dims", dims)
@@ -463,7 +480,8 @@ def signed_distance_to_mesh(p, mesh: TriangleMesh) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar grid binary format
+# scalar grid binary format: the header, then the float32 values with the x
+# index fastest (Fortran order), the only place that order is used
 
 _GRID_MAGIC = b"SDFG"
 _GRID_VERSION = 1

@@ -282,43 +282,39 @@ def _forward_pass(model: MlpModel, x: np.ndarray, rows: _Rows):
     return s[:N], s[N:].reshape(INPUT_DIM, T, C).transpose(1, 2, 0)
 
 
-def _blocked_forward(model: MlpModel, pts: np.ndarray, step: int, tangents: bool):
-    """Yields (start, values, gradients) of _forward_pass over blocks of
-    `step` points, all run in one keep=False workspace."""
+def _blocked_forward(model: MlpModel, x, tangents: bool):
+    """Values (B, C) at the (B, 3) points of `as_points(x)` and, with
+    `tangents`, their spatial gradients (B, C, 3). Runs _forward_pass in
+    blocks of 2^18 stacked rows, so a layer's activations are ~2 MB of
+    float64 and fit one L2 cache: a point carries one row, or four with
+    its three tangents. Every full block shares one keep=False workspace."""
+    pts = as_points(x)
+    step = max(1, 2**18 // ((1 + INPUT_DIM * tangents) * model.arch.hidden_width))
+    C = model.arch.output_channels
+    y, G = np.empty((len(pts), C)), (np.empty((len(pts), C, INPUT_DIM)) if tangents else None)
     rows = None
     for s in range(0, len(pts), step):
         block = pts[s : s + step]
         if rows is None or rows.n_rows != len(block):
             rows = None  # free the previous block's workspace before allocating the tail's
             rows = _Rows(model.arch, len(block), len(block) if tangents else 0, keep=False)
-        yield (s, *_forward_pass(model, block, rows))
+        y[s : s + step], grads = _forward_pass(model, block, rows)
+        if tangents:
+            G[s : s + step] = grads
+    return y, G
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Evaluate the network at normalized coordinates: (B, C) for the (B, 3)
-    points of `as_points(x)`. Runs in blocks of 2^18 / hidden_width rows, so
-    a layer's activations are ~2 MB of float64 and fit one L2 cache."""
-    pts = as_points(x)
-    rows = max(1, 2**18 // model.arch.hidden_width)
-    y = np.empty((len(pts), model.arch.output_channels))
-    for s, values, _ in _blocked_forward(model, pts, rows, tangents=False):
-        y[s : s + rows] = values
-    return y
+    points of `as_points(x)`."""
+    return _blocked_forward(model, x, tangents=False)[0]
 
 
 def forward_with_input_grad(model: MlpModel, x) -> DualBatch:
-    """Values plus exact per-channel spatial gradients for a batch (B, 3).
-    Each point carries 4 stacked rows (its value and three tangents), so it
-    runs in blocks of 2^16 / hidden_width points: ~2 MB per activation
-    matrix, as in `forward`."""
-    arr = as_points(x)
-    if arr.shape[0] == 0:
+    """Values plus exact per-channel spatial gradients for a batch (B, 3)."""
+    y, G = _blocked_forward(model, x, tangents=True)
+    if len(y) == 0:
         raise ValueError("batch must be non-empty")
-    rows = max(1, 2**16 // model.arch.hidden_width)
-    C = model.arch.output_channels
-    y, G = np.empty((len(arr), C)), np.empty((len(arr), C, INPUT_DIM))
-    for s, values, grads in _blocked_forward(model, arr, rows, tangents=True):
-        y[s : s + rows], G[s : s + rows] = values, grads
     return DualBatch(values=y, gradients=G)
 
 

@@ -3,15 +3,18 @@
 Every shape exposes value(points) -> signed distances, (N,) for the (N, 3)
 points of geometry.as_points, so shapes plug directly into grid evaluation,
 blending and metrics as SDF sources; bbox() -> (lo, hi), the axis-aligned
-box that holds the surface; and sample(n, rng) -> (n, 3) approximately
-area-uniform points on the surface. Primitives and offsets also expose
-dilated(delta), the same kind of shape grown by delta, which is how an
-offset samples its surface.
+box that holds the surface; and sample(n, rng) -> (n, 3) points on the
+surface, area-uniform on a primitive or an offset; a union draws as many
+points from every component and keeps those no other one swallows, so each
+component gets about an equal share whatever its area. Primitives and
+offsets also expose dilated(delta), the same kind of shape grown by delta,
+which is how an offset samples its surface.
 
 Each shape also bounds its slope by a constant, `slope`: 1 for the exact
 distances, the inner shape's for an offset, the largest component's for a
-union. value_and_slope(points) returns the values with that bound, which is
-what csg.evaluate_near_level needs to evaluate a shape only near a level set.
+union. geometry.SlopeBounded gives every shape value_and_slope(points), the
+values with that bound, which csg.evaluate_near_level needs to evaluate a
+shape only near a level set.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import GeometryError, PointCloud, TriangleMesh, as_points
+from .geometry import GeometryError, PointCloud, SlopeBounded, TriangleMesh, as_points
 
 __all__ = [
     "Sphere",
@@ -38,22 +41,8 @@ __all__ = [
 ]
 
 
-class _Bounded:
-    """The slope-bound capability every shape shares. A shape whose `slope`
-    cannot be read (a composite with a part that bounds no slope) has no
-    value_and_slope either: hasattr reads both as absent, and
-    csg.evaluate_near_level evaluates such a shape densely."""
-
-    slope = 1.0  # an exact signed distance is 1-Lipschitz
-
-    @property
-    def value_and_slope(self):
-        slope = self.slope
-        return lambda p: (self.value(p), slope)
-
-
 @dataclass(frozen=True)
-class Sphere(_Bounded):
+class Sphere(SlopeBounded):
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     radius: float = 1.0
 
@@ -76,7 +65,7 @@ class Sphere(_Bounded):
 
 
 @dataclass(frozen=True)
-class Capsule(_Bounded):
+class Capsule(SlopeBounded):
     """Segment a-b dilated by radius r (a tube with hemispherical caps)."""
 
     a: tuple[float, float, float]
@@ -132,7 +121,7 @@ class Capsule(_Bounded):
 
 
 @dataclass(frozen=True)
-class Torus(_Bounded):
+class Torus(SlopeBounded):
     """Torus around the z axis through `center`: major radius R, tube r."""
 
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
@@ -176,7 +165,7 @@ class Torus(_Bounded):
 
 
 @dataclass(frozen=True)
-class Offset(_Bounded):
+class Offset(SlopeBounded):
     """Dilation by delta: the SDF shifts down by exactly delta, so the slope
     is the inner shape's."""
 
@@ -204,7 +193,7 @@ class Offset(_Bounded):
 
 
 @dataclass(frozen=True)
-class UnionList(_Bounded):
+class UnionList(SlopeBounded):
     """min-combination of component SDFs. Exact signed distance outside the
     union; a lower bound (not exact) in overlapping interiors. A minimum is
     no steeper than its steepest component."""
@@ -228,7 +217,8 @@ class UnionList(_Bounded):
         return np.min([b[0] for b in boxes], axis=0), np.max([b[1] for b in boxes], axis=0)
 
     def sample(self, n, rng) -> np.ndarray:
-        # sample every component, drop the points another one swallows
+        # as many points from every component, whatever its area; drop the
+        # points another one swallows
         out = np.empty((0, 3))
         for attempt in range(64):
             need = n - len(out)

@@ -30,7 +30,7 @@ class ValueOnly:
 def dense_values(source, dims, bbox_min, bbox_max):
     """One source.value call over the whole lattice, rounded to float32,
     as an (nx, ny, nz) array."""
-    return source.value(grid_lattice(dims, bbox_min, bbox_max)).astype(np.float32).reshape(dims, order="F")
+    return source.value(grid_lattice(dims, bbox_min, bbox_max)).astype(np.float32).reshape(dims)
 
 
 def blend_values(grids, spec):
@@ -57,7 +57,7 @@ def near_level_values(source, dims, bbox_min, bbox_max, iso=0.0):
     axes = _grid_axes(dims, bbox_min, bbox_max)
     knots = [np.unique(np.r_[np.arange(0, n, _COARSE_STEP), n - 1]) for n in dims]
     coarse, slope = source.value_and_slope(_lattice_points(*(a[k] for a, k in zip(axes, knots))))
-    coarse = coarse.reshape(tuple(len(k) for k in knots), order="F")
+    coarse = coarse.reshape(tuple(len(k) for k in knots))
 
     (px, dx), (py, dy), (pz, dz) = (_nearest_knot(a, k) for a, k in zip(axes, knots))
     reach = dx[:, None, None] ** 2 + dy[:, None] ** 2 + dz**2

@@ -159,7 +159,7 @@ class TestGridSource:
         dims = (5, 4, 3)
         lo, hi = np.array([-1.0, 0.0, 2.0]), np.array([1.0, 2.0, 3.0])
         pts = grid_lattice(dims, lo, hi)
-        vals = (2 * pts[:, 0] - pts[:, 1] + 0.5 * pts[:, 2]).reshape(dims, order="F")
+        vals = (2 * pts[:, 0] - pts[:, 1] + 0.5 * pts[:, 2]).reshape(dims)
         return ScalarGrid(dims=dims, bbox_min=lo, bbox_max=hi, values=vals.astype(np.float32))
 
     def test_exact_on_linear_field(self):
@@ -173,7 +173,7 @@ class TestGridSource:
         g = self.linear_grid()
         src = GridSource(g)
         pts = grid_lattice(g.dims, g.bbox_min, g.bbox_max)
-        np.testing.assert_allclose(src.value(pts), g.values.ravel(order="F"), atol=1e-6)
+        np.testing.assert_allclose(src.value(pts), g.values.ravel(), atol=1e-6)
 
     def test_clamped_outside(self):
         g = self.linear_grid()
@@ -185,7 +185,7 @@ class TestGridSource:
     def sphere_grid(self, n):
         lo, hi = np.full(3, -1.0), np.full(3, 1.0)
         pts = grid_lattice((n, n, n), lo, hi)
-        vals = (np.linalg.norm(pts, axis=1) - 0.5).reshape((n, n, n), order="F")
+        vals = (np.linalg.norm(pts, axis=1) - 0.5).reshape((n, n, n))
         return ScalarGrid(dims=(n, n, n), bbox_min=lo, bbox_max=hi, values=vals.astype(np.float32))
 
     def test_matches_widened_grid_bitwise(self):
@@ -225,19 +225,43 @@ class TestMeshSource:
 
 
 class TestGridEvaluation:
-    def test_lattice_order_x_fastest(self):
-        pts = grid_lattice((3, 2, 2), np.zeros(3), np.array([2.0, 1.0, 1.0]))
+    def test_lattice_order_z_fastest(self):
+        pts = grid_lattice((2, 2, 3), np.zeros(3), np.array([1.0, 1.0, 2.0]))
         assert pts.shape == (12, 3)
-        np.testing.assert_array_equal(pts[:3, 0], [0.0, 1.0, 2.0])
-        np.testing.assert_array_equal(pts[:3, 1], [0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(pts[-1], [2.0, 1.0, 1.0])
+        np.testing.assert_array_equal(pts[:3, 2], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(pts[:3, :2], np.zeros((3, 2)))
+        np.testing.assert_array_equal(pts[3], [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(pts[-1], [1.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("dims", [(3, 5, 7), (7, 2, 4), (5, 6, 2)])
+    def test_flat_lattice_order_round_trips_through_scalar_grid(self, dims):
+        # a grid built from values in grid_lattice order holds the field at
+        # values[ix, iy, iz] = f(ax[ix], ay[iy], az[iz]), not a transpose
+        lo, hi = np.array([-1.3, 0.2, -0.7]), np.array([0.9, 2.1, 0.4])
+        def f(p):
+            return p[..., 0] + 10 * p[..., 1] + 100 * p[..., 2]
+        g = ScalarGrid(dims, lo, hi, f(grid_lattice(dims, lo, hi)))
+        expect = f(np.stack(np.meshgrid(*g.axes(), indexing="ij"), axis=-1)).astype(np.float32)
+        np.testing.assert_array_equal(g.values, expect)
+        assert g.values.flags.c_contiguous
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda d: evaluate_on_grid(Sphere(radius=0.5), d, -np.ones(3), np.ones(3)), id="dense"),
+        pytest.param(lambda d: evaluate_near_level(Sphere(radius=0.5), d, -np.ones(3), np.ones(3)), id="band"),
+        pytest.param(lambda d: evaluate_near_level(SlopeUnderstated([0.6875, 0.125, 0.125]), d, -np.ones(3), np.ones(3)), id="fallback"),
+        pytest.param(lambda d: blend_grids([evaluate_on_grid(Sphere(radius=r), d, -np.ones(3), np.ones(3)) for r in (0.3, 0.5)], BlendSpec()), id="blend"),
+        pytest.param(lambda d: ScalarGrid(d, -np.ones(3), np.ones(3), np.asfortranarray(np.zeros(d))), id="fortran-input"),
+    ])
+    def test_every_grid_is_c_ordered(self, make):
+        # one lattice order: every grid's values.flat is in grid_lattice order
+        assert make((33, 21, 27)).values.flags.c_contiguous
 
     def test_values_match_source(self):
         src = MeshSource(icosphere(1, radius=0.8))
         lo, hi = -np.ones(3), np.ones(3)
         g = evaluate_on_grid(src, (6, 6, 6), lo, hi)
         pts = grid_lattice((6, 6, 6), lo, hi)
-        np.testing.assert_allclose(g.values.ravel(order="F"), src.value(pts), atol=1e-12)
+        np.testing.assert_allclose(g.values.ravel(), src.value(pts), atol=1e-12)
 
     def test_rejects_degenerate_dims(self):
         src = MeshSource(icosphere(1))
@@ -248,7 +272,7 @@ class TestGridEvaluation:
     def test_lattice_matches_meshgrid(self, dims):
         lo, hi = np.array([-1.3, 0.2, -0.7]), np.array([0.9, 2.1, 0.4])
         axes = [np.linspace(lo[i], hi[i], dims[i]) for i in range(3)]
-        ref = np.stack([g.ravel(order="F") for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        ref = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
         pts = grid_lattice(dims, lo, hi)
         assert pts.shape == ref.shape
         np.testing.assert_array_equal(pts, ref)
@@ -354,7 +378,7 @@ class TestSlopeBounds:
     def test_grid_slope_is_the_steepest_edge(self):
         dims, lo, hi = (5, 4, 3), np.array([-1.0, 0.0, 2.0]), np.array([1.0, 2.0, 3.0])
         pts = grid_lattice(dims, lo, hi)
-        linear = (2 * pts[:, 0] - pts[:, 1] + 0.5 * pts[:, 2]).reshape(dims, order="F")
+        linear = (2 * pts[:, 0] - pts[:, 1] + 0.5 * pts[:, 2]).reshape(dims)
         assert GridSource(ScalarGrid(dims, lo, hi, linear)).slope == pytest.approx(np.sqrt(5.25), rel=1e-6)
         spike = np.zeros(dims)
         spike[2, 1, 1] = 3.0  # one x-edge step of 3 over h = 0.5, y: 3 / (2/3), z: 3 / 0.5
@@ -370,13 +394,22 @@ class TestSlopeBounds:
         assert GridSource(g).slope == float(np.sqrt(np.sum((np.array(largest) * per_step) ** 2)))
 
     def test_grid_slope_sees_every_z_edge(self):
-        # a single unit step between planes k - 1 and k, for every k: the
-        # edges between two slabs count as well as those inside one
+        # a single unit step between planes k - 1 and k, for every k
         dims = (7, 300, 40)
         z = np.arange(dims[2])
         for k in range(1, dims[2]):
             values = np.broadcast_to((z >= k).astype(np.float32), dims)
             assert GridSource(ScalarGrid(dims, -np.ones(3), np.ones(3), values)).slope == (dims[2] - 1) / 2.0
+
+    def test_grid_slope_sees_every_x_edge(self):
+        # a single unit step between x-planes i - 1 and i, for every i: the
+        # edges between two slabs (of 2 planes here) count as well as those
+        # inside one
+        dims = (40, 300, 80)
+        x = np.arange(dims[0])
+        for i in range(1, dims[0]):
+            values = np.broadcast_to((x >= i).astype(np.float32)[:, None, None], dims)
+            assert GridSource(ScalarGrid(dims, -np.ones(3), np.ones(3), values)).slope == (dims[0] - 1) / 2.0
 
     def test_grid_slope_builds_no_float64_lattice(self):
         dims = (128, 128, 128)
@@ -402,19 +435,21 @@ class SlopeUnderstated:
         return self.value(p), 1.0
 
 
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """The dims of every dense evaluation evaluate_near_level falls back to."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return evaluate_on_grid(*args)
+
+    monkeypatch.setattr(csg, "evaluate_on_grid", counted)
+    return calls
+
+
 class TestNarrowBand:
     LO, HI = -np.ones(3), np.ones(3)
-
-    @pytest.fixture
-    def dense_calls(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args[1])
-            return evaluate_on_grid(*args)
-
-        monkeypatch.setattr(csg, "evaluate_on_grid", counted)
-        return calls
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -465,6 +500,18 @@ class TestNarrowBand:
         dims = (14, 13, 12)
         band = evaluate_near_level(source, dims, self.LO, self.HI)
         assert dense_calls == []
+        assert_band_matches_dense(band, evaluate_on_grid(source, dims, self.LO, self.HI))
+
+    def test_union_with_a_mesh_takes_the_band(self, dense_calls):
+        # a mesh bounds its slope by 1 as the shapes do, so a union holding
+        # one bounds it too
+        source = UnionList((Sphere((0.3, 0.0, 0.0), 0.3), MeshSource(icosphere(1, radius=0.5))))
+        assert source.slope == 1.0
+        dims = (24, 24, 24)
+        band = evaluate_near_level(source, dims, self.LO, self.HI)
+        assert dense_calls == []
+        expect = band_oracle.near_level_values(source, dims, self.LO, self.HI)
+        assert band.values.tobytes() == expect.tobytes()
         assert_band_matches_dense(band, evaluate_on_grid(source, dims, self.LO, self.HI))
 
     @pytest.mark.parametrize("kind", BOUNDED_KINDS)
@@ -609,14 +656,14 @@ class TestLatticeBlocks:
     def test_grid_matches_one_shot(self, make, dims):
         source = make()
         grid = evaluate_on_grid(source, dims, self.LO, self.HI)
-        assert grid.values.tobytes(order="F") == band_oracle.dense_values(source, dims, self.LO, self.HI).tobytes(order="F")
+        assert grid.values.tobytes() == band_oracle.dense_values(source, dims, self.LO, self.HI).tobytes()
 
     @settings(max_examples=3, deadline=None, derandomize=True, database=None)
     @given(dims=st.sampled_from([(9, 10, 11), (64, 32, 32), (37, 41, 53)]))
     def test_mesh_grid_matches_one_shot(self, dims):
         source = MeshSource(icosphere(0, radius=0.6))
         grid = evaluate_on_grid(source, dims, self.LO, self.HI)
-        assert grid.values.tobytes(order="F") == band_oracle.dense_values(source, dims, self.LO, self.HI).tobytes(order="F")
+        assert grid.values.tobytes() == band_oracle.dense_values(source, dims, self.LO, self.HI).tobytes()
 
     @pytest.mark.parametrize("spec", [BlendSpec(k=0.1), BlendSpec(k=0.3, variant="quilez"), BlendSpec(k=0.0)], ids=str)
     @SETTINGS
@@ -628,7 +675,7 @@ class TestLatticeBlocks:
         values[1] = np.asfortranarray(values[1])  # a grid in either memory order
         grids = [ScalarGrid(dims, self.LO, self.HI, v) for v in values]
         expect = band_oracle.blend_values(grids, spec)
-        assert blend_grids(grids, spec).values.tobytes(order="F") == expect.tobytes(order="F")
+        assert blend_grids(grids, spec).values.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("iso", [0.1, 1 / 3])
     @settings(max_examples=8, deadline=None, derandomize=True, database=None)
@@ -638,15 +685,15 @@ class TestLatticeBlocks:
         source = ModelSource(bumpy_model(width, seed=width))
         band = evaluate_near_level(source, dims, self.LO, self.HI, iso)
         expect = band_oracle.near_level_values(source, dims, self.LO, self.HI, iso)
-        assert band.values.tobytes(order="F") == expect.tobytes(order="F")
+        assert band.values.tobytes() == expect.tobytes()
 
     @pytest.mark.parametrize("dims", [(33, 33, 33), (65, 37, 109)])
-    def test_band_dense_fallback_matches_oracle(self, dims):
+    def test_band_dense_fallback_matches_oracle(self, dense_calls, dims):
         source = SlopeUnderstated([0.6875, 0.125, 0.125])
         band = evaluate_near_level(source, dims, -np.ones(3), np.ones(3))
+        assert dense_calls == [dims]
         expect = band_oracle.near_level_values(source, dims, -np.ones(3), np.ones(3))
-        assert band.values.tobytes(order="F") == expect.tobytes(order="F")
-        assert band.values.flags.f_contiguous  # the dense grid
+        assert band.values.tobytes() == expect.tobytes()
 
     # peak traced memory at 96^3 relative to the float32 grid returned;
     # the whole-lattice forms peak at 22x, 15.9x, 10x and 8.0x
@@ -666,6 +713,13 @@ class TestLatticeBlocks:
         grids = [evaluate_on_grid(Sphere((0.1 * i, 0.0, 0.0), 0.5), self.DIMS, -np.ones(3), np.ones(3)) for i in range(3)]
         peak = peak_bytes(lambda: blend_grids(grids, BlendSpec(k=0.1)))
         assert peak <= 5 * self.GRID_BYTES, peak / self.GRID_BYTES
+
+    def test_blend_of_band_grids_copies_no_grid(self):
+        # the output grid and one block's float64 temporaries; a copy of
+        # any input grid would add one grid more
+        grids = [evaluate_near_level(Sphere((0.1 * i, 0.0, 0.0), 0.5), self.DIMS, -np.ones(3), np.ones(3)) for i in range(3)]
+        peak = peak_bytes(lambda: blend_grids(grids, BlendSpec(k=0.1)))
+        assert peak < 2 * self.GRID_BYTES, peak / self.GRID_BYTES
 
     def test_band_peak(self):
         source = ModelSource(bumpy_model(64, layers=4))

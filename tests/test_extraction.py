@@ -21,7 +21,7 @@ from test_network import linear_channel_model
 
 def analytic_grid(shape, dims, lo, hi):
     pts = grid_lattice(dims, lo, hi)
-    vals = shape.value(pts).reshape(dims, order="F")
+    vals = shape.value(pts).reshape(dims)
     return ScalarGrid(
         dims=dims,
         bbox_min=np.asarray(lo, dtype=float),
@@ -92,7 +92,7 @@ class TestMarchingCubes:
     def test_open_surface_reports_boundary(self):
         dims = (16, 16, 16)
         pts = grid_lattice(dims, -np.ones(3), np.ones(3))
-        vals = (pts[:, 2] - 0.1 * np.sin(3 * pts[:, 0])).reshape(dims, order="F")
+        vals = (pts[:, 2] - 0.1 * np.sin(3 * pts[:, 0])).reshape(dims)
         g = ScalarGrid(
             dims=dims, bbox_min=-np.ones(3), bbox_max=np.ones(3), values=vals.astype(np.float32)
         )
@@ -110,7 +110,7 @@ class TestMarchingCubes:
     def test_value_exactly_at_iso_does_not_crash(self):
         dims = (4, 4, 4)
         pts = grid_lattice(dims, -np.ones(3), np.ones(3))
-        vals = pts[:, 0].reshape(dims, order="F")  # plane with a full lattice sheet at 0
+        vals = pts[:, 0].reshape(dims)  # plane with a full lattice sheet at 0
         g = ScalarGrid(
             dims=dims, bbox_min=-np.ones(3), bbox_max=np.ones(3), values=vals.astype(np.float32)
         )

@@ -417,7 +417,7 @@ class TestSignedDistance:
         # a half or two thirds of the way along its edge
         mesh = marching_cubes(g)
         pts = grid_lattice(g.dims, g.bbox_min, g.bbox_max)
-        signs = np.sign(g.values.ravel(order="F"))
+        signs = np.sign(g.values.ravel())
         for m in (mesh, TriangleMesh(mesh.vertices, mesh.triangles[:, ::-1])):
             np.testing.assert_array_equal(np.sign(signed_distance_to_mesh(pts, m)), signs)
 
@@ -475,6 +475,21 @@ class TestGridIO:
         write_grid(g, p)
         # header: 4s + u32 + 3*u32 + 6*f64, then 8 f32 values
         assert p.stat().st_size == (4 + 4 + 12 + 48) + 8 * 4
+
+    def test_payload_is_x_fastest(self, tmp_path):
+        # the file order is pinned: value ix + nx * (iy + ny * iz) of the
+        # payload is lattice point (ix, iy, iz), whatever the memory order
+        dims = (2, 3, 4)
+        ix, iy, iz = np.meshgrid(*(np.arange(n) for n in dims), indexing="ij")
+        g = ScalarGrid(dims, np.zeros(3), np.ones(3), ix + 10 * iy + 100 * iz)
+        p = tmp_path / "g.sdfgrid"
+        write_grid(g, p)
+        payload = np.frombuffer(p.read_bytes()[4 + 4 + 12 + 48 :], dtype="<f4")
+        expect = [x + 10 * y + 100 * z for z in range(4) for y in range(3) for x in range(2)]
+        np.testing.assert_array_equal(payload, expect)
+        back = read_grid(p)
+        np.testing.assert_array_equal(back.values, g.values)
+        assert back.values.flags.c_contiguous
 
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(10)
