@@ -374,7 +374,7 @@ def main(argv=None) -> int:
         config = _load_config_file(config_path) if config_path else {}
         args = build_parser(config).parse_args(argv)
         return args.func(args)
-    except (geometry.GeometryError, network.ModelFormatError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -100,11 +100,10 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
         lo = vertices[on, k]
         vertices[on, k] = lo + t[on] * (axes[k][high[on, k]] - lo)
 
-    a, b, c = corner.T
-    keep = (a != b) & (b != c) & (a != c)
-    # table order has normals toward the inside; (a, c, b) points them
-    # toward positive field values
-    return TriangleMesh(vertices, np.stack([a, c, b], axis=1)[keep])
+    # no table triangle repeats an edge and each lattice edge has one id, so
+    # no triangle repeats a vertex; swapping the last two corners turns the
+    # table's inward normals toward positive field values
+    return TriangleMesh(vertices, corner[:, [0, 2, 1]])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ and double as ground-truth oracles for the rest of the package.
 
 from __future__ import annotations
 
+import numbers
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -127,13 +129,15 @@ class DomainTransform:
     half_extent: float = 0.9
 
     def __post_init__(self):
-        if not (self.scale > 0):
-            raise GeometryError("transform scale must be positive")
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in (self.scale, self.half_extent)):
+            raise GeometryError("transform scale and half_extent must be numbers")
+        if not (0 < self.scale < np.inf):
+            raise GeometryError("transform scale must be positive and finite")
         if not (0 < self.half_extent <= 1):
             raise GeometryError("half_extent must lie in (0, 1]")
-        object.__setattr__(
-            self, "center", np.asarray(self.center, dtype=np.float64).reshape(3)
-        )
+        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64).reshape(3))
+        if not np.all(np.isfinite(self.center)):
+            raise GeometryError("transform center must be finite")
 
     def apply(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=np.float64)
@@ -259,9 +263,10 @@ def load_point_cloud(path) -> PointCloud:
 
 
 def save_point_cloud(cloud: PointCloud, path) -> None:
+    """One 'x y z' line per point, 17 significant digits (round-trip exact)."""
+    text = ("%.17g %.17g %.17g\n" * len(cloud)) % tuple(cloud.points.ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for p in cloud.points:
-            f.write(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}\n")
+        f.write(text)
 
 
 def load_mesh(path) -> TriangleMesh:
@@ -289,11 +294,10 @@ def load_mesh(path) -> TriangleMesh:
             ignored.add(tag)
     if ignored:
         warnings.warn(f"{path}: ignored OBJ records: {sorted(ignored)}", stacklevel=2)
-    verts_arr = np.array(verts, dtype=np.float64).reshape(-1, 3)
-    tris_arr = np.array(tris, dtype=np.int64).reshape(-1, 3)
-    if tris_arr.size and (tris_arr.min() < 0 or tris_arr.max() >= len(verts_arr)):
-        raise GeometryError(f"{path}: face index out of range")
-    return TriangleMesh(verts_arr, tris_arr)
+    try:
+        return TriangleMesh(np.array(verts).reshape(-1, 3), np.array(tris, dtype=np.int64).reshape(-1, 3))
+    except (GeometryError, OverflowError) as e:  # an index past int64 overflows
+        raise GeometryError(f"{path}: {e}") from None
 
 
 def save_mesh(mesh: TriangleMesh, path) -> None:
@@ -481,7 +485,9 @@ def signed_distance_to_mesh(p, mesh: TriangleMesh) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # scalar grid binary format: the header, then the float32 values with the x
-# index fastest (Fortran order), the only place that order is used
+# index fastest (Fortran order), the only place that order is used. Both
+# directions stream one z-plane at a time, which is x-fastest as a (ny, nx)
+# C array.
 
 _GRID_MAGIC = b"SDFG"
 _GRID_VERSION = 1
@@ -490,38 +496,31 @@ _HEADER = struct.Struct("<4sI3I6d")
 
 def write_grid(grid: ScalarGrid, path) -> None:
     with open(path, "wb") as f:
-        lo, hi = grid.bbox_min, grid.bbox_max
-        f.write(
-            _HEADER.pack(
-                _GRID_MAGIC, _GRID_VERSION, *grid.dims, *lo.tolist(), *hi.tolist()
-            )
-        )
-        payload = np.ascontiguousarray(grid.values.ravel(order="F"), dtype="<f4")
-        f.write(payload.tobytes())
+        f.write(_HEADER.pack(_GRID_MAGIC, _GRID_VERSION, *grid.dims, *grid.bbox_min, *grid.bbox_max))
+        for iz in range(grid.dims[2]):
+            f.write(grid.values[:, :, iz].T.astype("<f4").tobytes())
 
 
 def read_grid(path) -> ScalarGrid:
+    """Read a .sdfgrid file. The payload size is checked against the header
+    before the grid is allocated; ScalarGrid checks the rest, and every
+    failure is a GeometryError that names the file."""
     with open(path, "rb") as f:
         header = f.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise GeometryError(f"{path}: truncated header")
-        magic, version, nx, ny, nz, *bbox = _HEADER.unpack(header)
-        if magic != _GRID_MAGIC:
-            raise GeometryError(f"{path}: bad magic {magic!r}")
-        if version != _GRID_VERSION:
-            raise GeometryError(f"{path}: unsupported format version {version}")
-        count = nx * ny * nz
-        payload = f.read()
-    if len(payload) != 4 * count:
-        raise GeometryError(
-            f"{path}: payload size mismatch (expected {4 * count} bytes, got {len(payload)})"
-        )
-    values = np.frombuffer(payload, dtype="<f4").reshape((nx, ny, nz), order="F")
-    if not np.all(np.isfinite(values)):
-        raise GeometryError(f"{path}: non-finite grid values")
-    return ScalarGrid(
-        dims=(nx, ny, nz),
-        bbox_min=np.array(bbox[:3]),
-        bbox_max=np.array(bbox[3:]),
-        values=values,
-    )
+        try:
+            if len(header) != _HEADER.size:
+                raise GeometryError("truncated header")
+            magic, version, nx, ny, nz, *bbox = _HEADER.unpack(header)
+            if magic != _GRID_MAGIC:
+                raise GeometryError(f"bad magic {magic!r}")
+            if version != _GRID_VERSION:
+                raise GeometryError(f"unsupported format version {version}")
+            size, need = os.fstat(f.fileno()).st_size - _HEADER.size, 4 * nx * ny * nz
+            if size != need:
+                raise GeometryError(f"payload size mismatch (expected {need} bytes, got {size})")
+            values = np.empty((nx, ny, nz), dtype=np.float32)
+            for iz in range(nz):
+                values[:, :, iz] = np.frombuffer(f.read(4 * nx * ny), dtype="<f4").reshape(ny, nx).T
+            return ScalarGrid((nx, ny, nz), np.array(bbox[:3]), np.array(bbox[3:]), values)
+        except GeometryError as e:
+            raise GeometryError(f"{path}: {e}") from None

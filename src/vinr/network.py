@@ -28,13 +28,14 @@ gradients are fresh arrays.
 
 from __future__ import annotations
 
-import io
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import DomainTransform, GeometryError, as_points
+from .geometry import DomainTransform, as_points
 
 __all__ = [
     "MlpArchitecture",
@@ -69,12 +70,15 @@ class MlpArchitecture:
     softplus_beta: float = 100.0
 
     def __post_init__(self):
-        if self.hidden_layers < 1 or self.hidden_width < 1:
-            raise ValueError("need at least one hidden layer and positive width")
+        sizes = (self.hidden_layers, self.hidden_width, self.output_channels, self.skip_layer)
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in sizes):
+            raise ValueError(f"layer counts, width and skip layer must be integers, got {sizes}")
+        if isinstance(self.softplus_beta, bool) or not isinstance(self.softplus_beta, numbers.Real):
+            raise ValueError(f"softplus_beta must be a number, got {self.softplus_beta!r}")
+        if min(self.hidden_layers, self.hidden_width, self.output_channels) < 1:
+            raise ValueError("need at least one hidden layer, a positive width and an output channel")
         if not (1 <= self.skip_layer <= self.hidden_layers):
             raise ValueError("skip_layer must index a hidden layer")
-        if self.output_channels < 1:
-            raise ValueError("output_channels must be >= 1")
         if self.activation not in ("relu", "softplus"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -117,8 +121,9 @@ class MlpModel:
                 raise ValueError(f"layer {i}: non-finite parameters")
             self.weights[i] = w
             self.biases[i] = b
-        if self.channel_names is not None and len(self.channel_names) != self.arch.output_channels:
-            raise ValueError("channel_names length must equal output_channels")
+        names = self.channel_names
+        if names is not None and (not isinstance(names, list) or len(names) != self.arch.output_channels):
+            raise ValueError("channel_names must be a list of output_channels names")
 
     def parameters(self) -> list:
         """Flat parameter list [W1, b1, ..., Wout, bout] (live arrays)."""
@@ -473,81 +478,51 @@ def loss_value(model: MlpModel, surface_batches, eikonal_batch, lam: float, nest
 
 
 def save_model(model: MlpModel, path) -> None:
+    t = model.transform
     header = {
         "magic": "VINR",
         "format_version": 1,
         "arch": asdict(model.arch),  # keys in field order
         "transform": None
-        if model.transform is None
-        else {
-            "scale": model.transform.scale,
-            "center": model.transform.center.tolist(),
-            "half_extent": model.transform.half_extent,
-        },
+        if t is None
+        else {"scale": t.scale, "center": t.center.tolist(), "half_extent": t.half_extent},
         "channel_names": model.channel_names,
     }
-    buf = io.BytesIO()
-    buf.write(json.dumps(header).encode("utf-8"))
-    buf.write(b"\n\n")
-    for p in model.parameters():
-        buf.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    blob = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes() for p in model.parameters())
     with open(path, "wb") as f:
-        f.write(buf.getvalue())
+        f.write(json.dumps(header).encode("utf-8") + b"\n\n" + blob)
 
 
 def load_model(path) -> MlpModel:
+    """Read a .inr file. Every field of the header must be present; the
+    types built from it (MlpArchitecture, DomainTransform, MlpModel) check
+    its values, and any failure is a ModelFormatError that names the file."""
     with open(path, "rb") as f:
-        raw = f.read()
-    sep = raw.find(b"\n\n")
-    if sep < 0:
-        raise ModelFormatError(f"{path}: missing header terminator")
+        head, sep, blob = f.read().partition(b"\n\n")
     try:
-        header = json.loads(raw[:sep].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ModelFormatError(f"{path}: unreadable header: {e}") from None
-    if header.get("magic") != "VINR":
-        raise ModelFormatError(f"{path}: bad magic")
-    if header.get("format_version") != 1:
-        raise ModelFormatError(f"{path}: unsupported version {header.get('format_version')}")
-    try:
+        if not sep:
+            raise ValueError("missing header terminator")
+        header = json.loads(head.decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("header is not a JSON object")
+        if header["magic"] != "VINR":
+            raise ValueError("bad magic")
+        version = header["format_version"]
+        if version != 1 or type(version) is not int:
+            raise ValueError(f"unsupported version {version!r}")
         arch = MlpArchitecture(**header["arch"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ModelFormatError(f"{path}: bad architecture block: {e}") from None
-    blob = raw[sep + 2 :]
-    shapes = arch.param_shapes()
-    need = sum(np.prod(w) + np.prod(b) for w, b in shapes)
-    if len(blob) != 8 * need:
-        raise ModelFormatError(
-            f"{path}: parameter blob size mismatch (expected {8 * int(need)} bytes, got {len(blob)})"
-        )
-    flat = np.frombuffer(blob, dtype="<f8")
-    weights, biases = [], []
-    off = 0
-    for wshape, bshape in shapes:
-        n = int(np.prod(wshape))
-        weights.append(flat[off : off + n].reshape(wshape).copy())
-        off += n
-        n = int(np.prod(bshape))
-        biases.append(flat[off : off + n].reshape(bshape).copy())
-        off += n
-    tinfo = header.get("transform")
-    transform = None
-    if tinfo is not None:
-        try:
-            transform = DomainTransform(
-                scale=tinfo["scale"],
-                center=np.asarray(tinfo["center"]),
-                half_extent=tinfo["half_extent"],
-            )
-        except (KeyError, GeometryError) as e:
-            raise ModelFormatError(f"{path}: bad transform block: {e}") from None
-    try:
-        return MlpModel(
-            arch=arch,
-            weights=weights,
-            biases=biases,
-            transform=transform,
-            channel_names=header.get("channel_names"),
-        )
-    except ValueError as e:
-        raise ModelFormatError(f"{path}: corrupt payload: {e}") from None
+        if len(header["arch"]) != len(asdict(arch)):
+            raise ValueError(f"architecture block needs every field of {list(asdict(arch))}")
+        shapes = [s for pair in arch.param_shapes() for s in pair]
+        sizes = [math.prod(s) for s in shapes]
+        if len(blob) != 8 * sum(sizes):
+            raise ValueError(f"parameter blob size mismatch (expected {8 * sum(sizes)} bytes, got {len(blob)})")
+        flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
+        params = [p.reshape(s) for p, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+        t = header["transform"]
+        transform = None if t is None else DomainTransform(t["scale"], t["center"], t["half_extent"])
+        return MlpModel(arch, params[0::2], params[1::2], transform, header["channel_names"])
+    except KeyError as e:
+        raise ModelFormatError(f"{path}: missing field {e}") from None
+    except (TypeError, ValueError, RecursionError) as e:  # RecursionError: JSON nested too deep
+        raise ModelFormatError(f"{path}: {e}") from None

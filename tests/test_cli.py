@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -9,6 +12,8 @@ from vinr.csg import ModelSource
 from vinr.extraction import check_watertight
 from vinr.synthetic import Sphere
 from vinr.training import TrainConfig
+
+from test_network import MALFORMED_HEADERS, header_models, write_mutated_model
 
 FAST_FIT = [
     "--epochs", "400",
@@ -168,6 +173,26 @@ class TestExtractAndEval:
         )
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: channel 3 out of range")
+
+    @pytest.mark.parametrize("field, value", MALFORMED_HEADERS)
+    def test_corrupt_model_is_a_one_line_error(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "bad.inr"
+        write_mutated_model(header_models()[0], bad, field, value)
+        for argv in (
+            ["extract", "--model", bad, "--dims", "8", "--bbox", "-1 -1 -1 1 1 1", "--out", tmp_path / "m.obj"],
+            ["eval", "--model", bad, "--ref-shape", "sphere:0.5", "--dsc-dims", "8"],
+        ):
+            assert run(argv) == 1
+            assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+    def test_corrupt_model_prints_no_traceback(self, tmp_path):
+        bad = tmp_path / "bad.inr"
+        write_mutated_model(header_models()[0], bad, (), [1, 2])
+        argv = ["extract", "--model", bad, "--dims", "8", "--bbox", "-1 -1 -1 1 1 1", "--out", tmp_path / "m.obj"]
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}  # the vinr under test
+        proc = subprocess.run([sys.executable, "-m", "vinr.cli", *map(str, argv)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {bad}: ") and "Traceback" not in proc.stderr
 
     def test_extract_requires_bbox_for_model(self, fitted_sphere, tmp_path):
         rc = run(["extract", "--model", fitted_sphere["model"], "--out", tmp_path / "m.obj"])

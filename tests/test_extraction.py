@@ -317,3 +317,12 @@ class TestCaseTables:
                     key = (min(a, b), max(a, b))
                     counts[key] = counts.get(key, 0) + 1
             assert all(v <= 2 for v in counts.values()), f"case {case}"
+
+    def test_no_triangle_repeats_an_edge(self):
+        # marching_cubes welds one vertex per lattice edge and keeps every
+        # table triangle, so this is what keeps its triangles non-degenerate
+        from vinr.mc_tables import TRI_TABLE
+
+        for case in range(256):
+            for tri in np.reshape(TRI_TABLE[case], (-1, 3)):
+                assert len(set(tri)) == 3, f"case {case}"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mesh_oracle
 import numpy as np
 import pytest
@@ -77,6 +79,16 @@ class TestPointCloudIO:
         again = load_point_cloud(out)
         np.testing.assert_array_equal(cloud.points, again.points)
 
+    def test_bytes_match_row_writer(self, tmp_path):
+        rng = np.random.default_rng(11)
+        pts = 10.0 ** rng.uniform(-30, 300, size=(2002, 3)) * rng.choice([-1, 1], size=(2002, 3))
+        pts[0] = [-0.0, 5e-324, 0.0]
+        pts[1] = [1 / 3, -2.5e-17, 123456789.0]
+        for cloud in (PointCloud(pts), PointCloud(np.empty((0, 3)))):
+            save_point_cloud(cloud, tmp_path / "fast.xyz")
+            rows = "".join(f"{x:.17g} {y:.17g} {z:.17g}\n" for x, y, z in cloud.points)
+            assert (tmp_path / "fast.xyz").read_bytes() == rows.encode()
+
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "bad.xyz"
         p.write_text("1 2\n")
@@ -95,8 +107,17 @@ class TestMeshIO:
     def test_index_out_of_range(self, tmp_path):
         p = tmp_path / "bad.obj"
         p.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n")
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError) as info:
             load_mesh(p)
+        assert str(info.value) == f"{p}: triangle index out of range"
+
+    @pytest.mark.parametrize("text", ["v 0 0 0\nv 1e999 0 0\n", "v 0 0 0\nf 1 1 99999999999999999999\n"])
+    def test_invalid_mesh_names_path(self, tmp_path, text):
+        p = tmp_path / "bad.obj"
+        p.write_text(text)
+        with pytest.raises(GeometryError) as info:
+            load_mesh(p)
+        assert str(info.value).startswith(f"{p}: ")
 
     def test_zero_index_rejected(self, tmp_path):
         p = tmp_path / "bad.obj"
@@ -521,3 +542,38 @@ class TestGridIO:
         p.write_bytes(bytes(data))
         with pytest.raises(GeometryError, match="magic"):
             read_grid(p)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda d: d[:-4], "payload size mismatch"),
+        (lambda d: d + b"\0" * 4, "payload size mismatch"),
+        (lambda d: d[:30], "truncated header"),
+        (lambda d: d[:4] + (2).to_bytes(4, "little") + d[8:], "unsupported format version 2"),
+        (lambda d: d[:8] + (3).to_bytes(4, "little") + d[12:], "payload size mismatch"),  # nx 3, not 2
+        (lambda d: d[:8] + (0).to_bytes(4, "little") + d[12:68], "invalid grid dims"),  # and no payload
+        (lambda d: d[:-4] + np.float32(np.inf).tobytes(), "grid contains non-finite"),
+        (lambda d: d[:20] + np.float64(2.0).tobytes() + d[28:], "grid bbox min must be strictly below max"),
+    ], ids=["truncated", "extra-bytes", "short-header", "version", "dims", "zero-dim", "non-finite", "bbox"])
+    def test_malformed_file_names_path(self, tmp_path, edit, reason):
+        g = ScalarGrid((2, 2, 2), np.zeros(3), np.ones(3), np.zeros((2, 2, 2)))
+        p = tmp_path / "g.sdfgrid"
+        write_grid(g, p)
+        p.write_bytes(edit(p.read_bytes()))
+        with pytest.raises(GeometryError) as info:
+            read_grid(p)
+        assert str(info.value).startswith(f"{p}: {reason}")
+
+    def test_streamed_peaks(self, tmp_path):
+        # both directions hold at most one z-plane besides the grid: the
+        # reader the grid plus ScalarGrid's isfinite mask (1/4 of it)
+        dims = (128, 128, 128)
+        g = ScalarGrid(dims, np.zeros(3), np.ones(3), np.random.default_rng(3).normal(size=dims))
+        p = tmp_path / "g.sdfgrid"
+        peaks = []
+        for call in (lambda: write_grid(g, p), lambda: read_grid(p)):
+            tracemalloc.start()
+            try:
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] / g.values.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.25 and peaks[1] <= 1.5, peaks

@@ -1,4 +1,8 @@
+import functools
+import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import einsum_oracle
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from vinr.geometry import DomainTransform
 from vinr.network import (
     MlpArchitecture,
     MlpModel,
@@ -488,6 +493,20 @@ class TestEinsumOracle:
         grad_of_loss(m, surface, eik, 0.1, workspace=loss_workspace(m, [4, 5], 6))
 
 
+class TestArchitecture:
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_layers", 1.5), ("hidden_width", 2.5), ("skip_layer", 1.0),
+        ("output_channels", True), ("hidden_width", "8"), ("softplus_beta", "x"), ("softplus_beta", None),
+    ])
+    def test_non_numeric_sizes_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field if "beta" in field else "integers"):
+            MlpArchitecture(**{"hidden_layers": 2, "hidden_width": 2, "skip_layer": 1, field: value})
+
+    def test_numpy_integers_accepted(self):
+        arch = MlpArchitecture(hidden_layers=np.int64(2), hidden_width=np.int32(3), skip_layer=np.int64(1))
+        init_model(arch, seed=0)
+
+
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
         from vinr.geometry import DomainTransform
@@ -520,3 +539,154 @@ class TestSerialization:
         p.write_bytes(data[:-16])
         with pytest.raises(ModelFormatError, match="mismatch"):
             load_model(p)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda d: d.replace(b"\n\n", b"\n", 1), "missing header terminator"),
+        (lambda d: b"\xff" + d, "'utf-8' codec can't decode"),
+        (lambda d: b"{" + d, "Expecting property name"),
+        (lambda d: b"[" * 100000 + b"]" * 100000 + b"\n\n", "maximum recursion depth exceeded"),
+        (lambda d: d + bytes(8), "parameter blob size mismatch"),
+        (lambda d: d[:-8] + np.float64(np.nan).tobytes(), "layer 1: non-finite parameters"),
+        (lambda d: d.replace(b"null}", b'["a", "b"]}'), "channel_names must be a list of output_channels"),
+    ], ids=["terminator", "utf8", "json", "deep-json", "long-blob", "nan", "names"])
+    def test_corrupt_file_names_path(self, tmp_path, edit, reason):
+        m = init_model(MlpArchitecture(hidden_layers=1, hidden_width=3, skip_layer=1), seed=23)
+        p = tmp_path / "m.inr"
+        save_model(m, p)
+        p.write_bytes(edit(p.read_bytes()))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(p)
+        assert str(info.value).startswith(f"{p}: {reason}")
+
+
+def header_models():
+    """The two models whose saved headers the .inr reader tests corrupt: one
+    with every optional field set, one with none."""
+    full = init_model(
+        MlpArchitecture(hidden_layers=2, hidden_width=4, output_channels=2, skip_layer=1, activation="softplus"),
+        seed=21,
+    )
+    full.transform = DomainTransform(scale=0.5, center=np.array([0.1, 0.2, 0.3]))
+    full.channel_names = ["lumen", "wall"]
+    bare = init_model(MlpArchitecture(hidden_layers=1, hidden_width=3, skip_layer=1), seed=22)
+    return full, bare
+
+
+DELETE = object()  # as a mutation value: remove the field instead
+
+# (field path, value) pairs for the first header model that the reader once
+# let through, to fail later as errors of other types or without the path;
+# () is the whole header
+MALFORMED_HEADERS = [
+    ((), [1, 2]),
+    (("transform", "scale"), "x"),
+    (("transform", "half_extent"), None),
+    (("channel_names",), 5),
+    (("arch", "hidden_layers"), 1.5),
+    (("transform",), 3),
+    (("transform", "center"), [0.0, 1.0]),
+    (("transform", "center"), [float("nan"), 0.0, 0.0]),
+    (("transform", "scale"), float("inf")),
+]
+
+
+def write_mutated_model(model, path, field, value):
+    """Save `model` to `path` with the header field at path `field` set to
+    `value` (removed for DELETE), the parameter blob unchanged."""
+    save_model(model, path)
+    head, _, blob = path.read_bytes().partition(b"\n\n")
+    header = json.loads(head)
+    if not field:
+        header = value
+    else:
+        parent = header
+        for key in field[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[field[-1]]
+        else:
+            parent[field[-1]] = value
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n\n" + blob)
+
+
+@functools.cache
+def saved_headers():
+    """(header, field paths) of each header model as saved, nested fields
+    included."""
+    out = []
+    with tempfile.TemporaryDirectory() as d:
+        for model in header_models():
+            save_model(model, Path(d) / "m.inr")
+            header = json.loads((Path(d) / "m.inr").read_bytes().partition(b"\n\n")[0])
+            nested = [(k, sub) for k in ("arch", "transform") if isinstance(header[k], dict) for sub in header[k]]
+            out.append((header, [(k,) for k in header] + nested))
+    return out
+
+
+def _json_kind(v):
+    """A JSON value's type; an integer also counts as a float, the way a
+    hand-written file may give a float field."""
+    return "bool" if isinstance(v, bool) else "float" if isinstance(v, (int, float)) else type(v).__name__
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def header_mutations(draw):
+    """(header model index, field path, value): a field of a saved header
+    deleted, or the header or a field replaced by a JSON value of another
+    type."""
+    which = draw(st.sampled_from([0, 1]))
+    header, fields = saved_headers()[which]
+    field = draw(st.sampled_from([()] + fields))
+    old = header
+    for key in field:
+        old = old[key]
+    retyped = _json_values.filter(lambda v: _json_kind(v) != _json_kind(old))
+    return which, field, draw(retyped | st.just(DELETE) if field else retyped)
+
+
+def with_malformed_headers(test):
+    for field, value in MALFORMED_HEADERS:
+        test = example(mutation=(0, field, value))(test)
+    return test
+
+
+@pytest.fixture(scope="module")
+def header_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("headers")
+
+
+class TestHeaderMutations:
+    """Every corrupt .inr header is a ModelFormatError naming the file."""
+
+    @staticmethod
+    def _loads(path):
+        try:
+            load_model(path)
+        except ModelFormatError as e:
+            assert str(e).startswith(f"{path}: ")
+            return False
+        return True
+
+    def test_every_field_deleted(self, header_dir):
+        for model, (_, fields) in zip(header_models(), saved_headers()):
+            for field in fields:
+                write_mutated_model(model, header_dir / "m.inr", field, DELETE)
+                assert not self._loads(header_dir / "m.inr"), field
+
+    @with_malformed_headers
+    @given(mutation=header_mutations())
+    @settings(max_examples=150, deadline=None)
+    def test_deleted_or_retyped_field(self, header_dir, mutation):
+        which, field, value = mutation
+        write_mutated_model(header_models()[which], header_dir / "m.inr", field, value)
+        # only an optional field may take a valid value of another type:
+        # null, or names for a model saved without them
+        if self._loads(header_dir / "m.inr"):
+            assert value is not DELETE and field in [("transform",), ("channel_names",)]
