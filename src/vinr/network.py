@@ -6,12 +6,17 @@ The network maps normalized 3D coordinates to C signed-distance channels.
 Spatial gradients are propagated in forward mode as stacked tangent rows:
 each layer's activations form one matrix whose value rows are followed by
 three blocks of tangent rows, one block per input direction, so values and
-Jacobian-vector products come from the same GEMM. The backward pass
-differentiates that stacked computation, again with one GEMM per layer for
-the weight gradient and one for the input adjoint, so parameter gradients of
-gradient-penalty terms include the mixed d^2 f / dx dtheta path exactly. The
-data and Eikonal batches share one forward and one backward pass.
-Everything is float64 so finite-difference checks are meaningful.
+Jacobian-vector products come from the same GEMM. The backward pass needs
+fewer rows: the loss sees the spatial gradients only through their (C, 3)
+adjoint per point, whose rank is at most K = min(C, 3), and the tangent map
+is linear, so K direction rows per point carry every tangent adjoint (the
+double-backward identity, Pearlmutter 1994). Each layer contracts its three
+stored tangent blocks into K direction blocks in place, then runs one GEMM
+for the weight gradient and one for the input adjoint on N + K T rows, N
+value rows and T Eikonal points. Parameter gradients of gradient-penalty
+terms so include the mixed d^2 f / dx dtheta path exactly. The data and
+Eikonal batches share one forward and one backward pass. Everything is
+float64 so finite-difference checks are meaningful.
 
 Both passes run in a caller-owned row workspace (`_Rows`): `fit_nested`
 makes one per fit (`loss_workspace`), `forward` and `forward_with_input_grad`
@@ -86,6 +91,14 @@ class MlpArchitecture:
         """Input width of hidden layer `layer` (1-based)."""
         base = INPUT_DIM if layer == 1 else self.hidden_width
         return base + (INPUT_DIM if layer == self.skip_layer and layer != 1 else 0)
+
+    def param_count(self) -> int:
+        """Number of float parameters, in closed form: the sizes of
+        `param_shapes` summed without building one entry per layer."""
+        width, skip = self.hidden_width, INPUT_DIM * (self.skip_layer != 1)
+        first = width * (INPUT_DIM + 1)
+        rest = (self.hidden_layers - 1) * width * (width + 1) + skip * width
+        return first + rest + self.output_channels * (width + 1)
 
     def param_shapes(self) -> list[tuple[tuple[int, int], tuple[int]]]:
         shapes = []
@@ -323,27 +336,61 @@ def forward_with_input_grad(model: MlpModel, x) -> DualBatch:
     return DualBatch(values=y, gradients=G)
 
 
+def _contract(t: np.ndarray, D: np.ndarray) -> None:
+    """Overwrites the first K = D.shape[1] of the tangent blocks t (3, T, width)
+    with the direction blocks s_j = sum_k D[:, j, k] t_k; the other blocks
+    are left as junk."""
+    rest = [np.einsum("tk,ktw->tw", D[:, j], t) for j in range(1, D.shape[1])]
+    t *= D[:, 0].T[:, :, None]
+    t[0] += t[1]
+    t[0] += t[2]
+    for j, s in enumerate(rest, 1):
+        t[j] = s
+
+
 def _backward_pass(model: MlpModel, rows: _Rows, ybar: np.ndarray, Gbar: np.ndarray | None):
     """Reverse pass through the _forward_pass last run in the keep=True
     workspace `rows`.
 
     ybar: (N, C) adjoint of the values; Gbar: (T, C, 3) adjoint of the
     spatial gradients of the last T points, or None when the forward pass
-    carried no tangents. Once a layer's weight gradient, act' and act''/act'
-    are read from its input buffer, the adjoint of that input overwrites it.
-    With Ja = act'(z) Jz the tangent rows stored there, act''(z) Jz =
+    carried no tangents.
+
+    The pass carries K = min(C, 3) tangent blocks, not three. Gbar[i] has
+    rank <= K, so Gbar[i] = U[i] D[i] with U[i] (C, K) and D[i] (K, 3):
+    D = Gbar and U = I for C < 3, D = I and U = Gbar otherwise. The tangent
+    map is linear and each point's rows share its act', so the adjoints of
+    the three tangent rows of point i stay D[i]-combinations of K adjoint
+    rows at every layer, and the weight gradient only meets the direction
+    rows s_j = sum_k D[i, j, k] t_k. Each layer contracts its stored
+    tangent rows into those K blocks in place, then both GEMMs, the act'
+    masks and softplus's act'' term run on N + K T rows. At layer 0 the
+    contraction of x0's identity rows is D itself; x0 is left intact.
+
+    Once a layer's weight gradient, act' and act''/act' are read from its
+    input buffer, the adjoint of that input overwrites it. With
+    Ja = act'(z) Jz the tangent rows stored there, act''(z) Jz =
     (act''/act')(z) Ja, so softplus needs no pre-activations: only its copy
-    of the tangent rows outlives the overwrite. Returns fresh parameter
+    of the direction rows outlives the overwrite. Returns fresh parameter
     gradients in [W1, b1, ..., Wout, bout] order.
     """
     arch = model.arch
-    N, T = rows.n_rows, rows.n_tangent
+    N, T, C = rows.n_rows, rows.n_tangent, arch.output_channels
+    K = min(C, INPUT_DIM)
+    R = N + K * T
+    D = Gbar if C < INPUT_DIM else None  # None: D = I, the axis blocks stay
     sbar = ybar
-    if T:
-        sbar = np.concatenate([ybar, Gbar.transpose(2, 0, 1).reshape(INPUT_DIM * T, -1)])
+    if T:  # output adjoints of the K blocks: the rows of U
+        U = np.repeat(np.eye(C), T, axis=0) if D is not None else Gbar.transpose(2, 0, 1).reshape(K * T, C)
+        sbar = np.concatenate([ybar, U])
     grads = [None] * (2 * len(model.weights))
     for l in range(arch.hidden_layers, -1, -1):
         inp = rows.inputs[l]
+        if l == 0 and D is not None:  # x0's identity rows outlive the call; their contraction is D
+            inp = np.concatenate([inp[:N], D.transpose(1, 0, 2).reshape(K * T, INPUT_DIM)])
+        elif D is not None:
+            _contract(inp[N:].reshape(INPUT_DIM, T, -1), D)
+        inp = inp[:R]
         grads[2 * l] = sbar.T @ inp
         grads[2 * l + 1] = sbar[:N].sum(axis=0)
         if l == 0:
@@ -352,15 +399,15 @@ def _backward_pass(model: MlpModel, rows: _Rows, ybar: np.ndarray, Gbar: np.ndar
         # not outputs, so they are zeroed first to keep their junk finite
         inp[:, arch.hidden_width :] = 0.0
         d1, d2 = _act_d1(arch, inp[:N]), _act_d2(arch, inp[N - T : N])
-        ja = None if d2 is None else inp[N:].copy()
+        s = None if d2 is None else inp[N:].copy()
         # the adjoint of this layer's input becomes, in place, the adjoint
         # of the previous layer's pre-activation
         np.matmul(sbar, model.weights[l], out=inp)
         inp[:N] *= d1
         if T:
-            sbar_t = inp[N:].reshape(INPUT_DIM, T, -1)
+            sbar_t = inp[N:].reshape(K, T, -1)
             if d2 is not None:  # act'' moves tangent adjoints onto the Eikonal value rows
-                inp[N - T : N] += d2 * (sbar_t * ja.reshape(INPUT_DIM, T, -1)).sum(axis=0)
+                inp[N - T : N] += d2 * (sbar_t * s.reshape(K, T, -1)).sum(axis=0)
             sbar_t *= d1[N - T :]
         sbar = inp[:, : arch.hidden_width]
     return grads
@@ -513,10 +560,10 @@ def load_model(path) -> MlpModel:
         arch = MlpArchitecture(**header["arch"])
         if len(header["arch"]) != len(asdict(arch)):
             raise ValueError(f"architecture block needs every field of {list(asdict(arch))}")
+        if len(blob) != 8 * arch.param_count():  # before param_shapes, whose length the header sets
+            raise ValueError(f"parameter blob size mismatch (expected {8 * arch.param_count()} bytes, got {len(blob)})")
         shapes = [s for pair in arch.param_shapes() for s in pair]
         sizes = [math.prod(s) for s in shapes]
-        if len(blob) != 8 * sum(sizes):
-            raise ValueError(f"parameter blob size mismatch (expected {8 * sum(sizes)} bytes, got {len(blob)})")
         flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
         params = [p.reshape(s) for p, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
         t = header["transform"]

@@ -124,15 +124,16 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params, grads, lr: float) -> None:
-    """One bias-corrected Adam update, applied to `params` in place."""
+    """One bias-corrected Adam update, applied to `params` in place. A
+    non-finite gradient raises TrainingDiverged before any state changes."""
+    if not all(np.all(np.isfinite(g)) for g in grads):
+        raise TrainingDiverged("non-finite gradient")
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if not np.all(np.isfinite(g)):
-            raise TrainingDiverged("non-finite gradient")
         m *= b1
         m += (1 - b1) * g
         v *= b2

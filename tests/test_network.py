@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -272,17 +273,19 @@ class TestLossGradients:
         # data-term gradient is zero; lam=0 kills the eikonal contribution
         assert all(np.abs(g).max() == 0.0 for g in grads)
 
-    @pytest.mark.parametrize("activation", ["relu", "softplus"])
-    def test_parameter_finite_differences(self, activation):
+    @pytest.mark.parametrize("activation, channels", [
+        pytest.param(a, c, id=a if c == 1 else f"{a}-C{c}") for c in (1, 2, 3, 4) for a in ("relu", "softplus")
+    ])
+    def test_parameter_finite_differences(self, activation, channels):
         rng = np.random.default_rng(12)
         arch = MlpArchitecture(
-            hidden_layers=2, hidden_width=8, output_channels=1, skip_layer=2, activation=activation
+            hidden_layers=2, hidden_width=8, output_channels=channels, skip_layer=2, activation=activation
         )
         m = init_model(arch, seed=13, scheme="standard")
-        surface = rng.uniform(-0.8, 0.8, size=(5, 3))
+        surface = [rng.uniform(-0.8, 0.8, size=(5, 3)) for _ in range(channels)]
         eik = rng.uniform(-0.9, 0.9, size=(7, 3))
-        lam = 0.1
-        _, grads = grad_of_loss(m, [surface], eik, lam)
+        lam, nesting = 0.1, 0.5 * (channels > 1)
+        _, grads = grad_of_loss(m, surface, eik, lam, nesting)
         h = 1e-5
         for pi, p in enumerate(m.parameters()):
             it = np.nditer(p, flags=["multi_index"])
@@ -290,9 +293,9 @@ class TestLossGradients:
                 idx = it.multi_index
                 orig = p[idx]
                 p[idx] = orig + h
-                lp = loss_value(m, [surface], eik, lam).total
+                lp = loss_value(m, surface, eik, lam, nesting).total
                 p[idx] = orig - h
-                lm = loss_value(m, [surface], eik, lam).total
+                lm = loss_value(m, surface, eik, lam, nesting).total
                 p[idx] = orig
                 fd = (lp - lm) / (2 * h)
                 assert abs(grads[pi][idx] - fd) <= 1e-3 * max(abs(fd), 1e-6)
@@ -377,7 +380,7 @@ def oracle_cases(draw):
     batches of unequal sizes, an Eikonal batch, and a nesting weight that is
     0 or positive for C >= 2 (C = 1 has no channel pairs)."""
     layers = draw(st.integers(1, 4))
-    channels = draw(st.integers(1, 3))
+    channels = draw(st.integers(1, 4))
     arch = MlpArchitecture(
         hidden_layers=layers,
         hidden_width=draw(st.integers(1, 12)),
@@ -416,6 +419,16 @@ class TestEinsumOracle:
             0.5,
         )
     )
+    # one explicit case per channel count and activation, with the skip layer
+    # above layer 1 so the reused workspace also covers the skip buffer's xyz
+    # columns: C < 3 contracts the tangent rows in place, C >= 3 does not
+    @example(case=(MlpArchitecture(3, 7, 1, 2, "relu"), [5], 6, 1, 0.0))
+    @example(case=(MlpArchitecture(3, 7, 1, 3, "softplus"), [4], 5, 2, 0.0))
+    @example(case=(MlpArchitecture(3, 7, 2, 2, "relu"), [3, 6], 7, 3, 0.8))
+    @example(case=(MlpArchitecture(2, 5, 2, 2, "softplus"), [4, 2], 6, 4, 1.5))
+    @example(case=(MlpArchitecture(3, 6, 3, 2, "relu"), [2, 3, 4], 5, 5, 0.3))
+    @example(case=(MlpArchitecture(2, 6, 4, 2, "relu"), [2, 3, 4, 5], 6, 6, 0.7))
+    @example(case=(MlpArchitecture(3, 8, 4, 3, "softplus"), [3, 1, 2, 4], 5, 7, 2.0))
     def test_matches_oracle(self, case):
         arch, sizes, n_eik, seed, nesting = case
         rng = np.random.default_rng(seed)
@@ -506,6 +519,13 @@ class TestArchitecture:
         arch = MlpArchitecture(hidden_layers=np.int64(2), hidden_width=np.int32(3), skip_layer=np.int64(1))
         init_model(arch, seed=0)
 
+    @pytest.mark.parametrize("layers, width, channels, skip", [
+        (1, 1, 1, 1), (1, 5, 3, 1), (2, 4, 1, 1), (2, 4, 2, 2), (6, 256, 1, 3), (4, 7, 4, 4),
+    ])
+    def test_param_count_matches_shapes(self, layers, width, channels, skip):
+        arch = MlpArchitecture(hidden_layers=layers, hidden_width=width, output_channels=channels, skip_layer=skip)
+        assert arch.param_count() == sum(math.prod(s) for pair in arch.param_shapes() for s in pair)
+
 
 class TestSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -538,6 +558,19 @@ class TestSerialization:
         data = p.read_bytes()
         p.write_bytes(data[:-16])
         with pytest.raises(ModelFormatError, match="mismatch"):
+            load_model(p)
+
+    def test_huge_header_rejected_before_shapes(self, tmp_path, monkeypatch):
+        m = init_model(MlpArchitecture(hidden_layers=1, hidden_width=3, skip_layer=1), seed=23)
+        p = tmp_path / "m.inr"
+        write_mutated_model(m, p, ("arch", "hidden_layers"), 10**6)
+        p.write_bytes(p.read_bytes().partition(b"\n\n")[0] + b"\n\n")
+
+        def no_shapes(self):
+            raise AssertionError("param_shapes built before the blob size was checked")
+
+        monkeypatch.setattr(MlpArchitecture, "param_shapes", no_shapes)
+        with pytest.raises(ModelFormatError, match="parameter blob size mismatch"):
             load_model(p)
 
     @pytest.mark.parametrize("edit, reason", [

@@ -134,10 +134,16 @@ class TestAdam:
         np.testing.assert_array_equal(p, [3.0, -1.0])
 
     def test_nonfinite_gradient_raises(self):
-        p = np.array([0.0])
-        st = AdamState.for_params([p])
+        # before any state changes, though the bad gradient is in the last layer
+        params = [np.array([1.0, -2.0]), np.array([0.5])]
+        st = AdamState.for_params(params)
+        adam_step(st, params, [np.array([0.3, -0.1]), np.array([0.2])], lr=0.1)
+        before = [a.copy() for a in params + st.m + st.v]
         with pytest.raises(TrainingDiverged):
-            adam_step(st, [p], [np.array([np.nan])], lr=0.1)
+            adam_step(st, params, [np.array([0.1, 0.4]), np.array([np.inf])], lr=0.1)
+        assert st.step_count == 1
+        for a, b in zip(params + st.m + st.v, before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestFit:
