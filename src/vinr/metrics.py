@@ -127,6 +127,8 @@ def nesting_violation(
     order = list(channel_order) if channel_order is not None else list(range(C - 1, -1, -1))
     if not all(0 <= c < C for c in order):
         raise GeometryError(f"channel_order {order} out of range for C={C}")
+    if len(order) < 2 or len(set(order)) != len(order):
+        raise GeometryError(f"channel_order {order} must name at least two channels, each once")
     worst, count = -np.inf, 0
     for s, e, pts in lattice_blocks(dims, bbox_min, bbox_max):
         # one forward for all channels, rounded to float32 as a ScalarGrid stores them

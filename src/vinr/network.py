@@ -6,17 +6,22 @@ The network maps normalized 3D coordinates to C signed-distance channels.
 Spatial gradients are propagated in forward mode as stacked tangent rows:
 each layer's activations form one matrix whose value rows are followed by
 three blocks of tangent rows, one block per input direction, so values and
-Jacobian-vector products come from the same GEMM. The backward pass needs
-fewer rows: the loss sees the spatial gradients only through their (C, 3)
-adjoint per point, whose rank is at most K = min(C, 3), and the tangent map
-is linear, so K direction rows per point carry every tangent adjoint (the
+Jacobian-vector products come from the same GEMM. The value rows of the T
+points that carry tangents come first: [T Eikonal value rows; the other
+N - T value rows; 3 tangent blocks]. The backward pass needs fewer rows:
+the loss sees the spatial gradients only through their (C, 3) adjoint per
+point, whose rank is at most K = min(C, 3), and the tangent map is linear,
+so K direction rows per point carry every tangent adjoint (the
 double-backward identity, Pearlmutter 1994). Each layer contracts its three
 stored tangent blocks into K direction blocks in place, then runs one GEMM
-for the weight gradient and one for the input adjoint on N + K T rows, N
-value rows and T Eikonal points. Parameter gradients of gradient-penalty
-terms so include the mixed d^2 f / dx dtheta path exactly. The data and
-Eikonal batches share one forward and one backward pass. Everything is
-float64 so finite-difference checks are meaningful.
+for the weight gradient and one for the input adjoint on N - lo + K T rows,
+N value rows and T Eikonal points. lo = T when no loss term reads the
+Eikonal values and the activation has no act'' term (ReLU without an active
+nesting hinge): their adjoint is then zero at every layer and those rows
+stay out of the GEMMs; otherwise lo = 0. Parameter gradients of
+gradient-penalty terms so include the mixed d^2 f / dx dtheta path exactly.
+The data and Eikonal batches share one forward and one backward pass.
+Everything is float64 so finite-difference checks are meaningful.
 
 Both passes run in a caller-owned row workspace (`_Rows`): `fit_nested`
 makes one per fit (`loss_workspace`), `forward` and `forward_with_input_grad`
@@ -241,18 +246,21 @@ def init_model(arch: MlpArchitecture, seed: int, scheme: str = "standard") -> Ml
 #
 # Every layer works on one stacked matrix of rows: first the N value rows,
 # one per query point, then three blocks of T tangent rows. Block k holds
-# the derivative d/dx_k of the last T value rows. A single GEMM per layer
+# the derivative d/dx_k of the first T value rows. A single GEMM per layer
 # then yields both the values and the Jacobian-vector products: the bias
 # goes on the value rows only, and each tangent row is scaled by act'(z) of
 # its value row.
 
 
 class _Rows:
-    """Stacked row matrices for one (arch, N, T) shape. `inputs[l]` holds
-    the input rows of weight layer l: inputs[0] is x0 = [x; identity
-    tangent rows], and the skip layer's buffer ends in x0's columns. With
-    keep=True each layer has its own buffer, so a backward pass can follow;
-    with keep=False two buffers take turns, besides the skip buffer. Both
+    """Stacked row matrices for one (arch, N, T) shape, N + 3 T rows: the
+    N value rows, of which the first T carry tangents, then three blocks of
+    T tangent rows. The forward pass runs on all of them, a backward pass on
+    rows lo to N + K T (see _backward_pass). `inputs[l]` holds the input
+    rows of weight layer l: inputs[0] is x0 = [x; identity tangent rows],
+    and the skip layer's buffer ends in x0's columns. With keep=True each
+    layer has its own buffer, so a backward pass can follow; with
+    keep=False two buffers take turns, besides the skip buffer. Both
     activations read their derivatives from these outputs, so nothing else
     is kept."""
 
@@ -272,13 +280,13 @@ class _Rows:
 
 def _forward_pass(model: MlpModel, x: np.ndarray, rows: _Rows):
     """Runs the MLP on a batch x (N, 3) in the caller's workspace `rows`,
-    carrying the input Jacobian of the last T = rows.n_tangent points as 3T
+    carrying the input Jacobian of the first T = rows.n_tangent points as 3T
     tangent rows. Returns the values (N, C) and the spatial gradients
     (T, C, 3), views of one fresh output matrix. Each GEMM writes into the
     next layer's input buffer, the activation runs there in place, and the
-    tangent rows are scaled by act' read from the value rows' outputs. The
-    outputs left there give the backward pass act' and act''/act';
-    _backward_pass then overwrites them with adjoints.
+    tangent rows are scaled by act' read from the first T value rows'
+    outputs. The outputs left there give the backward pass act' and
+    act''/act'; _backward_pass then overwrites them with adjoints.
     """
     arch = model.arch
     N, T, C = rows.n_rows, rows.n_tangent, arch.output_channels
@@ -294,7 +302,7 @@ def _forward_pass(model: MlpModel, x: np.ndarray, rows: _Rows):
         _act(arch, out[:N], out=out[:N])
         if T:
             t = out[N:].reshape(INPUT_DIM, T, -1)
-            t *= _act_d1(arch, out[N - T : N])
+            t *= _act_d1(arch, out[:T])
     s = rows.inputs[-1] @ model.weights[-1].T
     s[:N] += model.biases[-1]
     return s[:N], s[N:].reshape(INPUT_DIM, T, C).transpose(1, 2, 0)
@@ -353,7 +361,7 @@ def _backward_pass(model: MlpModel, rows: _Rows, ybar: np.ndarray, Gbar: np.ndar
     workspace `rows`.
 
     ybar: (N, C) adjoint of the values; Gbar: (T, C, 3) adjoint of the
-    spatial gradients of the last T points, or None when the forward pass
+    spatial gradients of the first T points, or None when the forward pass
     carried no tangents.
 
     The pass carries K = min(C, 3) tangent blocks, not three. Gbar[i] has
@@ -363,9 +371,16 @@ def _backward_pass(model: MlpModel, rows: _Rows, ybar: np.ndarray, Gbar: np.ndar
     the three tangent rows of point i stay D[i]-combinations of K adjoint
     rows at every layer, and the weight gradient only meets the direction
     rows s_j = sum_k D[i, j, k] t_k. Each layer contracts its stored
-    tangent rows into those K blocks in place, then both GEMMs, the act'
-    masks and softplus's act'' term run on N + K T rows. At layer 0 the
-    contraction of x0's identity rows is D itself; x0 is left intact.
+    tangent rows into those K blocks in place. At layer 0 the contraction
+    of x0's identity rows is D itself; x0 is left intact.
+
+    Both GEMMs, the bias sum, the act' masks and softplus's act'' term run
+    on the N - lo + K T rows lo to N + K T, in the order [T tangent-carrying
+    value rows; N - T value rows; K direction blocks]. lo = T when ybar is
+    zero on the first T rows and the activation has no act'' term (ReLU):
+    those rows' adjoint then stays zero at every layer, and the direction
+    rows still read act' from their outputs, which are left untouched.
+    Otherwise (softplus, or an active nesting hinge) lo = 0.
 
     Once a layer's weight gradient, act' and act''/act' are read from its
     input buffer, the adjoint of that input overwrites it. With
@@ -378,37 +393,40 @@ def _backward_pass(model: MlpModel, rows: _Rows, ybar: np.ndarray, Gbar: np.ndar
     N, T, C = rows.n_rows, rows.n_tangent, arch.output_channels
     K = min(C, INPUT_DIM)
     R = N + K * T
+    lo = T if arch.activation == "relu" and not ybar[:T].any() else 0
     D = Gbar if C < INPUT_DIM else None  # None: D = I, the axis blocks stay
     sbar = ybar
     if T:  # output adjoints of the K blocks: the rows of U
         U = np.repeat(np.eye(C), T, axis=0) if D is not None else Gbar.transpose(2, 0, 1).reshape(K * T, C)
-        sbar = np.concatenate([ybar, U])
+        sbar = np.concatenate([ybar[lo:], U])
     grads = [None] * (2 * len(model.weights))
     for l in range(arch.hidden_layers, -1, -1):
-        inp = rows.inputs[l]
+        buf = rows.inputs[l]
         if l == 0 and D is not None:  # x0's identity rows outlive the call; their contraction is D
-            inp = np.concatenate([inp[:N], D.transpose(1, 0, 2).reshape(K * T, INPUT_DIM)])
-        elif D is not None:
-            _contract(inp[N:].reshape(INPUT_DIM, T, -1), D)
-        inp = inp[:R]
+            inp = np.concatenate([buf[lo:N], D.transpose(1, 0, 2).reshape(K * T, INPUT_DIM)])
+        else:
+            if D is not None:
+                _contract(buf[N:].reshape(INPUT_DIM, T, -1), D)
+            buf = buf[:R]
+            inp = buf[lo:]
         grads[2 * l] = sbar.T @ inp
-        grads[2 * l + 1] = sbar[:N].sum(axis=0)
+        grads[2 * l + 1] = sbar[: N - lo].sum(axis=0)
         if l == 0:
             break
         # whole rows, as in the forward; the skip buffer's xyz columns are x0,
         # not outputs, so they are zeroed first to keep their junk finite
-        inp[:, arch.hidden_width :] = 0.0
-        d1, d2 = _act_d1(arch, inp[:N]), _act_d2(arch, inp[N - T : N])
-        s = None if d2 is None else inp[N:].copy()
+        buf[:, arch.hidden_width :] = 0.0
+        d1, d2 = _act_d1(arch, buf[:N]), _act_d2(arch, buf[:T])
+        s = None if d2 is None else buf[N:].copy()
         # the adjoint of this layer's input becomes, in place, the adjoint
         # of the previous layer's pre-activation
         np.matmul(sbar, model.weights[l], out=inp)
-        inp[:N] *= d1
+        inp[: N - lo] *= d1[lo:]
         if T:
-            sbar_t = inp[N:].reshape(K, T, -1)
-            if d2 is not None:  # act'' moves tangent adjoints onto the Eikonal value rows
-                inp[N - T : N] += d2 * (sbar_t * s.reshape(K, T, -1)).sum(axis=0)
-            sbar_t *= d1[N - T :]
+            sbar_t = buf[N:].reshape(K, T, -1)
+            if d2 is not None:  # act'' moves tangent adjoints onto the Eikonal value rows (lo = 0)
+                buf[:T] += d2 * (sbar_t * s.reshape(K, T, -1)).sum(axis=0)
+            sbar_t *= d1[:T]
         sbar = inp[:, : arch.hidden_width]
     return grads
 
@@ -417,9 +435,9 @@ def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: flo
     """Runs the surface and Eikonal points through one forward pass in the
     keep=True workspace `rows` (a new one when None) and returns (LossTerms,
     rows, ybar, Gbar), the input of _backward_pass."""
-    if lam < 0:
+    if not lam >= 0:  # also catches NaN
         raise ValueError("lambda must be non-negative")
-    if nesting < 0:
+    if not nesting >= 0:
         raise ValueError("nesting weight must be non-negative")
     C = model.arch.output_channels
     if isinstance(surface_batches, np.ndarray):
@@ -433,9 +451,10 @@ def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: flo
     if eik.shape[0] == 0:
         raise ValueError("eikonal batch must be non-empty")
 
-    # rows: every channel's surface batch, then the Eikonal batch with tangents
+    # rows: the Eikonal batch, which carries tangents, then every channel's
+    # surface batch
     B = eik.shape[0]
-    x = np.concatenate(batches + [eik])
+    x = np.concatenate([eik] + batches)
     if rows is None:
         rows = _Rows(model.arch, len(x), B, keep=True)
     elif (rows.arch, rows.n_rows, rows.n_tangent, rows.keep) != (model.arch, len(x), B, True):
@@ -443,7 +462,7 @@ def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: flo
     y, G = _forward_pass(model, x, rows)
     ybar = np.zeros_like(y)
     data = 0.0
-    row = 0
+    row = B
     for c, b in enumerate(batches):
         n = b.shape[0]
         yc = y[row : row + n, c]
@@ -455,7 +474,7 @@ def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: flo
     # the next inner one (channels are ordered innermost first)
     hinge = 0.0
     pairs = C - 1
-    y_eik, ybar_eik = y[row:], ybar[row:]
+    y_eik, ybar_eik = y[:B], ybar[:B]
     for i in range(pairs):
         gap = y_eik[:, i + 1] - y_eik[:, i]
         active = gap > 0

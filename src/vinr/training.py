@@ -14,6 +14,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -64,14 +65,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        # `not lo < x < hi`: NaN fails every comparison, so it is rejected too
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be non-negative and finite, got {self.lam}")
         if self.surface_batch_size is not None and self.surface_batch_size < 1:
             raise ValueError("surface_batch_size must be >= 1")
-        if self.nesting_penalty < 0:
-            raise ValueError("nesting_penalty must be non-negative")
+        if not 0 < self.half_extent <= 1:
+            raise ValueError(f"half_extent must be in (0, 1], got {self.half_extent}")
+        if not 0 <= self.nesting_penalty < math.inf:
+            raise ValueError(f"nesting_penalty must be non-negative and finite, got {self.nesting_penalty}")
 
     def architecture(self, channels: int) -> MlpArchitecture:
         return MlpArchitecture(
@@ -125,7 +129,15 @@ class AdamState:
 
 def adam_step(state: AdamState, params, grads, lr: float) -> None:
     """One bias-corrected Adam update, applied to `params` in place. A
-    non-finite gradient raises TrainingDiverged before any state changes."""
+    non-finite gradient raises TrainingDiverged before any state changes.
+
+    The update runs in two scratch buffers sized to the largest parameter,
+    with the operations of
+
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        p -= lr (m / c1) / (sqrt(v / c2) + eps)
+
+    in that order, so the results are those of the expressions to the bit."""
     if not all(np.all(np.isfinite(g)) for g in grads):
         raise TrainingDiverged("non-finite gradient")
     state.step_count += 1
@@ -133,12 +145,21 @@ def adam_step(state: AdamState, params, grads, lr: float) -> None:
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
+    size = max(p.size for p in params)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        a, b = scratch_a[: p.size].reshape(p.shape), scratch_b[: p.size].reshape(p.shape)
         m *= b1
-        m += (1 - b1) * g
+        m += np.multiply(g, 1 - b1, out=a)
         v *= b2
-        v += (1 - b2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        np.multiply(g, 1 - b2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        p -= np.divide(a, b, out=a)
 
 
 # ---------------------------------------------------------------------------

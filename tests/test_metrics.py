@@ -241,6 +241,13 @@ class TestNestingViolation:
         with pytest.raises(GeometryError):
             nesting_violation(two_plane_model(), (8, 8, 8), -np.ones(3), np.ones(3), channel_order=order)
 
+    @pytest.mark.parametrize("order", [[], [1], [1, 1], [0, 1, 0]])
+    def test_degenerate_channel_order(self, order):
+        # fewer than two channels has no pair to compare (max_violation
+        # would be -inf); a repeated channel compares a channel with itself
+        with pytest.raises(GeometryError, match="at least two channels"):
+            nesting_violation(two_plane_model(), (8, 8, 8), -np.ones(3), np.ones(3), channel_order=order)
+
     def test_needs_two_channels(self):
         from test_network import linear_channel_model
 

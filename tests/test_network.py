@@ -395,6 +395,16 @@ def oracle_cases(draw):
     return arch, sizes, draw(st.integers(1, 9)), draw(st.integers(0, 2**32 - 1)), nesting
 
 
+def eikonal_value_rows_untouched(model, surface, eik, ws):
+    """Whether the last backward pass in workspace `ws` left the Eikonal
+    value rows (the first rows) of every hidden layer's output as a forward
+    pass writes them, rather than overwriting them with adjoints."""
+    fresh = _Rows(model.arch, ws.n_rows, ws.n_tangent, keep=True)
+    _forward_pass(model, np.concatenate([eik] + surface), fresh)
+    T, width = ws.n_tangent, model.arch.hidden_width
+    return all(np.array_equal(a[:T, :width], b[:T, :width]) for a, b in zip(ws.inputs[1:], fresh.inputs[1:]))
+
+
 def assert_rel_close(got, ref, rtol=1e-12):
     """Max-norm relative agreement; an all-zero reference needs exact zeros."""
     err = np.abs(np.asarray(got) - ref).max()
@@ -429,6 +439,15 @@ class TestEinsumOracle:
     @example(case=(MlpArchitecture(3, 6, 3, 2, "relu"), [2, 3, 4], 5, 5, 0.3))
     @example(case=(MlpArchitecture(2, 6, 4, 2, "relu"), [2, 3, 4, 5], 6, 6, 0.7))
     @example(case=(MlpArchitecture(3, 8, 4, 3, "softplus"), [3, 1, 2, 4], 5, 7, 2.0))
+    # the Eikonal value rows skipped by the backward: ReLU at C = 1, at C = 2
+    # with nesting 0 and with an idle hinge (seed 0), and at C = 4 (D = I,
+    # idle hinge at seed 40); carried: an active hinge (seed 1) and softplus
+    @example(case=(MlpArchitecture(4, 9, 1, 3, "relu"), [6], 8, 11, 0.0))
+    @example(case=(MlpArchitecture(3, 8, 2, 2, "relu"), [4, 5], 7, 1, 0.0))
+    @example(case=(MlpArchitecture(3, 8, 2, 2, "relu"), [4, 5], 7, 0, 1.0))
+    @example(case=(MlpArchitecture(2, 6, 4, 2, "relu"), [2, 3, 4, 5], 6, 40, 1.0))
+    @example(case=(MlpArchitecture(3, 8, 2, 2, "relu"), [4, 5], 7, 1, 1.0))
+    @example(case=(MlpArchitecture(3, 8, 1, 2, "softplus"), [4], 7, 1, 0.0))
     def test_matches_oracle(self, case):
         arch, sizes, n_eik, seed, nesting = case
         rng = np.random.default_rng(seed)
@@ -441,6 +460,9 @@ class TestEinsumOracle:
         terms, grads = grad_of_loss(m, surface, eik, 0.1, nesting)
         ref_terms, ref_grads = einsum_oracle.grad_of_loss(m, surface, eik, 0.1, nesting)
         event(f"nesting {'on' if nesting > 0 else 'off'}, hinge {'active' if ref_terms[3] else 'idle'}")
+        # no loss term reads the Eikonal values and ReLU has no act'' term
+        skipped = arch.activation == "relu" and (nesting == 0 or ref_terms[3] == 0)
+        event(f"Eikonal value rows {'skipped' if skipped else 'carried'}")
         for got, ref in zip((terms.total, terms.data, terms.eikonal, terms.nesting), ref_terms):
             assert_rel_close(got, ref)
         assert terms.total == terms.data + 0.1 * terms.eikonal + nesting * terms.nesting
@@ -478,12 +500,34 @@ class TestEinsumOracle:
             (m, surface, eik),
         ]:
             reused = grad_of_loss(model, pts, e, 0.1, nesting, workspace=ws)
+            if model is m and skipped:
+                assert eikonal_value_rows_untouched(m, surface, eik, ws)
             fresh = grad_of_loss(model, pts, e, 0.1, nesting)
             assert reused[0] == fresh[0]
             for g, f in zip(reused[1], fresh[1]):
                 np.testing.assert_array_equal(g, f)
                 assert not any(np.shares_memory(g, buf) for buf in ws.inputs)
         assert reused[0] == terms
+
+    def test_workspace_reused_across_skipped_and_carried_calls(self):
+        # ReLU at C = 2: nesting 0 skips the Eikonal value rows, an active
+        # hinge carries them; one workspace takes turns between the two
+        arch = MlpArchitecture(3, 8, 2, 2, "relu")
+        m = init_model(arch, seed=1, scheme="standard")
+        rng = np.random.default_rng(1)
+        for b in m.biases:
+            b[:] = rng.normal(0.0, 0.3, size=b.shape)
+        surface = [rng.uniform(-1, 1, size=(n, 3)) for n in (4, 5)]
+        eik = rng.uniform(-1, 1, size=(7, 3))
+        ws = loss_workspace(m, [4, 5], 7)
+        for nesting in (0.0, 1.0, 0.0, 1.0):
+            reused = grad_of_loss(m, surface, eik, 0.1, nesting, workspace=ws)
+            assert eikonal_value_rows_untouched(m, surface, eik, ws) == (nesting == 0)
+            fresh = grad_of_loss(m, surface, eik, 0.1, nesting)
+            assert reused[0] == fresh[0]
+            assert reused[0].nesting > 0
+            for g, f in zip(reused[1], fresh[1]):
+                np.testing.assert_array_equal(g, f)
 
     def test_mismatched_workspace_raises(self):
         arch = MlpArchitecture(hidden_layers=3, hidden_width=8, output_channels=2, skip_layer=2)

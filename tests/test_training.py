@@ -60,6 +60,29 @@ class TestConfig:
             TrainConfig(nesting_penalty=-1.0)
         assert TrainConfig(nesting_penalty=0.0).nesting_penalty == 0.0
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", np.nan, "learning rate"),
+            ("learning_rate", np.inf, "learning rate"),
+            ("lam", np.nan, "lambda"),
+            ("lam", np.inf, "lambda"),
+            ("nesting_penalty", np.nan, "nesting_penalty"),
+            ("nesting_penalty", np.inf, "nesting_penalty"),
+            ("half_extent", np.nan, "half_extent"),
+            ("half_extent", -1.0, "half_extent"),
+            ("half_extent", 0.0, "half_extent"),
+            ("half_extent", 1.5, "half_extent"),
+        ],
+    )
+    def test_nonfinite_and_out_of_range_rejected(self, field, value, message):
+        # NaN fails no `<` comparison, so each check must be written to fail on it
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
+    def test_half_extent_bounds_inclusive_at_one(self):
+        assert TrainConfig(half_extent=1.0).half_extent == 1.0
+
 
 class TestEikonalSampling:
     def test_bounds_and_count(self):
@@ -132,6 +155,27 @@ class TestAdam:
         st = AdamState.for_params([p])
         adam_step(st, [p], [np.zeros(2)], lr=0.1)
         np.testing.assert_array_equal(p, [3.0, -1.0])
+
+    def test_matches_textbook_expressions_bitwise(self):
+        # three steps on parameters of different shapes, so the scratch
+        # buffers are cut to each size in turn
+        rng = np.random.default_rng(3)
+        params = [rng.normal(size=(5, 4)), rng.normal(size=7), rng.normal(size=(2, 3))]
+        ref_p = [p.copy() for p in params]
+        ref_m = [np.zeros_like(p) for p in params]
+        ref_v = [np.zeros_like(p) for p in params]
+        st = AdamState.for_params(params)
+        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        for t in range(1, 4):
+            grads = [rng.normal(size=p.shape) for p in params]
+            adam_step(st, params, grads, lr)
+            for p, g, m, v in zip(ref_p, grads, ref_m, ref_v):
+                m[...] = b1 * m + (1 - b1) * g
+                v[...] = b2 * v + (1 - b2) * g * g
+                p -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+        assert st.step_count == 3
+        for got, ref in zip(params + st.m + st.v, ref_p + ref_m + ref_v):
+            np.testing.assert_array_equal(got, ref)
 
     def test_nonfinite_gradient_raises(self):
         # before any state changes, though the bad gradient is in the last layer
@@ -263,6 +307,13 @@ class TestLossValue:
         eik = np.array([[0.5, 0.1, -0.2], [-0.3, 0.2, 0.9]])
         terms = loss_value(m, [surf], eik, lam=0.1)
         assert terms.total == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("lam, nesting", [(np.nan, 0.0), (0.1, np.nan), (-0.1, 0.0), (0.1, -1.0)])
+    def test_nan_or_negative_weight_rejected(self, lam, nesting):
+        m = init_model(MlpArchitecture(hidden_layers=2, hidden_width=8, skip_layer=2), seed=6)
+        pts = np.random.default_rng(5).uniform(-1, 1, size=(6, 3))
+        with pytest.raises(ValueError, match="must be non-negative"):
+            grad_of_loss(m, [pts], pts, lam, nesting)
 
 
 class TestNestingPenalty:
