@@ -279,8 +279,10 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
     evaluated densely instead. Sources without value_and_slope are
     evaluated densely.
 
-    Placement runs per x-slab and the band in _LATTICE_BLOCK-point batches
-    in lattice order. Values are float32 as in any ScalarGrid.
+    Placement runs per x-slab, and the band in _LATTICE_BLOCK-point batches
+    in lattice order whose flat indices are collected per x-slab, so no
+    index array spans the lattice or the band. Values are float32 as in any
+    ScalarGrid.
     """
     dims = tuple(int(d) for d in dims)
     if not hasattr(source, "value_and_slope"):
@@ -303,21 +305,40 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
         placed[x] = np.abs(near - iso) > reach
         values[x] = near
 
-    def evaluate(flat):  # flat indices into values, in lattice order
-        for s in range(0, len(flat), _LATTICE_BLOCK):
-            at = flat[s : s + _LATTICE_BLOCK]
-            ix, iy, iz = np.unravel_index(at, dims)
-            values.reshape(-1)[at] = source.value(np.stack([axes[0][ix], axes[1][iy], axes[2][iz]], axis=1))
+    flat = values.reshape(-1)
 
-    evaluate(np.flatnonzero(~placed))
+    def points(at):  # lattice points at flat indices; the index triples are freed before source.value runs
+        ix, iy, iz = np.unravel_index(at, dims)
+        return np.stack([axes[0][ix], axes[1][iy], axes[2][iz]], axis=1)
+
+    def evaluate(pick, inside=None):
+        """Evaluates the lattice points where pick(x-slab) is true, in
+        consecutive _LATTICE_BLOCK-point batches in lattice order; their
+        flat indices are collected slab by slab, so at most one batch and
+        one slab's worth are held. With `inside` (flat), stops and returns
+        True at the first batch with a value on the other side of iso."""
+        pending, count = [], 0
+        for i in range(0, dims[0], slab):
+            pending.append(np.flatnonzero(pick(slice(i, i + slab))) + i * dims[1] * dims[2])
+            count += len(pending[-1])
+            last = i + slab >= dims[0]
+            while count >= _LATTICE_BLOCK or (last and count):
+                joined = np.concatenate(pending)
+                at, rest = joined[:_LATTICE_BLOCK], joined[_LATTICE_BLOCK:]
+                pending, count = [rest], len(rest)
+                flat[at] = source.value(points(at))
+                if inside is not None and np.any(np.less(flat[at], np.float64(iso)) != inside[at]):
+                    return True
+        return False
+
+    evaluate(lambda x: ~placed[x])
     inside = np.less(values, np.float64(iso))  # in float64: iso may round to a grid value
     across = np.zeros(dims, dtype=bool)
     straddles = _straddles(inside)
     for view in cell_corners(across):
         view |= straddles
     across &= placed
-    evaluate(np.flatnonzero(across))
-    if np.any(np.less(values[across], np.float64(iso)) != inside[across]):
+    if evaluate(lambda x: across[x], inside.reshape(-1)):
         return evaluate_on_grid(source, dims, bbox_min, bbox_max)
     return ScalarGrid(dims, bbox_min, bbox_max, values)
 

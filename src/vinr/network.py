@@ -3,37 +3,54 @@ gradients, and exact parameter gradients of losses that involve those spatial
 gradients.
 
 The network maps normalized 3D coordinates to C signed-distance channels.
-Spatial gradients are propagated in forward mode as stacked tangent rows:
-each layer's activations form one matrix whose value rows are followed by
-three blocks of tangent rows, one block per input direction, so values and
-Jacobian-vector products come from the same GEMM. The value rows of the T
-points that carry tangents come first: [T Eikonal value rows; the other
-N - T value rows; 3 tangent blocks]. The backward pass needs fewer rows:
-the loss sees the spatial gradients only through their (C, 3) adjoint per
-point, whose rank is at most K = min(C, 3), and the tangent map is linear,
-so K direction rows per point carry every tangent adjoint (the
-double-backward identity, Pearlmutter 1994). Each layer contracts its three
-stored tangent blocks into K direction blocks in place, then runs one GEMM
-for the weight gradient and one for the input adjoint on N - lo + K T rows,
-N value rows and T Eikonal points. lo = T when no loss term reads the
-Eikonal values and the activation has no act'' term (ReLU without an active
-nesting hinge): their adjoint is then zero at every layer and those rows
-stay out of the GEMMs; otherwise lo = 0. Parameter gradients of
-gradient-penalty terms so include the mixed d^2 f / dx dtheta path exactly.
-The data and Eikonal batches share one forward and one backward pass.
-Everything is float64 so finite-difference checks are meaningful.
+Each layer's activations form one matrix of stacked rows, the N value rows
+first, so one GEMM per layer serves every row. Evaluation
+(`forward_with_input_grad`) propagates spatial gradients in forward mode:
+three blocks of tangent rows, one per input direction, follow the value
+rows, so values and Jacobian-vector products come from the same GEMM.
 
-Both passes run in a caller-owned row workspace (`_Rows`): `fit_nested`
-makes one per fit (`loss_workspace`), `forward` and `forward_with_input_grad`
-one per call, reused across row blocks. GEMMs write into the next layer's
-input buffer and the activation runs there in place; the backward pass reads
-the derivatives it needs from those outputs h = act(z), then overwrites the
-buffer with the adjoint of that input. No pre-activation is kept: ReLU's
-act' is [h > 0], and for softplus with sharpness beta,
+Training (`grad_of_loss`) needs the spatial gradients of the T Eikonal
+points, the first T value rows, and the parameter gradient of a loss that
+reads them. It runs four sweeps in a caller-owned workspace, each carrying
+C blocks of T rows under the N value rows:
+  1. a value-only forward pass over the N rows (_forward_pass);
+  2. a top-down gradient sweep: block c starts from the output adjoint e_c,
+     so reverse mode gives grad f_c (T, C, 3) from C T rows per layer
+     (_gradient_sweep); then the loss terms and their adjoints ybar (N, C)
+     and Gbar (T, C, 3);
+  3. a bottom-up tangent sweep in direction Gbar[:, c] for block c: the
+     parameter gradient of sum_c Gbar[:, c] . grad f_c is the derivative of
+     d f_c / d theta along that direction (Pearlmutter's R-operator,
+     Pearlmutter 1994, applied to the gradient penalty of IGR, Gropp et al.
+     2020), so one tangent per channel suffices;
+  4. a top-down value backward on the value rows lo to N, whose weight
+     gradient is one GEMM per layer over [value adjoints; gradient rows]^T
+     @ [layer inputs; tangent rows] (_backward_pass).
+lo = T when no loss term reads the Eikonal values and the activation has no
+act'' term (ReLU without an active nesting hinge): their adjoint is then
+zero at every layer and those rows stay out of the GEMMs; otherwise lo = 0.
+Per Eikonal point and layer the GEMMs carry 1 + 3C + 2 carry rows (carry =
+1 when lo = 0). The alternative, a forward pass with three tangent blocks
+and a backward over min(C, 3) direction blocks (the rank of each point's
+Gbar), carries 4 + 2 min(C, 3) + 2 carry: 6 against 4 rows for a ReLU fit
+at C = 1, 8 against 7 at C = 2 with an active hinge, as many at C = 3, and
+10 against 13 at C = 4. The paper fits one or two nested channels, so the
+sweeps are the only training path. Parameter gradients include the mixed
+d^2 f / dx dtheta path exactly. Everything is float64 so
+finite-difference checks are meaningful.
+
+Both kinds of workspace (`_Rows`) are caller-owned: `fit_nested` makes one
+per fit (`loss_workspace`), `forward` and `forward_with_input_grad` one per
+call, reused across row blocks. GEMMs write into the next layer's input
+buffer and the activation runs there in place; later sweeps read the
+derivatives they need from those outputs h = act(z), and the value backward
+then overwrites them with adjoints. No pre-activation is kept: ReLU's act'
+is [h > 0], and for softplus with sharpness beta,
     act'(z) = sigma(beta z) = 1 - exp(-beta h),
-    act''(z) Jz = beta exp(-beta h) Ja,
-where Ja = act'(z) Jz is the tangent row the forward pass stores. Returned
-gradients are fresh arrays.
+    act''(z) / act'(z) = beta exp(-beta h),
+so act''(z) g Jz u = (act''/act')(z) g u_a, where u_a = act'(z) Jz u is the
+tangent row the tangent sweep stores and g the gradient sweep's unmasked
+adjoint. Returned gradients are fresh arrays.
 """
 
 from __future__ import annotations
@@ -245,56 +262,88 @@ def init_model(arch: MlpArchitecture, seed: int, scheme: str = "standard") -> Ml
 # forward / backward
 #
 # Every layer works on one stacked matrix of rows: first the N value rows,
-# one per query point, then three blocks of T tangent rows. Block k holds
-# the derivative d/dx_k of the first T value rows. A single GEMM per layer
-# then yields both the values and the Jacobian-vector products: the bias
-# goes on the value rows only, and each tangent row is scaled by act'(z) of
-# its value row.
+# one per query point, then the rows that carry derivatives of the first T
+# of them. Evaluation (`forward_with_input_grad`) carries three blocks of T
+# tangent rows, block k holding d/dx_k, so a single GEMM per layer yields
+# both the values and the Jacobian-vector products: the bias goes on the
+# value rows only, and each tangent row is scaled by act'(z) of its value
+# row. Training carries C blocks of T rows instead, one per channel, and
+# fills them in the sweeps of _gradient_sweep and _backward_pass.
 
 
 class _Rows:
-    """Stacked row matrices for one (arch, N, T) shape, N + 3 T rows: the
-    N value rows, of which the first T carry tangents, then three blocks of
-    T tangent rows. The forward pass runs on all of them, a backward pass on
-    rows lo to N + K T (see _backward_pass). `inputs[l]` holds the input
-    rows of weight layer l: inputs[0] is x0 = [x; identity tangent rows],
-    and the skip layer's buffer ends in x0's columns. With keep=True each
-    layer has its own buffer, so a backward pass can follow; with
-    keep=False two buffers take turns, besides the skip buffer. Both
-    activations read their derivatives from these outputs, so nothing else
-    is kept."""
+    """Stacked row matrices for one (arch, N, T) shape. `inputs[l]` holds
+    the input rows of weight layer l: inputs[0] is x0, and the skip layer's
+    buffer ends in x0's columns. Both activations read their derivatives
+    from the layer outputs stored there, so no pre-activation is kept.
+
+    keep=False (evaluation): N + 3 T rows, the N value rows, of which the
+    first T carry tangents, then three blocks of T tangent rows; x0 is
+    [x; identity tangent rows]. Two buffers take turns, besides the skip
+    buffer.
+
+    keep=True (training): N + C T rows per layer, each layer its own
+    buffer. The value rows hold the outputs of the value-only forward pass;
+    the C blocks of T rows under them (channel c's block for the first T
+    points) first hold _gradient_sweep's masked adjoints as GEMM input, then
+    the tangent sweep's rows u_l, then the masked gradient rows again as the
+    left operand of the weight-gradient GEMM. x0 is [x; Gbar rows].
+    `adjoints[l]` (C T rows, the width of inputs[l]) holds the gradient
+    sweep's unmasked adjoint of inputs[l], for l < L; the xyz columns of
+    adjoints[0] and of the skip buffer's are the spatial gradient's terms. That is
+    N + 2 C T rows per layer: at C = 1 fewer than the N + 3 T a training
+    pass with three tangent blocks held, at C >= 2 more.
+    """
 
     def __init__(self, arch: MlpArchitecture, n_rows: int, n_tangent: int, keep: bool):
         self.arch, self.n_rows, self.n_tangent, self.keep = arch, n_rows, n_tangent, keep
-        R, width = n_rows + INPUT_DIM * n_tangent, arch.hidden_width
+        width, L = arch.hidden_width, arch.hidden_layers
+        carried = (arch.output_channels if keep else INPUT_DIM) * n_tangent
+        R = n_rows + carried
         self.x0 = np.empty((R, INPUT_DIM))
-        self.x0[n_rows:] = np.repeat(np.eye(INPUT_DIM), n_tangent, axis=0)
+        if not keep:
+            self.x0[n_rows:] = np.repeat(np.eye(INPUT_DIM), n_tangent, axis=0)
         turns = None if keep else [np.empty((R, width)), np.empty((R, width))]
         self.inputs = [self.x0]
-        for l in range(2, arch.hidden_layers + 2):
+        for l in range(2, L + 2):
             if l == arch.skip_layer or keep:
                 self.inputs.append(np.zeros((R, arch.layer_in_dim(l))))
             else:
                 self.inputs.append(turns[l % 2])
+        self.adjoints = [np.zeros((carried, arch.layer_in_dim(l + 1))) for l in range(L)] if keep else []
+
+
+def _gradient_rows(model: MlpModel, rows: _Rows, l: int) -> np.ndarray:
+    """The gradient sweep's unmasked adjoint of hidden layer l's output,
+    (C, T, width): the hidden columns of rows.adjoints[l], or at the last
+    layer W_out[c] for every point of block c, as (C, 1, width) for
+    broadcasting."""
+    arch = model.arch
+    C, T, width = arch.output_channels, rows.n_tangent, arch.hidden_width
+    if l == arch.hidden_layers:
+        return model.weights[-1][:, None, :]
+    return rows.adjoints[l][:, :width].reshape(C, T, width)
 
 
 def _forward_pass(model: MlpModel, x: np.ndarray, rows: _Rows):
-    """Runs the MLP on a batch x (N, 3) in the caller's workspace `rows`,
-    carrying the input Jacobian of the first T = rows.n_tangent points as 3T
-    tangent rows. Returns the values (N, C) and the spatial gradients
-    (T, C, 3), views of one fresh output matrix. Each GEMM writes into the
-    next layer's input buffer, the activation runs there in place, and the
-    tangent rows are scaled by act' read from the first T value rows'
-    outputs. The outputs left there give the backward pass act' and
-    act''/act'; _backward_pass then overwrites them with adjoints.
+    """Runs the MLP on a batch x (N, 3) in the caller's workspace `rows`.
+    In an evaluation workspace (keep=False) it carries the input Jacobian
+    of the first T = rows.n_tangent points as 3T tangent rows; a training
+    workspace runs the N value rows only. Returns the values (N, C) and
+    the spatial gradients (T, C, 3) (T = 0 in training), views of one fresh
+    output matrix. Each GEMM writes into the next layer's input buffer, the
+    activation runs there in place, and the tangent rows are scaled by act'
+    read from the first T value rows' outputs. In training the outputs left
+    there give the later sweeps act' and act''/act'.
     """
     arch = model.arch
-    N, T, C = rows.n_rows, rows.n_tangent, arch.output_channels
+    N, T, C = rows.n_rows, 0 if rows.keep else rows.n_tangent, arch.output_channels
+    R = N + INPUT_DIM * T
     rows.x0[:N] = x
     for l in range(1, arch.hidden_layers + 1):
-        inp, out = rows.inputs[l - 1], rows.inputs[l]
+        inp, out = rows.inputs[l - 1][:R], rows.inputs[l][:R]
         if l == arch.skip_layer and l != 1:  # the layer below and a backward pass write here
-            inp[:, -INPUT_DIM:] = rows.x0
+            inp[:, -INPUT_DIM:] = rows.x0[:R]
         # whole rows keep elementwise work contiguous; the skip buffer's xyz
         # columns take junk (finite: the buffer starts zeroed) until refilled
         np.matmul(inp, model.weights[l - 1].T, out=out[:, : arch.hidden_width])
@@ -303,7 +352,7 @@ def _forward_pass(model: MlpModel, x: np.ndarray, rows: _Rows):
         if T:
             t = out[N:].reshape(INPUT_DIM, T, -1)
             t *= _act_d1(arch, out[:T])
-    s = rows.inputs[-1] @ model.weights[-1].T
+    s = rows.inputs[-1][:R] @ model.weights[-1].T
     s[:N] += model.biases[-1]
     return s[:N], s[N:].reshape(INPUT_DIM, T, C).transpose(1, 2, 0)
 
@@ -344,97 +393,96 @@ def forward_with_input_grad(model: MlpModel, x) -> DualBatch:
     return DualBatch(values=y, gradients=G)
 
 
-def _contract(t: np.ndarray, D: np.ndarray) -> None:
-    """Overwrites the first K = D.shape[1] of the tangent blocks t (3, T, width)
-    with the direction blocks s_j = sum_k D[:, j, k] t_k; the other blocks
-    are left as junk."""
-    rest = [np.einsum("tk,ktw->tw", D[:, j], t) for j in range(1, D.shape[1])]
-    t *= D[:, 0].T[:, :, None]
-    t[0] += t[1]
-    t[0] += t[2]
-    for j, s in enumerate(rest, 1):
-        t[j] = s
+def _gradient_sweep(model: MlpModel, rows: _Rows) -> np.ndarray:
+    """Reverse-mode spatial gradients of every channel at the first T value
+    rows of the training workspace `rows`, after _forward_pass: returns G
+    (T, C, 3), a fresh array.
+
+    Block c of C T rows starts from the output adjoint e_c, so its adjoint
+    of the last hidden output is W_out[c]. At each layer it is masked by
+    act' read from the stored Eikonal outputs, into the layer's C T
+    carried rows as scratch, and one GEMM with W_l gives the adjoint of the
+    layer's input, kept unmasked in adjoints[l - 1]. The xyz columns of that
+    adjoint at layer 1 and at the skip layer add up into G.
+    """
+    arch = model.arch
+    N, T, C, width = rows.n_rows, rows.n_tangent, arch.output_channels, arch.hidden_width
+    G = np.zeros((C, T, INPUT_DIM))
+    for l in range(arch.hidden_layers, 0, -1):
+        buf, out = rows.inputs[l], rows.adjoints[l - 1]
+        gz = buf[N:, :width].reshape(C, T, width)
+        np.multiply(_gradient_rows(model, rows, l), _act_d1(arch, buf[:T, :width]), out=gz)
+        np.matmul(buf[N:, :width], model.weights[l - 1], out=out)
+        if l in (1, arch.skip_layer):
+            G += out[:, -INPUT_DIM:].reshape(C, T, INPUT_DIM)
+    return G.transpose(1, 0, 2)
 
 
 def _backward_pass(model: MlpModel, rows: _Rows, ybar: np.ndarray, Gbar: np.ndarray | None):
-    """Reverse pass through the _forward_pass last run in the keep=True
-    workspace `rows`.
+    """Parameter gradients of a loss whose adjoints are ybar (N, C) for the
+    values and Gbar (T, C, 3) for the spatial gradients of the first T
+    points (None when T = 0), through the _forward_pass and _gradient_sweep
+    last run in the training workspace `rows`. Returns fresh arrays in
+    [W1, b1, ..., Wout, bout] order.
 
-    ybar: (N, C) adjoint of the values; Gbar: (T, C, 3) adjoint of the
-    spatial gradients of the first T points, or None when the forward pass
-    carried no tangents.
+    Tangent sweep, bottom-up: block c of the carried rows starts from
+    u_0 = Gbar[:, c] in x0, the skip layer's xyz columns get Gbar again,
+    and each layer takes one GEMM and an act' scaling, so inputs[l]'s
+    carried rows hold the tangent u_l of layer l's output.
 
-    The pass carries K = min(C, 3) tangent blocks, not three. Gbar[i] has
-    rank <= K, so Gbar[i] = U[i] D[i] with U[i] (C, K) and D[i] (K, 3):
-    D = Gbar and U = I for C < 3, D = I and U = Gbar otherwise. The tangent
-    map is linear and each point's rows share its act', so the adjoints of
-    the three tangent rows of point i stay D[i]-combinations of K adjoint
-    rows at every layer, and the weight gradient only meets the direction
-    rows s_j = sum_k D[i, j, k] t_k. Each layer contracts its stored
-    tangent rows into those K blocks in place. At layer 0 the contraction
-    of x0's identity rows is D itself; x0 is left intact.
-
-    Both GEMMs, the bias sum, the act' masks and softplus's act'' term run
-    on the N - lo + K T rows lo to N + K T, in the order [T tangent-carrying
-    value rows; N - T value rows; K direction blocks]. lo = T when ybar is
-    zero on the first T rows and the activation has no act'' term (ReLU):
-    those rows' adjoint then stays zero at every layer, and the direction
-    rows still read act' from their outputs, which are left untouched.
-    Otherwise (softplus, or an active nesting hinge) lo = 0.
-
-    Once a layer's weight gradient, act' and act''/act' are read from its
-    input buffer, the adjoint of that input overwrites it. With
-    Ja = act'(z) Jz the tangent rows stored there, act''(z) Jz =
-    (act''/act')(z) Ja, so softplus needs no pre-activations: only its copy
-    of the direction rows outlives the overwrite. Returns fresh parameter
-    gradients in [W1, b1, ..., Wout, bout] order.
+    Value backward, top-down, on the value rows lo to N (see the module
+    docstring): the input adjoint is written in place over the layer's
+    outputs once their act' and act''/act' are read. The R-operator's
+    adjoint shares the Eikonal value rows: for softplus, act'' adds
+    d2 * sum_c g_c * u_c onto them, with g_c the gradient sweep's unmasked
+    adjoint (_gradient_rows), u_c the tangent rows and d2 = act''/act'.
+    Once the layer above has read the tangent rows, they take the masked
+    gradient rows g_c * act', the left operand of this layer's
+    weight-gradient GEMM.
     """
     arch = model.arch
-    N, T, C = rows.n_rows, rows.n_tangent, arch.output_channels
-    K = min(C, INPUT_DIM)
-    R = N + K * T
+    N, T, C, width = rows.n_rows, rows.n_tangent, arch.output_channels, arch.hidden_width
+    W = model.weights
     lo = T if arch.activation == "relu" and not ybar[:T].any() else 0
-    D = Gbar if C < INPUT_DIM else None  # None: D = I, the axis blocks stay
-    sbar = ybar
-    if T:  # output adjoints of the K blocks: the rows of U
-        U = np.repeat(np.eye(C), T, axis=0) if D is not None else Gbar.transpose(2, 0, 1).reshape(K * T, C)
-        sbar = np.concatenate([ybar[lo:], U])
-    grads = [None] * (2 * len(model.weights))
+    if T:
+        rows.x0[N:] = Gbar.transpose(1, 0, 2).reshape(C * T, INPUT_DIM)
+        for l in range(1, arch.hidden_layers + 1):
+            inp, out = rows.inputs[l - 1][N:], rows.inputs[l]
+            if l == arch.skip_layer and l != 1:
+                inp[:, -INPUT_DIM:] = rows.x0[N:]
+            u = out[N:, :width]
+            np.matmul(inp, W[l - 1].T, out=u)
+            u = u.reshape(C, T, width)
+            u *= _act_d1(arch, out[:T, :width])
+
+    grads = [None] * (2 * len(W))
+    sbar = np.concatenate([ybar[lo:], np.repeat(np.eye(C), T, axis=0)])  # the output's gradient rows are e_c
+    zbar = ybar[lo:]
     for l in range(arch.hidden_layers, -1, -1):
         buf = rows.inputs[l]
-        if l == 0 and D is not None:  # x0's identity rows outlive the call; their contraction is D
-            inp = np.concatenate([buf[lo:N], D.transpose(1, 0, 2).reshape(K * T, INPUT_DIM)])
-        else:
-            if D is not None:
-                _contract(buf[N:].reshape(INPUT_DIM, T, -1), D)
-            buf = buf[:R]
-            inp = buf[lo:]
-        grads[2 * l] = sbar.T @ inp
+        grads[2 * l] = sbar.T @ buf[lo:]
         grads[2 * l + 1] = sbar[: N - lo].sum(axis=0)
         if l == 0:
             break
-        # whole rows, as in the forward; the skip buffer's xyz columns are x0,
-        # not outputs, so they are zeroed first to keep their junk finite
-        buf[:, arch.hidden_width :] = 0.0
-        d1, d2 = _act_d1(arch, buf[:N]), _act_d2(arch, buf[:T])
-        s = None if d2 is None else buf[N:].copy()
-        # the adjoint of this layer's input becomes, in place, the adjoint
-        # of the previous layer's pre-activation
-        np.matmul(sbar, model.weights[l], out=inp)
-        inp[: N - lo] *= d1[lo:]
-        if T:
-            sbar_t = buf[N:].reshape(K, T, -1)
-            if d2 is not None:  # act'' moves tangent adjoints onto the Eikonal value rows (lo = 0)
-                buf[:T] += d2 * (sbar_t * s.reshape(K, T, -1)).sum(axis=0)
-            sbar_t *= d1[:T]
-        sbar = inp[:, : arch.hidden_width]
+        d1 = _act_d1(arch, buf[:N, :width])
+        d2 = _act_d2(arch, buf[:T, :width])
+        g = _gradient_rows(model, rows, l)
+        u = buf[N:, :width].reshape(C, T, width)
+        src = None if d2 is None else d2 * (g * u).sum(axis=0)  # act'' onto the Eikonal rows (lo = 0)
+        np.matmul(zbar, W[l], out=buf[lo:N])
+        buf[lo:N, :width] *= d1[lo:]
+        if src is not None:
+            buf[:T, :width] += src
+        np.multiply(g, d1[:T], out=u)
+        sbar, zbar = buf[lo:, :width], buf[lo:N, :width]
     return grads
 
 
 def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float, rows):
-    """Runs the surface and Eikonal points through one forward pass in the
-    keep=True workspace `rows` (a new one when None) and returns (LossTerms,
-    rows, ybar, Gbar), the input of _backward_pass."""
+    """Runs the Eikonal and surface points through one value-only forward
+    pass and the Eikonal points through _gradient_sweep, in the keep=True
+    workspace `rows` (a new one when None), and returns (LossTerms, rows,
+    ybar, Gbar), the input of _backward_pass."""
     if not lam >= 0:  # also catches NaN
         raise ValueError("lambda must be non-negative")
     if not nesting >= 0:
@@ -451,15 +499,16 @@ def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: flo
     if eik.shape[0] == 0:
         raise ValueError("eikonal batch must be non-empty")
 
-    # rows: the Eikonal batch, which carries tangents, then every channel's
-    # surface batch
+    # rows: the Eikonal batch, whose gradients the sweeps carry, then every
+    # channel's surface batch
     B = eik.shape[0]
     x = np.concatenate([eik] + batches)
     if rows is None:
         rows = _Rows(model.arch, len(x), B, keep=True)
     elif (rows.arch, rows.n_rows, rows.n_tangent, rows.keep) != (model.arch, len(x), B, True):
         raise ValueError("workspace was not built by loss_workspace for this model and batch sizes")
-    y, G = _forward_pass(model, x, rows)
+    y, _ = _forward_pass(model, x, rows)
+    G = _gradient_sweep(model, rows)
     ybar = np.zeros_like(y)
     data = 0.0
     row = B
@@ -535,7 +584,8 @@ def loss_workspace(model: MlpModel, surface_sizes, n_eikonal: int) -> _Rows:
 
 
 def loss_value(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float = 0.0) -> LossTerms:
-    """Loss value only (no gradients), from the same forward pass as grad_of_loss."""
+    """Loss value only (no gradients): the value forward pass and gradient
+    sweep of grad_of_loss, without its tangent sweep and value backward."""
     return _loss_and_adjoints(model, surface_batches, eikonal_batch, lam, nesting, None)[0]
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from vinr.geometry import DomainTransform
 from vinr.network import (
+    INPUT_DIM,
     MlpArchitecture,
     MlpModel,
     ModelFormatError,
@@ -329,6 +330,16 @@ class TestLossGradients:
         np.testing.assert_allclose(d1.gradients[:, 0], d2.gradients[:, 0], rtol=1e-14, atol=1e-16)
 
 
+def nbytes(ws):
+    """Bytes of the distinct arrays a workspace holds."""
+    arrays = {}
+    for v in vars(ws).values():
+        for a in v if isinstance(v, list) else [v]:
+            if isinstance(a, np.ndarray):
+                arrays[id(a)] = a.nbytes
+    return sum(arrays.values())
+
+
 class TestActivationDerivatives:
     """act' and act''/act' read from the activation's output h = act(z),
     against their stable pre-activation forms over beta z in [-700, 700],
@@ -361,17 +372,22 @@ class TestActivationDerivatives:
         assert _act_d2(relu, _act(relu, z)) is None
 
     def test_workspace_bytes_independent_of_activation(self):
-        def nbytes(ws):
-            arrays = {}
-            for v in vars(ws).values():
-                for a in v if isinstance(v, list) else [v]:
-                    if isinstance(a, np.ndarray):
-                        arrays[id(a)] = a.nbytes
-            return sum(arrays.values())
-
         relu = init_model(MlpArchitecture(4, 16, 2, 3), seed=0)
         softplus = init_model(MlpArchitecture(4, 16, 2, 3, "softplus"), seed=0)
         assert nbytes(loss_workspace(softplus, [5, 6], 7)) == nbytes(loss_workspace(relu, [5, 6], 7))
+
+    @pytest.mark.parametrize("arch, n_surface, n_eik", [
+        (MlpArchitecture(6, 256, 1, 3), 1024, 1024),
+        (MlpArchitecture(4, 64, 1, 3, "softplus"), 200, 200),
+        (MlpArchitecture(3, 16, 1, 1), 5, 9),
+        (MlpArchitecture(2, 8, 1, 2), 9, 5),
+    ])
+    def test_single_channel_workspace_within_three_tangent_blocks(self, arch, n_surface, n_eik):
+        # a training workspace that carried three tangent blocks under the N
+        # value rows held N + 3 T rows in x0 and in every layer's input buffer
+        rows = n_surface + n_eik + INPUT_DIM * n_eik
+        widths = INPUT_DIM + sum(arch.layer_in_dim(l) for l in range(2, arch.hidden_layers + 2))
+        assert nbytes(loss_workspace(init_model(arch, seed=0), [n_surface], n_eik)) <= 8 * rows * widths
 
 
 @st.composite
@@ -395,14 +411,20 @@ def oracle_cases(draw):
     return arch, sizes, draw(st.integers(1, 9)), draw(st.integers(0, 2**32 - 1)), nesting
 
 
-def eikonal_value_rows_untouched(model, surface, eik, ws):
-    """Whether the last backward pass in workspace `ws` left the Eikonal
-    value rows (the first rows) of every hidden layer's output as a forward
-    pass writes them, rather than overwriting them with adjoints."""
-    fresh = _Rows(model.arch, ws.n_rows, ws.n_tangent, keep=True)
+def rows_left_by_loss(model, surface, eik, ws):
+    """What the last grad_of_loss call in training workspace `ws` left:
+    whether every hidden layer's Eikonal value rows (the first rows) still
+    hold the forward pass's outputs rather than adjoints, and the spatial
+    gradients (T, C, 3) that its carried rows, which end as the masked
+    gradient-sweep rows, give through the xyz columns of layer 1 and of the
+    skip layer."""
+    arch, N, T = model.arch, ws.n_rows, ws.n_tangent
+    C, width = arch.output_channels, arch.hidden_width
+    fresh = _Rows(arch, N, T, keep=True)
     _forward_pass(model, np.concatenate([eik] + surface), fresh)
-    T, width = ws.n_tangent, model.arch.hidden_width
-    return all(np.array_equal(a[:T, :width], b[:T, :width]) for a, b in zip(ws.inputs[1:], fresh.inputs[1:]))
+    untouched = all(np.array_equal(a[:T, :width], b[:T, :width]) for a, b in zip(ws.inputs[1:], fresh.inputs[1:]))
+    G = sum(ws.inputs[l][N:, :width] @ model.weights[l - 1][:, -INPUT_DIM:] for l in {1, arch.skip_layer})
+    return untouched, G.reshape(C, T, INPUT_DIM).transpose(1, 0, 2)
 
 
 def assert_rel_close(got, ref, rtol=1e-12):
@@ -412,8 +434,8 @@ def assert_rel_close(got, ref, rtol=1e-12):
 
 
 class TestEinsumOracle:
-    """The stacked-tangent core against the einsum (B, width, 3) Jacobian
-    formulation in tests/einsum_oracle.py."""
+    """The row-stacked core, its sweeps and its workspace against the einsum
+    (B, width, 3) Jacobian formulation in tests/einsum_oracle.py."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=oracle_cases())
@@ -431,7 +453,7 @@ class TestEinsumOracle:
     )
     # one explicit case per channel count and activation, with the skip layer
     # above layer 1 so the reused workspace also covers the skip buffer's xyz
-    # columns: C < 3 contracts the tangent rows in place, C >= 3 does not
+    # columns, which the tangent sweep fills with Gbar
     @example(case=(MlpArchitecture(3, 7, 1, 2, "relu"), [5], 6, 1, 0.0))
     @example(case=(MlpArchitecture(3, 7, 1, 3, "softplus"), [4], 5, 2, 0.0))
     @example(case=(MlpArchitecture(3, 7, 2, 2, "relu"), [3, 6], 7, 3, 0.8))
@@ -440,14 +462,22 @@ class TestEinsumOracle:
     @example(case=(MlpArchitecture(2, 6, 4, 2, "relu"), [2, 3, 4, 5], 6, 6, 0.7))
     @example(case=(MlpArchitecture(3, 8, 4, 3, "softplus"), [3, 1, 2, 4], 5, 7, 2.0))
     # the Eikonal value rows skipped by the backward: ReLU at C = 1, at C = 2
-    # with nesting 0 and with an idle hinge (seed 0), and at C = 4 (D = I,
-    # idle hinge at seed 40); carried: an active hinge (seed 1) and softplus
+    # with nesting 0 and with an idle hinge (seed 0), and at C = 4 (idle
+    # hinge at seed 40); carried: an active hinge (seed 1) and softplus
     @example(case=(MlpArchitecture(4, 9, 1, 3, "relu"), [6], 8, 11, 0.0))
     @example(case=(MlpArchitecture(3, 8, 2, 2, "relu"), [4, 5], 7, 1, 0.0))
     @example(case=(MlpArchitecture(3, 8, 2, 2, "relu"), [4, 5], 7, 0, 1.0))
     @example(case=(MlpArchitecture(2, 6, 4, 2, "relu"), [2, 3, 4, 5], 6, 40, 1.0))
     @example(case=(MlpArchitecture(3, 8, 2, 2, "relu"), [4, 5], 7, 1, 1.0))
     @example(case=(MlpArchitecture(3, 8, 1, 2, "softplus"), [4], 7, 1, 0.0))
+    # active hinges: softplus at C = 2 (seed 21), ReLU at C = 4 (seed 20);
+    # skip layer 1, whose xyz columns are the whole input (seed 22: active
+    # hinge); width 64 with batches large enough for BLAS's blocked kernels
+    @example(case=(MlpArchitecture(3, 8, 2, 2, "softplus"), [4, 5], 7, 21, 1.0))
+    @example(case=(MlpArchitecture(3, 8, 4, 3, "relu"), [3, 4, 2, 5], 6, 20, 0.5))
+    @example(case=(MlpArchitecture(3, 7, 2, 1, "relu"), [5, 3], 6, 22, 0.8))
+    @example(case=(MlpArchitecture(3, 7, 1, 1, "softplus"), [5], 6, 23, 0.0))
+    @example(case=(MlpArchitecture(4, 64, 2, 3, "softplus"), [48, 80], 96, 20, 0.5))
     def test_matches_oracle(self, case):
         arch, sizes, n_eik, seed, nesting = case
         rng = np.random.default_rng(seed)
@@ -500,8 +530,10 @@ class TestEinsumOracle:
             (m, surface, eik),
         ]:
             reused = grad_of_loss(model, pts, e, 0.1, nesting, workspace=ws)
+            untouched, G_rows = rows_left_by_loss(model, pts, e, ws)
             if model is m and skipped:
-                assert eikonal_value_rows_untouched(m, surface, eik, ws)
+                assert untouched
+            assert_rel_close(G_rows, einsum_oracle.forward_pass(model, e, with_jac=True)[1])
             fresh = grad_of_loss(model, pts, e, 0.1, nesting)
             assert reused[0] == fresh[0]
             for g, f in zip(reused[1], fresh[1]):
@@ -522,7 +554,9 @@ class TestEinsumOracle:
         ws = loss_workspace(m, [4, 5], 7)
         for nesting in (0.0, 1.0, 0.0, 1.0):
             reused = grad_of_loss(m, surface, eik, 0.1, nesting, workspace=ws)
-            assert eikonal_value_rows_untouched(m, surface, eik, ws) == (nesting == 0)
+            untouched, G_rows = rows_left_by_loss(m, surface, eik, ws)
+            assert untouched == (nesting == 0)
+            assert_rel_close(G_rows, einsum_oracle.forward_pass(m, eik, with_jac=True)[1])
             fresh = grad_of_loss(m, surface, eik, 0.1, nesting)
             assert reused[0] == fresh[0]
             assert reused[0].nesting > 0
