@@ -33,19 +33,22 @@ Per Eikonal point and layer the GEMMs carry 1 + 3C + 2 carry rows (carry =
 1 when lo = 0). The alternative, a forward pass with three tangent blocks
 and a backward over min(C, 3) direction blocks (the rank of each point's
 Gbar), carries 4 + 2 min(C, 3) + 2 carry: 6 against 4 rows for a ReLU fit
-at C = 1, 8 against 7 at C = 2 with an active hinge, as many at C = 3, and
-10 against 13 at C = 4. The paper fits one or two nested channels, so the
-sweeps are the only training path. Parameter gradients include the mixed
+at C = 1, 8 against 7 at C = 2 (10 against 9 with softplus or an active
+hinge), as many at C = 3, and 10 against 13 at C = 4. These are row counts;
+README gives the measured fit times, faster at C = 1 and unchanged within
+noise at C = 2. The paper fits one or two nested channels, so the sweeps
+are the only training path. Parameter gradients include the mixed
 d^2 f / dx dtheta path exactly. Everything is float64 so
 finite-difference checks are meaningful.
 
-Both kinds of workspace (`_Rows`) are caller-owned: `fit_nested` makes one
-per fit (`loss_workspace`), `forward` and `forward_with_input_grad` one per
-call, reused across row blocks. GEMMs write into the next layer's input
-buffer and the activation runs there in place; later sweeps read the
-derivatives they need from those outputs h = act(z), and the value backward
-then overwrites them with adjoints. No pre-activation is kept: ReLU's act'
-is [h > 0], and for softplus with sharpness beta,
+Both kinds of workspace are caller-owned: `fit_nested` makes one
+`_TrainRows` per fit (`loss_workspace`), `forward` and
+`forward_with_input_grad` one `_Rows` per call, reused across row blocks.
+GEMMs write into the next layer's input buffer and the activation runs
+there in place; later sweeps read the derivatives they need from those
+outputs h = act(z), and the value backward then overwrites them with
+adjoints. No pre-activation is kept: ReLU's act' is [h > 0], and for
+softplus with sharpness beta,
     act'(z) = sigma(beta z) = 1 - exp(-beta h),
     act''(z) / act'(z) = beta exp(-beta h),
 so act''(z) g Jz u = (act''/act')(z) g u_a, where u_a = act'(z) Jz u is the
@@ -267,53 +270,57 @@ def init_model(arch: MlpArchitecture, seed: int, scheme: str = "standard") -> Ml
 # tangent rows, block k holding d/dx_k, so a single GEMM per layer yields
 # both the values and the Jacobian-vector products: the bias goes on the
 # value rows only, and each tangent row is scaled by act'(z) of its value
-# row. Training carries C blocks of T rows instead, one per channel, and
-# fills them in the sweeps of _gradient_sweep and _backward_pass.
+# row (_Rows). Training carries C blocks of T rows instead, one per
+# channel, and fills them in the sweeps of _gradient_sweep and
+# _backward_pass (_TrainRows).
 
 
 class _Rows:
-    """Stacked row matrices for one (arch, N, T) shape. `inputs[l]` holds
-    the input rows of weight layer l: inputs[0] is x0, and the skip layer's
-    buffer ends in x0's columns. Both activations read their derivatives
-    from the layer outputs stored there, so no pre-activation is kept.
-
-    keep=False (evaluation): N + 3 T rows, the N value rows, of which the
-    first T carry tangents, then three blocks of T tangent rows; x0 is
-    [x; identity tangent rows]. Two buffers take turns, besides the skip
+    """Evaluation workspace for one (arch, N, T) shape: N + 3 T rows, the N
+    value rows, of which the first T carry tangents, then three blocks of T
+    tangent rows. `inputs[l]` holds the input rows of weight layer l:
+    inputs[0] is x0 = [x; identity tangent rows], and the skip layer's
+    buffer ends in x0's columns. Two buffers take turns, besides the skip
     buffer.
-
-    keep=True (training): N + C T rows per layer, each layer its own
-    buffer. The value rows hold the outputs of the value-only forward pass;
-    the C blocks of T rows under them (channel c's block for the first T
-    points) first hold _gradient_sweep's masked adjoints as GEMM input, then
-    the tangent sweep's rows u_l, then the masked gradient rows again as the
-    left operand of the weight-gradient GEMM. x0 is [x; Gbar rows].
-    `adjoints[l]` (C T rows, the width of inputs[l]) holds the gradient
-    sweep's unmasked adjoint of inputs[l], for l < L; the xyz columns of
-    adjoints[0] and of the skip buffer's are the spatial gradient's terms. That is
-    N + 2 C T rows per layer: at C = 1 fewer than the N + 3 T a training
-    pass with three tangent blocks held, at C >= 2 more.
     """
 
-    def __init__(self, arch: MlpArchitecture, n_rows: int, n_tangent: int, keep: bool):
-        self.arch, self.n_rows, self.n_tangent, self.keep = arch, n_rows, n_tangent, keep
-        width, L = arch.hidden_width, arch.hidden_layers
-        carried = (arch.output_channels if keep else INPUT_DIM) * n_tangent
-        R = n_rows + carried
+    def __init__(self, arch: MlpArchitecture, n_rows: int, n_tangent: int):
+        self.arch, self.n_rows, self.n_tangent = arch, n_rows, n_tangent
+        R = n_rows + INPUT_DIM * n_tangent
         self.x0 = np.empty((R, INPUT_DIM))
-        if not keep:
-            self.x0[n_rows:] = np.repeat(np.eye(INPUT_DIM), n_tangent, axis=0)
-        turns = None if keep else [np.empty((R, width)), np.empty((R, width))]
+        self.x0[n_rows:] = np.repeat(np.eye(INPUT_DIM), n_tangent, axis=0)
+        turns = [np.empty((R, arch.hidden_width)), np.empty((R, arch.hidden_width))]
         self.inputs = [self.x0]
-        for l in range(2, L + 2):
-            if l == arch.skip_layer or keep:
-                self.inputs.append(np.zeros((R, arch.layer_in_dim(l))))
-            else:
-                self.inputs.append(turns[l % 2])
-        self.adjoints = [np.zeros((carried, arch.layer_in_dim(l + 1))) for l in range(L)] if keep else []
+        for l in range(2, arch.hidden_layers + 2):
+            self.inputs.append(np.zeros((R, arch.layer_in_dim(l))) if l == arch.skip_layer else turns[l % 2])
 
 
-def _gradient_rows(model: MlpModel, rows: _Rows, l: int) -> np.ndarray:
+class _TrainRows:
+    """Training workspace for one (arch, N, T) shape, built by
+    `loss_workspace`: N + C T rows per layer, each layer its own buffer,
+    laid out like _Rows.inputs. The value rows hold the outputs of the
+    value-only forward pass, from which the later sweeps read act' and
+    act''/act'; the C blocks of T rows under them (channel c's block for
+    the first T points) first hold _gradient_sweep's masked adjoints as GEMM
+    input, then the tangent sweep's rows u_l, then the masked gradient rows
+    again as the left operand of the weight-gradient GEMM. x0 is [x; Gbar
+    rows]. `adjoints[l]` (C T rows, the width of inputs[l]) holds the
+    gradient sweep's unmasked adjoint of inputs[l], for l < L; the xyz
+    columns of adjoints[0] and of the skip buffer's are the spatial
+    gradient's terms. That is N + 2 C T rows per layer: at C = 1 fewer than
+    the N + 3 T a training pass with three tangent blocks held, at C >= 2
+    more.
+    """
+
+    def __init__(self, arch: MlpArchitecture, n_rows: int, n_tangent: int):
+        self.arch, self.n_rows, self.n_tangent = arch, n_rows, n_tangent
+        L, carried = arch.hidden_layers, arch.output_channels * n_tangent
+        self.x0 = np.empty((n_rows + carried, INPUT_DIM))
+        self.inputs = [self.x0] + [np.zeros((n_rows + carried, arch.layer_in_dim(l))) for l in range(2, L + 2)]
+        self.adjoints = [np.zeros((carried, arch.layer_in_dim(l + 1))) for l in range(L)]
+
+
+def _gradient_rows(model: MlpModel, rows: _TrainRows, l: int) -> np.ndarray:
     """The gradient sweep's unmasked adjoint of hidden layer l's output,
     (C, T, width): the hidden columns of rows.adjoints[l], or at the last
     layer W_out[c] for every point of block c, as (C, 1, width) for
@@ -325,25 +332,27 @@ def _gradient_rows(model: MlpModel, rows: _Rows, l: int) -> np.ndarray:
     return rows.adjoints[l][:, :width].reshape(C, T, width)
 
 
-def _forward_pass(model: MlpModel, x: np.ndarray, rows: _Rows):
-    """Runs the MLP on a batch x (N, 3) in the caller's workspace `rows`.
-    In an evaluation workspace (keep=False) it carries the input Jacobian
-    of the first T = rows.n_tangent points as 3T tangent rows; a training
-    workspace runs the N value rows only. Returns the values (N, C) and
-    the spatial gradients (T, C, 3) (T = 0 in training), views of one fresh
-    output matrix. Each GEMM writes into the next layer's input buffer, the
-    activation runs there in place, and the tangent rows are scaled by act'
-    read from the first T value rows' outputs. In training the outputs left
-    there give the later sweeps act' and act''/act'.
+def _forward_pass(model: MlpModel, x: np.ndarray, inputs: list, n_tangent: int):
+    """Runs the MLP on a batch x (N, 3) in caller-owned row buffers:
+    `inputs[l]` holds the N + 3 T input rows of weight layer l (T =
+    n_tangent), inputs[0] being x0, whose tangent rows the caller set. The
+    input Jacobian of the first T points rides along as three blocks of T
+    tangent rows; T = 0 runs the value rows only. Returns the values (N, C)
+    and the spatial gradients (T, C, 3), views of one fresh output matrix.
+    Each GEMM writes into the next layer's input buffer, the activation runs
+    there in place, and the tangent rows are scaled by act' read from the
+    first T value rows' outputs. In training (T = 0, the value rows of a
+    _TrainRows) the outputs left there give the later sweeps act' and
+    act''/act'.
     """
     arch = model.arch
-    N, T, C = rows.n_rows, 0 if rows.keep else rows.n_tangent, arch.output_channels
-    R = N + INPUT_DIM * T
-    rows.x0[:N] = x
+    N, T, C = len(x), n_tangent, arch.output_channels
+    x0 = inputs[0]
+    x0[:N] = x
     for l in range(1, arch.hidden_layers + 1):
-        inp, out = rows.inputs[l - 1][:R], rows.inputs[l][:R]
+        inp, out = inputs[l - 1], inputs[l]
         if l == arch.skip_layer and l != 1:  # the layer below and a backward pass write here
-            inp[:, -INPUT_DIM:] = rows.x0[:R]
+            inp[:, -INPUT_DIM:] = x0
         # whole rows keep elementwise work contiguous; the skip buffer's xyz
         # columns take junk (finite: the buffer starts zeroed) until refilled
         np.matmul(inp, model.weights[l - 1].T, out=out[:, : arch.hidden_width])
@@ -352,7 +361,7 @@ def _forward_pass(model: MlpModel, x: np.ndarray, rows: _Rows):
         if T:
             t = out[N:].reshape(INPUT_DIM, T, -1)
             t *= _act_d1(arch, out[:T])
-    s = rows.inputs[-1][:R] @ model.weights[-1].T
+    s = inputs[-1] @ model.weights[-1].T
     s[:N] += model.biases[-1]
     return s[:N], s[N:].reshape(INPUT_DIM, T, C).transpose(1, 2, 0)
 
@@ -362,7 +371,7 @@ def _blocked_forward(model: MlpModel, x, tangents: bool):
     `tangents`, their spatial gradients (B, C, 3). Runs _forward_pass in
     blocks of 2^18 stacked rows, so a layer's activations are ~2 MB of
     float64 and fit one L2 cache: a point carries one row, or four with
-    its three tangents. Every full block shares one keep=False workspace."""
+    its three tangents. Every full block shares one evaluation workspace."""
     pts = as_points(x)
     step = max(1, 2**18 // ((1 + INPUT_DIM * tangents) * model.arch.hidden_width))
     C = model.arch.output_channels
@@ -372,8 +381,8 @@ def _blocked_forward(model: MlpModel, x, tangents: bool):
         block = pts[s : s + step]
         if rows is None or rows.n_rows != len(block):
             rows = None  # free the previous block's workspace before allocating the tail's
-            rows = _Rows(model.arch, len(block), len(block) if tangents else 0, keep=False)
-        y[s : s + step], grads = _forward_pass(model, block, rows)
+            rows = _Rows(model.arch, len(block), len(block) if tangents else 0)
+        y[s : s + step], grads = _forward_pass(model, block, rows.inputs, rows.n_tangent)
         if tangents:
             G[s : s + step] = grads
     return y, G
@@ -393,7 +402,7 @@ def forward_with_input_grad(model: MlpModel, x) -> DualBatch:
     return DualBatch(values=y, gradients=G)
 
 
-def _gradient_sweep(model: MlpModel, rows: _Rows) -> np.ndarray:
+def _gradient_sweep(model: MlpModel, rows: _TrainRows) -> np.ndarray:
     """Reverse-mode spatial gradients of every channel at the first T value
     rows of the training workspace `rows`, after _forward_pass: returns G
     (T, C, 3), a fresh array.
@@ -418,7 +427,7 @@ def _gradient_sweep(model: MlpModel, rows: _Rows) -> np.ndarray:
     return G.transpose(1, 0, 2)
 
 
-def _backward_pass(model: MlpModel, rows: _Rows, ybar: np.ndarray, Gbar: np.ndarray | None):
+def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np.ndarray | None):
     """Parameter gradients of a loss whose adjoints are ybar (N, C) for the
     values and Gbar (T, C, 3) for the spatial gradients of the first T
     points (None when T = 0), through the _forward_pass and _gradient_sweep
@@ -480,7 +489,7 @@ def _backward_pass(model: MlpModel, rows: _Rows, ybar: np.ndarray, Gbar: np.ndar
 
 def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float, rows):
     """Runs the Eikonal and surface points through one value-only forward
-    pass and the Eikonal points through _gradient_sweep, in the keep=True
+    pass and the Eikonal points through _gradient_sweep, in the training
     workspace `rows` (a new one when None), and returns (LossTerms, rows,
     ybar, Gbar), the input of _backward_pass."""
     if not lam >= 0:  # also catches NaN
@@ -504,10 +513,10 @@ def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: flo
     B = eik.shape[0]
     x = np.concatenate([eik] + batches)
     if rows is None:
-        rows = _Rows(model.arch, len(x), B, keep=True)
-    elif (rows.arch, rows.n_rows, rows.n_tangent, rows.keep) != (model.arch, len(x), B, True):
+        rows = _TrainRows(model.arch, len(x), B)
+    elif not isinstance(rows, _TrainRows) or (rows.arch, rows.n_rows, rows.n_tangent) != (model.arch, len(x), B):
         raise ValueError("workspace was not built by loss_workspace for this model and batch sizes")
-    y, _ = _forward_pass(model, x, rows)
+    y, _ = _forward_pass(model, x, [buf[: len(x)] for buf in rows.inputs], 0)
     G = _gradient_sweep(model, rows)
     ybar = np.zeros_like(y)
     data = 0.0
@@ -551,7 +560,7 @@ def grad_of_loss(
     eikonal_batch,
     lam: float,
     nesting: float = 0.0,
-    workspace: _Rows | None = None,
+    workspace: _TrainRows | None = None,
 ) -> tuple[LossTerms, list]:
     """Loss value and exact parameter gradients for
 
@@ -577,10 +586,10 @@ def grad_of_loss(
     return terms, _backward_pass(model, rows, ybar, Gbar)
 
 
-def loss_workspace(model: MlpModel, surface_sizes, n_eikonal: int) -> _Rows:
+def loss_workspace(model: MlpModel, surface_sizes, n_eikonal: int) -> _TrainRows:
     """Row buffers for `grad_of_loss(..., workspace=)` on one surface batch
     per channel of the given sizes and an Eikonal batch of `n_eikonal`."""
-    return _Rows(model.arch, sum(surface_sizes) + n_eikonal, n_eikonal, keep=True)
+    return _TrainRows(model.arch, sum(surface_sizes) + n_eikonal, n_eikonal)
 
 
 def loss_value(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float = 0.0) -> LossTerms:

@@ -23,6 +23,7 @@ from vinr.network import (
     _backward_pass,
     _forward_pass,
     _Rows,
+    _TrainRows,
     forward,
     forward_with_input_grad,
     grad_of_loss,
@@ -108,7 +109,7 @@ class TestForward:
 
 def whole_batch(m, x, n_tangent=0):
     """The core on all of x at once, in a workspace of its own."""
-    return _forward_pass(m, x, _Rows(m.arch, len(x), n_tangent, keep=False))
+    return _forward_pass(m, x, _Rows(m.arch, len(x), n_tangent).inputs, n_tangent)
 
 
 def block_rows(arch):
@@ -420,8 +421,8 @@ def rows_left_by_loss(model, surface, eik, ws):
     skip layer."""
     arch, N, T = model.arch, ws.n_rows, ws.n_tangent
     C, width = arch.output_channels, arch.hidden_width
-    fresh = _Rows(arch, N, T, keep=True)
-    _forward_pass(model, np.concatenate([eik] + surface), fresh)
+    fresh = _TrainRows(arch, N, T)
+    _forward_pass(model, np.concatenate([eik] + surface), [buf[:N] for buf in fresh.inputs], 0)
     untouched = all(np.array_equal(a[:T, :width], b[:T, :width]) for a, b in zip(ws.inputs[1:], fresh.inputs[1:]))
     G = sum(ws.inputs[l][N:, :width] @ model.weights[l - 1][:, -INPUT_DIM:] for l in {1, arch.skip_layer})
     return untouched, G.reshape(C, T, INPUT_DIM).transpose(1, 0, 2)
@@ -508,8 +509,8 @@ class TestEinsumOracle:
         assert_rel_close(forward(m, eik), y)
 
         # value-only backward (no tangent rows)
-        rows = _Rows(m.arch, len(eik), 0, keep=True)
-        y, _ = _forward_pass(m, eik, rows)
+        rows = _TrainRows(m.arch, len(eik), 0)
+        y, _ = _forward_pass(m, eik, rows.inputs, 0)
         ybar = rng.normal(size=y.shape)
         _, _, ref_caches = einsum_oracle.forward_pass(m, eik, with_jac=False)
         ref_grads = einsum_oracle.backward_pass(m, ref_caches, ybar, None)
@@ -577,7 +578,7 @@ class TestEinsumOracle:
             loss_workspace(m, [4, 5], 7),
             loss_workspace(m, [4, 6], 6),
             loss_workspace(m, [5, 5], 5),  # same row total, other tangent count
-            _Rows(arch, 15, 6, keep=False),  # forward-only buffers cannot run a backward
+            _Rows(arch, 15, 6),  # forward-only buffers cannot run a backward
         ]:
             with pytest.raises(ValueError, match="workspace"):
                 grad_of_loss(m, surface, eik, 0.1, workspace=ws)
