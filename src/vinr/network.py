@@ -53,7 +53,10 @@ softplus with sharpness beta,
     act''(z) / act'(z) = beta exp(-beta h),
 so act''(z) g Jz u = (act''/act')(z) g u_a, where u_a = act'(z) Jz u is the
 tangent row the tangent sweep stores and g the gradient sweep's unmasked
-adjoint. Returned gradients are fresh arrays.
+adjoint. The parameter gradients are written into the training workspace's
+gradient vector, laid out like the parameters in a .inr file
+(`param_views`): with `workspace=` they are views of that vector, which the
+next call overwrites; without one they are fresh arrays.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ __all__ = [
     "grad_of_loss",
     "loss_value",
     "loss_workspace",
+    "param_views",
     "save_model",
     "load_model",
     "ModelFormatError",
@@ -169,6 +173,18 @@ class MlpModel:
         for w, b in zip(self.weights, self.biases):
             out += [w, b]
         return out
+
+
+def param_views(arch: MlpArchitecture, flat: np.ndarray) -> list:
+    """The parameter arrays [W1, b1, ..., Wout, bout] of `arch` as views of
+    one flat vector of arch.param_count() entries, in .inr order: writing a
+    view writes the vector."""
+    views, start = [], 0
+    for shape in (s for pair in arch.param_shapes() for s in pair):
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
 @dataclass(frozen=True)
@@ -309,7 +325,9 @@ class _TrainRows:
     columns of adjoints[0] and of the skip buffer's are the spatial
     gradient's terms. That is N + 2 C T rows per layer: at C = 1 fewer than
     the N + 3 T a training pass with three tangent blocks held, at C >= 2
-    more.
+    more. `grad` is the parameter gradient vector in .inr order and `grads`
+    its per-layer views (`param_views`), which every _backward_pass
+    overwrites.
     """
 
     def __init__(self, arch: MlpArchitecture, n_rows: int, n_tangent: int):
@@ -318,6 +336,8 @@ class _TrainRows:
         self.x0 = np.empty((n_rows + carried, INPUT_DIM))
         self.inputs = [self.x0] + [np.zeros((n_rows + carried, arch.layer_in_dim(l))) for l in range(2, L + 2)]
         self.adjoints = [np.zeros((carried, arch.layer_in_dim(l + 1))) for l in range(L)]
+        self.grad = np.empty(arch.param_count())
+        self.grads = param_views(arch, self.grad)
 
 
 def _gradient_rows(model: MlpModel, rows: _TrainRows, l: int) -> np.ndarray:
@@ -431,8 +451,9 @@ def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np
     """Parameter gradients of a loss whose adjoints are ybar (N, C) for the
     values and Gbar (T, C, 3) for the spatial gradients of the first T
     points (None when T = 0), through the _forward_pass and _gradient_sweep
-    last run in the training workspace `rows`. Returns fresh arrays in
-    [W1, b1, ..., Wout, bout] order.
+    last run in the training workspace `rows`. Writes them into rows.grad
+    and returns its views rows.grads, in [W1, b1, ..., Wout, bout] order:
+    the same GEMMs and row sums as into fresh arrays, so the same bits.
 
     Tangent sweep, bottom-up: block c of the carried rows starts from
     u_0 = Gbar[:, c] in x0, the skip layer's xyz columns get Gbar again,
@@ -464,13 +485,13 @@ def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np
             u = u.reshape(C, T, width)
             u *= _act_d1(arch, out[:T, :width])
 
-    grads = [None] * (2 * len(W))
+    grads = rows.grads
     sbar = np.concatenate([ybar[lo:], np.repeat(np.eye(C), T, axis=0)])  # the output's gradient rows are e_c
     zbar = ybar[lo:]
     for l in range(arch.hidden_layers, -1, -1):
         buf = rows.inputs[l]
-        grads[2 * l] = sbar.T @ buf[lo:]
-        grads[2 * l + 1] = sbar[: N - lo].sum(axis=0)
+        np.matmul(sbar.T, buf[lo:], out=grads[2 * l])
+        np.sum(sbar[: N - lo], axis=0, out=grads[2 * l + 1])
         if l == 0:
             break
         d1 = _act_d1(arch, buf[:N, :width])
@@ -484,7 +505,7 @@ def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np
             buf[:T, :width] += src
         np.multiply(g, d1[:T], out=u)
         sbar, zbar = buf[lo:, :width], buf[lo:N, :width]
-    return grads
+    return list(grads)
 
 
 def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float, rows):
@@ -580,7 +601,9 @@ def grad_of_loss(
     of these sizes (ValueError otherwise), reused on every call as
     `fit_nested` does; without one, the call builds its own. Its layer
     inputs are overwritten by their adjoints and ReLU derivatives are read
-    from layer outputs. The returned gradients are fresh arrays.
+    from layer outputs. With a workspace, the returned gradients are views
+    of its gradient vector (`workspace.grad`, in .inr order), overwritten by
+    the next call that uses it; without one they are fresh arrays.
     """
     terms, rows, ybar, Gbar = _loss_and_adjoints(model, surface_batches, eikonal_batch, lam, nesting, workspace)
     return terms, _backward_pass(model, rows, ybar, Gbar)
@@ -640,10 +663,7 @@ def load_model(path) -> MlpModel:
             raise ValueError(f"architecture block needs every field of {list(asdict(arch))}")
         if len(blob) != 8 * arch.param_count():  # before param_shapes, whose length the header sets
             raise ValueError(f"parameter blob size mismatch (expected {8 * arch.param_count()} bytes, got {len(blob)})")
-        shapes = [s for pair in arch.param_shapes() for s in pair]
-        sizes = [math.prod(s) for s in shapes]
-        flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-        params = [p.reshape(s) for p, s in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+        params = param_views(arch, np.frombuffer(blob, dtype="<f8").astype(np.float64))
         t = header["transform"]
         transform = None if t is None else DomainTransform(t["scale"], t["center"], t["half_extent"])
         return MlpModel(arch, params[0::2], params[1::2], transform, header["channel_names"])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, PointCloud, fit_transform
-from .network import MlpArchitecture, MlpModel, grad_of_loss, init_model, loss_value, loss_workspace
+from .network import MlpArchitecture, MlpModel, grad_of_loss, init_model, loss_value, loss_workspace, param_views
 
 __all__ = [
     "TrainConfig",
@@ -41,6 +41,10 @@ DIVERGENCE_LIMIT = 1e6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# entries per Adam step view in a fit: each elementwise pass of the step
+# touches at most three 512 KiB views, which the next pass finds in L2; over
+# a 6x256 model's whole 2.6 MB vectors the passes fall out of it
+ADAM_CHUNK = 2**16
 
 
 class TrainingDiverged(RuntimeError):
@@ -187,6 +191,12 @@ def _config_echo(cfg: TrainConfig) -> str:
     return " ".join(f"{k}={v}" for k, v in sorted(vars(cfg).items()))
 
 
+def _chunks(flat: np.ndarray, size: int) -> list:
+    """Consecutive views of `size` entries of a flat vector, the last one
+    shorter unless `size` divides its length."""
+    return [flat[s : s + size] for s in range(0, flat.size, size)]
+
+
 def fit(cloud: PointCloud, config: TrainConfig) -> tuple[MlpModel, FitReport]:
     """Fit a single-channel SDF to a real-coordinate point cloud."""
     return fit_nested([cloud], config, channel_names=None)
@@ -216,8 +226,10 @@ def fit_nested(
     model.transform = transform
     model.channel_names = list(channel_names) if channel_names else None
 
-    params = model.parameters()
-    opt = AdamState.for_params(params)
+    # one contiguous parameter vector in .inr order, the model's arrays its views
+    flat = np.concatenate([p.ravel() for p in model.parameters()])
+    views = param_views(model.arch, flat)
+    model.weights, model.biases = views[0::2], views[1::2]
     sampler = EikonalSampler()
     rng = np.random.default_rng(config.seed)
 
@@ -225,6 +237,9 @@ def fit_nested(
     batch_sizes = [min(len(c), 1024) if n_surf is None else min(len(c), n_surf) for c in clouds]
     n_eik = max(batch_sizes)
     rows = loss_workspace(model, batch_sizes, n_eik)  # every epoch's batches have these sizes
+    # Adam steps the parameter, gradient and moment vectors in chunk views
+    params, grads = _chunks(flat, ADAM_CHUNK), _chunks(rows.grad, ADAM_CHUNK)
+    opt = AdamState(m=_chunks(np.zeros_like(flat), ADAM_CHUNK), v=_chunks(np.zeros_like(flat), ADAM_CHUNK))
 
     trace = np.zeros((config.epochs, 4))
     start = time.perf_counter()
@@ -236,7 +251,8 @@ def fit_nested(
             batches.append(pts[idx])
         eik_batch = sample_eikonal_points(sampler, all_norm, n_eik, rng)
         try:
-            terms, grads = grad_of_loss(model, batches, eik_batch, config.lam, config.nesting_penalty, workspace=rows)
+            # the gradient lands in rows.grad, whose chunks `grads` holds
+            terms, _ = grad_of_loss(model, batches, eik_batch, config.lam, config.nesting_penalty, workspace=rows)
         except FloatingPointError:
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}") from None
         trace[epoch] = (terms.total, terms.data, terms.eikonal, terms.nesting)

@@ -332,12 +332,14 @@ class TestLossGradients:
 
 
 def nbytes(ws):
-    """Bytes of the distinct arrays a workspace holds."""
+    """Bytes of the distinct buffers a workspace holds: a view counts as the
+    array it views, once."""
     arrays = {}
     for v in vars(ws).values():
         for a in v if isinstance(v, list) else [v]:
             if isinstance(a, np.ndarray):
-                arrays[id(a)] = a.nbytes
+                owner = a if a.base is None else a.base
+                arrays[id(owner)] = owner.nbytes
     return sum(arrays.values())
 
 
@@ -385,10 +387,14 @@ class TestActivationDerivatives:
     ])
     def test_single_channel_workspace_within_three_tangent_blocks(self, arch, n_surface, n_eik):
         # a training workspace that carried three tangent blocks under the N
-        # value rows held N + 3 T rows in x0 and in every layer's input buffer
+        # value rows held N + 3 T rows in x0 and in every layer's input buffer,
+        # and its backward allocated the parameter gradient on every call,
+        # which the workspace now holds
         rows = n_surface + n_eik + INPUT_DIM * n_eik
         widths = INPUT_DIM + sum(arch.layer_in_dim(l) for l in range(2, arch.hidden_layers + 2))
-        assert nbytes(loss_workspace(init_model(arch, seed=0), [n_surface], n_eik)) <= 8 * rows * widths
+        ws = loss_workspace(init_model(arch, seed=0), [n_surface], n_eik)
+        assert ws.grad.nbytes == 8 * arch.param_count()
+        assert nbytes(ws) <= 8 * rows * widths + ws.grad.nbytes
 
 
 @st.composite
@@ -518,13 +524,16 @@ class TestEinsumOracle:
             assert_rel_close(g, ref)
 
         # a reused workspace: other points and parameters in between leave
-        # no trace, and the gradients never alias its buffers
+        # no trace; the gradients alias only its gradient vector, never its
+        # row buffers, and the next call overwrites them; the fresh
+        # gradients of a call without a workspace no later call touches
         ws = loss_workspace(m, sizes, n_eik)
         other = MlpModel(
             arch=arch,
             weights=[w + rng.normal(0.0, 0.1, size=w.shape) for w in m.weights],
             biases=[b + rng.normal(0.0, 0.1, size=b.shape) for b in m.biases],
         )
+        earlier, kept = None, []
         for model, pts, e in [
             (m, surface, eik),
             (other, [rng.uniform(-1, 1, size=(n, 3)) for n in sizes], rng.uniform(-1, 1, size=(n_eik, 3))),
@@ -539,8 +548,18 @@ class TestEinsumOracle:
             assert reused[0] == fresh[0]
             for g, f in zip(reused[1], fresh[1]):
                 np.testing.assert_array_equal(g, f)
-                assert not any(np.shares_memory(g, buf) for buf in ws.inputs)
+                assert np.shares_memory(g, ws.grad)
+                assert not any(np.shares_memory(g, buf) for buf in ws.inputs + ws.adjoints)
+                assert not np.shares_memory(f, ws.grad)
+            if earlier is not None:
+                for was, g in zip(earlier, reused[1]):
+                    np.testing.assert_array_equal(was, g)
+            earlier = reused[1]
+            kept.append((fresh[1], [f.copy() for f in fresh[1]]))
         assert reused[0] == terms
+        for grads, copies in kept:
+            for g, c in zip(grads, copies):
+                np.testing.assert_array_equal(g, c)
 
     def test_workspace_reused_across_skipped_and_carried_calls(self):
         # ReLU at C = 2: nesting 0 skips the Eikonal value rows, an active
@@ -553,6 +572,7 @@ class TestEinsumOracle:
         surface = [rng.uniform(-1, 1, size=(n, 3)) for n in (4, 5)]
         eik = rng.uniform(-1, 1, size=(7, 3))
         ws = loss_workspace(m, [4, 5], 7)
+        earlier = None
         for nesting in (0.0, 1.0, 0.0, 1.0):
             reused = grad_of_loss(m, surface, eik, 0.1, nesting, workspace=ws)
             untouched, G_rows = rows_left_by_loss(m, surface, eik, ws)
@@ -563,6 +583,12 @@ class TestEinsumOracle:
             assert reused[0].nesting > 0
             for g, f in zip(reused[1], fresh[1]):
                 np.testing.assert_array_equal(g, f)
+                assert np.shares_memory(g, ws.grad)
+                assert not any(np.shares_memory(g, buf) for buf in ws.inputs + ws.adjoints)
+            if earlier is not None:  # the previous call's gradients now hold this one's
+                for was, g in zip(earlier, reused[1]):
+                    np.testing.assert_array_equal(was, g)
+            earlier = reused[1]
 
     def test_mismatched_workspace_raises(self):
         arch = MlpArchitecture(hidden_layers=3, hidden_width=8, output_channels=2, skip_layer=2)

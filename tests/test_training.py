@@ -1,6 +1,10 @@
+import fit_oracle
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
+import vinr.training
 from vinr.geometry import GeometryError, PointCloud
 from vinr.network import MlpArchitecture, forward, grad_of_loss, init_model
 from vinr.training import (
@@ -8,6 +12,7 @@ from vinr.training import (
     EikonalSampler,
     TrainConfig,
     TrainingDiverged,
+    _chunks,
     adam_step,
     fit,
     fit_nested,
@@ -190,6 +195,54 @@ class TestAdam:
             np.testing.assert_array_equal(a, b)
 
 
+@st.composite
+def chunked_adam_cases(draw):
+    """Parameter shapes of one to three axes, a chunk size up to the total
+    entry count, and a seed."""
+    shapes = draw(st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple), min_size=1, max_size=6))
+    total = sum(int(np.prod(s)) for s in shapes)
+    return shapes, draw(st.integers(1, total)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestChunkedAdam:
+    """adam_step over chunk views of one flat vector, as fit_nested runs it,
+    against adam_step over the per-layer arrays."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(case=chunked_adam_cases())
+    @example(case=([(4, 3), (4,), (1, 4), (1,)], 7, 0))  # 7 divides the 21 entries
+    @example(case=([(4, 3), (4,), (1, 4), (1,)], 8, 1))  # 8 does not
+    @example(case=([(2, 2)], 4, 2))  # one chunk
+    def test_matches_per_layer_steps_bitwise(self, case):
+        shapes, size, seed = case
+        total = sum(int(np.prod(s)) for s in shapes)
+        event(f"chunk size {'divides' if total % size == 0 else 'does not divide'} the total")
+        rng = np.random.default_rng(seed)
+        per_layer = [rng.normal(size=s) for s in shapes]
+        flat = np.concatenate([p.ravel() for p in per_layer])
+        chunks = _chunks(flat, size)
+        assert [c.size for c in chunks] == [size] * (total // size) + ([total % size] if total % size else [])
+        by_layer = AdamState.for_params(per_layer)
+        by_chunk = AdamState(m=_chunks(np.zeros(total), size), v=_chunks(np.zeros(total), size))
+        for _ in range(3):
+            grads = [rng.normal(size=s) for s in shapes]
+            adam_step(by_layer, per_layer, grads, 0.01)
+            adam_step(by_chunk, chunks, _chunks(np.concatenate([g.ravel() for g in grads]), size), 0.01)
+        assert by_chunk.step_count == by_layer.step_count == 3
+        for got, ref in [(chunks, per_layer), (by_chunk.m, by_layer.m), (by_chunk.v, by_layer.v)]:
+            np.testing.assert_array_equal(np.concatenate(got), np.concatenate([a.ravel() for a in ref]))
+
+        # a non-finite entry in the last chunk raises before any chunk moves
+        bad = rng.normal(size=total)
+        bad[-1] = np.nan if seed % 2 else np.inf
+        before = [np.concatenate(a).copy() for a in (chunks, by_chunk.m, by_chunk.v)]
+        with pytest.raises(TrainingDiverged):
+            adam_step(by_chunk, chunks, _chunks(bad, size), 0.01)
+        assert by_chunk.step_count == 3
+        for a, b in zip((chunks, by_chunk.m, by_chunk.v), before):
+            np.testing.assert_array_equal(np.concatenate(a), b)
+
+
 class TestFit:
     def test_loss_decreases_on_sphere(self):
         cloud = sphere_cloud(400)
@@ -272,14 +325,37 @@ class TestFitNested:
             fit_nested([], desk_config())
 
     def test_channel_names_must_match_clouds(self, monkeypatch):
-        import vinr.training
-
         # raised before the first epoch, so the saved model can never be unloadable
         monkeypatch.setattr(vinr.training, "grad_of_loss", lambda *a: pytest.fail("trained first"))
         one, two = [sphere_cloud(50)], [sphere_cloud(50), sphere_cloud(50, r=0.5)]
         for clouds, names in ((one, ["a", "b"]), (two, ["lumen"])):
             with pytest.raises(ValueError, match=f"{len(names)} channel names for {len(clouds)}"):
                 fit_nested(clouds, desk_config(), names)
+
+    @pytest.mark.parametrize("clouds, kw", [
+        # a surface batch smaller than the cloud, so each epoch draws it
+        ([sphere_cloud(90)], dict(activation="relu", surface_batch_size=40)),
+        ([sphere_cloud(60, r=0.5, seed=1), sphere_cloud(80, seed=2)],
+         dict(activation="softplus", surface_batch_size=None, nesting_penalty=0.5)),
+    ])
+    @pytest.mark.parametrize("chunk", [vinr.training.ADAM_CHUNK, 1000])
+    def test_matches_per_layer_oracle_bitwise(self, monkeypatch, clouds, kw, chunk):
+        # the flat parameter, gradient and moment vectors, stepped in chunks
+        # of the default size (one chunk here) and of a size that cuts them
+        # into several, against per-layer arrays and fresh gradients
+        monkeypatch.setattr(vinr.training, "ADAM_CHUNK", chunk)
+        cfg = desk_config(epochs=25, hidden_layers=3, hidden_width=24, **kw)
+        model, report = fit_nested(clouds, cfg)
+        ref_model, ref_trace = fit_oracle.fit_nested(clouds, cfg)
+        np.testing.assert_array_equal(report.trace, ref_trace)
+        for got, ref in zip(model.parameters(), ref_model.parameters()):
+            assert got.shape == ref.shape
+            np.testing.assert_array_equal(got, ref)
+        # the model's arrays are consecutive views of one vector, in .inr order
+        flat = model.weights[0].base
+        assert flat.size == model.arch.param_count()
+        np.testing.assert_array_equal(flat, np.concatenate([p.ravel() for p in ref_model.parameters()]))
+        assert all(p.base is flat for p in model.parameters())
 
     def test_divergence_guard(self):
         cloud = sphere_cloud(100)
