@@ -109,14 +109,14 @@ class ModelSource:
 
     def value_and_slope(self, p):
         """Values at p and the slope bound evaluate_near_level trusts
-        between them: _SLOPE_SAFETY times the largest gradient norm at p.
-        The real-unit field f(scale * (x - center)) / scale has the
-        network's own gradient."""
+        between them: _SLOPE_SAFETY times the largest gradient norm of this
+        channel at p, swept for this channel alone (2 GEMM rows per point
+        and layer at any C). The real-unit field f(scale * (x - center)) /
+        scale has the network's own gradient."""
         t = self.model.transform
-        q = t.apply(as_points(p))
-        dual = forward_with_input_grad(self.model, q)
-        norms = np.linalg.norm(dual.gradients[:, self.channel], axis=1)
-        return dual.values[:, self.channel] / t.scale, _SLOPE_SAFETY * float(norms.max())
+        dual = forward_with_input_grad(self.model, t.apply(as_points(p)), channels=[self.channel])
+        norms = np.linalg.norm(dual.gradients[:, 0], axis=1)
+        return dual.values[:, 0] / t.scale, _SLOPE_SAFETY * float(norms.max())
 
 
 @dataclass(frozen=True)

@@ -4,20 +4,19 @@ gradients.
 
 The network maps normalized 3D coordinates to C signed-distance channels.
 Each layer's activations form one matrix of stacked rows, the N value rows
-first, so one GEMM per layer serves every row. Evaluation
-(`forward_with_input_grad`) propagates spatial gradients in forward mode:
-three blocks of tangent rows, one per input direction, follow the value
-rows, so values and Jacobian-vector products come from the same GEMM.
+first, so one GEMM per layer serves every row. Spatial gradients come from
+one reverse sweep after a value-only forward pass, one block of rows per
+channel (_gradient_sweep): evaluation (`forward_with_input_grad`) sweeps
+the K channels it is given, 1 + K GEMM rows per point and layer.
 
 Training (`grad_of_loss`) needs the spatial gradients of the T Eikonal
 points, the first T value rows, and the parameter gradient of a loss that
 reads them. It runs four sweeps in a caller-owned workspace, each carrying
 C blocks of T rows under the N value rows:
   1. a value-only forward pass over the N rows (_forward_pass);
-  2. a top-down gradient sweep: block c starts from the output adjoint e_c,
-     so reverse mode gives grad f_c (T, C, 3) from C T rows per layer
-     (_gradient_sweep); then the loss terms and their adjoints ybar (N, C)
-     and Gbar (T, C, 3);
+  2. the gradient sweep over every channel, which gives grad f_c (T, C, 3)
+     from C T rows per layer (_gradient_sweep); then the loss terms and
+     their adjoints ybar (N, C) and Gbar (T, C, 3);
   3. a bottom-up tangent sweep in direction Gbar[:, c] for block c: the
      parameter gradient of sum_c Gbar[:, c] . grad f_c is the derivative of
      d f_c / d theta along that direction (Pearlmutter's R-operator,
@@ -30,22 +29,18 @@ lo = T when no loss term reads the Eikonal values and the activation has no
 act'' term (ReLU without an active nesting hinge): their adjoint is then
 zero at every layer and those rows stay out of the GEMMs; otherwise lo = 0.
 Per Eikonal point and layer the GEMMs carry 1 + 3C + 2 carry rows (carry =
-1 when lo = 0). The alternative, a forward pass with three tangent blocks
-and a backward over min(C, 3) direction blocks (the rank of each point's
-Gbar), carries 4 + 2 min(C, 3) + 2 carry: 6 against 4 rows for a ReLU fit
-at C = 1, 8 against 7 at C = 2 (10 against 9 with softplus or an active
-hinge), as many at C = 3, and 10 against 13 at C = 4. These are row counts;
-README gives the measured fit times, faster at C = 1 and unchanged within
-noise at C = 2. The paper fits one or two nested channels, so the sweeps
-are the only training path. Parameter gradients include the mixed
-d^2 f / dx dtheta path exactly. Everything is float64 so
-finite-difference checks are meaningful.
+1 when lo = 0): fewer at C <= 2, the paper's one or two nested channels,
+than the 4 + 2 min(C, 3) + 2 carry of a forward pass with three tangent
+blocks and a backward over min(C, 3) direction blocks (README gives the
+measured fit times). Parameter gradients include the mixed d^2 f / dx
+dtheta path exactly. Everything is float64 so finite-difference checks
+are meaningful.
 
 Both kinds of workspace are caller-owned: `fit_nested` makes one
 `_TrainRows` per fit (`loss_workspace`), `forward` and
-`forward_with_input_grad` one `_Rows` per call, reused across row blocks.
-GEMMs write into the next layer's input buffer and the activation runs
-there in place; later sweeps read the derivatives they need from those
+`forward_with_input_grad` one `_EvalRows` per call, reused across row
+blocks. GEMMs write into the next layer's input buffer and the activation
+runs there in place; later sweeps read the derivatives they need from those
 outputs h = act(z), and the value backward then overwrites them with
 adjoints. No pre-activation is kept: ReLU's act' is [h > 0], and for
 softplus with sharpness beta,
@@ -281,170 +276,175 @@ def init_model(arch: MlpArchitecture, seed: int, scheme: str = "standard") -> Ml
 # forward / backward
 #
 # Every layer works on one stacked matrix of rows: first the N value rows,
-# one per query point, then the rows that carry derivatives of the first T
-# of them. Evaluation (`forward_with_input_grad`) carries three blocks of T
-# tangent rows, block k holding d/dx_k, so a single GEMM per layer yields
-# both the values and the Jacobian-vector products: the bias goes on the
-# value rows only, and each tangent row is scaled by act'(z) of its value
-# row (_Rows). Training carries C blocks of T rows instead, one per
-# channel, and fills them in the sweeps of _gradient_sweep and
+# one per query point, then, where a sweep runs, K blocks of T rows that
+# carry derivatives of the first T of them, one block per channel swept.
+# Evaluation keeps the value rows and the sweep's rows in separate buffers
+# (_EvalRows). Training carries its C blocks under the value rows of each
+# layer's buffer and fills them in the sweeps of _gradient_sweep and
 # _backward_pass (_TrainRows).
 
 
-class _Rows:
-    """Evaluation workspace for one (arch, N, T) shape: N + 3 T rows, the N
-    value rows, of which the first T carry tangents, then three blocks of T
-    tangent rows. `inputs[l]` holds the input rows of weight layer l:
-    inputs[0] is x0 = [x; identity tangent rows], and the skip layer's
-    buffer ends in x0's columns. Two buffers take turns, besides the skip
-    buffer.
-    """
+class _EvalRows:
+    """Evaluation workspace for N points and a gradient sweep of K channels
+    over all of them (K = 0: values only). `inputs[l]` holds the N input
+    rows of weight layer l: inputs[0] is x0, and the skip layer's buffer
+    ends in x0's columns. For values only, two buffers take turns besides
+    the skip buffer; a sweep reads act' from every layer's outputs, so then
+    each has its own. The sweep masks into one block of K N rows (`masked`)
+    and writes its adjoints into two buffers that take turns (`adjoints`)."""
 
-    def __init__(self, arch: MlpArchitecture, n_rows: int, n_tangent: int):
-        self.arch, self.n_rows, self.n_tangent = arch, n_rows, n_tangent
-        R = n_rows + INPUT_DIM * n_tangent
-        self.x0 = np.empty((R, INPUT_DIM))
-        self.x0[n_rows:] = np.repeat(np.eye(INPUT_DIM), n_tangent, axis=0)
-        turns = [np.empty((R, arch.hidden_width)), np.empty((R, arch.hidden_width))]
-        self.inputs = [self.x0]
-        for l in range(2, arch.hidden_layers + 2):
-            self.inputs.append(np.zeros((R, arch.layer_in_dim(l))) if l == arch.skip_layer else turns[l % 2])
+    def __init__(self, arch: MlpArchitecture, n_rows: int, n_swept: int):
+        self.arch, self.n_rows, self.n_tangent = arch, n_rows, n_rows
+        L, width, R = arch.hidden_layers, arch.hidden_width, n_swept * n_rows
+        turns = [np.empty((n_rows, width)), np.empty((n_rows, width))]
+        self.inputs = [np.empty((n_rows, INPUT_DIM))]
+        for l in range(2, L + 2):
+            own = n_swept or l == arch.skip_layer
+            self.inputs.append(np.zeros((n_rows, arch.layer_in_dim(l))) if own else turns[l % 2])
+        self.masked = [np.empty((R, width))] * L
+        turns = [np.empty((R, width + INPUT_DIM)), np.empty((R, width + INPUT_DIM))]
+        self.adjoints = [turns[l % 2][:, : arch.layer_in_dim(l + 1)] for l in range(L)]
 
 
 class _TrainRows:
     """Training workspace for one (arch, N, T) shape, built by
-    `loss_workspace`: N + C T rows per layer, each layer its own buffer,
-    laid out like _Rows.inputs. The value rows hold the outputs of the
-    value-only forward pass, from which the later sweeps read act' and
-    act''/act'; the C blocks of T rows under them (channel c's block for
-    the first T points) first hold _gradient_sweep's masked adjoints as GEMM
-    input, then the tangent sweep's rows u_l, then the masked gradient rows
-    again as the left operand of the weight-gradient GEMM. x0 is [x; Gbar
-    rows]. `adjoints[l]` (C T rows, the width of inputs[l]) holds the
-    gradient sweep's unmasked adjoint of inputs[l], for l < L; the xyz
-    columns of adjoints[0] and of the skip buffer's are the spatial
-    gradient's terms. That is N + 2 C T rows per layer: at C = 1 fewer than
-    the N + 3 T a training pass with three tangent blocks held, at C >= 2
-    more. `grad` is the parameter gradient vector in .inr order and `grads`
-    its per-layer views (`param_views`), which every _backward_pass
-    overwrites.
+    `loss_workspace`: N + C T rows per layer, each layer its own buffer.
+    `inputs[l]` holds the input rows of weight layer l: inputs[0] is x0 =
+    [x; Gbar rows], and the skip layer's buffer ends in x0's columns. The
+    value rows hold the outputs of the value-only forward pass, from which
+    the later sweeps read act' and act''/act'; the C blocks of T rows under
+    them (channel c's block for the first T points) first hold
+    _gradient_sweep's masked adjoints as GEMM input (`masked`, their hidden
+    columns), then the tangent sweep's rows u_l, then the masked gradient
+    rows again as the left operand of the weight-gradient GEMM.
+    `adjoints[l]` (C T rows, the width of inputs[l]) holds the gradient
+    sweep's unmasked adjoint of inputs[l], for l < L; the xyz columns of
+    adjoints[0] and of the skip buffer's are the spatial gradient's terms.
+    That is N + 2 C T rows per layer: at C = 1 fewer than the N + 3 T a
+    training pass with three tangent blocks held, at C >= 2 more.
+    `out_adjoints` is [ybar; e_c rows] for the value backward. `grad` is
+    the parameter gradient vector in .inr order and `grads` its per-layer
+    views (`param_views`), which every _backward_pass overwrites.
     """
 
     def __init__(self, arch: MlpArchitecture, n_rows: int, n_tangent: int):
         self.arch, self.n_rows, self.n_tangent = arch, n_rows, n_tangent
-        L, carried = arch.hidden_layers, arch.output_channels * n_tangent
-        self.x0 = np.empty((n_rows + carried, INPUT_DIM))
-        self.inputs = [self.x0] + [np.zeros((n_rows + carried, arch.layer_in_dim(l))) for l in range(2, L + 2)]
+        L, C, carried = arch.hidden_layers, arch.output_channels, arch.output_channels * n_tangent
+        self.inputs = [np.empty((n_rows + carried, INPUT_DIM))]
+        self.inputs += [np.zeros((n_rows + carried, arch.layer_in_dim(l))) for l in range(2, L + 2)]
+        self.masked = [buf[n_rows:, : arch.hidden_width] for buf in self.inputs[1:]]
         self.adjoints = [np.zeros((carried, arch.layer_in_dim(l + 1))) for l in range(L)]
+        self.out_adjoints = np.concatenate([np.zeros((n_rows, C)), np.repeat(np.eye(C), n_tangent, axis=0)])
         self.grad = np.empty(arch.param_count())
         self.grads = param_views(arch, self.grad)
 
 
-def _gradient_rows(model: MlpModel, rows: _TrainRows, l: int) -> np.ndarray:
+def _gradient_rows(rows, l: int, top: np.ndarray) -> np.ndarray:
     """The gradient sweep's unmasked adjoint of hidden layer l's output,
-    (C, T, width): the hidden columns of rows.adjoints[l], or at the last
-    layer W_out[c] for every point of block c, as (C, 1, width) for
-    broadcasting."""
-    arch = model.arch
-    C, T, width = arch.output_channels, rows.n_tangent, arch.hidden_width
-    if l == arch.hidden_layers:
-        return model.weights[-1][:, None, :]
-    return rows.adjoints[l][:, :width].reshape(C, T, width)
+    (K, T, width): the hidden columns of rows.adjoints[l], or at the last
+    layer the output rows `top` (K, width) the sweep started from, as
+    (K, 1, width) for broadcasting."""
+    if l == rows.arch.hidden_layers:
+        return top[:, None, :]
+    return rows.adjoints[l][:, : top.shape[1]].reshape(len(top), rows.n_tangent, top.shape[1])
 
 
-def _forward_pass(model: MlpModel, x: np.ndarray, inputs: list, n_tangent: int):
+def _forward_pass(model: MlpModel, x: np.ndarray, inputs: list) -> np.ndarray:
     """Runs the MLP on a batch x (N, 3) in caller-owned row buffers:
-    `inputs[l]` holds the N + 3 T input rows of weight layer l (T =
-    n_tangent), inputs[0] being x0, whose tangent rows the caller set. The
-    input Jacobian of the first T points rides along as three blocks of T
-    tangent rows; T = 0 runs the value rows only. Returns the values (N, C)
-    and the spatial gradients (T, C, 3), views of one fresh output matrix.
-    Each GEMM writes into the next layer's input buffer, the activation runs
-    there in place, and the tangent rows are scaled by act' read from the
-    first T value rows' outputs. In training (T = 0, the value rows of a
-    _TrainRows) the outputs left there give the later sweeps act' and
-    act''/act'.
+    `inputs[l]` holds the N input rows of weight layer l, inputs[0] being
+    x0. Returns the values (N, C), a fresh array. Each GEMM writes into the
+    next layer's input buffer and the activation runs there in place, so
+    where every layer has its own buffer (_EvalRows with a sweep, the value
+    rows of _TrainRows) the outputs left there give the later sweeps act'
+    and act''/act'.
     """
-    arch = model.arch
-    N, T, C = len(x), n_tangent, arch.output_channels
-    x0 = inputs[0]
-    x0[:N] = x
+    arch, width = model.arch, model.arch.hidden_width
+    inputs[0][:] = x
     for l in range(1, arch.hidden_layers + 1):
         inp, out = inputs[l - 1], inputs[l]
         if l == arch.skip_layer and l != 1:  # the layer below and a backward pass write here
-            inp[:, -INPUT_DIM:] = x0
+            inp[:, -INPUT_DIM:] = x
         # whole rows keep elementwise work contiguous; the skip buffer's xyz
         # columns take junk (finite: the buffer starts zeroed) until refilled
-        np.matmul(inp, model.weights[l - 1].T, out=out[:, : arch.hidden_width])
-        out[:N] += np.concatenate([model.biases[l - 1], np.zeros(out.shape[1] - arch.hidden_width)])
-        _act(arch, out[:N], out=out[:N])
-        if T:
-            t = out[N:].reshape(INPUT_DIM, T, -1)
-            t *= _act_d1(arch, out[:T])
-    s = inputs[-1] @ model.weights[-1].T
-    s[:N] += model.biases[-1]
-    return s[:N], s[N:].reshape(INPUT_DIM, T, C).transpose(1, 2, 0)
+        np.matmul(inp, model.weights[l - 1].T, out=out[:, :width])
+        b = model.biases[l - 1]  # padded for the skip buffer: a whole-row add runs ~2.4x faster than a strided one
+        out += b if out.shape[1] == width else np.concatenate([b, np.zeros(INPUT_DIM)])
+        _act(arch, out, out=out)
+    return inputs[-1] @ model.weights[-1].T + model.biases[-1]
 
 
-def _blocked_forward(model: MlpModel, x, tangents: bool):
-    """Values (B, C) at the (B, 3) points of `as_points(x)` and, with
-    `tangents`, their spatial gradients (B, C, 3). Runs _forward_pass in
-    blocks of 2^18 stacked rows, so a layer's activations are ~2 MB of
-    float64 and fit one L2 cache: a point carries one row, or four with
-    its three tangents. Every full block shares one evaluation workspace."""
-    pts = as_points(x)
-    step = max(1, 2**18 // ((1 + INPUT_DIM * tangents) * model.arch.hidden_width))
-    C = model.arch.output_channels
-    y, G = np.empty((len(pts), C)), (np.empty((len(pts), C, INPUT_DIM)) if tangents else None)
-    rows = None
-    for s in range(0, len(pts), step):
-        block = pts[s : s + step]
-        if rows is None or rows.n_rows != len(block):
-            rows = None  # free the previous block's workspace before allocating the tail's
-            rows = _Rows(model.arch, len(block), len(block) if tangents else 0)
-        y[s : s + step], grads = _forward_pass(model, block, rows.inputs, rows.n_tangent)
-        if tangents:
-            G[s : s + step] = grads
-    return y, G
+def _gradient_sweep(model: MlpModel, rows, top: np.ndarray) -> np.ndarray:
+    """Reverse-mode spatial gradients (T, K, 3), a fresh array, at the first
+    T value rows of the workspace `rows` (_EvalRows or _TrainRows) after
+    _forward_pass, of the K channels whose output rows W_out[c] are `top`;
+    training passes W_out itself.
+
+    Block k of K T rows starts from the output adjoint e_c of its channel,
+    so its adjoint of the last hidden output is top[k]. At each layer it is
+    masked by act' read from the stored value rows, into rows.masked, and
+    one GEMM with W_l gives the adjoint of the layer's input, kept unmasked
+    in adjoints[l - 1]. The xyz columns of that adjoint at layer 1 and at
+    the skip layer add up into G.
+    """
+    arch = model.arch
+    T, K, width = rows.n_tangent, len(top), arch.hidden_width
+    G = np.zeros((K, T, INPUT_DIM))
+    for l in range(arch.hidden_layers, 0, -1):
+        gz, out = rows.masked[l - 1], rows.adjoints[l - 1]
+        d1 = _act_d1(arch, rows.inputs[l][:T, :width])
+        np.multiply(_gradient_rows(rows, l, top), d1, out=gz.reshape(K, T, width))
+        np.matmul(gz, model.weights[l - 1], out=out)
+        if l in (1, arch.skip_layer):
+            G += out[:, -INPUT_DIM:].reshape(K, T, INPUT_DIM)
+    return G.transpose(1, 0, 2)
+
+
+def _blocks(arch: MlpArchitecture, n: int, step: int, n_swept: int):
+    """Yields (s, e, rows) for consecutive blocks [s, e) of n points, of
+    `step` points (at least 1) but the last; every full block shares one
+    _EvalRows `rows` for a sweep of n_swept channels. A caller deletes its
+    `rows` after each block, so a tail block's workspace replaces the full
+    blocks' one rather than joining it."""
+    step, rows = max(1, step), None
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        if rows is None or rows.n_rows != e - s:
+            rows = None  # free the full blocks' workspace before allocating the tail's
+            rows = _EvalRows(arch, e - s, n_swept)
+        yield s, e, rows
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Evaluate the network at normalized coordinates: (B, C) for the (B, 3)
-    points of `as_points(x)`."""
-    return _blocked_forward(model, x, tangents=False)[0]
+    points of `as_points(x)`. Runs in blocks of 2^18 / width points, so a
+    layer's activations are ~2 MB of float64 and fit one L2 cache."""
+    pts = as_points(x)
+    y = np.empty((len(pts), model.arch.output_channels))
+    for s, e, rows in _blocks(model.arch, len(pts), 2**18 // model.arch.hidden_width, 0):
+        y[s:e] = _forward_pass(model, pts[s:e], rows.inputs)
+        del rows
+    return y
 
 
-def forward_with_input_grad(model: MlpModel, x) -> DualBatch:
-    """Values plus exact per-channel spatial gradients for a batch (B, 3)."""
-    y, G = _blocked_forward(model, x, tangents=True)
-    if len(y) == 0:
+def forward_with_input_grad(model: MlpModel, x, channels=None) -> DualBatch:
+    """Values (B, K) and exact spatial gradients (B, K, 3) of the K output
+    channels listed in `channels` (every channel when None) at the (B, 3)
+    points of `as_points(x)`: per row block, _forward_pass and a
+    _gradient_sweep from the rows W_out[channels]. The sweep reads every
+    layer's outputs, so a block holds 2^16 / width points, a quarter of
+    `forward`'s (~5 MB of workspace at 6x256 for one channel); within one,
+    the values are bitwise `forward`'s, from GEMMs of the same shapes."""
+    pts = as_points(x)
+    if len(pts) == 0:
         raise ValueError("batch must be non-empty")
+    channels = slice(None) if channels is None else list(channels)
+    top = model.weights[-1][channels]
+    y, G = np.empty((len(pts), len(top))), np.empty((len(pts), len(top), INPUT_DIM))
+    for s, e, rows in _blocks(model.arch, len(pts), 2**16 // model.arch.hidden_width, len(top)):
+        y[s:e] = _forward_pass(model, pts[s:e], rows.inputs)[:, channels]
+        G[s:e] = _gradient_sweep(model, rows, top)
+        del rows
     return DualBatch(values=y, gradients=G)
-
-
-def _gradient_sweep(model: MlpModel, rows: _TrainRows) -> np.ndarray:
-    """Reverse-mode spatial gradients of every channel at the first T value
-    rows of the training workspace `rows`, after _forward_pass: returns G
-    (T, C, 3), a fresh array.
-
-    Block c of C T rows starts from the output adjoint e_c, so its adjoint
-    of the last hidden output is W_out[c]. At each layer it is masked by
-    act' read from the stored Eikonal outputs, into the layer's C T
-    carried rows as scratch, and one GEMM with W_l gives the adjoint of the
-    layer's input, kept unmasked in adjoints[l - 1]. The xyz columns of that
-    adjoint at layer 1 and at the skip layer add up into G.
-    """
-    arch = model.arch
-    N, T, C, width = rows.n_rows, rows.n_tangent, arch.output_channels, arch.hidden_width
-    G = np.zeros((C, T, INPUT_DIM))
-    for l in range(arch.hidden_layers, 0, -1):
-        buf, out = rows.inputs[l], rows.adjoints[l - 1]
-        gz = buf[N:, :width].reshape(C, T, width)
-        np.multiply(_gradient_rows(model, rows, l), _act_d1(arch, buf[:T, :width]), out=gz)
-        np.matmul(buf[N:, :width], model.weights[l - 1], out=out)
-        if l in (1, arch.skip_layer):
-            G += out[:, -INPUT_DIM:].reshape(C, T, INPUT_DIM)
-    return G.transpose(1, 0, 2)
 
 
 def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np.ndarray | None):
@@ -475,28 +475,27 @@ def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np
     W = model.weights
     lo = T if arch.activation == "relu" and not ybar[:T].any() else 0
     if T:
-        rows.x0[N:] = Gbar.transpose(1, 0, 2).reshape(C * T, INPUT_DIM)
+        rows.inputs[0][N:] = Gbar.transpose(1, 0, 2).reshape(C * T, INPUT_DIM)
         for l in range(1, arch.hidden_layers + 1):
             inp, out = rows.inputs[l - 1][N:], rows.inputs[l]
             if l == arch.skip_layer and l != 1:
-                inp[:, -INPUT_DIM:] = rows.x0[N:]
-            u = out[N:, :width]
-            np.matmul(inp, W[l - 1].T, out=u)
-            u = u.reshape(C, T, width)
+                inp[:, -INPUT_DIM:] = rows.inputs[0][N:]
+            np.matmul(inp, W[l - 1].T, out=rows.masked[l - 1])
+            u = rows.masked[l - 1].reshape(C, T, width)
             u *= _act_d1(arch, out[:T, :width])
 
-    grads = rows.grads
-    sbar = np.concatenate([ybar[lo:], np.repeat(np.eye(C), T, axis=0)])  # the output's gradient rows are e_c
+    sbar = rows.out_adjoints[lo:]  # under ybar, the output's gradient rows e_c
+    sbar[: N - lo] = ybar[lo:]
     zbar = ybar[lo:]
     for l in range(arch.hidden_layers, -1, -1):
         buf = rows.inputs[l]
-        np.matmul(sbar.T, buf[lo:], out=grads[2 * l])
-        np.sum(sbar[: N - lo], axis=0, out=grads[2 * l + 1])
+        np.matmul(sbar.T, buf[lo:], out=rows.grads[2 * l])
+        np.sum(sbar[: N - lo], axis=0, out=rows.grads[2 * l + 1])
         if l == 0:
             break
         d1 = _act_d1(arch, buf[:N, :width])
         d2 = _act_d2(arch, buf[:T, :width])
-        g = _gradient_rows(model, rows, l)
+        g = _gradient_rows(rows, l, W[-1])
         u = buf[N:, :width].reshape(C, T, width)
         src = None if d2 is None else d2 * (g * u).sum(axis=0)  # act'' onto the Eikonal rows (lo = 0)
         np.matmul(zbar, W[l], out=buf[lo:N])
@@ -505,7 +504,7 @@ def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np
             buf[:T, :width] += src
         np.multiply(g, d1[:T], out=u)
         sbar, zbar = buf[lo:, :width], buf[lo:N, :width]
-    return list(grads)
+    return list(rows.grads)
 
 
 def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float, rows):
@@ -537,8 +536,8 @@ def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: flo
         rows = _TrainRows(model.arch, len(x), B)
     elif not isinstance(rows, _TrainRows) or (rows.arch, rows.n_rows, rows.n_tangent) != (model.arch, len(x), B):
         raise ValueError("workspace was not built by loss_workspace for this model and batch sizes")
-    y, _ = _forward_pass(model, x, [buf[: len(x)] for buf in rows.inputs], 0)
-    G = _gradient_sweep(model, rows)
+    y = _forward_pass(model, x, [buf[: len(x)] for buf in rows.inputs])
+    G = _gradient_sweep(model, rows, model.weights[-1])
     ybar = np.zeros_like(y)
     data = 0.0
     row = B

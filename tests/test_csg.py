@@ -29,6 +29,7 @@ from vinr.network import MlpArchitecture, init_model
 from vinr.synthetic import Capsule, Offset, Sphere, Torus, UnionList, icosphere
 
 import band_oracle
+import einsum_oracle
 from band_oracle import ValueOnly
 from test_network import linear_channel_model
 
@@ -481,6 +482,35 @@ class TestNarrowBand:
         assert np.count_nonzero(np.abs(z - 0.3) < 0.0625) == 33 * 33 * 2
         assert len(z) < 0.4 * 33**3
         assert_band_matches_dense(band, evaluate_on_grid(source, dims, self.LO, self.HI))
+
+    @pytest.mark.parametrize("channel", [1, 2])
+    def test_three_channel_model_reads_its_own_channel(self, dense_calls, monkeypatch, channel):
+        # every weight perturbed, so each channel has its own level set and
+        # its own largest gradient norm on the coarse lattice
+        rng = np.random.default_rng(31)
+        model = init_model(MlpArchitecture(hidden_layers=3, hidden_width=24, output_channels=3, skip_layer=2),
+                           seed=5, scheme="sphere")
+        for w in model.weights:
+            w += rng.normal(0.0, 0.1, size=w.shape)
+        model.transform = DomainTransform(scale=1.2, center=np.array([0.05, -0.1, 0.0]))
+        source = ModelSource(model, channel)
+        coarse = []  # (points, (values, slope)) of each coarse pass
+        value_and_slope = ModelSource.value_and_slope
+
+        def recorded(self, p):
+            coarse.append((p, value_and_slope(self, p)))
+            return coarse[-1][1]
+
+        monkeypatch.setattr(ModelSource, "value_and_slope", recorded)
+        dims = (29, 30, 31)
+        band = evaluate_near_level(source, dims, self.LO, self.HI)
+        assert dense_calls == []
+        assert_band_matches_dense(band, evaluate_on_grid(source, dims, self.LO, self.HI))
+        [(points, (_, slope))] = coarse
+        _, G, _ = einsum_oracle.forward_pass(model, model.transform.apply(points), with_jac=True)
+        largest = np.linalg.norm(G, axis=2).max(axis=0)  # per channel
+        assert slope == pytest.approx(csg._SLOPE_SAFETY * largest[channel], rel=1e-12)
+        assert all(slope != pytest.approx(csg._SLOPE_SAFETY * n, rel=1e-6) for n in np.delete(largest, channel))
 
     def test_understated_slope_falls_back_to_dense(self, dense_calls):
         # the blob reaches from the sphere's band into points the claimed

@@ -21,8 +21,8 @@ from vinr.network import (
     _act_d1,
     _act_d2,
     _backward_pass,
+    _EvalRows,
     _forward_pass,
-    _Rows,
     _TrainRows,
     forward,
     forward_with_input_grad,
@@ -107,9 +107,9 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
 
-def whole_batch(m, x, n_tangent=0):
+def whole_batch(m, x):
     """The core on all of x at once, in a workspace of its own."""
-    return _forward_pass(m, x, _Rows(m.arch, len(x), n_tangent).inputs, n_tangent)
+    return _forward_pass(m, x, _EvalRows(m.arch, len(x), 0).inputs)
 
 
 def block_rows(arch):
@@ -153,7 +153,7 @@ class TestBlockedForward:
         y = forward(m, x)
         edges = [0, *cuts, n]
         pieces = np.concatenate([forward(m, x[a:b]) for a, b in zip(edges[:-1], edges[1:])])
-        unblocked, _ = whole_batch(m, x)
+        unblocked = whole_batch(m, x)
         assert pieces.shape == unblocked.shape == y.shape
         assert normwise_rel(pieces, y) <= 1e-15
         assert normwise_rel(unblocked, y) <= 1e-15
@@ -167,7 +167,7 @@ class TestBlockedForward:
         n = 2 * block_rows(arch) + offset
         x = np.random.default_rng(4).uniform(-1, 1, size=(n, 3))
         y = forward(m, x)
-        ref = np.concatenate([whole_batch(m, x[i : i + 1])[0] for i in range(n)])
+        ref = np.concatenate([whole_batch(m, x[i : i + 1]) for i in range(n)])
         assert normwise_rel(ref, y) <= 1e-15
 
     def test_empty_and_single_point(self):
@@ -190,11 +190,12 @@ class TestBlockedForward:
         assert peak < one_matrix / 8
 
     def test_input_grad_blocks_agree(self):
-        # 2^16 / 64 = 1024 points per block: two full blocks and a 1-point one
+        # 2^16 / 64 = 1024 points per block: two full blocks and a 1-point
+        # one, against the einsum Jacobian of the whole batch at once
         m = init_model(MlpArchitecture(hidden_layers=4, hidden_width=64), seed=1, scheme="sphere")
         x = np.random.default_rng(1).uniform(-1, 1, size=(2049, 3))
         dual = forward_with_input_grad(m, x)
-        y, G = whole_batch(m, x, len(x))
+        y, G, _ = einsum_oracle.forward_pass(m, x, with_jac=True)
         assert normwise_rel(dual.values, y) <= 1e-15
         assert normwise_rel(dual.gradients, G) <= 1e-15
 
@@ -241,11 +242,16 @@ class TestInputGradients:
                         got = dual.gradients[b, c, k]
                         assert abs(got - ref) <= 1e-4 * max(abs(ref), 1e-3)
 
-    def test_values_match_forward_bitwise(self):
-        arch = MlpArchitecture(hidden_layers=3, hidden_width=12, output_channels=2)
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 16, 2**16 // 12], ids=["one", "16", "one-gradient-block"])
+    def test_values_match_forward_bitwise(self, channels, n):
+        # the values come from the same value-only GEMMs as forward's, so
+        # they are bitwise equal for any batch within one gradient block
+        # (2^16 / width points), which forward runs as one block too
+        arch = MlpArchitecture(hidden_layers=3, hidden_width=12, output_channels=channels)
         m = init_model(arch, seed=8, scheme="standard")
         rng = np.random.default_rng(9)
-        x = rng.uniform(-1, 1, size=(16, 3))
+        x = rng.uniform(-1, 1, size=(n, 3))
         dual = forward_with_input_grad(m, x)
         np.testing.assert_array_equal(dual.values, forward(m, x))
 
@@ -428,7 +434,7 @@ def rows_left_by_loss(model, surface, eik, ws):
     arch, N, T = model.arch, ws.n_rows, ws.n_tangent
     C, width = arch.output_channels, arch.hidden_width
     fresh = _TrainRows(arch, N, T)
-    _forward_pass(model, np.concatenate([eik] + surface), [buf[:N] for buf in fresh.inputs], 0)
+    _forward_pass(model, np.concatenate([eik] + surface), [buf[:N] for buf in fresh.inputs])
     untouched = all(np.array_equal(a[:T, :width], b[:T, :width]) for a, b in zip(ws.inputs[1:], fresh.inputs[1:]))
     G = sum(ws.inputs[l][N:, :width] @ model.weights[l - 1][:, -INPUT_DIM:] for l in {1, arch.skip_layer})
     return untouched, G.reshape(C, T, INPUT_DIM).transpose(1, 0, 2)
@@ -513,10 +519,14 @@ class TestEinsumOracle:
         assert_rel_close(dual.values, y)
         assert_rel_close(dual.gradients, G)
         assert_rel_close(forward(m, eik), y)
+        for c in range(arch.output_channels):  # one channel's sweep: the oracle's column c
+            one = forward_with_input_grad(m, eik, channels=[c])
+            assert_rel_close(one.values[:, 0], y[:, c])
+            assert_rel_close(one.gradients[:, 0], G[:, c])
 
         # value-only backward (no tangent rows)
         rows = _TrainRows(m.arch, len(eik), 0)
-        y, _ = _forward_pass(m, eik, rows.inputs, 0)
+        y = _forward_pass(m, eik, rows.inputs)
         ybar = rng.normal(size=y.shape)
         _, _, ref_caches = einsum_oracle.forward_pass(m, eik, with_jac=False)
         ref_grads = einsum_oracle.backward_pass(m, ref_caches, ybar, None)
@@ -604,7 +614,7 @@ class TestEinsumOracle:
             loss_workspace(m, [4, 5], 7),
             loss_workspace(m, [4, 6], 6),
             loss_workspace(m, [5, 5], 5),  # same row total, other tangent count
-            _Rows(arch, 15, 6),  # forward-only buffers cannot run a backward
+            _EvalRows(arch, 15, 2),  # evaluation buffers cannot run a backward
         ]:
             with pytest.raises(ValueError, match="workspace"):
                 grad_of_loss(m, surface, eik, 0.1, workspace=ws)
