@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import mesh_oracle
 import numpy as np
@@ -329,7 +330,7 @@ def distance_cases(draw):
     n_verts = draw(st.integers(3, 9))
     verts = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=n_verts, max_size=n_verts)))
     index = st.integers(0, n_verts - 1)
-    tris = np.array(draw(st.lists(st.tuples(index, index, index), min_size=1, max_size=10)))
+    tris = np.array(draw(st.lists(st.tuples(index, index, index), min_size=1, max_size=40)))
     unit = st.floats(0, 1)
     point = st.one_of(
         index.map(lambda i: verts[i]),
@@ -345,14 +346,37 @@ class TestPrunedDistance:
     """The pruned search must return bitwise the brute-force minimum."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(case=distance_cases())
-    @example(case=(np.eye(3), np.array([[0, 1, 2]]), np.array([[5.0, 5.0, 5.0]])))
-    def test_matches_brute_force_bitwise(self, case):
+    @given(
+        case=distance_cases(),
+        leaf=st.sampled_from([1, 2, 3, geometry._LEAF]),
+        seeds=st.sampled_from([1, geometry._SEED_TRIANGLES]),
+    )
+    @example(
+        case=(np.eye(3), np.array([[0, 1, 2]]), np.array([[5.0, 5.0, 5.0]])),
+        leaf=geometry._LEAF,
+        seeds=geometry._SEED_TRIANGLES,
+    )
+    @example(  # flat faces in z = 0, a coincident pair, a face repeated over two leaves
+        case=(
+            np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [2, 0, 0]]),
+            np.array([[0, 1, 2], [1, 3, 2], [1, 3, 2], [0, 1, 5], [0, 1, 4], [0, 1, 4], [0, 1, 4]]),
+            np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 2.0], [3.0, -1.0, 0.0], [4e5, 4e5, 4e5]]),
+        ),
+        leaf=2,
+        seeds=1,
+    )
+    def test_matches_brute_force_bitwise(self, case, leaf, seeds):
+        """Leaf sizes below the default cut the soups into several leaves,
+        most with a padded last leaf. A single seed triangle leaves more of
+        the search to the leaf bounds."""
         verts, tris, pts = case
         mesh = _unfiltered_mesh(verts, tris)
         expect = mesh_oracle.point_to_mesh_distance(pts, mesh)
-        np.testing.assert_array_equal(point_to_mesh_distance(pts, mesh), expect)
-        assert point_to_mesh_distance(pts[0], mesh).tobytes() == expect[:1].tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_LEAF", leaf)
+            mp.setattr(geometry, "_SEED_TRIANGLES", seeds)
+            np.testing.assert_array_equal(point_to_mesh_distance(pts, mesh), expect)
+            assert point_to_mesh_distance(pts[0], mesh).tobytes() == expect[:1].tobytes()
 
     def test_closest_point_rounding_outside_its_box_is_kept(self):
         # The first face is tilted by a few ulps; its computed closest point
@@ -379,20 +403,40 @@ class TestPrunedDistance:
         np.testing.assert_array_equal(point_to_mesh_distance(p, mesh), expect)
 
     def test_near_surface_points_prune_almost_every_pair(self, monkeypatch):
+        # 1280 faces in 40 leaves. Measured: 17.4 % of P * T box bounds
+        # (leaves, seeds, expanded leaves) and 0.83 % of P * T exact pairs;
+        # the all-pairs scan computed P * T bounds.
         mesh = icosphere(3)
         rng = np.random.default_rng(12)
         pts = sample_surface(mesh, 200, seed=13).points + 0.01 * rng.normal(size=(200, 3))
-        evaluated = []
-        kernel = geometry._pair_sq_distance
+        evaluated, bounds = [], []
+        kernel, box = geometry._pair_sq_distance, geometry._box_sq_gap
 
         def counting(q, a, b, c):
             evaluated.append(len(q))
             return kernel(q, a, b, c)
 
+        def counting_bounds(q, lo, hi):
+            lb = box(q, lo, hi)
+            bounds.append(lb.size)
+            return lb
+
         monkeypatch.setattr(geometry, "_pair_sq_distance", counting)
+        monkeypatch.setattr(geometry, "_box_sq_gap", counting_bounds)
         d = point_to_mesh_distance(pts, mesh)
         np.testing.assert_array_equal(d, mesh_oracle.point_to_mesh_distance(pts, mesh))
         assert sum(evaluated) < 0.01 * len(pts) * mesh.num_triangles
+        assert sum(bounds) < 0.2 * len(pts) * mesh.num_triangles
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        mesh = icosphere(1)
+        pts = np.array([[0.0, 0.0, 0.0], [bad, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for query in (point_to_mesh_distance, signed_distance_to_mesh):
+                with pytest.raises(GeometryError, match="finite"):
+                    query(pts, mesh)
 
 
 class TestSignedDistance:
