@@ -27,6 +27,27 @@ def _bbox_arg(text: str):
     return np.array(vals[:3]), np.array(vals[3:])
 
 
+def _int_at_least(low: int):
+    """argparse type for an integer of at least `low`. argparse names the
+    flag in the usage error: "invalid int value" for a non-integer."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _counts_arg(text: str) -> list:
+    """Comma-separated point counts, each at least 1, at least one of them."""
+    counts = [_int_at_least(1)(c) for c in text.split(",") if c.strip()]
+    if not counts:
+        raise argparse.ArgumentTypeError("needs at least one count")
+    return counts
+
+
 def _load_config_file(path) -> dict:
     """`key = value` lines, keys being flag dests. Values stay strings, which
     argparse converts with the flag's own type when it applies a default."""
@@ -215,11 +236,10 @@ def _median_iqr(values) -> tuple[float, float]:
 
 
 def cmd_sweep(args) -> int:
-    counts = [int(c) for c in args.counts.split(",") if c.strip()]
     cfg = _train_config(args)
     jobs = [
         (args.shape, args.mesh, count, repeat, job_index, cfg, args.dsc_dims)
-        for job_index, (count, repeat) in enumerate(itertools.product(counts, range(args.repeats)))
+        for job_index, (count, repeat) in enumerate(itertools.product(args.counts, range(args.repeats)))
     ]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -232,7 +252,7 @@ def cmd_sweep(args) -> int:
         f.write("count,repeat,dsc,asd,seconds\n")
         for count, repeat, dsc, asd, secs in rows:
             f.write(f"{count},{repeat},{dsc:.6f},{asd:.6f},{secs:.3f}\n")
-        for count in counts:
+        for count in args.counts:
             (dsc, dsc_iqr), (asd, asd_iqr) = (
                 _median_iqr([r[k] for r in rows if r[0] == count]) for k in (2, 3)
             )
@@ -289,10 +309,10 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--mesh")
     src.add_argument("--shape")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--heldout", type=int, default=0, help="also write N disjoint held-out points")
+    p.add_argument("--heldout", type=_int_at_least(0), default=0, help="also write N disjoint held-out points")
     p.add_argument("--heldout-out")
     p.set_defaults(**{**config, "func": cmd_sample})
 
@@ -344,8 +364,8 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--mesh")
     src.add_argument("--shape")
-    p.add_argument("--counts", default="100,200,400,800")
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--counts", type=_counts_arg, default="100,200,400,800")
+    p.add_argument("--repeats", type=_int_at_least(1), default=5)
     p.add_argument("--dsc-dims", type=int, default=64)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
@@ -354,8 +374,8 @@ def build_parser(config=None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("fixtures", help="emit analytic fixture meshes / point clouds")
     p.add_argument("--shape", required=True)
-    p.add_argument("--subdiv", type=int, default=3)
-    p.add_argument("--count", type=int, default=200)
+    p.add_argument("--subdiv", type=_int_at_least(0), default=3)
+    p.add_argument("--count", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-mesh")
     p.add_argument("--out-points")

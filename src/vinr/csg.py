@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import cell_corners
+from .extraction import cell_corners, cube_index
 from .geometry import GeometryError, ScalarGrid, SlopeBounded, TriangleMesh, as_points, lattice_axes, signed_distance_to_mesh
 from .network import MlpModel, forward, forward_with_input_grad
 
@@ -247,13 +247,6 @@ def evaluate_on_grid(source, dims, bbox_min, bbox_max) -> ScalarGrid:
 _COARSE_STEP = 4
 
 
-def _straddles(inside):
-    """Cells whose corners lie on both sides of the level, folded view by
-    view (a ufunc reduce over the list would stack all eight)."""
-    corners = cell_corners(inside)
-    return functools.reduce(np.logical_or, corners) & ~functools.reduce(np.logical_and, corners)
-
-
 def _nearest_knot(axis, knots):
     """For each sample of a lattice axis: the index into `knots` of the
     nearest knot, and the distance to it."""
@@ -334,7 +327,9 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
     evaluate(lambda x: ~placed[x])
     inside = np.less(values, np.float64(iso))  # in float64: iso may round to a grid value
     across = np.zeros(dims, dtype=bool)
-    straddles = _straddles(inside)
+    cube = cube_index(inside)
+    straddles = (cube != 0) & (cube != 255)
+    del cube
     for view in cell_corners(across):
         view |= straddles
     across &= placed

@@ -11,6 +11,7 @@ from .mc_tables import EDGE_CORNERS, TRI_TABLE
 
 __all__ = [
     "cell_corners",
+    "cube_index",
     "marching_cubes",
     "check_watertight",
     "WatertightReport",
@@ -40,6 +41,16 @@ def cell_corners(a: np.ndarray) -> list:
     return [a[dx : dx + nx - 1, dy : dy + ny - 1, dz : dz + nz - 1] for dx, dy, dz in _CORNER_OFFSETS]
 
 
+def cube_index(inside: np.ndarray) -> np.ndarray:
+    """The marching-cubes case of every cell of a 3D bool lattice array,
+    uint8 with bit i set when corner i (mc_tables order) is inside: 0 and
+    255 are the cells that do not cross the level."""
+    cube = np.zeros(tuple(n - 1 for n in inside.shape), dtype=np.uint8)
+    for bit, corner in enumerate(cell_corners(inside)):
+        cube |= corner.view(np.uint8) << np.uint8(bit)  # a bool is one 0/1 byte
+    return cube
+
+
 # TRI_TABLE as one (256, 16) array, each row's edge list padded with -1
 _TRI_EDGES = np.full((256, 16), -1, dtype=np.int64)
 for _case, _edges in enumerate(TRI_TABLE):
@@ -60,12 +71,9 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
     nx, ny, nz = grid.dims
     if min(nx, ny, nz) < 2:
         raise GeometryError("marching cubes needs at least 2 samples per axis")
-    # cube index per cell, bit i set when corner i is inside; the compare
-    # runs in float64, and a sample equal to iso counts as outside, where
-    # the nudge below puts it; the 256 cases fit one byte
-    cube = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.uint8)
-    for bit, corner in enumerate(cell_corners(np.less(grid.values, np.float64(iso)))):
-        cube |= corner.astype(np.uint8) << np.uint8(bit)
+    # the compare runs in float64, and a sample equal to iso counts as
+    # outside, where the nudge below puts it
+    cube = cube_index(np.less(grid.values, np.float64(iso)))
     active = np.argwhere((cube != 0) & (cube != 255))
     if len(active) == 0:
         return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))

@@ -8,8 +8,9 @@ The per-epoch loss, network.grad_of_loss, is
 
 with surface points drawn from the input cloud(s) and off-surface points
 from a 50/50 mixture of uniform samples over [-1,1]^3 and Gaussian
-perturbations of surface points. Runs are bit-deterministic for a fixed
-seed.
+perturbations of surface points. Adam steps the model's parameter vector
+(`MlpModel.params`) in place from the gradient vector of the fit's
+workspace, both in .inr order. Runs are bit-deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import GeometryError, PointCloud, fit_transform
-from .network import MlpArchitecture, MlpModel, grad_of_loss, init_model, loss_value, loss_workspace, param_views
+from .network import MlpArchitecture, MlpModel, grad_of_loss, init_model, loss_value, loss_workspace
 
 __all__ = [
     "TrainConfig",
@@ -41,9 +42,9 @@ DIVERGENCE_LIMIT = 1e6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-# entries per Adam step view in a fit: each elementwise pass of the step
-# touches at most three 512 KiB views, which the next pass finds in L2; over
-# a 6x256 model's whole 2.6 MB vectors the passes fall out of it
+# entries per Adam step window: each elementwise pass of the step touches at
+# most three 512 KiB windows, which the next pass finds in L2; over a 6x256
+# model's whole 2.6 MB vectors the passes fall out of it
 ADAM_CHUNK = 2**16
 
 
@@ -122,37 +123,37 @@ def sample_eikonal_points(
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """Adam's moment vectors m and v, as long as the vector it steps, and its step count."""
+
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
 
-    @classmethod
-    def for_params(cls, params) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
+def adam_step(state: AdamState, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+    """One bias-corrected Adam update of the flat vector `params` in place,
+    from the flat gradient `grad`. A non-finite gradient raises
+    TrainingDiverged before any state changes.
 
-def adam_step(state: AdamState, params, grads, lr: float) -> None:
-    """One bias-corrected Adam update, applied to `params` in place. A
-    non-finite gradient raises TrainingDiverged before any state changes.
-
-    The update runs in two scratch buffers sized to the largest parameter,
-    with the operations of
+    The update runs over consecutive windows of ADAM_CHUNK entries, in two
+    scratch buffers of one window, with the operations of
 
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         p -= lr (m / c1) / (sqrt(v / c2) + eps)
 
     in that order, so the results are those of the expressions to the bit."""
-    if not all(np.all(np.isfinite(g)) for g in grads):
+    if not np.all(np.isfinite(grad)):
         raise TrainingDiverged("non-finite gradient")
     state.step_count += 1
     t = state.step_count
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**t
     c2 = 1.0 - b2**t
-    size = max(p.size for p in params)
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        a, b = scratch_a[: p.size].reshape(p.shape), scratch_b[: p.size].reshape(p.shape)
+    n = ADAM_CHUNK
+    scratch_a, scratch_b = np.empty(min(n, params.size)), np.empty(min(n, params.size))
+    for s in range(0, params.size, n):
+        p, g, m, v = (x[s : s + n] for x in (params, grad, state.m, state.v))
+        a, b = scratch_a[: p.size], scratch_b[: p.size]
         m *= b1
         m += np.multiply(g, 1 - b1, out=a)
         v *= b2
@@ -191,12 +192,6 @@ def _config_echo(cfg: TrainConfig) -> str:
     return " ".join(f"{k}={v}" for k, v in sorted(vars(cfg).items()))
 
 
-def _chunks(flat: np.ndarray, size: int) -> list:
-    """Consecutive views of `size` entries of a flat vector, the last one
-    shorter unless `size` divides its length."""
-    return [flat[s : s + size] for s in range(0, flat.size, size)]
-
-
 def fit(cloud: PointCloud, config: TrainConfig) -> tuple[MlpModel, FitReport]:
     """Fit a single-channel SDF to a real-coordinate point cloud."""
     return fit_nested([cloud], config, channel_names=None)
@@ -226,10 +221,6 @@ def fit_nested(
     model.transform = transform
     model.channel_names = list(channel_names) if channel_names else None
 
-    # one contiguous parameter vector in .inr order, the model's arrays its views
-    flat = np.concatenate([p.ravel() for p in model.parameters()])
-    views = param_views(model.arch, flat)
-    model.weights, model.biases = views[0::2], views[1::2]
     sampler = EikonalSampler()
     rng = np.random.default_rng(config.seed)
 
@@ -237,9 +228,7 @@ def fit_nested(
     batch_sizes = [min(len(c), 1024) if n_surf is None else min(len(c), n_surf) for c in clouds]
     n_eik = max(batch_sizes)
     rows = loss_workspace(model, batch_sizes, n_eik)  # every epoch's batches have these sizes
-    # Adam steps the parameter, gradient and moment vectors in chunk views
-    params, grads = _chunks(flat, ADAM_CHUNK), _chunks(rows.grad, ADAM_CHUNK)
-    opt = AdamState(m=_chunks(np.zeros_like(flat), ADAM_CHUNK), v=_chunks(np.zeros_like(flat), ADAM_CHUNK))
+    opt = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
 
     trace = np.zeros((config.epochs, 4))
     start = time.perf_counter()
@@ -251,7 +240,7 @@ def fit_nested(
             batches.append(pts[idx])
         eik_batch = sample_eikonal_points(sampler, all_norm, n_eik, rng)
         try:
-            # the gradient lands in rows.grad, whose chunks `grads` holds
+            # the gradient lands in rows.grad, laid out like model.params
             terms, _ = grad_of_loss(model, batches, eik_batch, config.lam, config.nesting_penalty, workspace=rows)
         except FloatingPointError:
             raise TrainingDiverged(f"non-finite loss at epoch {epoch}") from None
@@ -260,7 +249,7 @@ def fit_nested(
             raise TrainingDiverged(
                 f"loss diverged at epoch {epoch}: total={terms.total}"
             )
-        adam_step(opt, params, grads, config.learning_rate)
+        adam_step(opt, model.params, rows.grad, config.learning_rate)
 
     report = FitReport(trace=trace, wall_time=time.perf_counter() - start, config=config)
     return model, report

@@ -1,13 +1,14 @@
-"""The fitting loop with one array per weight and bias: Adam steps the
-per-layer parameters with the fresh gradient arrays of grad_of_loss called
-without a workspace. Test oracle for training.fit_nested, which keeps the
-parameters, the gradient and the Adam moments in flat vectors stepped in
-chunk views; the arithmetic is the same, so the results agree to the bit."""
+"""The fitting loop with one array per weight and bias: Adam steps each layer's
+parameter view with its own moments and the fresh per-layer gradient arrays
+of grad_of_loss called without a workspace. Test oracle for
+training.fit_nested, which steps the model's whole parameter vector with the
+workspace's gradient vector and one pair of moment vectors; the arithmetic
+is the same, so the results agree to the bit."""
 
 import numpy as np
 
 from vinr.geometry import PointCloud, fit_transform
-from vinr.network import grad_of_loss, init_model
+from vinr.network import grad_of_loss, init_model, param_views
 from vinr.training import AdamState, EikonalSampler, adam_step, sample_eikonal_points
 
 
@@ -18,8 +19,8 @@ def fit_nested(clouds, config):
     transform = fit_transform(union, half_extent=config.half_extent)
     norm_points = [transform.apply(c.points) for c in clouds]
     model = init_model(config.architecture(len(clouds)), seed=config.seed, scheme=config.init_scheme)
-    params = model.parameters()
-    opt = AdamState.for_params(params)
+    params = param_views(model.arch, model.params)
+    opts = [AdamState(np.zeros(p.size), np.zeros(p.size)) for p in params]
     rng = np.random.default_rng(config.seed)
     n_surf = 1024 if config.surface_batch_size is None else config.surface_batch_size
     batch_sizes = [min(len(pts), n_surf) for pts in norm_points]
@@ -33,5 +34,6 @@ def fit_nested(clouds, config):
         eik = sample_eikonal_points(EikonalSampler(), all_norm, max(batch_sizes), rng)
         terms, grads = grad_of_loss(model, batches, eik, config.lam, config.nesting_penalty)
         trace[epoch] = (terms.total, terms.data, terms.eikonal, terms.nesting)
-        adam_step(opt, params, grads, config.learning_rate)
+        for p, g, opt in zip(params, grads, opts):
+            adam_step(opt, p.reshape(-1), g.reshape(-1), config.learning_rate)
     return model, trace

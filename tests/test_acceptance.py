@@ -20,7 +20,7 @@ from vinr.csg import (
 from vinr.extraction import check_watertight, enclosed_volume, marching_cubes
 from vinr.geometry import save_mesh, signed_distance_to_mesh
 from vinr.metrics import average_surface_distance, dice, nesting_violation, split_train_heldout
-from vinr.network import MlpArchitecture, forward, grad_of_loss, init_model, save_model
+from vinr.network import MlpArchitecture, forward, grad_of_loss, init_model, param_views, save_model
 from vinr.synthetic import (
     Capsule,
     Sphere,
@@ -156,7 +156,7 @@ def test_criterion_1_gradient_correctness(capsys):
         lam = 0.1
         _, grads = grad_of_loss(model, [surface], eik, lam)
         h = 1e-5
-        for pi, p in enumerate(model.parameters()):
+        for pi, p in enumerate(param_views(model.arch, model.params)):
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index

@@ -534,3 +534,28 @@ def test_fit_flag_default_config_and_override(
 
     from_flag = parsed_train_config(monkeypatch, ["--config", cfg, *cmd, flag, flag_text], command)
     assert getattr(from_flag, field) == flag_value
+
+
+# counts the commands cannot run with, and the flag each usage error names
+BAD_COUNTS = [
+    (["sweep", "--shape", "sphere", "--out", "s.csv", "--repeats", "0"], "--repeats"),
+    (["sweep", "--shape", "sphere", "--out", "s.csv", "--counts", ""], "--counts"),
+    (["sweep", "--shape", "sphere", "--out", "s.csv", "--counts", " , "], "--counts"),
+    (["sweep", "--shape", "sphere", "--out", "s.csv", "--counts", "20,-5"], "--counts"),
+    (["sample", "--shape", "sphere", "--out", "p.xyz", "--count", "-3"], "--count"),
+    (["sample", "--shape", "sphere", "--out", "p.xyz", "--count", "0"], "--count"),
+    (["sample", "--shape", "sphere", "--out", "p.xyz", "--count", "10", "--heldout", "-2"], "--heldout"),
+    (["fixtures", "--shape", "sphere", "--out-points", "p.xyz", "--count", "-1"], "--count"),
+    (["fixtures", "--shape", "sphere", "--out-mesh", "m.obj", "--subdiv", "-1"], "--subdiv"),
+    (["fixtures", "--shape", "sphere", "--out-mesh", "m.obj", "--subdiv", "two"], "--subdiv"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_COUNTS, ids=[f"{a[0]} {a[-2]} {a[-1]!r}" for a, _ in BAD_COUNTS])
+def test_bad_count_is_a_usage_error(monkeypatch, tmp_path, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -298,7 +298,7 @@ def assert_band_matches_dense(band, dense, iso=0.0):
     inside = dense.values.astype(np.float64) < iso
     np.testing.assert_array_equal(band.values.astype(np.float64) < iso, inside)
     corners = np.zeros(dense.dims, dtype=bool)
-    straddles = csg._straddles(inside)
+    straddles = band_oracle._straddles(inside)
     for view in cell_corners(corners):
         view |= straddles
     assert band.values[corners].tobytes() == dense.values[corners].tobytes()

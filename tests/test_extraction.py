@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from vinr.csg import GridSource, MeshSource, ModelSource, evaluate_on_grid, grid_lattice
 from vinr.extraction import (
     WatertightReport,
+    cell_corners,
     check_watertight,
+    cube_index,
     enclosed_volume,
     marching_cubes,
 )
 from vinr.geometry import DomainTransform, ScalarGrid, TriangleMesh, point_to_mesh_distance
 from vinr.synthetic import Sphere, Torus, icosphere
 
+import band_oracle
 from test_network import linear_channel_model
 
 
@@ -279,6 +282,19 @@ class TestExtractModel:
         v = 0.6 * v / np.linalg.norm(v, axis=1, keepdims=True)
         d = point_to_mesh_distance(v, mesh)
         assert d.max() < 0.01
+
+
+class TestCubeIndex:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(dims=st.tuples(*[st.integers(2, 6)] * 3), share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bits_are_corners_and_mixed_cases_straddle(self, dims, share, seed):
+        inside = np.random.default_rng(seed).random(dims) < share
+        cube = cube_index(inside)
+        assert cube.dtype == np.uint8 and cube.shape == tuple(n - 1 for n in dims)
+        for bit, corner in enumerate(cell_corners(inside)):
+            np.testing.assert_array_equal((cube >> bit) & 1, corner)
+        np.testing.assert_array_equal((cube != 0) & (cube != 255), band_oracle._straddles(inside))
 
 
 class TestCaseTables:

@@ -14,8 +14,10 @@ from vinr.metrics import (
     padded_bbox,
     split_train_heldout,
 )
-from vinr.network import MlpArchitecture, MlpModel, init_model
+from vinr.network import MlpArchitecture, init_model
 from vinr.synthetic import Sphere, icosphere
+
+from test_network import model_from_layers
 
 
 def sphere_points(n, r, seed=0, center=(0, 0, 0)):
@@ -35,7 +37,7 @@ def two_plane_model(offset=0.2):
         np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]),
     ]
     biases = [np.zeros(4), np.array([0.0, -offset])]
-    m = MlpModel(arch=arch, weights=weights, biases=biases)
+    m = model_from_layers(arch, weights, biases)
     m.transform = DomainTransform(scale=1.0, center=np.zeros(3))
     return m
 

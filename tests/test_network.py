@@ -31,8 +31,15 @@ from vinr.network import (
     load_model,
     loss_value,
     loss_workspace,
+    param_views,
     save_model,
 )
+
+
+def model_from_layers(arch, weights, biases):
+    """An MlpModel whose parameter vector concatenates per-layer arrays in
+    .inr order: W1, b1, ..., Wout, bout."""
+    return MlpModel(arch, np.concatenate([np.ravel(a) for w, b in zip(weights, biases) for a in (w, b)]))
 
 
 def linear_channel_model(w, b=0.0):
@@ -41,7 +48,7 @@ def linear_channel_model(w, b=0.0):
     w = np.asarray(w, dtype=float)
     weights = [np.vstack([w, -w]), np.array([[1.0, -1.0]])]
     biases = [np.zeros(2), np.array([b])]
-    return MlpModel(arch=arch, weights=weights, biases=biases)
+    return model_from_layers(arch, weights, biases)
 
 
 def small_random_arch(rng):
@@ -59,8 +66,7 @@ class TestInit:
         arch = MlpArchitecture(hidden_layers=3, hidden_width=16)
         a = init_model(arch, seed=4, scheme="standard")
         b = init_model(arch, seed=4, scheme="standard")
-        for pa, pb in zip(a.parameters(), b.parameters()):
-            np.testing.assert_array_equal(pa, pb)
+        np.testing.assert_array_equal(a.params, b.params)
 
     def test_sphere_scheme_signs(self):
         arch = MlpArchitecture(hidden_layers=4, hidden_width=64)
@@ -92,7 +98,7 @@ class TestForward:
         arch = MlpArchitecture(hidden_layers=1, hidden_width=2, skip_layer=1)
         weights = [np.array([[1.0, 2.0, 3.0], [0.5, 0.0, -1.0]]), np.array([[2.0, -1.0]])]
         biases = [np.array([10.0, 10.0]), np.array([0.25])]
-        m = MlpModel(arch=arch, weights=weights, biases=biases)
+        m = model_from_layers(arch, weights, biases)
         x = np.array([0.1, 0.2, 0.3])
         h1 = 1.0 * 0.1 + 2.0 * 0.2 + 3.0 * 0.3 + 10.0
         h2 = 0.5 * 0.1 - 1.0 * 0.3 + 10.0
@@ -295,7 +301,7 @@ class TestLossGradients:
         lam, nesting = 0.1, 0.5 * (channels > 1)
         _, grads = grad_of_loss(m, surface, eik, lam, nesting)
         h = 1e-5
-        for pi, p in enumerate(m.parameters()):
+        for pi, p in enumerate(param_views(arch, m.params)):
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -322,11 +328,10 @@ class TestLossGradients:
         arch1 = MlpArchitecture(hidden_layers=2, hidden_width=8, output_channels=1, skip_layer=2)
         m1 = init_model(arch1, seed=16, scheme="standard")
         arch2 = MlpArchitecture(hidden_layers=2, hidden_width=8, output_channels=2, skip_layer=2)
-        weights = [w.copy() for w in m1.weights]
-        biases = [b.copy() for b in m1.biases]
+        weights, biases = list(m1.weights), list(m1.biases)
         weights[-1] = np.vstack([weights[-1], np.zeros((1, 8))])
         biases[-1] = np.concatenate([biases[-1], [0.0]])
-        m2 = MlpModel(arch=arch2, weights=weights, biases=biases)
+        m2 = model_from_layers(arch2, weights, biases)
         rng = np.random.default_rng(17)
         x = rng.uniform(-1, 1, size=(10, 3))
         d1 = forward_with_input_grad(m1, x)
@@ -538,11 +543,7 @@ class TestEinsumOracle:
         # row buffers, and the next call overwrites them; the fresh
         # gradients of a call without a workspace no later call touches
         ws = loss_workspace(m, sizes, n_eik)
-        other = MlpModel(
-            arch=arch,
-            weights=[w + rng.normal(0.0, 0.1, size=w.shape) for w in m.weights],
-            biases=[b + rng.normal(0.0, 0.1, size=b.shape) for b in m.biases],
-        )
+        other = MlpModel(arch, m.params + rng.normal(0.0, 0.1, size=m.params.shape))
         earlier, kept = None, []
         for model, pts, e in [
             (m, surface, eik),
@@ -705,6 +706,52 @@ class TestSerialization:
         with pytest.raises(ModelFormatError) as info:
             load_model(p)
         assert str(info.value).startswith(f"{p}: {reason}")
+
+
+class TestParameterStore:
+    """A model is one float64 vector in .inr order; its weights and biases
+    are views of it, however the model was made."""
+
+    ARCH = MlpArchitecture(hidden_layers=3, hidden_width=5, output_channels=2, skip_layer=2)
+
+    @pytest.mark.parametrize("made_by", ["init_model", "load_model", "fit_nested"])
+    def test_layers_are_views_of_params_in_inr_order(self, tmp_path, made_by):
+        from vinr.geometry import PointCloud
+        from vinr.training import TrainConfig, fit_nested
+
+        m = init_model(self.ARCH, seed=1)
+        if made_by == "load_model":
+            save_model(m, tmp_path / "m.inr")
+            m = load_model(tmp_path / "m.inr")
+        elif made_by == "fit_nested":
+            rng = np.random.default_rng(2)
+            clouds = [PointCloud(rng.normal(size=(12, 3))), PointCloud(2 * rng.normal(size=(9, 3)))]
+            cfg = TrainConfig(epochs=3, hidden_layers=3, hidden_width=5, skip_layer=2, surface_batch_size=8)
+            m, _ = fit_nested(clouds, cfg)
+        n = self.ARCH.param_count()
+        assert m.params.shape == (n,) and m.params.dtype == np.float64
+        layers = [a for w, b in zip(m.weights, m.biases) for a in (w, b)]
+        assert [a.shape for a in layers] == [s for pair in self.ARCH.param_shapes() for s in pair]
+        m.params[:] = np.arange(n)  # every write to the vector shows in the layers, in order
+        np.testing.assert_array_equal(np.concatenate([a.ravel() for a in layers]), np.arange(n))
+
+    def test_saved_blob_is_the_vector(self, tmp_path):
+        m = init_model(self.ARCH, seed=3, scheme="standard")
+        save_model(m, tmp_path / "m.inr")
+        assert (tmp_path / "m.inr").read_bytes().partition(b"\n\n")[2] == m.params.astype("<f8").tobytes()
+
+    def test_layers_cannot_be_replaced(self):
+        m = init_model(self.ARCH, seed=4)
+        with pytest.raises(TypeError):
+            m.weights[0] = np.zeros_like(m.weights[0])
+        with pytest.raises(TypeError):
+            m.biases[-1] = np.zeros_like(m.biases[-1])
+
+    @pytest.mark.parametrize("shape", [lambda n: n - 1, lambda n: n + 1, lambda n: (1, n)], ids=["short", "long", "2d"])
+    def test_wrong_length_rejected(self, shape):
+        n = self.ARCH.param_count()
+        with pytest.raises(ValueError, match=f"expected {n} parameters"):
+            MlpModel(self.ARCH, np.zeros(shape(n)))
 
 
 def header_models():

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 
 import vinr.training
 from vinr.geometry import GeometryError, PointCloud
-from vinr.network import MlpArchitecture, forward, grad_of_loss, init_model
+from vinr.network import MlpArchitecture, forward, grad_of_loss, init_model, param_views
 from vinr.training import (
     AdamState,
     EikonalSampler,
     TrainConfig,
     TrainingDiverged,
-    _chunks,
     adam_step,
     fit,
     fit_nested,
@@ -128,23 +127,35 @@ class TestEikonalSampling:
             sample_eikonal_points(EikonalSampler(), np.zeros((1, 3)), 0, np.random.default_rng(0))
 
 
+def zero_state(n):
+    return AdamState(np.zeros(n), np.zeros(n))
+
+
+def textbook_adam(p, m, v, g, t, lr):
+    """One Adam step of the flat arrays p, m, v in place, written as the
+    update's expressions."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    m[...] = b1 * m + (1 - b1) * g
+    v[...] = b2 * v + (1 - b2) * g * g
+    p -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         # after bias correction the first update is lr * g/(|g| + eps') ~ lr * sign(g)
         p = np.array([1.0, -2.0, 0.5])
         g = np.array([0.3, -0.7, 0.001])
-        st = AdamState.for_params([p])
-        adam_step(st, [p], [g], lr=0.01)
+        adam_step(zero_state(3), p, g, lr=0.01)
         expect = np.array([1.0, -2.0, 0.5]) - 0.01 * np.sign(g) / (1 + 1e-8 / np.abs(g))
         np.testing.assert_allclose(p, expect, rtol=1e-12)
 
     def test_two_steps_hand_computed(self):
         p = np.array([0.0])
-        st = AdamState.for_params([p])
+        st = zero_state(1)
         g1, g2 = np.array([1.0]), np.array([0.5])
         lr = 0.1
-        adam_step(st, [p], [g1], lr)
-        adam_step(st, [p], [g2], lr)
+        adam_step(st, p, g1, lr)
+        adam_step(st, p, g2, lr)
         # replay the recurrences by hand
         b1, b2, eps = 0.9, 0.999, 1e-8
         m = (1 - b1) * 1.0
@@ -157,47 +168,38 @@ class TestAdam:
 
     def test_zero_gradient_keeps_params(self):
         p = np.array([3.0, -1.0])
-        st = AdamState.for_params([p])
-        adam_step(st, [p], [np.zeros(2)], lr=0.1)
+        adam_step(zero_state(2), p, np.zeros(2), lr=0.1)
         np.testing.assert_array_equal(p, [3.0, -1.0])
 
     def test_matches_textbook_expressions_bitwise(self):
-        # three steps on parameters of different shapes, so the scratch
-        # buffers are cut to each size in turn
         rng = np.random.default_rng(3)
-        params = [rng.normal(size=(5, 4)), rng.normal(size=7), rng.normal(size=(2, 3))]
-        ref_p = [p.copy() for p in params]
-        ref_m = [np.zeros_like(p) for p in params]
-        ref_v = [np.zeros_like(p) for p in params]
-        st = AdamState.for_params(params)
-        b1, b2, eps, lr = 0.9, 0.999, 1e-8, 0.01
+        p = rng.normal(size=41)
+        ref_p, ref_m, ref_v = p.copy(), np.zeros(41), np.zeros(41)
+        st = zero_state(41)
         for t in range(1, 4):
-            grads = [rng.normal(size=p.shape) for p in params]
-            adam_step(st, params, grads, lr)
-            for p, g, m, v in zip(ref_p, grads, ref_m, ref_v):
-                m[...] = b1 * m + (1 - b1) * g
-                v[...] = b2 * v + (1 - b2) * g * g
-                p -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            g = rng.normal(size=41)
+            adam_step(st, p, g, 0.01)
+            textbook_adam(ref_p, ref_m, ref_v, g, t, 0.01)
         assert st.step_count == 3
-        for got, ref in zip(params + st.m + st.v, ref_p + ref_m + ref_v):
+        for got, ref in [(p, ref_p), (st.m, ref_m), (st.v, ref_v)]:
             np.testing.assert_array_equal(got, ref)
 
     def test_nonfinite_gradient_raises(self):
-        # before any state changes, though the bad gradient is in the last layer
-        params = [np.array([1.0, -2.0]), np.array([0.5])]
-        st = AdamState.for_params(params)
-        adam_step(st, params, [np.array([0.3, -0.1]), np.array([0.2])], lr=0.1)
-        before = [a.copy() for a in params + st.m + st.v]
+        # before any state changes, though the bad entry is the last one
+        p = np.array([1.0, -2.0, 0.5])
+        st = zero_state(3)
+        adam_step(st, p, np.array([0.3, -0.1, 0.2]), lr=0.1)
+        before = [a.copy() for a in (p, st.m, st.v)]
         with pytest.raises(TrainingDiverged):
-            adam_step(st, params, [np.array([0.1, 0.4]), np.array([np.inf])], lr=0.1)
+            adam_step(st, p, np.array([0.1, 0.4, np.inf]), lr=0.1)
         assert st.step_count == 1
-        for a, b in zip(params + st.m + st.v, before):
+        for a, b in zip((p, st.m, st.v), before):
             np.testing.assert_array_equal(a, b)
 
 
 @st.composite
 def chunked_adam_cases(draw):
-    """Parameter shapes of one to three axes, a chunk size up to the total
+    """Parameter shapes of one to three axes, a window size up to the total
     entry count, and a seed."""
     shapes = draw(st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple), min_size=1, max_size=6))
     total = sum(int(np.prod(s)) for s in shapes)
@@ -205,42 +207,48 @@ def chunked_adam_cases(draw):
 
 
 class TestChunkedAdam:
-    """adam_step over chunk views of one flat vector, as fit_nested runs it,
-    against adam_step over the per-layer arrays."""
+    """adam_step over one flat vector in windows of ADAM_CHUNK entries, as
+    fit_nested runs it, against adam_step over each layer's slice of the
+    vector, as the fit oracle runs it, and the textbook expressions."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(case=chunked_adam_cases())
     @example(case=([(4, 3), (4,), (1, 4), (1,)], 7, 0))  # 7 divides the 21 entries
     @example(case=([(4, 3), (4,), (1, 4), (1,)], 8, 1))  # 8 does not
-    @example(case=([(2, 2)], 4, 2))  # one chunk
+    @example(case=([(2, 2)], 4, 2))  # one window
     def test_matches_per_layer_steps_bitwise(self, case):
         shapes, size, seed = case
         total = sum(int(np.prod(s)) for s in shapes)
-        event(f"chunk size {'divides' if total % size == 0 else 'does not divide'} the total")
+        event(f"window size {'divides' if total % size == 0 else 'does not divide'} the total")
         rng = np.random.default_rng(seed)
-        per_layer = [rng.normal(size=s) for s in shapes]
-        flat = np.concatenate([p.ravel() for p in per_layer])
-        chunks = _chunks(flat, size)
-        assert [c.size for c in chunks] == [size] * (total // size) + ([total % size] if total % size else [])
-        by_layer = AdamState.for_params(per_layer)
-        by_chunk = AdamState(m=_chunks(np.zeros(total), size), v=_chunks(np.zeros(total), size))
-        for _ in range(3):
-            grads = [rng.normal(size=s) for s in shapes]
-            adam_step(by_layer, per_layer, grads, 0.01)
-            adam_step(by_chunk, chunks, _chunks(np.concatenate([g.ravel() for g in grads]), size), 0.01)
-        assert by_chunk.step_count == by_layer.step_count == 3
-        for got, ref in [(chunks, per_layer), (by_chunk.m, by_layer.m), (by_chunk.v, by_layer.v)]:
-            np.testing.assert_array_equal(np.concatenate(got), np.concatenate([a.ravel() for a in ref]))
+        flat = rng.normal(size=total)
+        ref_p, ref_m, ref_v = flat.copy(), np.zeros(total), np.zeros(total)
+        ends = np.cumsum([int(np.prod(s)) for s in shapes])
+        per_layer = np.split(flat.copy(), ends[:-1])
+        by_layer = [zero_state(p.size) for p in per_layer]
+        whole = zero_state(total)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vinr.training, "ADAM_CHUNK", size)
+            for t in range(1, 4):
+                g = rng.normal(size=total)
+                adam_step(whole, flat, g, 0.01)
+                for p, gl, s in zip(per_layer, np.split(g, ends[:-1]), by_layer):
+                    adam_step(s, p, gl, 0.01)
+                textbook_adam(ref_p, ref_m, ref_v, g, t, 0.01)
+            assert whole.step_count == 3
+            for got, ref in [(flat, ref_p), (whole.m, ref_m), (whole.v, ref_v)]:
+                np.testing.assert_array_equal(got, ref)
+            np.testing.assert_array_equal(np.concatenate(per_layer), ref_p)
 
-        # a non-finite entry in the last chunk raises before any chunk moves
-        bad = rng.normal(size=total)
-        bad[-1] = np.nan if seed % 2 else np.inf
-        before = [np.concatenate(a).copy() for a in (chunks, by_chunk.m, by_chunk.v)]
-        with pytest.raises(TrainingDiverged):
-            adam_step(by_chunk, chunks, _chunks(bad, size), 0.01)
-        assert by_chunk.step_count == 3
-        for a, b in zip((chunks, by_chunk.m, by_chunk.v), before):
-            np.testing.assert_array_equal(np.concatenate(a), b)
+            # a non-finite entry in the last window raises before any window moves
+            bad = rng.normal(size=total)
+            bad[-1] = np.nan if seed % 2 else np.inf
+            before = [a.copy() for a in (flat, whole.m, whole.v)]
+            with pytest.raises(TrainingDiverged):
+                adam_step(whole, flat, bad, 0.01)
+        assert whole.step_count == 3
+        for a, b in zip((flat, whole.m, whole.v), before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestFit:
@@ -267,15 +275,14 @@ class TestFit:
         cfg = desk_config(epochs=50)
         m1, r1 = fit(cloud, cfg)
         m2, r2 = fit(cloud, cfg)
-        for a, b in zip(m1.parameters(), m2.parameters()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(m1.params, m2.params)
         np.testing.assert_array_equal(r1.trace, r2.trace)
 
     def test_seed_changes_result(self):
         cloud = sphere_cloud(200)
         m1, _ = fit(cloud, desk_config(epochs=20, seed=0))
         m2, _ = fit(cloud, desk_config(epochs=20, seed=1))
-        assert any(not np.array_equal(a, b) for a, b in zip(m1.parameters(), m2.parameters()))
+        assert not np.array_equal(m1.params, m2.params)
 
     def test_transform_attached(self):
         cloud = PointCloud(np.array([[10.0, 0, 0], [12.0, 0, 0], [10.0, 2, 0], [11.0, 1, 1]]))
@@ -339,23 +346,18 @@ class TestFitNested:
          dict(activation="softplus", surface_batch_size=None, nesting_penalty=0.5)),
     ])
     @pytest.mark.parametrize("chunk", [vinr.training.ADAM_CHUNK, 1000])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_matches_per_layer_oracle_bitwise(self, monkeypatch, clouds, kw, chunk):
-        # the flat parameter, gradient and moment vectors, stepped in chunks
-        # of the default size (one chunk here) and of a size that cuts them
-        # into several, against per-layer arrays and fresh gradients
+        # the model's parameter vector, the gradient and moment vectors,
+        # stepped in windows of the default size (one window here) and of a
+        # size that cuts them into several, against per-layer steps and
+        # fresh gradients
         monkeypatch.setattr(vinr.training, "ADAM_CHUNK", chunk)
         cfg = desk_config(epochs=25, hidden_layers=3, hidden_width=24, **kw)
         model, report = fit_nested(clouds, cfg)
         ref_model, ref_trace = fit_oracle.fit_nested(clouds, cfg)
         np.testing.assert_array_equal(report.trace, ref_trace)
-        for got, ref in zip(model.parameters(), ref_model.parameters()):
-            assert got.shape == ref.shape
-            np.testing.assert_array_equal(got, ref)
-        # the model's arrays are consecutive views of one vector, in .inr order
-        flat = model.weights[0].base
-        assert flat.size == model.arch.param_count()
-        np.testing.assert_array_equal(flat, np.concatenate([p.ravel() for p in ref_model.parameters()]))
-        assert all(p.base is flat for p in model.parameters())
+        np.testing.assert_array_equal(model.params, ref_model.params)
 
     def test_divergence_guard(self):
         cloud = sphere_cloud(100)
@@ -419,7 +421,7 @@ class TestNestingPenalty:
         lam, weight, h = 0.1, 0.5, 1e-6
         terms, grads = grad_of_loss(m, surface, batch, lam, weight)
         assert terms.nesting > 0
-        for p, g in zip(m.parameters(), grads):
+        for p, g in zip(param_views(m.arch, m.params), grads):
             numeric = np.empty_like(p)
             for idx in np.ndindex(p.shape):
                 old = p[idx]
@@ -467,4 +469,4 @@ class TestNestingPenalty:
         np.testing.assert_allclose(total, data + 0.1 * eik + 0.5 * nesting, rtol=0, atol=1e-12)
         assert np.any(nesting > 0)
         # the hinge changed the parameter updates
-        assert any(not np.array_equal(a, b) for a, b in zip(model.parameters(), plain.parameters()))
+        assert not np.array_equal(model.params, plain.params)
