@@ -2,7 +2,7 @@
 neural signed-distance fields, with multi-channel nested fitting, smooth CSG
 blending, isosurface extraction and quantitative evaluation."""
 
-from .csg import BlendSpec, GridSource, MeshSource, ModelSource, blend_grids, evaluate_near_level, evaluate_on_grid, smooth_union
+from .csg import BlendSpec, GridSource, ModelSource, blend_grids, evaluate_near_level, evaluate_on_grid, smooth_union
 from .extraction import check_watertight, marching_cubes
 from .geometry import (
     DomainTransform,
@@ -15,7 +15,6 @@ from .geometry import (
     load_point_cloud,
     point_to_mesh_distance,
     read_grid,
-    sample_surface,
     save_mesh,
     save_point_cloud,
     signed_distance_to_mesh,

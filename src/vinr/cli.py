@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import itertools
 import sys
 import time
@@ -90,14 +89,10 @@ def _add_fit_flags(p: argparse.ArgumentParser):
 
 def _reference(mesh_path, shape_spec):
     """The reference surface a --mesh/--shape (or --ref-mesh/--ref-shape)
-    pair names, exactly one of the two being set: its SDF source, which has
-    bbox(), and a function (n, seed) -> PointCloud sampling its surface.
-    `nested` parses to a tuple of walls, which has neither."""
-    if mesh_path:
-        mesh = geometry.load_mesh(mesh_path)
-        return csg.MeshSource(mesh), functools.partial(geometry.sample_surface, mesh)
-    shape = synthetic.parse_shape(shape_spec)
-    return shape, functools.partial(synthetic.sample_analytic_surface, shape)
+    pair names, exactly one of the two being set: a mesh or a shape, which
+    has value(), bbox() and sample(). `nested` parses to a tuple of walls,
+    which has none of them."""
+    return geometry.load_mesh(mesh_path) if mesh_path else synthetic.parse_shape(shape_spec)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +100,8 @@ def _reference(mesh_path, shape_spec):
 
 
 def cmd_sample(args) -> int:
-    _, sample = _reference(args.mesh, args.shape)
-    cloud = sample(args.count + args.heldout, args.seed)
+    ref = _reference(args.mesh, args.shape)
+    cloud = synthetic.sample_analytic_surface(ref, args.count + args.heldout, args.seed)
     if args.heldout:
         train, held = metrics.split_train_heldout(cloud, args.count, args.seed)
         geometry.save_point_cloud(train, args.out)
@@ -143,6 +138,7 @@ def cmd_blend(args) -> int:
     if not (args.out_grid or args.out_mesh):
         print("nothing to write: pass --out-grid and/or --out-mesh", file=sys.stderr)
         return 2
+    spec = csg.BlendSpec(k=args.k, variant=args.variant)
     models = [network.load_model(p) for p in args.models]
     lo, hi = args.bbox
     dims = (args.dims,) * 3
@@ -150,7 +146,6 @@ def cmd_blend(args) -> int:
         csg.evaluate_on_grid(csg.ModelSource(m, args.channel), dims, lo, hi)
         for m in models
     ]
-    spec = csg.BlendSpec(k=args.k, variant=args.variant)
     blended = csg.blend_grids(grids, spec)
     if args.out_grid:
         geometry.write_grid(blended, args.out_grid)
@@ -176,7 +171,7 @@ def cmd_extract(args) -> int:
 
 def cmd_eval(args) -> int:
     model = network.load_model(args.model)
-    ref, _ = _reference(args.ref_mesh, args.ref_shape)
+    ref = _reference(args.ref_mesh, args.ref_shape)
     if isinstance(ref, tuple):
         raise ValueError("--ref-shape needs a single shape, not nested walls")
     lo, hi = args.bbox if args.bbox else metrics.padded_bbox(*ref.bbox(), 0.1)
@@ -210,8 +205,8 @@ def _sweep_job(job):
     seed = cfg.seed + job_index
     t0 = time.perf_counter()
     try:
-        ref, sample = _reference(mesh_path, shape_spec)
-        cloud = sample(count + max(count // 2, 50), seed)
+        ref = _reference(mesh_path, shape_spec)
+        cloud = synthetic.sample_analytic_surface(ref, count + max(count // 2, 50), seed)
         train, held = metrics.split_train_heldout(cloud, count, seed)
         model, _ = training.fit(train, dataclasses.replace(cfg, seed=seed))
         lo, hi = metrics.padded_bbox(*ref.bbox(), 0.1)
@@ -329,7 +324,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     p.add_argument("--models", nargs="+", required=True)
     p.add_argument("--k", type=float, default=0.1)
     p.add_argument("--variant", choices=("cubic", "quilez"), default="cubic")
-    p.add_argument("--dims", type=int, default=256)
+    p.add_argument("--dims", type=_int_at_least(2), default=256)
     p.add_argument("--bbox", type=_bbox_arg, required=True)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--out-grid")
@@ -340,7 +335,7 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--model")
     src.add_argument("--grid")
-    p.add_argument("--dims", type=int, default=128)
+    p.add_argument("--dims", type=_int_at_least(2), default=128)
     p.add_argument("--bbox", type=_bbox_arg)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--iso", type=float, default=0.0)
@@ -353,8 +348,8 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     ref.add_argument("--ref-mesh")
     ref.add_argument("--ref-shape")
     p.add_argument("--heldout")
-    p.add_argument("--dsc-dims", type=int, default=96)
-    p.add_argument("--asd-dims", type=int, default=128)
+    p.add_argument("--dsc-dims", type=_int_at_least(2), default=96)
+    p.add_argument("--asd-dims", type=_int_at_least(2), default=128)
     p.add_argument("--bbox", type=_bbox_arg)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--report")
@@ -366,8 +361,8 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     src.add_argument("--shape")
     p.add_argument("--counts", type=_counts_arg, default="100,200,400,800")
     p.add_argument("--repeats", type=_int_at_least(1), default=5)
-    p.add_argument("--dsc-dims", type=int, default=64)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--dsc-dims", type=_int_at_least(2), default=64)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--out", required=True)
     _add_fit_flags(p)
     p.set_defaults(**{**config, "func": cmd_sweep})

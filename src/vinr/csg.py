@@ -22,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extraction import cell_corners, cube_index
-from .geometry import GeometryError, ScalarGrid, SlopeBounded, TriangleMesh, as_points, lattice_axes, signed_distance_to_mesh
+from .geometry import GeometryError, ScalarGrid, SlopeBounded, as_points, lattice_axes
 from .network import MlpModel, forward, forward_with_input_grad
 
 __all__ = [
     "BlendSpec",
     "ModelSource",
     "GridSource",
-    "MeshSource",
     "smooth_union",
     "evaluate_on_grid",
     "evaluate_near_level",
@@ -49,8 +48,8 @@ class BlendSpec:
     variant: str = "cubic"
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("smoothing parameter k must be non-negative")
+        if not 0 <= self.k < np.inf:
+            raise ValueError(f"smoothing parameter k must be finite and non-negative, got {self.k}")
         if self.variant not in ("cubic", "quilez"):
             raise ValueError(f"unknown blend variant {self.variant!r}")
 
@@ -169,21 +168,6 @@ class GridSource(SlopeBounded):
         return out
 
 
-@dataclass(frozen=True)
-class MeshSource(SlopeBounded):
-    """Exact signed distance to a watertight reference mesh: the distance
-    to its nearest triangle, negative where its winding number is odd. An
-    exact distance has slope 1."""
-
-    mesh: TriangleMesh
-
-    def value(self, p):
-        return signed_distance_to_mesh(p, self.mesh)
-
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.mesh.bbox()
-
-
 # ---------------------------------------------------------------------------
 # grid evaluation and blending
 
@@ -277,6 +261,8 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
     index array spans the lattice or the band. Values are float32 as in any
     ScalarGrid.
     """
+    if not np.isfinite(iso):
+        raise GeometryError(f"iso level must be finite, got {iso}")
     dims = tuple(int(d) for d in dims)
     if not hasattr(source, "value_and_slope"):
         return evaluate_on_grid(source, dims, bbox_min, bbox_max)

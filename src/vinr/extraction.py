@@ -71,6 +71,8 @@ def marching_cubes(grid: ScalarGrid, iso: float = 0.0) -> TriangleMesh:
     nx, ny, nz = grid.dims
     if min(nx, ny, nz) < 2:
         raise GeometryError("marching cubes needs at least 2 samples per axis")
+    if not np.isfinite(iso):
+        raise GeometryError(f"iso level must be finite, got {iso}")
     # the compare runs in float64, and a sample equal to iso counts as
     # outside, where the nudge below puts it
     cube = cube_index(np.less(grid.values, np.float64(iso)))

@@ -31,7 +31,6 @@ __all__ = [
     "save_point_cloud",
     "load_mesh",
     "save_mesh",
-    "sample_surface",
     "fit_transform",
     "point_to_mesh_distance",
     "signed_distance_to_mesh",
@@ -75,11 +74,30 @@ class PointCloud:
         return self.points.min(axis=0), self.points.max(axis=0)
 
 
+class SlopeBounded:
+    """A constant bound `slope` on how fast an SDF source's value(points)
+    changes; value_and_slope(points) returns the values with it, so that
+    csg.evaluate_near_level can evaluate the source only near a level set.
+    A source whose `slope` cannot be read (a composite with a part that
+    bounds no slope) has no value_and_slope either: it is evaluated densely."""
+
+    slope = 1.0  # an exact signed distance is 1-Lipschitz
+
+    @property
+    def value_and_slope(self):
+        slope = self.slope
+        return lambda p: (self.value(p), slope)
+
+
 @dataclass(frozen=True)
-class TriangleMesh:
+class TriangleMesh(SlopeBounded):
     """Triangle surface mesh. Degenerate (zero-area) faces are dropped on
     construction; watertightness is a property checked elsewhere, not an
-    invariant."""
+    invariant.
+
+    A mesh is a surface as the analytic shapes of vinr.synthetic are:
+    value(points) is its exact signed distance, which has slope 1, bbox()
+    holds it and sample(n, rng) draws area-uniform points on it."""
 
     vertices: np.ndarray  # (V, 3) float64
     triangles: np.ndarray  # (T, 3) int64
@@ -116,6 +134,22 @@ class TriangleMesh:
         if self.num_vertices == 0:
             raise GeometryError("empty mesh has no bounding box")
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
+
+    def value(self, p):
+        return signed_distance_to_mesh(p, self)
+
+    def sample(self, n, rng) -> np.ndarray:
+        """A triangle with probability proportional to its area, then a
+        uniform barycentric point in it, n times."""
+        if self.num_triangles == 0:
+            raise GeometryError("cannot sample a zero-area mesh")
+        cdf = np.cumsum(self.areas())
+        face = np.minimum(np.searchsorted(cdf, rng.random(n) * cdf[-1]), self.num_triangles - 1)
+        a, b, c = self.triangle_corners()
+        # square-root trick gives a uniform density over each triangle
+        r1 = np.sqrt(rng.random(n))[:, None]
+        r2 = rng.random(n)[:, None]
+        return (1 - r1) * a[face] + r1 * (1 - r2) * b[face] + r1 * r2 * c[face]
 
 
 @dataclass(frozen=True)
@@ -164,21 +198,6 @@ def fit_transform(cloud: PointCloud, half_extent: float = 0.9) -> DomainTransfor
     scale = 2.0 * half_extent / longest
     center = 0.5 * (lo + hi)
     return DomainTransform(scale=scale, center=center, half_extent=half_extent)
-
-
-class SlopeBounded:
-    """A constant bound `slope` on how fast an SDF source's value(points)
-    changes; value_and_slope(points) returns the values with it, so that
-    csg.evaluate_near_level can evaluate the source only near a level set.
-    A source whose `slope` cannot be read (a composite with a part that
-    bounds no slope) has no value_and_slope either: it is evaluated densely."""
-
-    slope = 1.0  # an exact signed distance is 1-Lipschitz
-
-    @property
-    def value_and_slope(self):
-        slope = self.slope
-        return lambda p: (self.value(p), slope)
 
 
 @dataclass(frozen=True)
@@ -307,35 +326,6 @@ def save_mesh(mesh: TriangleMesh, path) -> None:
     text += ("f %d %d %d\n" * mesh.num_triangles) % tuple((mesh.triangles + 1).ravel().tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(text)
-
-
-# ---------------------------------------------------------------------------
-# sampling and normalization
-
-
-def sample_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
-    """Area-weighted uniform surface sampling.
-
-    Picks triangles with probability proportional to area, then a uniform
-    barycentric point within each. Deterministic for a fixed seed.
-    """
-    if n < 0:
-        raise GeometryError("sample count must be non-negative")
-    if n == 0:
-        return PointCloud(np.empty((0, 3)))
-    areas = mesh.areas()
-    if areas.size == 0 or areas.sum() <= 0:
-        raise GeometryError("cannot sample a zero-area mesh")
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(areas)
-    face = np.searchsorted(cdf, rng.random(n) * cdf[-1])
-    face = np.minimum(face, len(areas) - 1)
-    a, b, c = mesh.triangle_corners()
-    # square-root trick gives a uniform density over each triangle
-    r1 = np.sqrt(rng.random(n))[:, None]
-    r2 = rng.random(n)[:, None]
-    pts = (1 - r1) * a[face] + r1 * (1 - r2) * b[face] + r1 * r2 * c[face]
-    return PointCloud(pts)
 
 
 # ---------------------------------------------------------------------------

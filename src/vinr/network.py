@@ -137,7 +137,9 @@ class MlpArchitecture:
 class MlpModel:
     """An INR: one float64 vector `params` in .inr order, which training
     steps in place. `weights` ((out, in) per layer) and `biases` ((out,))
-    are tuples of its views (`param_views`), so a layer cannot be replaced."""
+    are tuples of its views (`param_views`), so a layer cannot be replaced,
+    and none of the three can be rebound once built: a new vector would be
+    saved but not evaluated. `transform` and `channel_names` can be set."""
 
     arch: MlpArchitecture
     params: np.ndarray
@@ -158,6 +160,11 @@ class MlpModel:
         names = self.channel_names
         if names is not None and (not isinstance(names, list) or len(names) != self.arch.output_channels):
             raise ValueError("channel_names must be a list of output_channels names")
+
+    def __setattr__(self, name, value):
+        if name in ("params", "weights", "biases") and "biases" in self.__dict__:
+            raise AttributeError(f"cannot rebind {name}: write into model.params in place")
+        super().__setattr__(name, value)
 
 
 def param_views(arch: MlpArchitecture, flat: np.ndarray) -> list:

@@ -8,7 +8,8 @@ surface, area-uniform on a primitive or an offset; a union draws as many
 points from every component and keeps those no other one swallows, so each
 component gets about an equal share whatever its area. Primitives and
 offsets also expose dilated(delta), the same kind of shape grown by delta,
-which is how an offset samples its surface.
+which is how an offset samples its surface. A geometry.TriangleMesh answers
+value, bbox and sample too, so it can stand wherever a shape does.
 
 Each shape also bounds its slope by a constant, `slope`: 1 for the exact
 distances, the inner shape's for an offset, the largest component's for a
@@ -262,8 +263,11 @@ def _sample(shape, n, rng) -> np.ndarray:
 
 
 def sample_analytic_surface(shape, n: int, seed: int) -> PointCloud:
-    """n samples on the shape's surface (area-uniform on each primitive),
-    drawn by its sample(n, rng) from a generator seeded with `seed`."""
+    """n samples on the surface of a shape or a geometry.TriangleMesh
+    (area-uniform on each primitive and on a mesh), drawn by its
+    sample(n, rng) from a generator seeded with `seed`."""
+    if n < 0:
+        raise GeometryError("sample count must be non-negative")
     if n == 0:
         return PointCloud(np.empty((0, 3)))
     return PointCloud(_sample(shape, n, np.random.default_rng(seed)))

@@ -10,6 +10,7 @@ import pytest
 from vinr import cli, geometry, metrics, network
 from vinr.csg import ModelSource
 from vinr.extraction import check_watertight
+from vinr.geometry import ScalarGrid
 from vinr.synthetic import Sphere
 from vinr.training import TrainConfig
 
@@ -209,6 +210,37 @@ class TestExtractAndEval:
         mesh = geometry.load_mesh(out)
         assert np.abs(Sphere(radius=0.5).value(mesh.vertices)).max() < 0.01
 
+    @pytest.mark.parametrize("iso", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["model", "grid"])
+    def test_non_finite_iso_is_named(self, fitted_sphere, tmp_path, capsys, source, iso):
+        if source == "grid":
+            grid = tmp_path / "field.sdfgrid"
+            geometry.write_grid(ScalarGrid((4, 4, 4), -np.ones(3), np.ones(3), np.zeros((4, 4, 4))), grid)
+            flags = ["--grid", grid]
+        else:
+            flags = ["--model", fitted_sphere["model"], "--dims", "8", "--bbox", "-1 -1 -1 1 1 1"]
+        out = tmp_path / "mesh.obj"
+        assert run(["extract", *flags, f"--iso={iso}", "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: iso level must be finite, got {iso}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("heldout", [False, True], ids=["dice", "dice-asd"])
+    def test_eval_ref_mesh_box_is_the_padded_mesh_box(self, fitted_sphere, tmp_path, capsys, heldout):
+        mesh_path = tmp_path / "ref.obj"
+        assert run(["fixtures", "--shape", "sphere:0.5", "--subdiv", "2", "--out-mesh", mesh_path]) == 0
+        lo, hi = metrics.padded_bbox(*geometry.load_mesh(mesh_path).bbox(), 0.1)
+        flags = ["eval", "--model", fitted_sphere["model"], "--ref-mesh", mesh_path, "--dsc-dims", "20"]
+        if heldout:
+            flags += ["--heldout", fitted_sphere["heldout"], "--asd-dims", "20"]
+        outputs = []
+        for box in ([], ["--bbox", " ".join(repr(float(v)) for v in (*lo, *hi))]):
+            assert run([*flags, *box]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        dsc, asd, _ = outputs[0].splitlines()[1].split(",")
+        assert float(dsc) > 0.8
+        assert (asd != "") == heldout
+
     def test_eval_output_format(self, fitted_sphere, capsys):
         rc = run(
             ["eval", "--model", fitted_sphere["model"], "--ref-shape", "sphere:0.5",
@@ -310,6 +342,15 @@ class TestBlend:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_non_finite_k_is_named(self, fitted_sphere, tmp_path, capsys, k):
+        out = [tmp_path / "b.sdfg", tmp_path / "b.obj"]
+        rc = run(["blend", "--models", fitted_sphere["model"], fitted_sphere["model"], "--k", k, "--dims", "8",
+                  "--bbox", "-1 -1 -1 1 1 1", "--out-grid", out[0], "--out-mesh", out[1]])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: smoothing parameter k must be finite and non-negative, got {k}\n"
+        assert not any(p.exists() for p in out)
+
     def test_outputs_checked_before_models_load(self, tmp_path, capsys):
         missing = [tmp_path / "missing1.inr", tmp_path / "missing2.inr"]
         assert run(["blend", "--models", *missing, "--bbox", "-1 -1 -1 1 1 1"]) == 2
@@ -352,6 +393,17 @@ class TestSweep:
         serial = columns(1)
         assert len(serial) == 1 + 4 + 2 * 2
         assert columns(2) == serial
+
+    def test_mesh_sweep_rows_are_finite(self, tmp_path):
+        mesh_path = tmp_path / "ref.obj"
+        assert run(["fixtures", "--shape", "sphere:0.5", "--subdiv", "1", "--out-mesh", mesh_path]) == 0
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--mesh", mesh_path, "--counts", "20,30", "--repeats", "1",
+                    "--dsc-dims", "8", "--out", out, *TINY_FIT]) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines()[2:]]
+        assert [r[:2] for r in rows] == [["20", "0"], ["30", "0"], ["20", "median"], ["20", "iqr"],
+                                         ["30", "median"], ["30", "iqr"]]
+        assert np.isfinite([float(v) for r in rows for v in r[2:4]]).all()
 
     def test_failed_jobs_exit_nonzero(self, tmp_path, capsys):
         # nested walls are several surfaces, which a single-channel sweep cannot fit
@@ -548,6 +600,13 @@ BAD_COUNTS = [
     (["fixtures", "--shape", "sphere", "--out-points", "p.xyz", "--count", "-1"], "--count"),
     (["fixtures", "--shape", "sphere", "--out-mesh", "m.obj", "--subdiv", "-1"], "--subdiv"),
     (["fixtures", "--shape", "sphere", "--out-mesh", "m.obj", "--subdiv", "two"], "--subdiv"),
+    (["sweep", "--shape", "sphere", "--out", "s.csv", "--jobs", "0"], "--jobs"),
+    (["sweep", "--shape", "sphere", "--out", "s.csv", "--jobs", "-4"], "--jobs"),
+    (["sweep", "--shape", "sphere", "--out", "s.csv", "--dsc-dims", "1"], "--dsc-dims"),
+    (["extract", "--model", "m.inr", "--bbox", "-1 -1 -1 1 1 1", "--out", "m.obj", "--dims", "1"], "--dims"),
+    (["blend", "--models", "a.inr", "b.inr", "--bbox", "-1 -1 -1 1 1 1", "--out-grid", "b.sdfg", "--dims", "1"], "--dims"),
+    (["eval", "--model", "m.inr", "--ref-shape", "sphere", "--dsc-dims", "1"], "--dsc-dims"),
+    (["eval", "--model", "m.inr", "--ref-shape", "sphere", "--heldout", "h.xyz", "--asd-dims", "0"], "--asd-dims"),
 ]
 
 

@@ -9,7 +9,6 @@ from vinr import csg
 from vinr.csg import (
     BlendSpec,
     GridSource,
-    MeshSource,
     ModelSource,
     blend_grids,
     evaluate_near_level,
@@ -84,6 +83,12 @@ class TestSmoothUnion:
         with pytest.raises(ValueError):
             BlendSpec(variant="exponential")
 
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_non_finite_k_rejected(self, k):
+        # a nan k would make smooth_union nan everywhere, silently
+        with pytest.raises(ValueError, match=f"k must be finite and non-negative, got {k}"):
+            BlendSpec(k=k)
+
 
 def _query_cases():
     """(query, rows_exact) for every SDF query of the package. `rows_exact`
@@ -102,7 +107,7 @@ def _query_cases():
         pytest.param(UnionList((Sphere(radius=0.3), capsule)).value, True, id="union"),
         pytest.param(ModelSource(model).value, False, id="model"),
         pytest.param(GridSource(grid).value, True, id="grid"),
-        pytest.param(MeshSource(mesh).value, True, id="mesh"),
+        pytest.param(mesh.value, True, id="mesh"),
         pytest.param(lambda p: point_to_mesh_distance(p, mesh), True, id="point_to_mesh_distance"),
         pytest.param(lambda p: signed_distance_to_mesh(p, mesh), True, id="signed_distance_to_mesh"),
     ]
@@ -219,7 +224,7 @@ class TestGridSource:
 
 class TestMeshSource:
     def test_sphere_signs(self):
-        src = MeshSource(icosphere(2, radius=1.0))
+        src = icosphere(2, radius=1.0)
         vals = src.value(np.array([[0.0, 0, 0], [2.0, 0, 0]]))
         assert vals[0] < 0 < vals[1]
         assert vals[0] == pytest.approx(-1.0, abs=5e-2)
@@ -258,14 +263,14 @@ class TestGridEvaluation:
         assert make((33, 21, 27)).values.flags.c_contiguous
 
     def test_values_match_source(self):
-        src = MeshSource(icosphere(1, radius=0.8))
+        src = icosphere(1, radius=0.8)
         lo, hi = -np.ones(3), np.ones(3)
         g = evaluate_on_grid(src, (6, 6, 6), lo, hi)
         pts = grid_lattice((6, 6, 6), lo, hi)
         np.testing.assert_allclose(g.values.ravel(), src.value(pts), atol=1e-12)
 
     def test_rejects_degenerate_dims(self):
-        src = MeshSource(icosphere(1))
+        src = icosphere(1)
         with pytest.raises(GeometryError):
             evaluate_on_grid(src, (1, 4, 4), -np.ones(3), np.ones(3))
 
@@ -526,7 +531,7 @@ class TestNarrowBand:
         assert dense.values[27, 18, 18] < 0  # the blob's centre
 
     def test_mesh_source_takes_the_band(self, dense_calls):
-        source = MeshSource(icosphere(2, radius=0.5))
+        source = icosphere(2, radius=0.5)
         dims = (14, 13, 12)
         band = evaluate_near_level(source, dims, self.LO, self.HI)
         assert dense_calls == []
@@ -535,7 +540,7 @@ class TestNarrowBand:
     def test_union_with_a_mesh_takes_the_band(self, dense_calls):
         # a mesh bounds its slope by 1 as the shapes do, so a union holding
         # one bounds it too
-        source = UnionList((Sphere((0.3, 0.0, 0.0), 0.3), MeshSource(icosphere(1, radius=0.5))))
+        source = UnionList((Sphere((0.3, 0.0, 0.0), 0.3), icosphere(1, radius=0.5)))
         assert source.slope == 1.0
         dims = (24, 24, 24)
         band = evaluate_near_level(source, dims, self.LO, self.HI)
@@ -573,7 +578,13 @@ class TestNarrowBand:
 
     def test_rejects_degenerate_dims(self):
         with pytest.raises(GeometryError):
-            evaluate_near_level(MeshSource(icosphere(1)), (1, 4, 4), self.LO, self.HI)
+            evaluate_near_level(icosphere(1), (1, 4, 4), self.LO, self.HI)
+
+    @pytest.mark.parametrize("iso", [np.nan, np.inf, -np.inf])
+    def test_non_finite_iso_rejected(self, dense_calls, iso):
+        with pytest.raises(GeometryError, match=f"iso level must be finite, got {iso}"):
+            evaluate_near_level(Sphere(radius=0.5), (8, 8, 8), self.LO, self.HI, iso)
+        assert dense_calls == []
 
 
 class TestBlendGrids:
@@ -691,7 +702,7 @@ class TestLatticeBlocks:
     @settings(max_examples=3, deadline=None, derandomize=True, database=None)
     @given(dims=st.sampled_from([(9, 10, 11), (64, 32, 32), (37, 41, 53)]))
     def test_mesh_grid_matches_one_shot(self, dims):
-        source = MeshSource(icosphere(0, radius=0.6))
+        source = icosphere(0, radius=0.6)
         grid = evaluate_on_grid(source, dims, self.LO, self.HI)
         assert grid.values.tobytes() == band_oracle.dense_values(source, dims, self.LO, self.HI).tobytes()
 

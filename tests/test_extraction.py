@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vinr.csg import GridSource, MeshSource, ModelSource, evaluate_on_grid, grid_lattice
+from vinr.csg import GridSource, ModelSource, evaluate_on_grid, grid_lattice
 from vinr.extraction import (
     WatertightReport,
     cell_corners,
@@ -15,7 +15,7 @@ from vinr.extraction import (
     enclosed_volume,
     marching_cubes,
 )
-from vinr.geometry import DomainTransform, ScalarGrid, TriangleMesh, point_to_mesh_distance
+from vinr.geometry import DomainTransform, GeometryError, ScalarGrid, TriangleMesh, point_to_mesh_distance
 from vinr.synthetic import Sphere, Torus, icosphere
 
 import band_oracle
@@ -109,6 +109,13 @@ class TestMarchingCubes:
         mesh = marching_cubes(g, iso=0.15)  # offset surface of a sphere SDF
         r = np.linalg.norm(mesh.vertices, axis=1)
         assert np.abs(r - 0.65).max() < 0.01
+
+    @pytest.mark.parametrize("iso", [np.nan, np.inf, -np.inf])
+    def test_non_finite_iso_rejected(self, iso):
+        # every sample compares below inf: the mesh would be silently empty
+        g = analytic_grid(Sphere(radius=0.5), (8, 8, 8), -np.ones(3), np.ones(3))
+        with pytest.raises(GeometryError, match=f"iso level must be finite, got {iso}"):
+            marching_cubes(g, iso=iso)
 
     def test_value_exactly_at_iso_does_not_crash(self):
         dims = (4, 4, 4)

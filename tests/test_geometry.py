@@ -20,14 +20,13 @@ from vinr.geometry import (
     load_point_cloud,
     point_to_mesh_distance,
     read_grid,
-    sample_surface,
     save_mesh,
     save_point_cloud,
     signed_distance_to_mesh,
     write_grid,
 )
 from vinr.metrics import padded_bbox
-from vinr.synthetic import bifurcation_fixture, icosphere
+from vinr.synthetic import bifurcation_fixture, capsule_mesh, icosphere, sample_analytic_surface
 
 from test_extraction import positive_border_grids
 
@@ -172,14 +171,39 @@ class TestMeshIO:
         assert mesh.num_triangles == 1
 
 
+def area_weighted_oracle(mesh, n, seed):
+    """The mesh sampling rule as it stood in geometry.sample_surface: a
+    triangle by area from one draw, then sqrt(r1) and r2 from two more."""
+    rng = np.random.default_rng(seed)
+    cdf = np.cumsum(mesh.areas())
+    face = np.minimum(np.searchsorted(cdf, rng.random(n) * cdf[-1]), len(cdf) - 1)
+    a, b, c = mesh.triangle_corners()
+    r1 = np.sqrt(rng.random(n))[:, None]
+    r2 = rng.random(n)[:, None]
+    return (1 - r1) * a[face] + r1 * (1 - r2) * b[face] + r1 * r2 * c[face]
+
+
 class TestSampling:
+    @pytest.mark.parametrize("mesh", [
+        pytest.param(icosphere(2, 0.5, (0.1, 0.0, -0.2)), id="sphere"),
+        pytest.param(capsule_mesh((0, 0, -0.5), (0, 0.2, 0.5), 0.2), id="capsule"),
+    ])
+    @pytest.mark.parametrize("n, seed", [(1, 0), (257, 3), (1000, 11)])
+    def test_matches_area_weighted_oracle(self, mesh, n, seed):
+        cloud = sample_analytic_surface(mesh, n, seed)
+        assert cloud.points.tobytes() == area_weighted_oracle(mesh, n, seed).tobytes()
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(GeometryError, match="non-negative"):
+            sample_analytic_surface(icosphere(1), -1, seed=0)
+
     def test_zero_samples(self):
         mesh = icosphere(1)
-        assert len(sample_surface(mesh, 0, seed=1)) == 0
+        assert len(sample_analytic_surface(mesh, 0, seed=1)) == 0
 
     def test_samples_lie_on_mesh(self):
         mesh = icosphere(1)
-        cloud = sample_surface(mesh, 50, seed=2)
+        cloud = sample_analytic_surface(mesh, 50, seed=2)
         d = point_to_mesh_distance(cloud.points, mesh)
         assert d.max() < 1e-9
 
@@ -192,7 +216,7 @@ class TestSampling:
         tris = np.array([[0, 1, 2], [3, 4, 5]])
         mesh = TriangleMesh(verts, tris)
         n = 10_000
-        cloud = sample_surface(mesh, n, seed=11)
+        cloud = sample_analytic_surface(mesh, n, seed=11)
         on_small = cloud.points[:, 2] < 0.5
         count = int(on_small.sum())
         p = 0.25
@@ -201,14 +225,14 @@ class TestSampling:
 
     def test_determinism(self):
         mesh = icosphere(1)
-        a = sample_surface(mesh, 100, seed=7)
-        b = sample_surface(mesh, 100, seed=7)
+        a = sample_analytic_surface(mesh, 100, seed=7)
+        b = sample_analytic_surface(mesh, 100, seed=7)
         np.testing.assert_array_equal(a.points, b.points)
 
     def test_zero_area_mesh_rejected(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
         with pytest.raises(GeometryError):
-            sample_surface(TriangleMesh(verts, np.array([[0, 1, 2]])), 5, seed=0)
+            sample_analytic_surface(TriangleMesh(verts, np.array([[0, 1, 2]])), 5, seed=0)
 
 
 class TestTransform:
@@ -408,7 +432,7 @@ class TestPrunedDistance:
         # the all-pairs scan computed P * T bounds.
         mesh = icosphere(3)
         rng = np.random.default_rng(12)
-        pts = sample_surface(mesh, 200, seed=13).points + 0.01 * rng.normal(size=(200, 3))
+        pts = sample_analytic_surface(mesh, 200, seed=13).points + 0.01 * rng.normal(size=(200, 3))
         evaluated, bounds = [], []
         kernel, box = geometry._pair_sq_distance, geometry._box_sq_gap
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import band_oracle
-from vinr.csg import MeshSource, ModelSource, evaluate_near_level, evaluate_on_grid
+from vinr.csg import ModelSource, evaluate_near_level, evaluate_on_grid
 from vinr.extraction import marching_cubes
 from vinr.geometry import point_to_mesh_distance
 from vinr.geometry import DomainTransform, GeometryError, PointCloud
@@ -15,7 +15,7 @@ from vinr.metrics import (
     split_train_heldout,
 )
 from vinr.network import MlpArchitecture, init_model
-from vinr.synthetic import Sphere, icosphere
+from vinr.synthetic import Capsule, Sphere, UnionList, icosphere, sample_analytic_surface
 
 from test_network import model_from_layers
 
@@ -92,7 +92,7 @@ class TestDice:
         # a bumpy net against an exact mesh distance: both take the narrow
         # band; the score must be the dense lattice's, exactly
         model = bumpy_sphere_model()
-        ref = MeshSource(icosphere(3, radius=0.5))
+        ref = icosphere(3, radius=0.5)
         dims, lo, hi = (16, 17, 18), -0.8 * np.ones(3), 0.8 * np.ones(3)
         a = evaluate_on_grid(ModelSource(model), dims, lo, hi).values < 0
         b = evaluate_on_grid(ref, dims, lo, hi).values < 0
@@ -108,6 +108,20 @@ class TestDice:
         assert dice(grid, ref, dims, lo, hi) == dice(ModelSource(model), ref, dims, lo, hi)
         assert dice(ref, grid, dims, lo, hi) == dice(grid, ref, dims, lo, hi)
 
+    def test_mesh_reference_alone_and_in_a_union(self):
+        # a mesh is a reference surface as a shape is; its band score is the
+        # dense lattice's, against the analytic surface it tessellates
+        mesh, capsule = icosphere(3, radius=0.4), Capsule((0.3, 0.0, 0.0), (0.8, 0.0, 0.0), 0.15)
+        dims = (20, 21, 22)
+        lo, hi = padded_bbox(*UnionList((mesh, capsule)).bbox(), 0.1)
+        pairs = [(mesh, Sphere(radius=0.4)), (UnionList((mesh, capsule)), UnionList((Sphere(radius=0.4), capsule)))]
+        for ref, exact in pairs:
+            a = evaluate_on_grid(exact, dims, lo, hi).values < 0
+            b = evaluate_on_grid(ref, dims, lo, hi).values < 0
+            dense = 2.0 * int(np.logical_and(a, b).sum()) / (int(a.sum()) + int(b.sum()))
+            assert dice(exact, ref, dims, lo, hi) == dense
+            assert dense > 0.95
+
     @pytest.mark.parametrize("dims, hi", [((16, 17, 19), 0.8), ((16, 17, 18), 0.9)])
     def test_grid_off_the_lattice_rejected(self, dims, hi):
         grid = evaluate_on_grid(Sphere(radius=0.5), (16, 17, 18), -0.8 * np.ones(3), 0.8 * np.ones(3))
@@ -119,9 +133,7 @@ class TestAverageSurfaceDistance:
     def test_points_on_mesh(self):
         mesh = icosphere(3, radius=0.5)
         # sample the held-out points from the mesh itself
-        from vinr.geometry import sample_surface
-
-        held = sample_surface(mesh, 300, seed=1)
+        held = sample_analytic_surface(mesh, 300, seed=1)
         asd = average_surface_distance(mesh, held)
         assert asd < 1e-9
 

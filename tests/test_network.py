@@ -747,6 +747,19 @@ class TestParameterStore:
         with pytest.raises(TypeError):
             m.biases[-1] = np.zeros_like(m.biases[-1])
 
+    @pytest.mark.parametrize("name", ["params", "weights", "biases"])
+    def test_store_cannot_be_rebound(self, name):
+        # a rebound vector would be saved while forward still read the old views
+        m = init_model(self.ARCH, seed=5)
+        x = np.random.default_rng(6).normal(size=(7, 3))
+        before, kept = forward(m, x), getattr(m, name)
+        with pytest.raises(AttributeError, match=f"cannot rebind {name}"):
+            setattr(m, name, m.params + 1.0 if name == "params" else kept[::-1])
+        assert getattr(m, name) is kept
+        np.testing.assert_array_equal(forward(m, x), before)
+        m.transform = DomainTransform(scale=0.5, center=np.zeros(3))  # metadata stays settable
+        m.channel_names = ["a", "b"]
+
     @pytest.mark.parametrize("shape", [lambda n: n - 1, lambda n: n + 1, lambda n: (1, n)], ids=["short", "long", "2d"])
     def test_wrong_length_rejected(self, shape):
         n = self.ARCH.param_count()

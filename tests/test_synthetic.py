@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vinr.csg import GridSource, MeshSource
+from vinr.csg import GridSource
 from vinr.extraction import check_watertight, enclosed_volume
 from vinr.geometry import GeometryError, ScalarGrid
 from vinr.synthetic import (
@@ -125,6 +125,9 @@ class TestAnalyticSdfs:
             UnionList(())
 
 
+GRID_SOURCE = GridSource(ScalarGrid((2, 2, 2), -np.ones(3), np.ones(3), np.zeros(8)))  # an SDF source with no surface to sample
+
+
 class TestSurfaceSampling:
     def test_samples_on_surface(self):
         # nested offsets add their deltas: the r = 0.5 sphere
@@ -150,8 +153,8 @@ class TestSurfaceSampling:
         "shape, message",
         [
             (Offset(bifurcation_fixture()[0], 0.1), "primitives only"),
-            (MeshSource(icosphere(1)), "cannot sample surface of MeshSource"),
-            (UnionList((Sphere(radius=0.3), MeshSource(icosphere(1)))), "of MeshSource"),
+            (GRID_SOURCE, "cannot sample surface of GridSource"),
+            (UnionList((Sphere(radius=0.3), GRID_SOURCE)), "of GridSource"),
             (nested_wall_fixture(0.3, 0.2, 0.2), "cannot sample surface of tuple"),
         ],
     )
@@ -208,6 +211,19 @@ class TestSurfaceSampling:
         phi = np.arctan2(cloud.points[:, 1], cloud.points[:, 0])
         stat = scipy_stats.kstest(phi, "uniform", args=(-np.pi, 2 * np.pi))
         assert stat.pvalue > 0.01
+
+    def test_union_with_a_mesh_component(self):
+        # a mesh is a surface as the shapes are: a union bounds, samples and
+        # measures it like any other component
+        mesh, capsule = icosphere(2, radius=0.4), Capsule((0.3, 0.0, 0.0), (0.8, 0.0, 0.0), 0.15)
+        union = UnionList((mesh, capsule))
+        lo, hi = union.bbox()
+        np.testing.assert_array_equal(lo, np.minimum(mesh.bbox()[0], capsule.bbox()[0]))
+        np.testing.assert_array_equal(hi, np.maximum(mesh.bbox()[1], capsule.bbox()[1]))
+        assert union.slope == 1.0
+        pts = sample_analytic_surface(union, 300, seed=10).points
+        assert np.abs(union.value(pts)).max() < 1e-9
+        assert mesh.value(pts).min() > -1e-9 and capsule.value(pts).min() > -1e-9
 
     def test_union_rejects_interior_points(self):
         u, _ = bifurcation_fixture()
