@@ -139,14 +139,10 @@ def cmd_blend(args) -> int:
         print("nothing to write: pass --out-grid and/or --out-mesh", file=sys.stderr)
         return 2
     spec = csg.BlendSpec(k=args.k, variant=args.variant)
-    models = [network.load_model(p) for p in args.models]
-    lo, hi = args.bbox
-    dims = (args.dims,) * 3
-    grids = [
-        csg.evaluate_on_grid(csg.ModelSource(m, args.channel), dims, lo, hi)
-        for m in models
-    ]
-    blended = csg.blend_grids(grids, spec)
+    union = csg.Union([csg.ModelSource(network.load_model(p), args.channel) for p in args.models], spec)
+    # a grid file holds the field everywhere; a mesh reads it only near its level set
+    evaluate = csg.evaluate_on_grid if args.out_grid else csg.evaluate_near_level
+    blended = evaluate(union, (args.dims,) * 3, *args.bbox)
     if args.out_grid:
         geometry.write_grid(blended, args.out_grid)
     if args.out_mesh:

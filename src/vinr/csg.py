@@ -1,6 +1,6 @@
 """Constructive solid geometry on signed distance fields: smoothed unions
-(k = 0 gives the hard minimum), grid evaluation of SDF sources in real
-coordinates, and blending of per-structure grids into one field.
+(k = 0 gives the hard minimum) of sources and of grids, and grid evaluation
+of SDF sources in real coordinates.
 
 Lattice computations run over blocks of _LATTICE_BLOCK points into a float32
 result, so the peak is the float32 grid(s) plus one block.
@@ -11,7 +11,7 @@ map through the stored domain transform and the returned distances rescale
 back to real units (division by the transform scale). Sources that can bound
 their slope also expose value_and_slope(points), which lets
 evaluate_near_level evaluate only a narrow band around a level set; that is
-the only optional capability of a source.
+the only optional capability that grid evaluation reads.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .network import MlpModel, forward, forward_with_input_grad
 
 __all__ = [
     "BlendSpec",
+    "Union",
     "ModelSource",
     "GridSource",
     "smooth_union",
@@ -67,6 +68,12 @@ def smooth_union(d1, d2, spec: BlendSpec):
     else:
         gamma = 0.25 * h * h / spec.k
     return np.minimum(d1, d2) - gamma
+
+
+def _fold(values, spec: BlendSpec):
+    """Left fold of smooth_union, in float64, over values rounded to float32."""
+    first, *rest = (np.asarray(v, dtype=np.float32) for v in values)
+    return functools.reduce(lambda acc, v: smooth_union(acc, v, spec), rest, first.astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +173,62 @@ class GridSource(SlopeBounded):
                     corner = g.values[i0[:, 0] + dx, i0[:, 1] + dy, i0[:, 2] + dz]
                     out += w * corner.astype(np.float64)  # widen the 8 gathered corners only
         return out
+
+
+@dataclass(frozen=True)
+class Union:
+    """Smoothed union of SDF sources (shapes, meshes, ModelSources, grids):
+    the left fold of smooth_union over the parts' values rounded to float32,
+    so bitwise blend_grids of the parts' grids. k = 0 is the hard minimum.
+    value_and_slope exists when every part has it: smooth_union's gradient
+    is (1 - a) grad d1 + a grad d2, 0 <= a <= k^2/2 (cubic) or 1/2 (quilez),
+    so each fold step scales the largest part slope by max(1, k^2 - 1) for
+    cubic and by 1 for quilez (after Hart 1996)."""
+
+    parts: tuple
+    spec: BlendSpec = BlendSpec(k=0.0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(self.parts))
+        if not self.parts:
+            raise GeometryError("union of zero parts")
+
+    def value(self, p):
+        return _fold((s.value(p) for s in self.parts), self.spec)
+
+    @property
+    def value_and_slope(self):
+        parts = [s.value_and_slope for s in self.parts]  # AttributeError for a part with no bound
+        step = max(1.0, self.spec.k**2 - 1.0) if self.spec.variant == "cubic" else 1.0
+
+        def both(p):
+            values, slopes = zip(*(f(p) for f in parts))
+            return _fold(values, self.spec), max(slopes) * step ** (len(parts) - 1)
+
+        return both
+
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        boxes = [s.bbox() for s in self.parts]
+        return np.min([b[0] for b in boxes], axis=0), np.max([b[1] for b in boxes], axis=0)
+
+    def sample(self, n, rng) -> np.ndarray:
+        """n area-uniform points on the surface: per-part counts from a
+        multinomial on the parts' area(), the draws that another part buries
+        dropped (|value| >= 1e-9), and the deficit redrawn."""
+        for s in self.parts:
+            if not (hasattr(s, "sample") and hasattr(s, "area")):
+                raise GeometryError(f"cannot sample surface of {type(s).__name__}")
+        share = np.array([s.area() for s in self.parts])
+        out = np.empty((0, 3))
+        for _ in range(64):
+            if len(out) == n:
+                break
+            counts = rng.multinomial(n - len(out), share / share.sum())
+            batch = np.concatenate([s.sample(c, rng) for s, c in zip(self.parts, counts) if c])
+            out = np.concatenate([out, batch[np.abs(self.value(batch)) < 1e-9]])
+        if len(out) < n:
+            raise GeometryError("rejection sampling of union surface failed")
+        return rng.permutation(out)
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +388,9 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
 
 
 def blend_grids(grids, spec: BlendSpec) -> ScalarGrid:
-    """Left-fold of smooth_union over grids on an identical lattice, in
-    float64 one lattice block at a time, rounded to float32 per block:
-    bitwise the whole-lattice fold, rounded once.
-
-    Fold order is list order; with k=0 the result is the order-independent
-    pointwise n-ary minimum.
-    """
+    """The fold of Union over grids on one lattice, in list order, one
+    lattice block at a time: bitwise the whole-lattice fold, rounded once.
+    With k = 0 it is the order-independent pointwise minimum."""
     grids = list(grids)
     if len(grids) < 2:
         raise GeometryError("blending needs at least two grids")
@@ -345,9 +404,5 @@ def blend_grids(grids, spec: BlendSpec) -> ScalarGrid:
     flats = [g.values.reshape(-1) for g in grids]  # views: a ScalarGrid is C-contiguous
     out = np.empty(len(flats[0]), dtype=np.float32)
     for s in range(0, len(out), _LATTICE_BLOCK):
-        block = slice(s, s + _LATTICE_BLOCK)
-        acc = flats[0][block]
-        for v in flats[1:]:
-            acc = smooth_union(acc, v[block], spec)  # in float64
-        out[block] = acc
+        out[s : s + _LATTICE_BLOCK] = _fold([v[s : s + _LATTICE_BLOCK] for v in flats], spec)
     return ScalarGrid(first.dims, first.bbox_min, first.bbox_max, out.reshape(first.dims))

@@ -77,16 +77,12 @@ class PointCloud:
 class SlopeBounded:
     """A constant bound `slope` on how fast an SDF source's value(points)
     changes; value_and_slope(points) returns the values with it, so that
-    csg.evaluate_near_level can evaluate the source only near a level set.
-    A source whose `slope` cannot be read (a composite with a part that
-    bounds no slope) has no value_and_slope either: it is evaluated densely."""
+    csg.evaluate_near_level can evaluate the source only near a level set."""
 
     slope = 1.0  # an exact signed distance is 1-Lipschitz
 
-    @property
-    def value_and_slope(self):
-        slope = self.slope
-        return lambda p: (self.value(p), slope)
+    def value_and_slope(self, p):
+        return self.value(p), self.slope
 
 
 @dataclass(frozen=True)
@@ -129,6 +125,9 @@ class TriangleMesh(SlopeBounded):
     def areas(self) -> np.ndarray:
         a, b, c = self.triangle_corners()
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+
+    def area(self) -> float:
+        return float(self.areas().sum())
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         if self.num_vertices == 0:
@@ -191,12 +190,13 @@ def fit_transform(cloud: PointCloud, half_extent: float = 0.9) -> DomainTransfor
     if len(cloud) < 2:
         raise GeometryError("need at least 2 points to fit a transform")
     lo, hi = cloud.bbox()
-    extent = hi - lo
+    with np.errstate(over="ignore"):  # an infinite extent or center fails DomainTransform's checks
+        extent = hi - lo
+        center = 0.5 * (lo + hi)
     longest = float(extent.max())
     if longest <= 0:
         raise GeometryError("degenerate point cloud: zero bounding-box extent")
     scale = 2.0 * half_extent / longest
-    center = 0.5 * (lo + hi)
     return DomainTransform(scale=scale, center=center, half_extent=half_extent)
 
 
@@ -251,12 +251,24 @@ def lattice_axes(dims, bbox_min, bbox_max) -> tuple[np.ndarray, np.ndarray, np.n
 def text_records(path):
     """Yield (line number, stripped line) for every line of a UTF-8 text
     file that is neither blank nor a '#' comment: the line rule of the .xyz,
-    .obj and config readers."""
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if line and not line.startswith("#"):
-                yield lineno, line
+    .obj and config readers. A line that is not UTF-8 raises GeometryError
+    naming the path and the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except UnicodeDecodeError:
+        # text mode decodes ahead of the line it yields: find the line again,
+        # ending lines at \n, \r\n or \r as text mode does
+        with open(path, "rb") as f:
+            for lineno, line in enumerate((line for raw in f for line in raw.splitlines()), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise GeometryError(f"{path}:{lineno}: {e}") from None
+        raise
 
 
 def _numbers(convert, tokens, path, lineno) -> list:

@@ -161,6 +161,10 @@ class MlpModel:
         if names is not None and (not isinstance(names, list) or len(names) != self.arch.output_channels):
             raise ValueError("channel_names must be a list of output_channels names")
 
+    def __reduce__(self):
+        # rebuilt from the vector, so a copy's layers are views of its own params
+        return MlpModel, (self.arch, self.params, self.transform, self.channel_names)
+
     def __setattr__(self, name, value):
         if name in ("params", "weights", "biases") and "biases" in self.__dict__:
             raise AttributeError(f"cannot rebind {name}: write into model.params in place")

@@ -3,28 +3,22 @@
 Every shape exposes value(points) -> signed distances, (N,) for the (N, 3)
 points of geometry.as_points, so shapes plug directly into grid evaluation,
 blending and metrics as SDF sources; bbox() -> (lo, hi), the axis-aligned
-box that holds the surface; and sample(n, rng) -> (n, 3) points on the
-surface, area-uniform on a primitive or an offset; a union draws as many
-points from every component and keeps those no other one swallows, so each
-component gets about an equal share whatever its area. Primitives and
-offsets also expose dilated(delta), the same kind of shape grown by delta,
-which is how an offset samples its surface. A geometry.TriangleMesh answers
-value, bbox and sample too, so it can stand wherever a shape does.
-
-Each shape also bounds its slope by a constant, `slope`: 1 for the exact
-distances, the inner shape's for an offset, the largest component's for a
-union. geometry.SlopeBounded gives every shape value_and_slope(points), the
-values with that bound, which csg.evaluate_near_level needs to evaluate a
-shape only near a level set.
+box that holds the surface; area(); and sample(n, rng) -> (n, 3)
+area-uniform points on the surface. Primitives and offsets also expose
+dilated(delta), the shape grown by delta, through which an offset samples
+and measures its surface. A geometry.TriangleMesh answers value, bbox, area
+and sample too, and so does a csg.Union of any of them (the bifurcation
+fixture). A primitive bounds its slope by 1 (geometry.SlopeBounded) and an
+offset by its shape's bound; csg.evaluate_near_level reads value_and_slope.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .csg import Union
 from .geometry import GeometryError, PointCloud, SlopeBounded, TriangleMesh, as_points
 
 __all__ = [
@@ -32,7 +26,6 @@ __all__ = [
     "Capsule",
     "Torus",
     "Offset",
-    "UnionList",
     "sample_analytic_surface",
     "nested_wall_fixture",
     "bifurcation_fixture",
@@ -57,6 +50,9 @@ class Sphere(SlopeBounded):
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center)
         return c - self.radius, c + self.radius
+
+    def area(self) -> float:
+        return 4 * np.pi * self.radius**2
 
     def sample(self, n, rng) -> np.ndarray:
         return np.asarray(self.center) + self.radius * _directions(n, rng)
@@ -91,6 +87,10 @@ class Capsule(SlopeBounded):
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         a, b = np.asarray(self.a), np.asarray(self.b)
         return np.minimum(a, b) - self.radius, np.maximum(a, b) + self.radius
+
+    def area(self) -> float:
+        r = self.radius
+        return 2 * np.pi * r * float(np.linalg.norm(np.subtract(self.b, self.a))) + 4 * np.pi * r * r
 
     def sample(self, n, rng) -> np.ndarray:
         a = np.asarray(self.a, dtype=np.float64)
@@ -142,6 +142,9 @@ class Torus(SlopeBounded):
         r = np.array([self.major + self.minor] * 2 + [self.minor])
         return c - r, c + r
 
+    def area(self) -> float:
+        return 4 * np.pi**2 * self.major * self.minor
+
     def sample(self, n, rng) -> np.ndarray:
         # area element is (R + r cos v) dv du: rejection-sample the tube angle
         out = np.empty((n, 3))
@@ -166,72 +169,43 @@ class Torus(SlopeBounded):
 
 
 @dataclass(frozen=True)
-class Offset(SlopeBounded):
+class Offset:
     """Dilation by delta: the SDF shifts down by exactly delta, so the slope
-    is the inner shape's."""
+    bound is the inner shape's, and there is one only if the shape has one."""
 
     shape: object
     delta: float
 
-    @property
-    def slope(self):
-        return self.shape.slope
-
     def value(self, p):
         return self.shape.value(p) - self.delta
+
+    @property
+    def value_and_slope(self):
+        inner = self.shape.value_and_slope  # AttributeError for a shape with no bound
+
+        def both(p):
+            values, slope = inner(p)
+            return values - self.delta, slope
+
+        return both
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.shape.bbox()
         return lo - self.delta, hi + self.delta
 
-    def sample(self, n, rng) -> np.ndarray:
+    def _grown(self):
         if not hasattr(self.shape, "dilated"):
             raise GeometryError("offset sampling supported for primitives only")
-        return self.shape.dilated(self.delta).sample(n, rng)
+        return self.shape.dilated(self.delta)
+
+    def area(self) -> float:
+        return self._grown().area()
+
+    def sample(self, n, rng) -> np.ndarray:
+        return self._grown().sample(n, rng)
 
     def dilated(self, delta) -> Offset:
         return replace(self, delta=self.delta + delta)
-
-
-@dataclass(frozen=True)
-class UnionList(SlopeBounded):
-    """min-combination of component SDFs. Exact signed distance outside the
-    union; a lower bound (not exact) in overlapping interiors. A minimum is
-    no steeper than its steepest component."""
-
-    shapes: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "shapes", tuple(self.shapes))
-        if len(self.shapes) == 0:
-            raise GeometryError("union of zero shapes")
-
-    @property
-    def slope(self):
-        return max(s.slope for s in self.shapes)
-
-    def value(self, p):
-        return functools.reduce(np.minimum, (s.value(p) for s in self.shapes))
-
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        boxes = [s.bbox() for s in self.shapes]
-        return np.min([b[0] for b in boxes], axis=0), np.max([b[1] for b in boxes], axis=0)
-
-    def sample(self, n, rng) -> np.ndarray:
-        # as many points from every component, whatever its area; drop the
-        # points another one swallows
-        out = np.empty((0, 3))
-        for attempt in range(64):
-            need = n - len(out)
-            if need <= 0:
-                break
-            batch = np.concatenate([_sample(s, need + 8, rng) for s in self.shapes])
-            batch = batch[np.abs(self.value(batch)) < 1e-9]
-            rng.shuffle(batch)
-            out = np.concatenate([out, batch])
-        if len(out) < n:
-            raise GeometryError("rejection sampling of union surface failed")
-        return out[:n]
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +230,17 @@ def _frame(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ez, ex, np.cross(ez, ex)
 
 
-def _sample(shape, n, rng) -> np.ndarray:
-    if not hasattr(shape, "sample"):
-        raise GeometryError(f"cannot sample surface of {type(shape).__name__}")
-    return shape.sample(n, rng)
-
-
 def sample_analytic_surface(shape, n: int, seed: int) -> PointCloud:
-    """n samples on the surface of a shape or a geometry.TriangleMesh
-    (area-uniform on each primitive and on a mesh), drawn by its
+    """n samples on the surface of a shape, a geometry.TriangleMesh or a
+    csg.Union of them (area-uniform on each), drawn by its
     sample(n, rng) from a generator seeded with `seed`."""
     if n < 0:
         raise GeometryError("sample count must be non-negative")
     if n == 0:
         return PointCloud(np.empty((0, 3)))
-    return PointCloud(_sample(shape, n, np.random.default_rng(seed)))
+    if not hasattr(shape, "sample"):
+        raise GeometryError(f"cannot sample surface of {type(shape).__name__}")
+    return PointCloud(shape.sample(n, np.random.default_rng(seed)))
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +267,14 @@ def bifurcation_fixture(
     trunk_radius=0.22,
     branch_radius=0.15,
 ):
-    """Y-shaped union of three capsules sharing a junction point. Returns
-    (union, components)."""
+    """Y-shaped hard union (csg.Union, k = 0) of three capsules sharing a
+    junction point. Returns (union, components)."""
     parts = (
         Capsule(trunk_a, junction, trunk_radius),
         Capsule(junction, branch_b1, branch_radius),
         Capsule(junction, branch_b2, branch_radius),
     )
-    return UnionList(parts), parts
+    return Union(parts), parts
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from vinr.network import MlpArchitecture, forward, grad_of_loss, init_model, par
 from vinr.synthetic import (
     Capsule,
     Sphere,
-    UnionList,
     bifurcation_fixture,
     icosphere,
     sample_analytic_surface,

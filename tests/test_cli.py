@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vinr import cli, geometry, metrics, network
+from vinr import cli, csg, geometry, metrics, network
 from vinr.csg import ModelSource
 from vinr.extraction import check_watertight
 from vinr.geometry import ScalarGrid
@@ -328,6 +328,24 @@ class TestBlend:
         g = geometry.read_grid(out_grid)
         assert g.dims == (48, 48, 48)
 
+    @pytest.mark.parametrize("spec", [["--k", "0.1"], ["--k", "1.6"], ["--variant", "quilez", "--k", "0.3"], ["--k", "0"]])
+    def test_mesh_alone_takes_the_band_and_equals_the_grid_mesh(self, fitted_sphere, tmp_path, monkeypatch, spec):
+        m = network.load_model(fitted_sphere["model"])
+        m.transform = geometry.DomainTransform(m.transform.scale, m.transform.center + [0.3, 0.1, 0.0])
+        network.save_model(m, tmp_path / "shifted.inr")
+        blend = ["blend", "--models", fitted_sphere["model"], tmp_path / "shifted.inr", *spec,
+                 "--dims", "41", "--bbox", "-1 -1 -1 1.3 1.1 1"]
+        dense = []
+        evaluate_on_grid = csg.evaluate_on_grid
+        monkeypatch.setattr(csg, "evaluate_on_grid", lambda *a: dense.append(a[1]) or evaluate_on_grid(*a))
+        assert run([*blend, "--out-mesh", tmp_path / "band.obj"]) == 0
+        assert dense == []
+        assert run([*blend, "--out-grid", tmp_path / "g.sdfg"]) == 0
+        assert dense == [(41, 41, 41)]
+        assert run(["extract", "--grid", tmp_path / "g.sdfg", "--out", tmp_path / "dense.obj"]) == 0
+        assert b"\nf " in (tmp_path / "band.obj").read_bytes()
+        assert (tmp_path / "band.obj").read_bytes() == (tmp_path / "dense.obj").read_bytes()
+
     def test_blend_needs_two(self, tmp_path, fitted_sphere):
         rc = run(
             ["blend", "--models", fitted_sphere["model"],
@@ -489,6 +507,21 @@ class TestConfigFile:
         cfg.write_text("epochs 7\n")
         assert run(["--config", cfg, "fixtures", "--shape", "sphere"]) == 1
         assert f"error: {cfg}:1: expected key = value" in capsys.readouterr().err
+
+    NOT_UTF8 = "'utf-8' codec can't decode byte 0xa1 in position 3: invalid start byte"
+
+    @pytest.mark.parametrize("name, argv", [
+        ("bad.xyz", lambda bad, out: ["fit", "--points", bad, "--out", out, *TINY_FIT]),
+        ("bad.obj", lambda bad, out: ["sample", "--mesh", bad, "--count", "3", "--out", out]),
+        ("bad.cfg", lambda bad, out: ["--config", bad, "fixtures", "--shape", "sphere", "--out-points", out]),
+    ])
+    def test_text_readers_name_the_file_and_line(self, tmp_path, capsys, name, argv):
+        # line 2 holds the byte 0xa1, which no UTF-8 text starts a character with
+        bad, out = tmp_path / name, tmp_path / "out"
+        bad.write_bytes(b"# a comment\r\n1 2\xa1 3\n")
+        assert run(argv(bad, out)) == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: {self.NOT_UTF8}\n"
+        assert not out.exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["--config", tmp_path / "absent.cfg", "fixtures", "--shape", "sphere"]) == 1

@@ -95,6 +95,28 @@ class TestPointCloudIO:
         with pytest.raises(GeometryError, match=":1"):
             load_point_cloud(p)
 
+    @pytest.mark.parametrize("bad_line", [1, 2, 3001])
+    def test_non_utf8_line_is_named(self, tmp_path, bad_line):
+        # text mode decodes ahead of the line it reads: the error still
+        # names the line that holds the byte
+        lines = [b"0 0 0"] * 4000
+        lines[bad_line - 1] = b"1 2\xa1 3"
+        p = tmp_path / "bad.xyz"
+        p.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(GeometryError, match=f"bad.xyz:{bad_line}: 'utf-8' codec can't decode byte 0xa1 in position 3"):
+            load_point_cloud(p)
+
+    @pytest.mark.parametrize("data", [b"0 0 0\r1 1 1\r\n2 2\n", b"0 0 0\n1 1 1\r2 2", b"# comment\r\r2 2\r"])
+    def test_line_numbers_follow_text_mode(self, tmp_path, data):
+        # \n, \r\n and a lone \r each end a line, as in text mode
+        p = tmp_path / "ends.xyz"
+        p.write_bytes(data)
+        with open(p, encoding="utf-8") as f:
+            lineno = next(i for i, line in enumerate(f, start=1) if line.startswith("2 2"))
+        assert lineno == 3
+        with pytest.raises(GeometryError, match=f"ends.xyz:{lineno}: expected 3 values, got 2"):
+            load_point_cloud(p)
+
 
 class TestMeshIO:
     def test_unit_cube(self, tmp_path):
@@ -274,6 +296,17 @@ class TestTransform:
         cloud = PointCloud(np.zeros((3, 3)))
         with pytest.raises(GeometryError):
             fit_transform(cloud)
+
+    @pytest.mark.parametrize("ends, message", [
+        ((-1e308, 1e308), "transform scale must be positive and finite"),  # the extent overflows
+        ((1e308, 1.7e308), "transform center must be finite"),  # the centre overflows
+    ])
+    def test_overflowing_cloud_rejected_without_a_warning(self, ends, message):
+        cloud = PointCloud(np.array([[ends[0]] * 3, [ends[1]] * 3]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=message):
+                fit_transform(cloud)
 
 
 class TestDistance:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import band_oracle
-from vinr.csg import ModelSource, evaluate_near_level, evaluate_on_grid
+from vinr.csg import ModelSource, Union, evaluate_near_level, evaluate_on_grid
 from vinr.extraction import marching_cubes
 from vinr.geometry import point_to_mesh_distance
 from vinr.geometry import DomainTransform, GeometryError, PointCloud
@@ -15,7 +15,7 @@ from vinr.metrics import (
     split_train_heldout,
 )
 from vinr.network import MlpArchitecture, init_model
-from vinr.synthetic import Capsule, Sphere, UnionList, icosphere, sample_analytic_surface
+from vinr.synthetic import Capsule, Sphere, icosphere, sample_analytic_surface
 
 from test_network import model_from_layers
 
@@ -113,8 +113,8 @@ class TestDice:
         # dense lattice's, against the analytic surface it tessellates
         mesh, capsule = icosphere(3, radius=0.4), Capsule((0.3, 0.0, 0.0), (0.8, 0.0, 0.0), 0.15)
         dims = (20, 21, 22)
-        lo, hi = padded_bbox(*UnionList((mesh, capsule)).bbox(), 0.1)
-        pairs = [(mesh, Sphere(radius=0.4)), (UnionList((mesh, capsule)), UnionList((Sphere(radius=0.4), capsule)))]
+        lo, hi = padded_bbox(*Union((mesh, capsule)).bbox(), 0.1)
+        pairs = [(mesh, Sphere(radius=0.4)), (Union((mesh, capsule)), Union((Sphere(radius=0.4), capsule)))]
         for ref, exact in pairs:
             a = evaluate_on_grid(exact, dims, lo, hi).values < 0
             b = evaluate_on_grid(ref, dims, lo, hi).values < 0

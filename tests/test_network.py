@@ -1,6 +1,8 @@
+import copy
 import functools
 import json
 import math
+import pickle
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -759,6 +761,26 @@ class TestParameterStore:
         np.testing.assert_array_equal(forward(m, x), before)
         m.transform = DomainTransform(scale=0.5, center=np.zeros(3))  # metadata stays settable
         m.channel_names = ["a", "b"]
+
+    @pytest.mark.parametrize("copy_model", [
+        pytest.param(copy.deepcopy, id="deepcopy"),
+        pytest.param(lambda m: pickle.loads(pickle.dumps(m)), id="pickle"),
+    ])
+    def test_copies_keep_their_layers_on_their_own_vector(self, copy_model):
+        m = init_model(self.ARCH, seed=7)
+        m.transform = DomainTransform(scale=0.8, center=np.array([0.1, 0.0, -0.2]))
+        m.channel_names = ["a", "b"]
+        c = copy_model(m)
+        assert all(np.shares_memory(a, c.params) for a in c.weights + c.biases)
+        assert not np.shares_memory(c.params, m.params)
+        np.testing.assert_array_equal(c.params, m.params)
+        assert (c.arch, c.channel_names, c.transform.scale) == (m.arch, m.channel_names, m.transform.scale)
+        x = np.random.default_rng(8).normal(size=(9, 3))
+        before = forward(m, x)
+        c.params[:] += 0.01  # a stepped copy evaluates its new values, and the original keeps its own
+        np.testing.assert_array_equal(forward(c, x), forward(MlpModel(self.ARCH, c.params.copy()), x))
+        assert not np.array_equal(forward(c, x), before)
+        np.testing.assert_array_equal(forward(m, x), before)
 
     @pytest.mark.parametrize("shape", [lambda n: n - 1, lambda n: n + 1, lambda n: (1, n)], ids=["short", "long", "2d"])
     def test_wrong_length_rejected(self, shape):

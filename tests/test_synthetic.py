@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vinr.csg import GridSource
+from vinr.csg import BlendSpec, GridSource, Union
 from vinr.extraction import check_watertight, enclosed_volume
 from vinr.geometry import GeometryError, ScalarGrid
 from vinr.synthetic import (
@@ -9,7 +9,6 @@ from vinr.synthetic import (
     Offset,
     Sphere,
     Torus,
-    UnionList,
     bifurcation_fixture,
     capsule_mesh,
     icosphere,
@@ -60,37 +59,54 @@ class TestAnalyticSdfs:
         assert s.value(np.array([0.6, 0, 0])) == pytest.approx(0.0, abs=1e-15)
 
     def test_union_is_min(self):
+        # k = 0: the minimum of the parts' values rounded to float32
         a = Sphere(center=(-0.5, 0, 0), radius=0.3)
         b = Sphere(center=(0.5, 0, 0), radius=0.3)
-        u = UnionList((a, b))
+        u = Union((a, b))
         p = np.random.default_rng(1).uniform(-1, 1, size=(100, 3))
         np.testing.assert_array_equal(
-            u.value(p), np.minimum(a.value(p), b.value(p))
+            u.value(p), np.minimum(a.value(p).astype(np.float32), b.value(p).astype(np.float32))
         )
 
     def test_union_fold_equals_stacked_min(self):
+        # rounding is monotone, so the k = 0 fold is the float64 minimum
+        # rounded once to float32
         parts = (Sphere(radius=0.3), Capsule((0, 0, -0.5), (0.2, 0.1, 0.5), 0.2), Torus(), Offset(Torus(), -0.05))
         p = np.random.default_rng(3).uniform(-1, 1, size=(500, 3))
         for k in range(1, len(parts) + 1):
             stacked = np.min(np.stack([s.value(p) for s in parts[:k]]), axis=0)
-            assert UnionList(parts[:k]).value(p).tobytes() == stacked.tobytes()
+            assert Union(parts[:k]).value(p).tobytes() == stacked.astype(np.float32).astype(np.float64).tobytes()
 
     def test_slope_bounds(self):
         capsule = Capsule((0, 0, -0.5), (0, 0, 0.5), 0.2)
+        p = np.random.default_rng(4).uniform(-1, 1, size=(20, 3))
         assert Sphere().slope == capsule.slope == Torus().slope == 1.0
-        assert Offset(Offset(capsule, 0.1), -0.05).slope == 1.0
-        assert UnionList((Sphere(), Offset(Torus(), 0.1))).slope == 1.0
+        assert Offset(Offset(capsule, 0.1), -0.05).value_and_slope(p)[1] == 1.0
+        assert Union((Sphere(), Offset(Torus(), 0.1))).value_and_slope(p)[1] == 1.0
         steep = GridSource(ScalarGrid((2, 2, 2), -np.ones(3), np.ones(3), np.array([0.0, 6.0] * 4)))
         assert steep.slope == 3.0
-        assert UnionList((Sphere(), Offset(steep, 0.1))).slope == Offset(UnionList((steep,)), 0.1).slope == 3.0
-        p = np.random.default_rng(4).uniform(-1, 1, size=(20, 3))
-        values, slope = UnionList((capsule, Torus())).value_and_slope(p)
+        assert Union((Sphere(), Offset(steep, 0.1))).value_and_slope(p)[1] == 3.0
+        assert Offset(Union((steep,)), 0.1).value_and_slope(p)[1] == 3.0
+        values, slope = Union((capsule, Torus())).value_and_slope(p)
         assert slope == 1.0
-        assert values.tobytes() == UnionList((capsule, Torus())).value(p).tobytes()
+        assert values.tobytes() == Union((capsule, Torus())).value(p).tobytes()
+        values, slope = Offset(capsule, 0.1).value_and_slope(p)
+        assert values.tobytes() == Offset(capsule, 0.1).value(p).tobytes()
+
+    @pytest.mark.parametrize("spec, step", [
+        (BlendSpec(k=0.0), 1.0), (BlendSpec(k=1.2), 1.0), (BlendSpec(k=2.0), 3.0),
+        (BlendSpec(k=2.0, variant="quilez"), 1.0),
+    ])
+    def test_union_slope_scales_per_fold_step(self, spec, step):
+        # cubic: max(1, k^2 - 1) per fold step; quilez: 1
+        steep = GridSource(ScalarGrid((2, 2, 2), -np.ones(3), np.ones(3), np.array([0.0, 6.0] * 4)))
+        p = np.zeros((1, 3))
+        assert Union((Sphere(), steep), spec).value_and_slope(p)[1] == 3.0 * step
+        assert Union((Sphere(), steep, Torus()), spec).value_and_slope(p)[1] == 3.0 * step**2
 
     def test_parts_without_a_bound_leave_none(self):
         bare = ValueOnly(Sphere())
-        for shape in (Offset(bare, 0.1), UnionList((Sphere(), bare)), Offset(UnionList((bare,)), 0.1)):
+        for shape in (Offset(bare, 0.1), Union((Sphere(), bare)), Offset(Union((bare,)), 0.1)):
             assert not hasattr(shape, "slope")
             assert not hasattr(shape, "value_and_slope")
 
@@ -122,7 +138,7 @@ class TestAnalyticSdfs:
         with pytest.raises(GeometryError):
             Torus(major=0.0)
         with pytest.raises(GeometryError):
-            UnionList(())
+            Union(())
 
 
 GRID_SOURCE = GridSource(ScalarGrid((2, 2, 2), -np.ones(3), np.ones(3), np.zeros(8)))  # an SDF source with no surface to sample
@@ -139,8 +155,8 @@ class TestSurfaceSampling:
             Offset(Sphere(radius=0.3), 0.2),
             bifurcation_fixture()[0],
             nested,
-            UnionList((Sphere(radius=0.3), Offset(Capsule((0, 0, 0), (0.6, 0, 0), 0.1), 0.05),
-                       Torus(major=0.4, minor=0.08))),
+            Union((Sphere(radius=0.3), Offset(Capsule((0, 0, 0), (0.6, 0, 0), 0.1), 0.05),
+                   Torus(major=0.4, minor=0.08))),
         ]
         for shape in shapes:
             cloud = sample_analytic_surface(shape, 500, seed=3)
@@ -154,7 +170,7 @@ class TestSurfaceSampling:
         [
             (Offset(bifurcation_fixture()[0], 0.1), "primitives only"),
             (GRID_SOURCE, "cannot sample surface of GridSource"),
-            (UnionList((Sphere(radius=0.3), GRID_SOURCE)), "of GridSource"),
+            (Union((Sphere(radius=0.3), GRID_SOURCE)), "of GridSource"),
             (nested_wall_fixture(0.3, 0.2, 0.2), "cannot sample surface of tuple"),
         ],
     )
@@ -216,12 +232,12 @@ class TestSurfaceSampling:
         # a mesh is a surface as the shapes are: a union bounds, samples and
         # measures it like any other component
         mesh, capsule = icosphere(2, radius=0.4), Capsule((0.3, 0.0, 0.0), (0.8, 0.0, 0.0), 0.15)
-        union = UnionList((mesh, capsule))
+        union = Union((mesh, capsule))
         lo, hi = union.bbox()
         np.testing.assert_array_equal(lo, np.minimum(mesh.bbox()[0], capsule.bbox()[0]))
         np.testing.assert_array_equal(hi, np.maximum(mesh.bbox()[1], capsule.bbox()[1]))
-        assert union.slope == 1.0
         pts = sample_analytic_surface(union, 300, seed=10).points
+        assert union.value_and_slope(pts)[1] == 1.0
         assert np.abs(union.value(pts)).max() < 1e-9
         assert mesh.value(pts).min() > -1e-9 and capsule.value(pts).min() > -1e-9
 
@@ -230,6 +246,31 @@ class TestSurfaceSampling:
         cloud = sample_analytic_surface(u, 2000, seed=9)
         # no sample may sit strictly inside any component
         assert u.value(cloud.points).min() > -1e-9
+
+    @pytest.mark.parametrize("parts, share", [
+        # disjoint: the small sphere holds 0.2^2 / (0.2^2 + 0.6^2) of the area
+        ((Sphere(radius=0.2), Sphere((1.0, 0.0, 0.0), 0.6)), 0.1),
+        # overlapping at the plane x = 0.075: exposed areas 2 pi r (2r - h)
+        # with cap heights h = 0.225 and 0.075, so 0.1125 / 0.7875 = 1/7
+        ((Sphere(radius=0.3), Sphere((0.6, 0.0, 0.0), 0.6)), 1 / 7),
+    ])
+    def test_union_samples_are_area_true(self, parts, share):
+        u = Union(parts)
+        pts = sample_analytic_surface(u, 20_000, seed=12).points
+        assert np.abs(u.value(pts)).max() < 1e-9
+        on_first = np.abs(parts[0].value(pts)) < 1e-9
+        assert on_first.mean() == pytest.approx(share, abs=4 * np.sqrt(share * (1 - share) / 20_000))
+
+    def test_areas(self):
+        # a mesh's area approaches the shape's from below as it refines
+        assert Sphere(radius=0.7).area() == pytest.approx(4 * np.pi * 0.49)
+        assert icosphere(5, radius=0.7).area() == pytest.approx(Sphere(radius=0.7).area(), rel=1e-3)
+        capsule = Capsule((0.1, 0.0, -0.6), (-0.3, 0.4, 0.6), 0.25)
+        assert capsule_mesh(capsule.a, capsule.b, 0.25, 96, 48).area() == pytest.approx(capsule.area(), rel=1e-3)
+        assert Torus(major=0.6, minor=0.2).area() == pytest.approx(4 * np.pi**2 * 0.12)
+        assert Offset(capsule, 0.05).area() == Capsule(capsule.a, capsule.b, 0.3).area()
+        mesh = icosphere(1)
+        assert mesh.area() == mesh.areas().sum()
 
 
 class TestFixtures:
@@ -314,8 +355,8 @@ class TestShapeSpecs:
 
     def test_bifurcation_spec(self):
         u = parse_shape("bifurcation")
-        assert isinstance(u, UnionList)
-        assert len(u.shapes) == 3
+        assert isinstance(u, Union)
+        assert u.parts == bifurcation_fixture()[1] and u.spec == BlendSpec(k=0.0)
 
     def test_bad_specs(self):
         for bad in ("cube", "capsule:1,2,3", "torus:0.5"):
