@@ -20,10 +20,15 @@ import numpy as np
 from . import csg, extraction, geometry, metrics, network, synthetic, training
 
 def _bbox_arg(text: str):
+    """argparse type for a box: six finite numbers x0 y0 z0 x1 y1 z1, each
+    min strictly below its max."""
     vals = [float(v) for v in text.replace(",", " ").split()]
     if len(vals) != 6:
         raise argparse.ArgumentTypeError("bbox needs 6 numbers: x0 y0 z0 x1 y1 z1")
-    return np.array(vals[:3]), np.array(vals[3:])
+    lo, hi = np.array(vals[:3]), np.array(vals[3:])
+    if not (np.isfinite(vals).all() and (lo < hi).all()):
+        raise argparse.ArgumentTypeError(f"bbox needs finite numbers, each min below its max, got {text!r}")
+    return lo, hi
 
 
 def _int_at_least(low: int):
@@ -90,8 +95,7 @@ def _add_fit_flags(p: argparse.ArgumentParser):
 def _reference(mesh_path, shape_spec):
     """The reference surface a --mesh/--shape (or --ref-mesh/--ref-shape)
     pair names, exactly one of the two being set: a mesh or a shape, which
-    has value(), bbox() and sample(). `nested` parses to a tuple of walls,
-    which has none of them."""
+    has value(), bbox() and sample()."""
     return geometry.load_mesh(mesh_path) if mesh_path else synthetic.parse_shape(shape_spec)
 
 
@@ -168,8 +172,6 @@ def cmd_extract(args) -> int:
 def cmd_eval(args) -> int:
     model = network.load_model(args.model)
     ref = _reference(args.ref_mesh, args.ref_shape)
-    if isinstance(ref, tuple):
-        raise ValueError("--ref-shape needs a single shape, not nested walls")
     lo, hi = args.bbox if args.bbox else metrics.padded_bbox(*ref.bbox(), 0.1)
     dims = (args.dsc_dims,) * 3
     recon = csg.ModelSource(model, args.channel)
@@ -257,22 +259,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    if not (args.out_mesh or args.out_points):
-        print("nothing to write: pass --out-mesh and/or --out-points", file=sys.stderr)
-        return 2
     shape = synthetic.parse_shape(args.shape)
-    if args.out_mesh:
-        if isinstance(shape, synthetic.Sphere):
-            mesh = synthetic.icosphere(args.subdiv, shape.radius, shape.center)
-        elif isinstance(shape, synthetic.Capsule):
-            mesh = synthetic.capsule_mesh(shape.a, shape.b, shape.radius)
-        else:
-            print(f"no tessellation for shape {args.shape!r}", file=sys.stderr)
-            return 2
-        geometry.save_mesh(mesh, args.out_mesh)
-    if args.out_points:
-        cloud = synthetic.sample_analytic_surface(shape, args.count, args.seed)
-        geometry.save_point_cloud(cloud, args.out_points)
+    if isinstance(shape, synthetic.Sphere):
+        mesh = synthetic.icosphere(args.subdiv, shape.radius, shape.center)
+    elif isinstance(shape, synthetic.Capsule):
+        mesh = synthetic.capsule_mesh(shape.a, shape.b, shape.radius)
+    else:
+        print(f"no tessellation for shape {args.shape!r}", file=sys.stderr)
+        return 2
+    geometry.save_mesh(mesh, args.out_mesh)
     return 0
 
 
@@ -363,13 +358,10 @@ def build_parser(config=None) -> argparse.ArgumentParser:
     _add_fit_flags(p)
     p.set_defaults(**{**config, "func": cmd_sweep})
 
-    p = sub.add_parser("fixtures", help="emit analytic fixture meshes / point clouds")
+    p = sub.add_parser("fixtures", help="emit an analytic fixture mesh")
     p.add_argument("--shape", required=True)
     p.add_argument("--subdiv", type=_int_at_least(0), default=3)
-    p.add_argument("--count", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-mesh")
-    p.add_argument("--out-points")
+    p.add_argument("--out-mesh", required=True)
     p.set_defaults(**{**config, "func": cmd_fixtures})
 
     return parser

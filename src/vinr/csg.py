@@ -2,8 +2,9 @@
 (k = 0 gives the hard minimum) of sources and of grids, and grid evaluation
 of SDF sources in real coordinates.
 
-Lattice computations run over blocks of _LATTICE_BLOCK points into a float32
-result, so the peak is the float32 grid(s) plus one block.
+Every lattice pass walks the same x-slabs of whole yz-planes
+(lattice_slabs) into a float32 result, so the peak is the float32 grid(s)
+plus one slab.
 
 Sources expose value(points) in real units: (N,) signed distances for the
 (N, 3) points of geometry.as_points. Trained models are wrapped so queries
@@ -35,7 +36,8 @@ __all__ = [
     "evaluate_near_level",
     "blend_grids",
     "grid_lattice",
-    "lattice_blocks",
+    "lattice_slabs",
+    "lattice_slab_points",
 ]
 
 
@@ -138,15 +140,13 @@ class GridSource(SlopeBounded):
         a-edge differences over the step h_a, so |df/dx_a| <= G_a, the
         largest |difference| along any a-edge over h_a; clamping outside
         the box only zeroes derivatives. The differences are taken in
-        float64, over contiguous x-slabs of at most one lattice block plus
-        the plane the next slab starts with."""
+        float64, slab by slab, each slab with the plane the next one starts
+        with."""
         g = self.grid
-        nx, ny, nz = g.dims
         per_step = (np.array(g.dims) - 1) / (g.bbox_max - g.bbox_min)  # 1 / h_a
         largest = np.zeros(3)
-        slab = max(1, _LATTICE_BLOCK // (ny * nz))
-        for i in range(0, max(nx - 1, 1), slab):
-            v = g.values[i : i + slab + 1].astype(np.float64)
+        for x in lattice_slabs(g.dims):
+            v = g.values[x.start : x.stop + 1].astype(np.float64)
             for a in range(3):
                 if v.shape[a] > 1:
                     largest[a] = max(largest[a], np.abs(np.diff(v, axis=a)).max())
@@ -214,7 +214,10 @@ class Union:
     def sample(self, n, rng) -> np.ndarray:
         """n area-uniform points on the surface: per-part counts from a
         multinomial on the parts' area(), the draws that another part buries
-        dropped (|value| >= 1e-9), and the deficit redrawn."""
+        dropped (|value| >= 1e-9), and the deficit redrawn. Only a hard
+        union (k = 0) can be sampled so: a blended fillet lies on no part."""
+        if self.spec.k > 0:
+            raise GeometryError(f"cannot sample a smooth union (k = {self.spec.k}): its fillet lies on no part")
         for s in self.parts:
             if not (hasattr(s, "sample") and hasattr(s, "area")):
                 raise GeometryError(f"cannot sample surface of {type(s).__name__}")
@@ -255,38 +258,43 @@ def grid_lattice(dims, bbox_min, bbox_max) -> np.ndarray:
     return _lattice_points(*_grid_axes(dims, bbox_min, bbox_max))
 
 
-# points per block of a streamed lattice computation: a multiple of
-# network.forward's row block at every power-of-two width >= 4, so a model
-# sees the same matrix products as in one call over the whole lattice
+# points per x-slab of a lattice pass. A slab need not be a multiple of
+# network.forward's row block (7,084 rows at width 37): its matrix products
+# give each row the same bits in any batch, so however the lattice is cut, a
+# model's values are bitwise those of one call over the whole lattice.
 _LATTICE_BLOCK = 2**16
 
 
-def lattice_blocks(dims, bbox_min, bbox_max):
-    """(s, e, points) for consecutive _LATTICE_BLOCK-point runs [s, e) of
-    grid_lattice(dims, bbox_min, bbox_max), each cut from the x-slabs of
-    whole yz-planes that cover it."""
+def lattice_slabs(dims) -> list:
+    """The one lattice walk: x-index slices of whole yz-planes, at most
+    _LATTICE_BLOCK points each but at least one plane, in lattice order."""
+    step = max(1, _LATTICE_BLOCK // (int(dims[1]) * int(dims[2])))
+    return [slice(i, i + step) for i in range(0, int(dims[0]), step)]
+
+
+def lattice_slab_points(dims, bbox_min, bbox_max):
+    """(x, points) for each slab x of lattice_slabs, the points being those
+    of grid_lattice in that slab."""
     ax, ay, az = _grid_axes(dims, bbox_min, bbox_max)
-    plane = len(ay) * len(az)
-    for s in range(0, len(ax) * plane, _LATTICE_BLOCK):
-        e = min(s + _LATTICE_BLOCK, len(ax) * plane)
-        i0 = s // plane
-        yield s, e, _lattice_points(ax[i0 : -(-e // plane)], ay, az)[s - i0 * plane : e - i0 * plane]
+    for x in lattice_slabs(dims):
+        yield x, _lattice_points(ax[x], ay, az)
 
 
 def evaluate_on_grid(source, dims, bbox_min, bbox_max) -> ScalarGrid:
     """Sample an SDF source on a real-coordinate Cartesian lattice, one
-    lattice block per source.value call; the values are bitwise those of a
-    single call over grid_lattice, rounded to float32.
+    source.value call per lattice slab, rounded to float32. Every source's
+    value is per point (a model's matrix products give each row the same
+    bits in any batch), so the grid is bitwise one call over grid_lattice.
 
     For model-backed sources the values are already rescaled to real units;
     lattice points outside the model's trusted domain keep the extrapolated
     value.
     """
     dims = tuple(int(d) for d in dims)
-    vals = np.empty(int(np.prod(dims)), dtype=np.float32)
-    for s, e, pts in lattice_blocks(dims, bbox_min, bbox_max):
-        vals[s:e] = source.value(pts)
-    return ScalarGrid(dims, bbox_min, bbox_max, vals.reshape(dims))
+    vals = np.empty(dims, dtype=np.float32)
+    for x, pts in lattice_slab_points(dims, bbox_min, bbox_max):
+        vals[x] = source.value(pts).reshape(-1, *dims[1:])
+    return ScalarGrid(dims, bbox_min, bbox_max, vals)
 
 
 # coarse lattice of evaluate_near_level: every _COARSE_STEP-th index per
@@ -319,10 +327,9 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
     evaluated densely instead. Sources without value_and_slope are
     evaluated densely.
 
-    Placement runs per x-slab, and the band in _LATTICE_BLOCK-point batches
-    in lattice order whose flat indices are collected per x-slab, so no
-    index array spans the lattice or the band. Values are float32 as in any
-    ScalarGrid.
+    Placement and both exact passes walk lattice_slabs, one source.value
+    call per slab on the points it picks, so no index array spans the
+    lattice or the band. Values are float32 as in any ScalarGrid.
     """
     if not np.isfinite(iso):
         raise GeometryError(f"iso level must be finite, got {iso}")
@@ -337,9 +344,7 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
     (px, dx), (py, dy), (pz, dz) = (_nearest_knot(a, k) for a, k in zip(axes, knots))
     placed = np.empty(dims, dtype=bool)
     values = np.empty(dims, dtype=np.float32)  # as a ScalarGrid stores it
-    slab = max(1, _LATTICE_BLOCK // (dims[1] * dims[2]))
-    for i in range(0, dims[0], slab):  # x-slabs: the placement test is separable
-        x = slice(i, i + slab)
+    for x in lattice_slabs(dims):  # the placement test is separable
         reach = dx[x, None, None] ** 2 + dy[:, None] ** 2 + dz**2
         np.sqrt(reach, out=reach)
         reach *= slope  # how far the field can move from the nearest knot
@@ -347,29 +352,16 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
         placed[x] = np.abs(near - iso) > reach
         values[x] = near
 
-    flat = values.reshape(-1)
-
-    def points(at):  # lattice points at flat indices; the index triples are freed before source.value runs
-        ix, iy, iz = np.unravel_index(at, dims)
-        return np.stack([axes[0][ix], axes[1][iy], axes[2][iz]], axis=1)
-
     def evaluate(pick, inside=None):
-        """Evaluates the lattice points where pick(x-slab) is true, in
-        consecutive _LATTICE_BLOCK-point batches in lattice order; their
-        flat indices are collected slab by slab, so at most one batch and
-        one slab's worth are held. With `inside` (flat), stops and returns
-        True at the first batch with a value on the other side of iso."""
-        pending, count = [], 0
-        for i in range(0, dims[0], slab):
-            pending.append(np.flatnonzero(pick(slice(i, i + slab))) + i * dims[1] * dims[2])
-            count += len(pending[-1])
-            last = i + slab >= dims[0]
-            while count >= _LATTICE_BLOCK or (last and count):
-                joined = np.concatenate(pending)
-                at, rest = joined[:_LATTICE_BLOCK], joined[_LATTICE_BLOCK:]
-                pending, count = [rest], len(rest)
-                flat[at] = source.value(points(at))
-                if inside is not None and np.any(np.less(flat[at], np.float64(iso)) != inside[at]):
+        """Evaluates the lattice points where pick(x) is true, one
+        source.value call per slab x. With `inside`, stops and returns True
+        at the first slab with a value on the other side of iso."""
+        for x in lattice_slabs(dims):
+            at = np.nonzero(pick(x))
+            if len(at[0]):
+                slab = values[x]  # a view: writing it writes the grid
+                slab[at] = source.value(np.stack([axes[0][x][at[0]], axes[1][at[1]], axes[2][at[2]]], axis=1))
+                if inside is not None and np.any(np.less(slab[at], np.float64(iso)) != inside[x][at]):
                     return True
         return False
 
@@ -382,15 +374,15 @@ def evaluate_near_level(source, dims, bbox_min, bbox_max, iso: float = 0.0) -> S
     for view in cell_corners(across):
         view |= straddles
     across &= placed
-    if evaluate(lambda x: across[x], inside.reshape(-1)):
+    if evaluate(lambda x: across[x], inside):
         return evaluate_on_grid(source, dims, bbox_min, bbox_max)
     return ScalarGrid(dims, bbox_min, bbox_max, values)
 
 
 def blend_grids(grids, spec: BlendSpec) -> ScalarGrid:
-    """The fold of Union over grids on one lattice, in list order, one
-    lattice block at a time: bitwise the whole-lattice fold, rounded once.
-    With k = 0 it is the order-independent pointwise minimum."""
+    """The fold of Union over grids on one lattice, in list order, slab by
+    slab: bitwise the whole-lattice fold, rounded once. With k = 0 it is
+    the order-independent pointwise minimum."""
     grids = list(grids)
     if len(grids) < 2:
         raise GeometryError("blending needs at least two grids")
@@ -401,8 +393,7 @@ def blend_grids(grids, spec: BlendSpec) -> ScalarGrid:
             and np.array_equal(g.bbox_max, first.bbox_max)
         ):
             raise GeometryError("all grids must share dims and bbox")
-    flats = [g.values.reshape(-1) for g in grids]  # views: a ScalarGrid is C-contiguous
-    out = np.empty(len(flats[0]), dtype=np.float32)
-    for s in range(0, len(out), _LATTICE_BLOCK):
-        out[s : s + _LATTICE_BLOCK] = _fold([v[s : s + _LATTICE_BLOCK] for v in flats], spec)
-    return ScalarGrid(first.dims, first.bbox_min, first.bbox_max, out.reshape(first.dims))
+    out = np.empty(first.dims, dtype=np.float32)
+    for x in lattice_slabs(first.dims):
+        out[x] = _fold([g.values[x] for g in grids], spec)
+    return ScalarGrid(first.dims, first.bbox_min, first.bbox_max, out)

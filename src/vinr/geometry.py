@@ -251,10 +251,10 @@ def lattice_axes(dims, bbox_min, bbox_max) -> tuple[np.ndarray, np.ndarray, np.n
 def text_records(path):
     """Yield (line number, stripped line) for every line of a UTF-8 text
     file that is neither blank nor a '#' comment: the line rule of the .xyz,
-    .obj and config readers. A line that is not UTF-8 raises GeometryError
-    naming the path and the line."""
+    .obj and config readers. A leading byte-order mark is dropped. A line
+    that is not UTF-8 raises GeometryError naming the path and the line."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.strip()
                 if line and not line.startswith("#"):

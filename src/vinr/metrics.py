@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csg import ModelSource, evaluate_near_level, lattice_blocks
+from .csg import ModelSource, evaluate_near_level, lattice_slab_points
 from .csg import evaluate_on_grid  # noqa: F401  (bench/tracing.py wraps metrics.evaluate_on_grid)
 from .extraction import marching_cubes
 from .geometry import GeometryError, PointCloud, ScalarGrid, TriangleMesh, point_to_mesh_distance
@@ -106,40 +106,25 @@ class NestingReport:
     max_violation: float  # worst signed gap SDF_outer - SDF_inner (<=0: clean)
 
 
-def nesting_violation(
-    model: MlpModel,
-    dims,
-    bbox_min,
-    bbox_max,
-    channel_order=None,
-    tolerance: float = 1e-3,
-) -> NestingReport:
+def nesting_violation(model: MlpModel, dims, bbox_min, bbox_max, tolerance: float = 1e-3) -> NestingReport:
     """Measure violations of the containment ordering on a lattice.
 
-    `channel_order` lists channels outermost first (default: reverse channel
-    order, matching fits whose clouds were given innermost first). A lattice
-    point violates when any consecutive pair has SDF_outer - SDF_inner above
+    Channel c + 1 is the wall outside channel c, as fit_nested orders the
+    clouds (innermost first) and its hinge enforces. A lattice point
+    violates when any adjacent pair has SDF_outer - SDF_inner above
     `tolerance` (real units).
     """
-    C = model.arch.output_channels
-    if C < 2:
+    if model.arch.output_channels < 2:
         raise GeometryError("nesting check needs at least 2 channels")
-    order = list(channel_order) if channel_order is not None else list(range(C - 1, -1, -1))
-    if not all(0 <= c < C for c in order):
-        raise GeometryError(f"channel_order {order} out of range for C={C}")
-    if len(order) < 2 or len(set(order)) != len(order):
-        raise GeometryError(f"channel_order {order} must name at least two channels, each once")
-    worst, count = -np.inf, 0
-    for s, e, pts in lattice_blocks(dims, bbox_min, bbox_max):
+    worst, count, total = -np.inf, 0, 0
+    for _, pts in lattice_slab_points(dims, bbox_min, bbox_max):
         # one forward for all channels, rounded to float32 as a ScalarGrid stores them
         vals = ModelSource(model).values(pts).astype(np.float32).astype(np.float64)
-        violated = np.zeros(e - s, dtype=bool)
-        for outer, inner in zip(order[:-1], order[1:]):
-            gap = vals[:, outer] - vals[:, inner]
-            worst = max(worst, float(gap.max()))
-            violated |= gap > tolerance
-        count += int(np.count_nonzero(violated))
-    return NestingReport(fraction_violated=count / e, max_violation=worst)  # e: the lattice size
+        gaps = np.diff(vals, axis=1)  # column c: SDF_(c+1) - SDF_c
+        worst = max(worst, float(gaps.max()))
+        count += int(np.count_nonzero((gaps > tolerance).any(axis=1)))
+        total += len(pts)
+    return NestingReport(fraction_violated=count / total, max_violation=worst)
 
 
 def split_train_heldout(cloud: PointCloud, n_train: int, seed: int) -> tuple[PointCloud, PointCloud]:

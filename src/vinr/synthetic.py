@@ -364,7 +364,7 @@ def capsule_mesh(a, b, radius: float, segments: int = 24, rings: int = 12) -> Tr
     return TriangleMesh(np.array(verts), tris)
 
 
-_SHAPE_FORMS = "sphere[:r[,cx,cy,cz]] | capsule:ax,ay,az,bx,by,bz,r | torus:R,r | nested[:r,w1,w2] | bifurcation"
+_SHAPE_FORMS = "sphere[:r[,cx,cy,cz]] | capsule:ax,ay,az,bx,by,bz,r | torus:R,r | bifurcation"
 
 # spec name -> (accepted counts of numbers, what the numbers must be, the
 # shape built from them)
@@ -373,7 +373,6 @@ _SHAPE_SPECS = {
                lambda *a: Sphere(center=a[1:] or (0.0, 0.0, 0.0), radius=a[0] if a else 1.0)),
     "capsule": ((7,), "needs ax,ay,az,bx,by,bz,r", lambda *a: Capsule(a[0:3], a[3:6], a[6])),
     "torus": ((2,), "needs R,r", lambda R, r: Torus(major=R, minor=r)),
-    "nested": ((0, 3), "needs r,w1,w2", lambda *a: nested_wall_fixture(*(a or (0.3, 0.2, 0.2)))),
     "bifurcation": ((0,), "takes no numbers", lambda: bifurcation_fixture()[0]),
 }
 

@@ -11,7 +11,7 @@ from vinr import cli, csg, geometry, metrics, network
 from vinr.csg import ModelSource
 from vinr.extraction import check_watertight
 from vinr.geometry import ScalarGrid
-from vinr.synthetic import Sphere
+from vinr.synthetic import Sphere, icosphere
 from vinr.training import TrainConfig
 
 from test_network import MALFORMED_HEADERS, header_models, write_mutated_model
@@ -257,7 +257,7 @@ class TestExtractAndEval:
     def test_eval_nested_ref_shape_errors(self, fitted_sphere, capsys):
         rc = run(["eval", "--model", fitted_sphere["model"], "--ref-shape", "nested"])
         assert rc == 1
-        assert "single shape" in capsys.readouterr().err
+        assert "unknown shape spec 'nested'" in capsys.readouterr().err
 
     def test_eval_report_file(self, fitted_sphere, tmp_path):
         rep = tmp_path / "metrics.txt"
@@ -424,7 +424,7 @@ class TestSweep:
         assert np.isfinite([float(v) for r in rows for v in r[2:4]]).all()
 
     def test_failed_jobs_exit_nonzero(self, tmp_path, capsys):
-        # nested walls are several surfaces, which a single-channel sweep cannot fit
+        # `nested` is no shape spec, so every job fails to build its reference
         out = tmp_path / "sweep.csv"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -455,13 +455,22 @@ class TestFixtures:
         assert rc == 0
         assert check_watertight(geometry.load_mesh(out)).closed
 
-    def test_points_output(self, tmp_path):
+    def test_points_output(self, tmp_path, capsys):
+        # fixtures writes meshes only; point clouds come from sample
         out = tmp_path / "p.xyz"
-        assert run(["fixtures", "--shape", "torus:0.6,0.2", "--count", "77", "--out-points", out]) == 0
+        with pytest.raises(SystemExit) as e:
+            run(["fixtures", "--shape", "torus:0.6,0.2", "--out-mesh", tmp_path / "t.obj", "--out-points", out])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --out-points" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+        assert run(["sample", "--shape", "torus:0.6,0.2", "--count", "77", "--out", out]) == 0
         assert len(geometry.load_point_cloud(out)) == 77
 
-    def test_no_output_requested(self):
-        assert run(["fixtures", "--shape", "sphere"]) == 2
+    def test_no_output_requested(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            run(["fixtures", "--shape", "sphere"])
+        assert e.value.code == 2
+        assert "--out-mesh" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -513,7 +522,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("name, argv", [
         ("bad.xyz", lambda bad, out: ["fit", "--points", bad, "--out", out, *TINY_FIT]),
         ("bad.obj", lambda bad, out: ["sample", "--mesh", bad, "--count", "3", "--out", out]),
-        ("bad.cfg", lambda bad, out: ["--config", bad, "fixtures", "--shape", "sphere", "--out-points", out]),
+        ("bad.cfg", lambda bad, out: ["--config", bad, "sample", "--shape", "sphere", "--count", "3", "--out", out]),
     ])
     def test_text_readers_name_the_file_and_line(self, tmp_path, capsys, name, argv):
         # line 2 holds the byte 0xa1, which no UTF-8 text starts a character with
@@ -522,6 +531,27 @@ class TestConfigFile:
         assert run(argv(bad, out)) == 1
         assert capsys.readouterr().err == f"error: {bad}:2: {self.NOT_UTF8}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, argv", [
+        ("bom.xyz", lambda f, out: ["fit", "--points", f, "--out", out, *TINY_FIT]),
+        ("bom.obj", lambda f, out: ["sample", "--mesh", f, "--count", "3", "--out", out]),
+        ("bom.cfg", lambda f, out: ["--config", f, "sample", "--shape", "sphere", "--count", "3", "--out", out]),
+    ])
+    def test_byte_order_mark_is_dropped(self, tmp_path, name, argv):
+        # a BOM before a '#' comment on line 1 must leave it a comment
+        f, out = tmp_path / name, tmp_path / "out"
+        if name == "bom.obj":
+            geometry.save_mesh(icosphere(0), f)
+        else:
+            f.write_text({"bom.xyz": "0 0 0\n1 0 0\n0 1 0\n0 0 1\n", "bom.cfg": "seed = 3\n"}[name])
+        f.write_bytes(b"\xef\xbb\xbf# comment\n" + f.read_bytes())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv(f, out)) == 0
+        assert not caught  # the .obj reader warns of records it ignores
+        if name == "bom.cfg":
+            run(["sample", "--shape", "sphere", "--count", "3", "--seed", "3", "--out", tmp_path / "seed3"])
+            assert out.read_bytes() == (tmp_path / "seed3").read_bytes()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["--config", tmp_path / "absent.cfg", "fixtures", "--shape", "sphere"]) == 1
@@ -535,9 +565,9 @@ class TestConfigFile:
     def test_abbreviated_config_flag_is_rejected(self, tmp_path):
         # an abbreviation the config look-up would not see must not parse either
         cfg = tmp_path / "fit.cfg"
-        cfg.write_text("count = 5\n")
+        cfg.write_text("seed = 5\n")
         with pytest.raises(SystemExit) as e:
-            run(["--conf", cfg, "fixtures", "--shape", "sphere", "--out-points", tmp_path / "p.xyz"])
+            run(["--conf", cfg, "sample", "--shape", "sphere", "--count", "5", "--out", tmp_path / "p.xyz"])
         assert e.value.code == 2
 
     @pytest.mark.parametrize("names", [["lumen"], ["lumen", "wall"]])
@@ -630,7 +660,6 @@ BAD_COUNTS = [
     (["sample", "--shape", "sphere", "--out", "p.xyz", "--count", "-3"], "--count"),
     (["sample", "--shape", "sphere", "--out", "p.xyz", "--count", "0"], "--count"),
     (["sample", "--shape", "sphere", "--out", "p.xyz", "--count", "10", "--heldout", "-2"], "--heldout"),
-    (["fixtures", "--shape", "sphere", "--out-points", "p.xyz", "--count", "-1"], "--count"),
     (["fixtures", "--shape", "sphere", "--out-mesh", "m.obj", "--subdiv", "-1"], "--subdiv"),
     (["fixtures", "--shape", "sphere", "--out-mesh", "m.obj", "--subdiv", "two"], "--subdiv"),
     (["sweep", "--shape", "sphere", "--out", "s.csv", "--jobs", "0"], "--jobs"),
@@ -650,4 +679,27 @@ def test_bad_count_is_a_usage_error(monkeypatch, tmp_path, capsys, argv, flag):
         run(argv)
     assert e.value.code == 2
     assert f"argument {flag}: " in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+# boxes the lattice commands cannot sample: a non-finite number, or an axis
+# whose min is not below its max
+BAD_BOXES = [
+    ["extract", "--model", "m.inr", "--out", "m.obj", "--bbox", "-1 -1 -1 1 1 inf"],
+    ["extract", "--model", "m.inr", "--out", "m.obj", "--bbox", "-1 -1 nan 1 1 1"],
+    ["extract", "--model", "m.inr", "--out", "m.obj", "--bbox", "1 -1 -1 -1 1 1"],
+    ["blend", "--models", "a.inr", "b.inr", "--out-grid", "b.sdfg", "--bbox", "-1 -1 -1 1 1 -inf"],
+    ["blend", "--models", "a.inr", "b.inr", "--out-mesh", "b.obj", "--bbox", "-1 0.5 -1 1 0.5 1"],
+    ["eval", "--model", "m.inr", "--ref-shape", "sphere", "--bbox", "-1 -1 -1 1e309 1 1"],
+    ["eval", "--model", "m.inr", "--ref-shape", "sphere", "--bbox", "-1 -1 2 1 1 1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_BOXES, ids=[f"{a[0]} {a[-1]!r}" for a in BAD_BOXES])
+def test_bad_bbox_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 2
+    assert "argument --bbox: " in capsys.readouterr().err
     assert not any(tmp_path.iterdir())

@@ -688,7 +688,7 @@ BLOCK = csg._LATTICE_BLOCK
 
 def block_dims():
     """Lattices below one block, of exactly one block, of four blocks and
-    one point, and above one block with blocks that start mid-plane."""
+    one point, and above one block with planes that do not divide it."""
     return st.one_of(
         st.tuples(st.integers(2, 30), st.integers(2, 30), st.integers(2, 30)),
         st.sampled_from([(64, 32, 32), (16, 64, 64), (2, 256, 128)]),
@@ -716,7 +716,7 @@ def peak_bytes(f):
 
 
 class TestLatticeBlocks:
-    """Streamed lattice evaluation is bitwise the one-shot evaluation of
+    """Lattice evaluation slab by slab is bitwise the one-shot evaluation of
     band_oracle, and holds no lattice-sized float64 array."""
 
     LO, HI = np.array([-1.0, -0.9, -1.1]), np.array([1.0, 1.2, 0.9])
@@ -725,12 +725,20 @@ class TestLatticeBlocks:
     @SETTINGS
     @given(dims=block_dims())
     @example(dims=(65, 37, 109))
+    @example(dims=(3, 300, 300))  # a plane above one block: one plane per slab
     def test_blocks_tile_the_lattice(self, dims):
+        # the slabs are consecutive runs of whole yz-planes, as many per slab
+        # as fit in one block but at least one, and their points tile grid_lattice
+        plane = dims[1] * dims[2]
+        step = max(1, BLOCK // plane)
         ends, parts = [0], []
-        for s, e, pts in csg.lattice_blocks(dims, self.LO, self.HI):
-            assert s == ends[-1] and e - s == len(pts) and (e - s == BLOCK or e == np.prod(dims))
-            ends.append(e)
+        for x, pts in csg.lattice_slab_points(dims, self.LO, self.HI):
+            assert x.start == ends[-1] and x.stop == x.start + step
+            assert len(pts) == (min(x.stop, dims[0]) - x.start) * plane
+            ends.append(x.stop)
             parts.append(pts)
+        assert ends[-2] < dims[0] <= ends[-1]
+        assert [x for x, _ in csg.lattice_slab_points(dims, self.LO, self.HI)] == csg.lattice_slabs(dims)
         np.testing.assert_array_equal(np.concatenate(parts), grid_lattice(dims, self.LO, self.HI))
 
     @pytest.mark.parametrize("make", [

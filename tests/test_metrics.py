@@ -193,26 +193,23 @@ class TestAverageSurfaceDistance:
 class TestNestingViolation:
     def test_clean_ordering(self):
         m = two_plane_model(offset=0.2)
-        # channel 1 is everywhere 0.2 below channel 0, so with channel 1
-        # treated as outermost the ordering holds everywhere
+        # channel 1, the outer wall, is everywhere 0.2 below channel 0, so
+        # the ordering holds everywhere
         rep = nesting_violation(m, (16, 16, 16), -np.ones(3), np.ones(3))
         assert rep.fraction_violated == 0.0
         # grid storage is float32, so allow rounding of the gap
         assert rep.max_violation == pytest.approx(-0.2, abs=1e-6)
 
     def test_reversed_order_flags_everything(self):
-        m = two_plane_model(offset=0.2)
-        rep = nesting_violation(
-            m, (16, 16, 16), -np.ones(3), np.ones(3), channel_order=[0, 1]
-        )
+        # a negative offset puts channel 1 everywhere 0.2 above channel 0
+        m = two_plane_model(offset=-0.2)
+        rep = nesting_violation(m, (16, 16, 16), -np.ones(3), np.ones(3))
         assert rep.fraction_violated == 1.0
         assert rep.max_violation == pytest.approx(0.2, abs=1e-6)
 
     def test_tolerance(self):
-        m = two_plane_model(offset=0.2)
-        rep = nesting_violation(
-            m, (8, 8, 8), -np.ones(3), np.ones(3), channel_order=[0, 1], tolerance=0.5
-        )
+        m = two_plane_model(offset=-0.2)
+        rep = nesting_violation(m, (8, 8, 8), -np.ones(3), np.ones(3), tolerance=0.5)
         assert rep.fraction_violated == 0.0
         assert rep.max_violation > 0
 
@@ -223,44 +220,31 @@ class TestNestingViolation:
         m.biases[-1][:] = [0.05, 0.0, -0.05]
         m.transform = DomainTransform(scale=0.8, center=np.array([0.1, -0.2, 0.0]))
         dims, lo, hi = (12, 10, 9), -np.ones(3), np.ones(3)
-        for order in (None, [0, 1, 2], [2, 0, 1]):
-            rep = nesting_violation(m, dims, lo, hi, channel_order=order, tolerance=0.01)
-            grids = [
-                evaluate_on_grid(ModelSource(m, c), dims, lo, hi).values.astype(np.float64)
-                for c in (order or [2, 1, 0])
-            ]
-            gaps = [outer - inner for outer, inner in zip(grids[:-1], grids[1:])]
-            violated = np.any([g > 0.01 for g in gaps], axis=0)
-            assert rep == NestingReport(
-                fraction_violated=float(violated.mean()),
-                max_violation=max(float(g.max()) for g in gaps),
-            )
-            assert 0.0 < rep.fraction_violated < 1.0
+        rep = nesting_violation(m, dims, lo, hi, tolerance=0.01)
+        grids = [
+            evaluate_on_grid(ModelSource(m, c), dims, lo, hi).values.astype(np.float64)
+            for c in (2, 1, 0)
+        ]
+        gaps = [outer - inner for outer, inner in zip(grids[:-1], grids[1:])]
+        violated = np.any([g > 0.01 for g in gaps], axis=0)
+        assert rep == NestingReport(
+            fraction_violated=float(violated.mean()),
+            max_violation=max(float(g.max()) for g in gaps),
+        )
+        assert 0.0 < rep.fraction_violated < 1.0
 
     @pytest.mark.parametrize("dims", [(12, 10, 9), (64, 32, 32), (37, 41, 53), (65, 37, 109)])
     def test_blocks_match_one_shot(self, dims):
-        # one block, exactly one block, blocks starting mid-plane, 4 blocks + 1 point
+        # one slab, exactly one block, slabs of uneven plane counts, 4 blocks + 1 point
         arch = MlpArchitecture(hidden_layers=2, hidden_width=16, output_channels=3, skip_layer=2)
         m = init_model(arch, seed=7, scheme="standard")
         m.biases[-1][:] = [0.05, 0.0, -0.05]
         m.transform = DomainTransform(scale=0.8, center=np.array([0.1, -0.2, 0.0]))
         lo, hi = -np.ones(3), np.ones(3)
-        rep = nesting_violation(m, dims, lo, hi, channel_order=[0, 2, 1], tolerance=0.01)
-        expect = band_oracle.nesting_violation(m, dims, lo, hi, [0, 2, 1], 0.01)
+        rep = nesting_violation(m, dims, lo, hi, tolerance=0.01)
+        expect = band_oracle.nesting_violation(m, dims, lo, hi, [2, 1, 0], 0.01)
         assert (rep.fraction_violated, rep.max_violation) == expect
         assert 0.0 < rep.fraction_violated < 1.0
-
-    @pytest.mark.parametrize("order", [[2, 0], [-1, 0]])
-    def test_channel_order_out_of_range(self, order):
-        with pytest.raises(GeometryError):
-            nesting_violation(two_plane_model(), (8, 8, 8), -np.ones(3), np.ones(3), channel_order=order)
-
-    @pytest.mark.parametrize("order", [[], [1], [1, 1], [0, 1, 0]])
-    def test_degenerate_channel_order(self, order):
-        # fewer than two channels has no pair to compare (max_violation
-        # would be -inf); a repeated channel compares a channel with itself
-        with pytest.raises(GeometryError, match="at least two channels"):
-            nesting_violation(two_plane_model(), (8, 8, 8), -np.ones(3), np.ones(3), channel_order=order)
 
     def test_needs_two_channels(self):
         from test_network import linear_channel_model
