@@ -22,9 +22,12 @@ from . import csg, extraction, geometry, metrics, network, synthetic, training
 def _bbox_arg(text: str):
     """argparse type for a box: six finite numbers x0 y0 z0 x1 y1 z1, each
     min strictly below its max."""
-    vals = [float(v) for v in text.replace(",", " ").split()]
+    try:
+        vals = [float(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        vals = []
     if len(vals) != 6:
-        raise argparse.ArgumentTypeError("bbox needs 6 numbers: x0 y0 z0 x1 y1 z1")
+        raise argparse.ArgumentTypeError(f"bbox needs 6 numbers: x0 y0 z0 x1 y1 z1, got {text!r}")
     lo, hi = np.array(vals[:3]), np.array(vals[3:])
     if not (np.isfinite(vals).all() and (lo < hi).all()):
         raise argparse.ArgumentTypeError(f"bbox needs finite numbers, each min below its max, got {text!r}")
@@ -46,7 +49,10 @@ def _int_at_least(low: int):
 
 def _counts_arg(text: str) -> list:
     """Comma-separated point counts, each at least 1, at least one of them."""
-    counts = [_int_at_least(1)(c) for c in text.split(",") if c.strip()]
+    try:
+        counts = [_int_at_least(1)(c) for c in text.split(",") if c.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs comma-separated integers, got {text!r}") from None
     if not counts:
         raise argparse.ArgumentTypeError("needs at least one count")
     return counts
@@ -104,6 +110,9 @@ def _reference(mesh_path, shape_spec):
 
 
 def cmd_sample(args) -> int:
+    if args.heldout_out and not args.heldout:
+        print("--heldout-out needs --heldout N: there are no held-out points to write", file=sys.stderr)
+        return 2
     ref = _reference(args.mesh, args.shape)
     cloud = synthetic.sample_analytic_surface(ref, args.count + args.heldout, args.seed)
     if args.heldout:

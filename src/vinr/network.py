@@ -442,13 +442,13 @@ def forward_with_input_grad(model: MlpModel, x, channels=None) -> DualBatch:
     return DualBatch(values=y, gradients=G)
 
 
-def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np.ndarray | None):
+def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np.ndarray):
     """Parameter gradients of a loss whose adjoints are ybar (N, C) for the
     values and Gbar (T, C, 3) for the spatial gradients of the first T
-    points (None when T = 0), through the _forward_pass and _gradient_sweep
-    last run in the training workspace `rows`. Writes them into rows.grad
-    and returns its views rows.grads, in [W1, b1, ..., Wout, bout] order:
-    the same GEMMs and row sums as into fresh arrays, so the same bits.
+    points, through the _forward_pass and _gradient_sweep last run in the
+    training workspace `rows`. Writes them into rows.grad and returns its
+    views rows.grads, in [W1, b1, ..., Wout, bout] order: the same GEMMs and
+    row sums as into fresh arrays, so the same bits.
 
     Tangent sweep, bottom-up: block c of the carried rows starts from
     u_0 = Gbar[:, c] in x0, the skip layer's xyz columns get Gbar again,
@@ -469,15 +469,14 @@ def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np
     N, T, C, width = rows.n_rows, rows.n_tangent, arch.output_channels, arch.hidden_width
     W = model.weights
     lo = T if arch.activation == "relu" and not ybar[:T].any() else 0
-    if T:
-        rows.inputs[0][N:] = Gbar.transpose(1, 0, 2).reshape(C * T, INPUT_DIM)
-        for l in range(1, arch.hidden_layers + 1):
-            inp, out = rows.inputs[l - 1][N:], rows.inputs[l]
-            if l == arch.skip_layer and l != 1:
-                inp[:, -INPUT_DIM:] = rows.inputs[0][N:]
-            np.matmul(inp, W[l - 1].T, out=rows.masked[l - 1])
-            u = rows.masked[l - 1].reshape(C, T, width)
-            u *= _act_d1(arch, out[:T, :width])
+    rows.inputs[0][N:] = Gbar.transpose(1, 0, 2).reshape(C * T, INPUT_DIM)
+    for l in range(1, arch.hidden_layers + 1):
+        inp, out = rows.inputs[l - 1][N:], rows.inputs[l]
+        if l == arch.skip_layer and l != 1:
+            inp[:, -INPUT_DIM:] = rows.inputs[0][N:]
+        np.matmul(inp, W[l - 1].T, out=rows.masked[l - 1])
+        u = rows.masked[l - 1].reshape(C, T, width)
+        u *= _act_d1(arch, out[:T, :width])
 
     sbar = rows.out_adjoints[lo:]  # under ybar, the output's gradient rows e_c
     sbar[: N - lo] = ybar[lo:]

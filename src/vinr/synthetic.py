@@ -4,17 +4,15 @@ Every shape exposes value(points) -> signed distances, (N,) for the (N, 3)
 points of geometry.as_points, so shapes plug directly into grid evaluation,
 blending and metrics as SDF sources; bbox() -> (lo, hi), the axis-aligned
 box that holds the surface; area(); and sample(n, rng) -> (n, 3)
-area-uniform points on the surface. Primitives and offsets also expose
-dilated(delta), the shape grown by delta, through which an offset samples
-and measures its surface. A geometry.TriangleMesh answers value, bbox, area
-and sample too, and so does a csg.Union of any of them (the bifurcation
-fixture). A primitive bounds its slope by 1 (geometry.SlopeBounded) and an
-offset by its shape's bound; csg.evaluate_near_level reads value_and_slope.
+area-uniform points on the surface. A geometry.TriangleMesh answers value,
+bbox, area and sample too, and so does a csg.Union of any of them (the
+bifurcation fixture). A primitive bounds its slope by 1
+(geometry.SlopeBounded); csg.evaluate_near_level reads value_and_slope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +23,6 @@ __all__ = [
     "Sphere",
     "Capsule",
     "Torus",
-    "Offset",
     "sample_analytic_surface",
     "nested_wall_fixture",
     "bifurcation_fixture",
@@ -56,9 +53,6 @@ class Sphere(SlopeBounded):
 
     def sample(self, n, rng) -> np.ndarray:
         return np.asarray(self.center) + self.radius * _directions(n, rng)
-
-    def dilated(self, delta) -> Sphere:
-        return replace(self, radius=self.radius + delta)
 
 
 @dataclass(frozen=True)
@@ -117,9 +111,6 @@ class Capsule(SlopeBounded):
         pts[~on_cyl] = np.where((v @ ez > 0)[:, None], b, a) + r * v
         return pts
 
-    def dilated(self, delta) -> Capsule:
-        return replace(self, radius=self.radius + delta)
-
 
 @dataclass(frozen=True)
 class Torus(SlopeBounded):
@@ -163,49 +154,6 @@ class Torus(SlopeBounded):
             out[filled : filled + take] = np.asarray(self.center) + pts
             filled += take
         return out
-
-    def dilated(self, delta) -> Torus:
-        return replace(self, minor=self.minor + delta)
-
-
-@dataclass(frozen=True)
-class Offset:
-    """Dilation by delta: the SDF shifts down by exactly delta, so the slope
-    bound is the inner shape's, and there is one only if the shape has one."""
-
-    shape: object
-    delta: float
-
-    def value(self, p):
-        return self.shape.value(p) - self.delta
-
-    @property
-    def value_and_slope(self):
-        inner = self.shape.value_and_slope  # AttributeError for a shape with no bound
-
-        def both(p):
-            values, slope = inner(p)
-            return values - self.delta, slope
-
-        return both
-
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self.shape.bbox()
-        return lo - self.delta, hi + self.delta
-
-    def _grown(self):
-        if not hasattr(self.shape, "dilated"):
-            raise GeometryError("offset sampling supported for primitives only")
-        return self.shape.dilated(self.delta)
-
-    def area(self) -> float:
-        return self._grown().area()
-
-    def sample(self, n, rng) -> np.ndarray:
-        return self._grown().sample(n, rng)
-
-    def dilated(self, delta) -> Offset:
-        return replace(self, delta=self.delta + delta)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,13 @@ class TestSample:
         assert len(geometry.load_point_cloud(out)) == 80
         assert len(geometry.load_point_cloud(held)) == 20
 
+    def test_heldout_out_needs_heldout(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["sample", "--shape", "sphere:0.5", "--count", "10", "--heldout-out", "h.xyz", "--out", "p.xyz"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--heldout-out" in err and "--heldout " in err
+        assert not any(tmp_path.iterdir())
+
     def test_heldout_default_name(self, tmp_path):
         out = tmp_path / "pts.xyz"
         assert run(["sample", "--shape", "sphere", "--count", "10", "--heldout", "5", "--out", out]) == 0
@@ -657,6 +664,7 @@ BAD_COUNTS = [
     (["sweep", "--shape", "sphere", "--out", "s.csv", "--counts", ""], "--counts"),
     (["sweep", "--shape", "sphere", "--out", "s.csv", "--counts", " , "], "--counts"),
     (["sweep", "--shape", "sphere", "--out", "s.csv", "--counts", "20,-5"], "--counts"),
+    (["sweep", "--shape", "sphere:0.5", "--out", "s.csv", "--counts", "1,x"], "--counts"),
     (["sample", "--shape", "sphere", "--out", "p.xyz", "--count", "-3"], "--count"),
     (["sample", "--shape", "sphere", "--out", "p.xyz", "--count", "0"], "--count"),
     (["sample", "--shape", "sphere", "--out", "p.xyz", "--count", "10", "--heldout", "-2"], "--heldout"),
@@ -678,7 +686,9 @@ def test_bad_count_is_a_usage_error(monkeypatch, tmp_path, capsys, argv, flag):
     with pytest.raises(SystemExit) as e:
         run(argv)
     assert e.value.code == 2
-    assert f"argument {flag}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"argument {flag}: " in err
+    assert "_counts_arg" not in err  # argparse names a type function that raises ValueError
     assert not any(tmp_path.iterdir())
 
 
@@ -688,6 +698,7 @@ BAD_BOXES = [
     ["extract", "--model", "m.inr", "--out", "m.obj", "--bbox", "-1 -1 -1 1 1 inf"],
     ["extract", "--model", "m.inr", "--out", "m.obj", "--bbox", "-1 -1 nan 1 1 1"],
     ["extract", "--model", "m.inr", "--out", "m.obj", "--bbox", "1 -1 -1 -1 1 1"],
+    ["extract", "--model", "x.inr", "--out", "a.obj", "--bbox", "1 2 3 4 5 six"],
     ["blend", "--models", "a.inr", "b.inr", "--out-grid", "b.sdfg", "--bbox", "-1 -1 -1 1 1 -inf"],
     ["blend", "--models", "a.inr", "b.inr", "--out-mesh", "b.obj", "--bbox", "-1 0.5 -1 1 0.5 1"],
     ["eval", "--model", "m.inr", "--ref-shape", "sphere", "--bbox", "-1 -1 -1 1e309 1 1"],
@@ -701,5 +712,7 @@ def test_bad_bbox_is_a_usage_error(monkeypatch, tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as e:
         run(argv)
     assert e.value.code == 2
-    assert "argument --bbox: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "argument --bbox: " in err
+    assert "_bbox_arg" not in err  # argparse names a type function that raises ValueError
     assert not any(tmp_path.iterdir())

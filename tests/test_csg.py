@@ -26,7 +26,7 @@ from vinr.geometry import (
     signed_distance_to_mesh,
 )
 from vinr.network import MlpArchitecture, init_model
-from vinr.synthetic import Capsule, Offset, Sphere, Torus, icosphere
+from vinr.synthetic import Capsule, Sphere, Torus, icosphere
 
 import band_oracle
 import einsum_oracle
@@ -104,7 +104,6 @@ def _query_cases():
         pytest.param(Sphere((0.1, -0.2, 0.3), 0.5).value, True, id="sphere"),
         pytest.param(capsule.value, True, id="capsule"),
         pytest.param(Torus((0.0, 0.1, 0.0), 0.5, 0.15).value, True, id="torus"),
-        pytest.param(Offset(capsule, 0.1).value, True, id="offset"),
         pytest.param(Union((Sphere(radius=0.3), capsule)).value, True, id="union"),
         pytest.param(ModelSource(model).value, False, id="model"),
         pytest.param(GridSource(grid).value, True, id="grid"),
@@ -331,14 +330,14 @@ def sdf_models(draw):
     return model
 
 
-BOUNDED_KINDS = ["sphere", "capsule", "torus", "offset", "union", "grid"]
+BOUNDED_KINDS = ["sphere", "capsule", "torus", "union", "grid"]
 SPECS = [BlendSpec(k=k, variant=v) for k in (0.0, 0.1, 0.3, 1.6) for v in ("cubic", "quilez")]
 
 
 def random_bounded_source(rng, depth=2, kind=None):
-    """An analytic shape, an offset, a union (with a random spec) or a
-    GridSource (`kind`, or a random one), nested up to `depth` deep: every
-    source that bounds its slope by a constant."""
+    """An analytic shape, a union (with a random spec) or a GridSource
+    (`kind`, or a random one), nested up to `depth` deep: every source that
+    bounds its slope by a constant."""
     if kind is None:
         kinds = BOUNDED_KINDS if depth else BOUNDED_KINDS[:3]
         kind = kinds[rng.integers(len(kinds))]
@@ -348,8 +347,6 @@ def random_bounded_source(rng, depth=2, kind=None):
         return Capsule(tuple(rng.uniform(-0.6, 0.6, 3)), tuple(rng.uniform(-0.6, 0.6, 3)), rng.uniform(0.05, 0.4))
     if kind == "torus":
         return Torus(tuple(rng.uniform(-0.3, 0.3, 3)), rng.uniform(0.2, 0.6), rng.uniform(0.05, 0.2))
-    if kind == "offset":
-        return Offset(random_bounded_source(rng, depth - 1), rng.uniform(-0.05, 0.2))
     if kind == "union":
         parts = tuple(random_bounded_source(rng, depth - 1) for _ in range(rng.integers(1, 4)))
         return Union(parts, SPECS[rng.integers(len(SPECS))])
@@ -362,8 +359,8 @@ def random_bounded_source(rng, depth=2, kind=None):
 
 
 def rounds_to_float32(source):
-    """Whether source holds a Union, which rounds its parts' values to float32."""
-    return isinstance(source, Union) or isinstance(source, Offset) and rounds_to_float32(source.shape)
+    """Whether source is a Union, which rounds its parts' values to float32."""
+    return isinstance(source, Union)
 
 
 @st.composite

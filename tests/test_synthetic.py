@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from vinr.csg import BlendSpec, GridSource, Union
+from vinr.csg import BlendSpec, GridSource, ModelSource, Union
 from vinr.extraction import check_watertight, enclosed_volume
-from vinr.geometry import GeometryError, ScalarGrid
+from vinr.geometry import DomainTransform, GeometryError, ScalarGrid
+from vinr.network import MlpArchitecture, init_model
 from vinr.synthetic import (
     Capsule,
-    Offset,
     Sphere,
     Torus,
     bifurcation_fixture,
@@ -54,10 +54,6 @@ class TestAnalyticSdfs:
         assert t.value(np.array([1.0, 0, 0])) == pytest.approx(0.2)
         assert t.value(np.zeros(3)) == pytest.approx(0.4)
 
-    def test_offset_dilation(self):
-        s = Offset(Sphere(radius=0.5), 0.1)  # sphere of radius 0.6
-        assert s.value(np.array([0.6, 0, 0])) == pytest.approx(0.0, abs=1e-15)
-
     def test_union_is_min(self):
         # k = 0: the minimum of the parts' values rounded to float32
         a = Sphere(center=(-0.5, 0, 0), radius=0.3)
@@ -71,7 +67,7 @@ class TestAnalyticSdfs:
     def test_union_fold_equals_stacked_min(self):
         # rounding is monotone, so the k = 0 fold is the float64 minimum
         # rounded once to float32
-        parts = (Sphere(radius=0.3), Capsule((0, 0, -0.5), (0.2, 0.1, 0.5), 0.2), Torus(), Offset(Torus(), -0.05))
+        parts = (Sphere(radius=0.3), Capsule((0, 0, -0.5), (0.2, 0.1, 0.5), 0.2), Torus(), Torus(minor=0.05))
         p = np.random.default_rng(3).uniform(-1, 1, size=(500, 3))
         for k in range(1, len(parts) + 1):
             stacked = np.min(np.stack([s.value(p) for s in parts[:k]]), axis=0)
@@ -81,17 +77,14 @@ class TestAnalyticSdfs:
         capsule = Capsule((0, 0, -0.5), (0, 0, 0.5), 0.2)
         p = np.random.default_rng(4).uniform(-1, 1, size=(20, 3))
         assert Sphere().slope == capsule.slope == Torus().slope == 1.0
-        assert Offset(Offset(capsule, 0.1), -0.05).value_and_slope(p)[1] == 1.0
-        assert Union((Sphere(), Offset(Torus(), 0.1))).value_and_slope(p)[1] == 1.0
+        assert Union((Sphere(), Torus(minor=0.2))).value_and_slope(p)[1] == 1.0
         steep = GridSource(ScalarGrid((2, 2, 2), -np.ones(3), np.ones(3), np.array([0.0, 6.0] * 4)))
         assert steep.slope == 3.0
-        assert Union((Sphere(), Offset(steep, 0.1))).value_and_slope(p)[1] == 3.0
-        assert Offset(Union((steep,)), 0.1).value_and_slope(p)[1] == 3.0
+        assert Union((Sphere(), steep)).value_and_slope(p)[1] == 3.0
+        assert Union((steep,)).value_and_slope(p)[1] == 3.0
         values, slope = Union((capsule, Torus())).value_and_slope(p)
         assert slope == 1.0
         assert values.tobytes() == Union((capsule, Torus())).value(p).tobytes()
-        values, slope = Offset(capsule, 0.1).value_and_slope(p)
-        assert values.tobytes() == Offset(capsule, 0.1).value(p).tobytes()
 
     @pytest.mark.parametrize("spec, step", [
         (BlendSpec(k=0.0), 1.0), (BlendSpec(k=1.2), 1.0), (BlendSpec(k=2.0), 3.0),
@@ -106,9 +99,9 @@ class TestAnalyticSdfs:
 
     def test_parts_without_a_bound_leave_none(self):
         bare = ValueOnly(Sphere())
-        for shape in (Offset(bare, 0.1), Union((Sphere(), bare)), Offset(Union((bare,)), 0.1)):
-            assert not hasattr(shape, "slope")
-            assert not hasattr(shape, "value_and_slope")
+        shape = Union((Sphere(), bare))
+        assert not hasattr(shape, "slope")
+        assert not hasattr(shape, "value_and_slope")
 
     def test_eikonal_property_single_shapes(self):
         # |grad| = 1 almost everywhere for the primitives, checked by
@@ -141,34 +134,35 @@ class TestAnalyticSdfs:
             Union(())
 
 
+def model_source():
+    """A small network SDF: a field with no analytic surface to draw from."""
+    model = init_model(MlpArchitecture(hidden_layers=1, hidden_width=4, skip_layer=1), seed=0)
+    model.transform = DomainTransform(scale=1.0, center=np.zeros(3))
+    return ModelSource(model)
+
+
 GRID_SOURCE = GridSource(ScalarGrid((2, 2, 2), -np.ones(3), np.ones(3), np.zeros(8)))  # an SDF source with no surface to sample
 
 
 class TestSurfaceSampling:
     def test_samples_on_surface(self):
-        # nested offsets add their deltas: the r = 0.5 sphere
-        nested = Offset(Offset(Sphere(radius=0.3), 0.1), 0.1)
         shapes = [
             Sphere(radius=0.7),
             Capsule((0, 0, -0.6), (0, 0, 0.6), 0.25),
             Torus(major=0.6, minor=0.15),
-            Offset(Sphere(radius=0.3), 0.2),
+            Sphere(radius=0.5),
             bifurcation_fixture()[0],
-            nested,
-            Union((Sphere(radius=0.3), Offset(Capsule((0, 0, 0), (0.6, 0, 0), 0.1), 0.05),
-                   Torus(major=0.4, minor=0.08))),
+            Union((Sphere(radius=0.3), Capsule((0, 0, 0), (0.6, 0, 0), 0.15), Torus(major=0.4, minor=0.08))),
         ]
         for shape in shapes:
             cloud = sample_analytic_surface(shape, 500, seed=3)
             assert len(cloud) == 500
             assert np.abs(shape.value(cloud.points)).max() < 1e-9
-        cloud = sample_analytic_surface(nested, 500, seed=3)
-        assert np.abs(Sphere(radius=0.5).value(cloud.points)).max() < 1e-9
 
     @pytest.mark.parametrize(
         "shape, message",
         [
-            (Offset(bifurcation_fixture()[0], 0.1), "primitives only"),
+            (model_source(), "cannot sample surface of ModelSource"),
             (GRID_SOURCE, "cannot sample surface of GridSource"),
             (Union((Sphere(radius=0.3), GRID_SOURCE)), "of GridSource"),
             (nested_wall_fixture(0.3, 0.2, 0.2), "cannot sample surface of tuple"),
@@ -185,9 +179,9 @@ class TestSurfaceSampling:
             Sphere(center=(0.2, -0.1, 0.3), radius=0.7),
             Capsule((0.1, 0.0, -0.6), (-0.3, 0.4, 0.6), 0.25),
             Torus(center=(0.0, 0.3, -0.2), major=0.6, minor=0.15),
-            Offset(Capsule((0, 0, -0.3), (0, 0, 0.3), 0.1), 0.2),
+            Capsule((0, 0, -0.3), (0, 0, 0.3), 0.3),
             bifurcation_fixture()[0],
-            Offset(Offset(Torus(major=0.5, minor=0.05), 0.05), 0.05),
+            Torus(major=0.5, minor=0.15),
         ],
     )
     def test_bbox_holds_the_surface_tightly(self, shape):
@@ -275,7 +269,6 @@ class TestSurfaceSampling:
         capsule = Capsule((0.1, 0.0, -0.6), (-0.3, 0.4, 0.6), 0.25)
         assert capsule_mesh(capsule.a, capsule.b, 0.25, 96, 48).area() == pytest.approx(capsule.area(), rel=1e-3)
         assert Torus(major=0.6, minor=0.2).area() == pytest.approx(4 * np.pi**2 * 0.12)
-        assert Offset(capsule, 0.05).area() == Capsule(capsule.a, capsule.b, 0.3).area()
         mesh = icosphere(1)
         assert mesh.area() == mesh.areas().sum()
 
