@@ -259,9 +259,11 @@ def grid_lattice(dims, bbox_min, bbox_max) -> np.ndarray:
 
 
 # points per x-slab of a lattice pass. A slab need not be a multiple of
-# network.forward's row block (7,084 rows at width 37): its matrix products
-# give each row the same bits in any batch, so however the lattice is cut, a
-# model's values are bitwise those of one call over the whole lattice.
+# network.forward's row block (1,768 rows at width 37): for one output
+# channel its products give each row the same bits in any batch, so however
+# the lattice is cut, a model's values are bitwise those of one call over the
+# whole lattice. With several channels, BLAS computes a short block's output
+# layer with another kernel, which can move those rows' last float64 bits.
 _LATTICE_BLOCK = 2**16
 
 

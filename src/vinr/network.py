@@ -37,12 +37,14 @@ dtheta path exactly. Everything is float64 so finite-difference checks
 are meaningful.
 
 Both kinds of workspace are caller-owned: `fit_nested` makes one
-`_TrainRows` per fit (`loss_workspace`), `forward` and
-`forward_with_input_grad` one `_EvalRows` per call, reused across row
-blocks. GEMMs write into the next layer's input buffer and the activation
-runs there in place; later sweeps read the derivatives they need from those
-outputs h = act(z), and the value backward then overwrites them with
-adjoints. No pre-activation is kept: ReLU's act' is [h > 0], and for
+`_TrainRows` per fit (`loss_workspace`), `forward_with_input_grad` one
+`_EvalRows` per call, reused across row blocks, and every thread that runs
+`forward`'s blocks keeps one value-only `_EvalRows` across calls. Every
+layer's input rows end in a column of ones and its weights are [W | b]
+(`_with_bias`), so one GEMM also adds the bias. GEMMs write into the next
+layer's input buffer and the activation runs there in place; later sweeps
+read the derivatives they need from those outputs h = act(z), and the
+value backward then overwrites them with adjoints. No pre-activation is kept: ReLU's act' is [h > 0], and for
 softplus with sharpness beta,
     act'(z) = sigma(beta z) = 1 - exp(-beta h),
     act''(z) / act'(z) = beta exp(-beta h),
@@ -57,9 +59,14 @@ one they are fresh arrays.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -279,23 +286,33 @@ def init_model(arch: MlpArchitecture, seed: int, scheme: str = "standard") -> Ml
 # _backward_pass (_TrainRows).
 
 
+def _layer_rows(n_rows: int, n_in: int) -> np.ndarray:
+    """Input rows of one weight layer: n_in zeroed columns and a trailing
+    column of ones, the column by which the layer's matrix product with
+    [W | b] (_with_bias) adds the bias."""
+    buf = np.zeros((n_rows, n_in + 1))
+    buf[:, -1] = 1.0
+    return buf
+
+
 class _EvalRows:
     """Evaluation workspace for N points and a gradient sweep of K channels
     over all of them (K = 0: values only). `inputs[l]` holds the N input
-    rows of weight layer l: inputs[0] is x0, and the skip layer's buffer
-    ends in x0's columns. For values only, two buffers take turns besides
-    the skip buffer; a sweep reads act' from every layer's outputs, so then
-    each has its own. The sweep masks into one block of K N rows (`masked`)
-    and writes its adjoints into two buffers that take turns (`adjoints`)."""
+    rows of weight layer l (_layer_rows): inputs[0] is [x0, 1], and the skip
+    layer's buffer ends in x0's columns before its ones. For values only,
+    two buffers take turns besides the skip buffer; a sweep reads act' from
+    every layer's outputs, so then each has its own. The sweep masks into
+    one block of K N rows (`masked`) and writes its adjoints into two
+    buffers that take turns (`adjoints`)."""
 
     def __init__(self, arch: MlpArchitecture, n_rows: int, n_swept: int):
         self.arch, self.n_rows, self.n_tangent = arch, n_rows, n_rows
         L, width, R = arch.hidden_layers, arch.hidden_width, n_swept * n_rows
-        turns = [np.empty((n_rows, width)), np.empty((n_rows, width))]
-        self.inputs = [np.empty((n_rows, INPUT_DIM))]
+        turns = None if n_swept else [_layer_rows(n_rows, width), _layer_rows(n_rows, width)]
+        self.inputs = [_layer_rows(n_rows, INPUT_DIM)]
         for l in range(2, L + 2):
             own = n_swept or l == arch.skip_layer
-            self.inputs.append(np.zeros((n_rows, arch.layer_in_dim(l))) if own else turns[l % 2])
+            self.inputs.append(_layer_rows(n_rows, arch.layer_in_dim(l)) if own else turns[l % 2])
         self.masked = [np.empty((R, width))] * L
         turns = [np.empty((R, width + INPUT_DIM)), np.empty((R, width + INPUT_DIM))]
         self.adjoints = [turns[l % 2][:, : arch.layer_in_dim(l + 1)] for l in range(L)]
@@ -303,7 +320,8 @@ class _EvalRows:
 
 class _TrainRows:
     """Training workspace for one (arch, N, T) shape, built by
-    `loss_workspace`: N + C T rows per layer, each layer its own buffer.
+    `loss_workspace`: N + C T rows per layer, each layer its own buffer
+    (_layer_rows, whose ones column only the value rows' products read).
     `inputs[l]` holds the input rows of weight layer l: inputs[0] is x0 =
     [x; Gbar rows], and the skip layer's buffer ends in x0's columns. The
     value rows hold the outputs of the value-only forward pass, from which
@@ -325,8 +343,8 @@ class _TrainRows:
     def __init__(self, arch: MlpArchitecture, n_rows: int, n_tangent: int):
         self.arch, self.n_rows, self.n_tangent = arch, n_rows, n_tangent
         L, C, carried = arch.hidden_layers, arch.output_channels, arch.output_channels * n_tangent
-        self.inputs = [np.empty((n_rows + carried, INPUT_DIM))]
-        self.inputs += [np.zeros((n_rows + carried, arch.layer_in_dim(l))) for l in range(2, L + 2)]
+        self.inputs = [_layer_rows(n_rows + carried, INPUT_DIM)]
+        self.inputs += [_layer_rows(n_rows + carried, arch.layer_in_dim(l)) for l in range(2, L + 2)]
         self.masked = [buf[n_rows:, : arch.hidden_width] for buf in self.inputs[1:]]
         self.adjoints = [np.zeros((carried, arch.layer_in_dim(l + 1))) for l in range(L)]
         self.out_adjoints = np.concatenate([np.zeros((n_rows, C)), np.repeat(np.eye(C), n_tangent, axis=0)])
@@ -344,28 +362,39 @@ def _gradient_rows(rows, l: int, top: np.ndarray) -> np.ndarray:
     return rows.adjoints[l][:, : top.shape[1]].reshape(len(top), rows.n_tangent, top.shape[1])
 
 
-def _forward_pass(model: MlpModel, x: np.ndarray, inputs: list) -> np.ndarray:
+def _with_bias(model: MlpModel):
+    """[W_l | b_l] (out, in + 1) per weight layer in order, each built as it
+    is drawn. Against input rows [h, 1] the bias is the last term of each
+    output's sum over k, which BLAS accumulates in k order: the same bits as
+    adding b to h @ W_l^T (with the ones column first they differ)."""
+    return (np.concatenate([w, b[:, None]], axis=1) for w, b in zip(model.weights, model.biases))
+
+
+def _forward_pass(model: MlpModel, x: np.ndarray, inputs: list, layers: list | None = None) -> np.ndarray:
     """Runs the MLP on a batch x (N, 3) in caller-owned row buffers:
-    `inputs[l]` holds the N input rows of weight layer l, inputs[0] being
-    x0. Returns the values (N, C), a fresh array. Each GEMM writes into the
-    next layer's input buffer and the activation runs there in place, so
-    where every layer has its own buffer (_EvalRows with a sweep, the value
-    rows of _TrainRows) the outputs left there give the later sweeps act'
-    and act''/act'.
+    `inputs[l]` holds the N input rows of weight layer l (_layer_rows),
+    inputs[0] being [x0, 1]. `layers` holds _with_bias(model), drawn here
+    one layer at a time when None. Returns the values (N, C), a fresh
+    array. Each GEMM writes into the next layer's input buffer and the
+    activation runs there in place, so where every layer has its own buffer
+    (_EvalRows with a sweep, the value rows of _TrainRows) the outputs left
+    there give the later sweeps act' and act''/act'.
     """
     arch, width = model.arch, model.arch.hidden_width
-    inputs[0][:] = x
+    layers = iter(_with_bias(model) if layers is None else layers)
+    inputs[0][:, :INPUT_DIM] = x
     for l in range(1, arch.hidden_layers + 1):
         inp, out = inputs[l - 1], inputs[l]
         if l == arch.skip_layer and l != 1:  # the layer below and a backward pass write here
-            inp[:, -INPUT_DIM:] = x
-        # whole rows keep elementwise work contiguous; the skip buffer's xyz
-        # columns take junk (finite: the buffer starts zeroed) until refilled
-        np.matmul(inp, model.weights[l - 1].T, out=out[:, :width])
-        b = model.biases[l - 1]  # padded for the skip buffer: a whole-row add runs ~2.4x faster than a strided one
-        out += b if out.shape[1] == width else np.concatenate([b, np.zeros(INPUT_DIM)])
+            inp[:, -1 - INPUT_DIM : -1] = x
+        # whole rows keep elementwise work contiguous: relu(1) = 1 keeps the
+        # ones column, and the skip buffer's xyz columns take junk (finite:
+        # the buffer starts zeroed) until refilled
+        np.matmul(inp, next(layers).T, out=out[:, :width])
         _act(arch, out, out=out)
-    return inputs[-1] @ model.weights[-1].T + model.biases[-1]
+        if arch.activation != "relu":  # softplus(1) rounds to 1 only for beta > 37
+            out[:, -1] = 1.0
+    return inputs[-1] @ next(layers).T
 
 
 def _gradient_sweep(model: MlpModel, rows, top: np.ndarray) -> np.ndarray:
@@ -386,7 +415,7 @@ def _gradient_sweep(model: MlpModel, rows, top: np.ndarray) -> np.ndarray:
     G = np.zeros((K, T, INPUT_DIM))
     for l in range(arch.hidden_layers, 0, -1):
         gz, out = rows.masked[l - 1], rows.adjoints[l - 1]
-        d1 = _act_d1(arch, rows.inputs[l][:T, :width])
+        d1 = _act_d1(arch, rows.inputs[l][:T])[:, :width]  # from whole rows, which read faster
         np.multiply(_gradient_rows(rows, l, top), d1, out=gz.reshape(K, T, width))
         np.matmul(gz, model.weights[l - 1], out=out)
         if l in (1, arch.skip_layer):
@@ -394,51 +423,149 @@ def _gradient_sweep(model: MlpModel, rows, top: np.ndarray) -> np.ndarray:
     return G.transpose(1, 0, 2)
 
 
-def _blocks(arch: MlpArchitecture, n: int, step: int, n_swept: int):
-    """Yields (s, e, rows) for consecutive blocks [s, e) of n points, of
-    `step` points (at least 1) but the last; every full block shares one
-    _EvalRows `rows` for a sweep of n_swept channels. A caller deletes its
-    `rows` after each block, so a tail block's workspace replaces the full
-    blocks' one rather than joining it."""
-    step, rows = max(1, step), None
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        if rows is None or rows.n_rows != e - s:
-            rows = None  # free the full blocks' workspace before allocating the tail's
-            rows = _EvalRows(arch, e - s, n_swept)
-        yield s, e, rows
+def _block_rows(arch: MlpArchitecture) -> int:
+    """Points per row block of evaluation: 2^16 / width rounded down to a
+    multiple of 8, so a layer's activations are ~0.5 MB of float64 (~5 MB of
+    workspace at 6x256 for a one-channel sweep, which reads every layer's
+    outputs). The multiple of 8: numpy computes a one-channel output layer
+    with gemv, whose kernel rounds the last n mod 4 rows of a call apart
+    from the rest, so only blocks of whole row groups give every row the
+    bits of one call over the whole batch."""
+    return max(8, 2**16 // arch.hidden_width // 8 * 8)
+
+
+# ---------------------------------------------------------------------------
+# evaluation threads: `forward` runs its row blocks on one thread per BLAS
+# thread while the BLAS is held to one thread
+
+
+@functools.cache
+def _blas_control():
+    """(get_num_threads, set_num_threads, thread_shutdown) of numpy's bundled
+    scipy-openblas, found as the loaded library with `openblas` in its path,
+    or None: no /proc, another BLAS, or a symbol missing."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+            names = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_", "blas_thread_shutdown_")
+            get, put, shutdown = (getattr(lib, name) for name in names)
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        put.restype, put.argtypes = None, [ctypes.c_int]
+        shutdown.restype, shutdown.argtypes = ctypes.c_int, []
+        return get, put, shutdown
+    return None
+
+
+_POOL = None  # (workers, ThreadPoolExecutor of workers - 1 threads)
+_POOL_LOCK = threading.Lock()  # one pooled call at a time holds the BLAS thread count
+_LOCAL = threading.local()  # each thread's value-only workspace
+
+
+def _drop_pool():
+    """A forked child has none of the executor's threads: it builds its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _value_rows(arch: MlpArchitecture) -> _EvalRows:
+    """This thread's value-only workspace of _block_rows rows, replaced when
+    the architecture changes; a shorter block uses row prefixes of it."""
+    rows = getattr(_LOCAL, "rows", None)
+    if rows is None or rows.arch != arch:
+        _LOCAL.rows = rows = None  # free the old workspace before allocating
+        _LOCAL.rows = rows = _EvalRows(arch, _block_rows(arch), 0)
+    return rows
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
     """Evaluate the network at normalized coordinates: (B, C) for the (B, 3)
-    points of `as_points(x)`. Runs in blocks of 2^18 / width points, so a
-    layer's activations are ~2 MB of float64 and fit one L2 cache."""
-    pts = as_points(x)
-    y = np.empty((len(pts), model.arch.output_channels))
-    for s, e, rows in _blocks(model.arch, len(pts), 2**18 // model.arch.hidden_width, 0):
-        y[s:e] = _forward_pass(model, pts[s:e], rows.inputs)
-        del rows
+    points of `as_points(x)`, in row blocks of about 2^16 / width points
+    (_block_rows). A call of two or more blocks runs them on one thread per
+    BLAS thread, the count the BLAS reports at call time: the calling
+    thread and a persistent pool. For the length of the call the BLAS is
+    held to one thread and its idle threads are shut down (an idle OpenBLAS
+    thread spins and slows the workers); the count is restored on return,
+    also when a block raises. The blocks do not depend on the thread count
+    and a block's rows get the same bits at any BLAS thread count, so the
+    values do not depend on it either. At one BLAS thread, or without
+    control of the BLAS, the blocks run in turn on the calling thread."""
+    global _POOL
+    pts, arch = as_points(x), model.arch
+    n, step = len(pts), _block_rows(arch)
+    y = np.empty((n, arch.output_channels))
+    layers = list(_with_bias(model))
+
+    def run(starts):
+        rows = _value_rows(arch)
+        for s in starts:
+            e = min(s + step, n)
+            y[s:e] = _forward_pass(model, pts[s:e], [b[: e - s] for b in rows.inputs], layers)
+
+    starts = range(0, n, step)
+    blas = _blas_control() if len(starts) > 1 else None
+    if blas is None:
+        run(starts)
+        return y
+    get_threads, set_threads, shutdown = blas
+    with _POOL_LOCK:
+        workers = get_threads()
+        if workers < 2:
+            run(starts)
+            return y
+        if _POOL is None or _POOL[0] != workers:
+            if _POOL is not None:
+                _POOL[1].shutdown()
+            _POOL = (workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="vinr-forward"))
+        todo = iter(starts)  # shared: next() on a range iterator runs under the GIL
+        set_threads(1)
+        shutdown()
+        try:
+            jobs = [_POOL[1].submit(run, todo) for _ in range(workers - 1)]
+            try:
+                run(todo)  # the calling thread is one of the workers
+            finally:
+                wait(jobs)
+            for job in jobs:
+                job.result()
+        finally:
+            set_threads(workers)
     return y
 
 
 def forward_with_input_grad(model: MlpModel, x, channels=None) -> DualBatch:
     """Values (B, K) and exact spatial gradients (B, K, 3) of the K output
     channels listed in `channels` (every channel when None) at the (B, 3)
-    points of `as_points(x)`: per row block, _forward_pass and a
-    _gradient_sweep from the rows W_out[channels]. The sweep reads every
-    layer's outputs, so a block holds 2^16 / width points, a quarter of
-    `forward`'s (~5 MB of workspace at 6x256 for one channel); within one,
-    the values are bitwise `forward`'s, from GEMMs of the same shapes."""
+    points of `as_points(x)`: per row block of `forward` (_block_rows),
+    _forward_pass and a _gradient_sweep from the rows W_out[channels]; the
+    values are bitwise `forward`'s. It stays on the
+    calling thread with the BLAS's own threads: the sweep's products give
+    gradients whose bits depend on the BLAS thread count (at 6x256 they
+    differ between 1 and 2 threads; the values do not), and the band's
+    slope bound would then depend on the thread count too."""
     pts = as_points(x)
     if len(pts) == 0:
         raise ValueError("batch must be non-empty")
     channels = slice(None) if channels is None else list(channels)
     top = model.weights[-1][channels]
-    y, G = np.empty((len(pts), len(top))), np.empty((len(pts), len(top), INPUT_DIM))
-    for s, e, rows in _blocks(model.arch, len(pts), 2**16 // model.arch.hidden_width, len(top)):
-        y[s:e] = _forward_pass(model, pts[s:e], rows.inputs)[:, channels]
+    layers, n, step, rows = list(_with_bias(model)), len(pts), _block_rows(model.arch), None
+    y, G = np.empty((n, len(top))), np.empty((n, len(top), INPUT_DIM))
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        if rows is None or rows.n_rows != e - s:
+            rows = None  # free the full blocks' workspace before allocating the tail's
+            rows = _EvalRows(model.arch, e - s, len(top))
+        y[s:e] = _forward_pass(model, pts[s:e], rows.inputs, layers)[:, channels]
         G[s:e] = _gradient_sweep(model, rows, top)
-        del rows
     return DualBatch(values=y, gradients=G)
 
 
@@ -469,34 +596,40 @@ def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np
     N, T, C, width = rows.n_rows, rows.n_tangent, arch.output_channels, arch.hidden_width
     W = model.weights
     lo = T if arch.activation == "relu" and not ybar[:T].any() else 0
-    rows.inputs[0][N:] = Gbar.transpose(1, 0, 2).reshape(C * T, INPUT_DIM)
+    x0 = rows.inputs[0][N:, :INPUT_DIM]
+    x0[...] = Gbar.transpose(1, 0, 2).reshape(C * T, INPUT_DIM)
     for l in range(1, arch.hidden_layers + 1):
-        inp, out = rows.inputs[l - 1][N:], rows.inputs[l]
+        inp, out = rows.inputs[l - 1][N:, :-1], rows.inputs[l]
         if l == arch.skip_layer and l != 1:
-            inp[:, -INPUT_DIM:] = rows.inputs[0][N:]
+            inp[:, -INPUT_DIM:] = x0
         np.matmul(inp, W[l - 1].T, out=rows.masked[l - 1])
-        u = rows.masked[l - 1].reshape(C, T, width)
-        u *= _act_d1(arch, out[:T, :width])
+        # whole rows, which scale faster: the next layer rewrites the skip
+        # buffer's xyz columns before reading them, and no GEMM reads the ones
+        u = out[N:].reshape(C, T, out.shape[1])
+        u *= _act_d1(arch, out[:T])
 
     sbar = rows.out_adjoints[lo:]  # under ybar, the output's gradient rows e_c
     sbar[: N - lo] = ybar[lo:]
     zbar = ybar[lo:]
     for l in range(arch.hidden_layers, -1, -1):
-        buf = rows.inputs[l]
+        full = rows.inputs[l]
+        buf = full[:, :-1]  # the ones column stays for the next forward pass
         np.matmul(sbar.T, buf[lo:], out=rows.grads[2 * l])
         np.sum(sbar[: N - lo], axis=0, out=rows.grads[2 * l + 1])
         if l == 0:
             break
         # the skip buffer's xyz columns were read above; zeroed, they mask to
-        # 0, so the mask scales whole rows (a strided product ran ~2.3x slower)
+        # 0, so the mask scales whole rows (a strided mask and product ran
+        # ~3x slower); relu'(1) = 1 keeps the ones column, and a softplus
+        # forward pass restores it
         buf[:N, width:] = 0.0
-        d1 = _act_d1(arch, buf[:N])
+        d1 = _act_d1(arch, full[:N])
         d2 = _act_d2(arch, buf[:T, :width])
         g = _gradient_rows(rows, l, W[-1])
         u = buf[N:, :width].reshape(C, T, width)
         src = None if d2 is None else d2 * (g * u).sum(axis=0)  # act'' onto the Eikonal rows (lo = 0)
         np.matmul(zbar, W[l], out=buf[lo:N])
-        buf[lo:N] *= d1[lo:]
+        full[lo:N] *= d1[lo:]
         if src is not None:
             buf[:T, :width] += src
         np.multiply(g, d1[:T, :width], out=u)

@@ -2,8 +2,12 @@ import copy
 import functools
 import json
 import math
+import multiprocessing
 import pickle
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import vinr.network
 from vinr.geometry import DomainTransform
 from vinr.network import (
     INPUT_DIM,
@@ -121,8 +126,9 @@ def whole_batch(m, x):
 
 
 def block_rows(arch):
-    """Rows per block of `forward`: ~2 MB of float64 activations."""
-    return max(1, 2**18 // arch.hidden_width)
+    """Rows per block of `forward` and `forward_with_input_grad`: ~0.5 MB of
+    float64 activations, in whole groups of 8 rows."""
+    return max(8, 2**16 // arch.hidden_width // 8 * 8)
 
 
 @st.composite
@@ -221,6 +227,114 @@ class TestBlockedForward:
         assert peak < 64 * 2**20 / 8
 
 
+def per_block(m, x):
+    """The core on each row block of `forward` in turn, on this thread with
+    the BLAS's own threads, each block in a fresh workspace."""
+    rows = block_rows(m.arch)
+    return np.concatenate([whole_batch(m, x[s : s + rows]) for s in range(0, len(x), rows)])
+
+
+def forward_in_child(m, x, expected):
+    """Process target: exit 0 when `forward` reproduces `expected`."""
+    sys.exit(0 if np.array_equal(forward(m, x), expected) else 1)
+
+
+class TestEvaluationThreads:
+    """`forward` runs calls of two or more row blocks on one thread per BLAS
+    thread while the BLAS is held to one thread; where no control of the
+    BLAS is found, they run on the calling thread."""
+
+    ARCHS = [
+        MlpArchitecture(hidden_layers=4, hidden_width=64),
+        MlpArchitecture(hidden_layers=6, hidden_width=256, output_channels=2),
+        MlpArchitecture(hidden_layers=3, hidden_width=32, output_channels=3, skip_layer=2, activation="softplus"),
+        MlpArchitecture(hidden_layers=3, hidden_width=16, skip_layer=1),
+    ]
+
+    @staticmethod
+    def model_and_points(arch, n, seed=0):
+        m = init_model(arch, seed=seed, scheme="sphere")
+        for b in m.biases:  # biases away from zero, so the ones column is exercised
+            b += np.random.default_rng(seed).normal(0.0, 0.1, size=b.shape)
+        return m, np.random.default_rng(seed + 1).uniform(-1, 1, size=(n, 3))
+
+    @pytest.mark.parametrize("arch", ARCHS, ids=["4x64", "6x256-C2", "3x32-softplus-C3", "skip1"])
+    def test_pool_matches_one_worker_and_blocks(self, arch, monkeypatch):
+        rows = block_rows(arch)
+        for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1, 5 * rows + 3):
+            m, x = self.model_and_points(arch, n)
+            pooled = forward(m, x)
+            with monkeypatch.context() as mp:
+                mp.setattr(vinr.network, "_blas_control", lambda: None)
+                one_worker = forward(m, x)
+            np.testing.assert_array_equal(pooled, one_worker)
+            np.testing.assert_array_equal(pooled, per_block(m, x))
+            # a 1-row product takes other BLAS kernels: equal to rounding only
+            per_row = np.concatenate([whole_batch(m, x[i : i + 1]) for i in range(n)])
+            assert normwise_rel(per_row, pooled) <= 1e-15
+
+    def test_thread_count_restored(self, monkeypatch):
+        arch = self.ARCHS[0]
+        m, x = self.model_and_points(arch, 3 * block_rows(arch) + 1)
+        expected = per_block(m, x)
+        blas = vinr.network._blas_control()
+        if blas is None:  # no control of the BLAS: the blocks run on the calling thread
+            np.testing.assert_array_equal(forward(m, x), expected)
+            assert vinr.network._POOL is None
+            return
+        start = blas[0]()
+        try:
+            for count in (1, 2):  # inline, then on the pool
+                blas[1](count)
+                np.testing.assert_array_equal(forward(m, x), expected)
+                assert blas[0]() == count
+            assert vinr.network._POOL[0] == 2
+
+            # a block that raises on a pool thread: the error reaches the
+            # caller, the count is restored, and the next call works; while
+            # the blocks run, the BLAS is held to one thread
+            real, held = vinr.network._forward_pass, []
+
+            def failing(model, pts, inputs, layers):
+                if threading.current_thread() is threading.main_thread():
+                    held.append(blas[0]())
+                    time.sleep(0.05)  # leaves blocks to the pool
+                    return real(model, pts, inputs, layers)
+                raise FloatingPointError("planted")
+
+            with monkeypatch.context() as mp:
+                mp.setattr(vinr.network, "_forward_pass", failing)
+                with pytest.raises(FloatingPointError, match="planted"):
+                    forward(m, x)
+            assert held and set(held) == {1}
+            assert blas[0]() == 2
+            np.testing.assert_array_equal(forward(m, x), expected)
+        finally:
+            blas[1](start)
+
+    @pytest.mark.parametrize("n", [1, 1024])
+    def test_one_block_never_asks_the_blas(self, n, monkeypatch):
+        m, x = self.model_and_points(self.ARCHS[0], n)
+        expected = whole_batch(m, x)
+        monkeypatch.setattr(vinr.network, "_blas_control", lambda: pytest.fail("asked the BLAS"))
+        np.testing.assert_array_equal(forward(m, x), expected)
+
+    def test_forked_child_evaluates(self):
+        # a child forked after a pooled call inherits the executor but not its
+        # threads; it must build its own pool rather than wait on that one
+        arch = self.ARCHS[0]
+        m, x = self.model_and_points(arch, 4 * block_rows(arch))
+        expected = forward(m, x)
+        child = multiprocessing.get_context("fork").Process(target=forward_in_child, args=(m, x, expected))
+        child.start()
+        child.join(60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+            pytest.fail("forked child hung in forward")
+        assert child.exitcode == 0
+
+
 class TestInputGradients:
     def test_linear_model_gradient(self):
         w = np.array([0.3, -1.2, 2.0])
@@ -253,9 +367,8 @@ class TestInputGradients:
     @pytest.mark.parametrize("channels", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 16, 2**16 // 12], ids=["one", "16", "one-gradient-block"])
     def test_values_match_forward_bitwise(self, channels, n):
-        # the values come from the same value-only GEMMs as forward's, so
-        # they are bitwise equal for any batch within one gradient block
-        # (2^16 / width points), which forward runs as one block too
+        # the values come from the same value-only GEMMs as forward's, over
+        # the same row blocks, so they are bitwise equal for any batch
         arch = MlpArchitecture(hidden_layers=3, hidden_width=12, output_channels=channels)
         m = init_model(arch, seed=8, scheme="standard")
         rng = np.random.default_rng(9)
