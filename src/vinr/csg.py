@@ -259,11 +259,11 @@ def grid_lattice(dims, bbox_min, bbox_max) -> np.ndarray:
 
 
 # points per x-slab of a lattice pass. A slab need not be a multiple of
-# network.forward's row block (1,768 rows at width 37): for one output
-# channel its products give each row the same bits in any batch, so however
-# the lattice is cut, a model's values are bitwise those of one call over the
-# whole lattice. With several channels, BLAS computes a short block's output
-# layer with another kernel, which can move those rows' last float64 bits.
+# network.forward's row block: every block is computed over all of its rows,
+# a call's short last block too, so a row's bits depend on its point alone,
+# at any channel count. However the lattice is cut, the band's per-slab
+# picks included, a model's values are bitwise those of one call over the
+# whole lattice.
 _LATTICE_BLOCK = 2**16
 
 

@@ -11,8 +11,9 @@ the K channels it is given, 1 + K GEMM rows per point and layer.
 
 Training (`grad_of_loss`) needs the spatial gradients of the T Eikonal
 points, the first T value rows, and the parameter gradient of a loss that
-reads them. It runs four sweeps in a caller-owned workspace, each carrying
-C blocks of T rows under the N value rows:
+reads them. It cuts its batches into fixed row blocks (_TrainStep) and
+runs four sweeps in each, each sweep carrying C blocks of T rows under the
+block's N value rows:
   1. a value-only forward pass over the N rows (_forward_pass);
   2. the gradient sweep over every channel, which gives grad f_c (T, C, 3)
      from C T rows per layer (_gradient_sweep); then the loss terms and
@@ -36,16 +37,22 @@ measured fit times). Parameter gradients include the mixed d^2 f / dx
 dtheta path exactly. Everything is float64 so finite-difference checks
 are meaningful.
 
-Both kinds of workspace are caller-owned: `fit_nested` makes one
-`_TrainRows` per fit (`loss_workspace`), `forward_with_input_grad` one
-`_EvalRows` per call, reused across row blocks, and every thread that runs
-`forward`'s blocks keeps one value-only `_EvalRows` across calls. Every
-layer's input rows end in a column of ones and its weights are [W | b]
+Both kinds of workspace are kept by their owners: `fit_nested` makes one
+`_TrainStep` per fit (`loss_workspace`), which cuts each step's batches
+into fixed row blocks, one `_TrainRows` each, and every thread that runs
+the blocks of `forward` or `forward_with_input_grad` keeps an `_EvalRows`
+per swept channel count across calls. All of these row blocks run through
+one helper (_run_blocks) on the calling thread and a pool, one thread per
+BLAS thread, with the BLAS held to one thread (a lone `forward` block keeps
+the BLAS's threads: value products round alike at any count). Each
+block's bits depend on its rows alone, and a step adds its blocks' sums in
+block order, so no result depends on the thread count. Every layer's
+input rows end in a column of ones and its weights are [W | b]
 (`_with_bias`), so one GEMM also adds the bias. GEMMs write into the next
 layer's input buffer and the activation runs there in place; later sweeps
 read the derivatives they need from those outputs h = act(z), and the
-value backward then overwrites them with adjoints. No pre-activation is kept: ReLU's act' is [h > 0], and for
-softplus with sharpness beta,
+value backward then overwrites them with adjoints. No pre-activation is
+kept: ReLU's act' is [h > 0], and for softplus with sharpness beta,
     act'(z) = sigma(beta z) = 1 - exp(-beta h),
     act''(z) / act'(z) = beta exp(-beta h),
 so act''(z) g Jz u = (act''/act')(z) g u_a, where u_a = act'(z) Jz u is the
@@ -301,9 +308,10 @@ class _EvalRows:
     rows of weight layer l (_layer_rows): inputs[0] is [x0, 1], and the skip
     layer's buffer ends in x0's columns before its ones. For values only,
     two buffers take turns besides the skip buffer; a sweep reads act' from
-    every layer's outputs, so then each has its own. The sweep masks into
-    one block of K N rows (`masked`) and writes its adjoints into two
-    buffers that take turns (`adjoints`)."""
+    every layer's outputs, so then each has its own. The sweep writes its
+    adjoints into two buffers of K N rows that take turns (`adjoints`) and
+    masks each in place (`masked`, its hidden columns), as the GEMM input
+    that gives the other buffer."""
 
     def __init__(self, arch: MlpArchitecture, n_rows: int, n_swept: int):
         self.arch, self.n_rows, self.n_tangent = arch, n_rows, n_rows
@@ -313,15 +321,16 @@ class _EvalRows:
         for l in range(2, L + 2):
             own = n_swept or l == arch.skip_layer
             self.inputs.append(_layer_rows(n_rows, arch.layer_in_dim(l)) if own else turns[l % 2])
-        self.masked = [np.empty((R, width))] * L
         turns = [np.empty((R, width + INPUT_DIM)), np.empty((R, width + INPUT_DIM))]
         self.adjoints = [turns[l % 2][:, : arch.layer_in_dim(l + 1)] for l in range(L)]
+        self.masked = [turns[l % 2][:, :width] for l in range(1, L + 1)]
 
 
 class _TrainRows:
-    """Training workspace for one (arch, N, T) shape, built by
-    `loss_workspace`: N + C T rows per layer, each layer its own buffer
-    (_layer_rows, whose ones column only the value rows' products read).
+    """Workspace of one row block of a training step (_TrainStep), whose
+    first T of N value rows are Eikonal points: N + C T rows per layer,
+    each layer its own buffer (_layer_rows, whose ones column only the
+    value rows' products read).
     `inputs[l]` holds the input rows of weight layer l: inputs[0] is x0 =
     [x; Gbar rows], and the skip layer's buffer ends in x0's columns. The
     value rows hold the outputs of the value-only forward pass, from which
@@ -371,22 +380,24 @@ def _with_bias(model: MlpModel):
 
 
 def _forward_pass(model: MlpModel, x: np.ndarray, inputs: list, layers: list | None = None) -> np.ndarray:
-    """Runs the MLP on a batch x (N, 3) in caller-owned row buffers:
-    `inputs[l]` holds the N input rows of weight layer l (_layer_rows),
-    inputs[0] being [x0, 1]. `layers` holds _with_bias(model), drawn here
-    one layer at a time when None. Returns the values (N, C), a fresh
-    array. Each GEMM writes into the next layer's input buffer and the
-    activation runs there in place, so where every layer has its own buffer
-    (_EvalRows with a sweep, the value rows of _TrainRows) the outputs left
-    there give the later sweeps act' and act''/act'.
+    """Runs the MLP on every row of caller-owned row buffers, the first
+    len(x) of them taking the points x: `inputs[l]` holds the input rows of
+    weight layer l (_layer_rows), inputs[0] being [x0, 1]. Rows past x keep
+    whatever the buffers held, finite, and give values the caller drops.
+    `layers` holds _with_bias(model), drawn here one layer at a time when
+    None. Returns the values (rows, C), a fresh array. Each GEMM writes into
+    the next layer's input buffer and the activation runs there in place, so
+    where every layer has its own buffer (_EvalRows with a sweep, the value
+    rows of _TrainRows) the outputs left there give the later sweeps act'
+    and act''/act'.
     """
-    arch, width = model.arch, model.arch.hidden_width
+    arch, width, n = model.arch, model.arch.hidden_width, len(x)
     layers = iter(_with_bias(model) if layers is None else layers)
-    inputs[0][:, :INPUT_DIM] = x
+    inputs[0][:n, :INPUT_DIM] = x
     for l in range(1, arch.hidden_layers + 1):
         inp, out = inputs[l - 1], inputs[l]
         if l == arch.skip_layer and l != 1:  # the layer below and a backward pass write here
-            inp[:, -1 - INPUT_DIM : -1] = x
+            inp[:n, -1 - INPUT_DIM : -1] = x
         # whole rows keep elementwise work contiguous: relu(1) = 1 keeps the
         # ones column, and the skip buffer's xyz columns take junk (finite:
         # the buffer starts zeroed) until refilled
@@ -406,9 +417,10 @@ def _gradient_sweep(model: MlpModel, rows, top: np.ndarray) -> np.ndarray:
     Block k of K T rows starts from the output adjoint e_c of its channel,
     so its adjoint of the last hidden output is top[k]. At each layer it is
     masked by act' read from the stored value rows, into rows.masked, and
-    one GEMM with W_l gives the adjoint of the layer's input, kept unmasked
-    in adjoints[l - 1]. The xyz columns of that adjoint at layer 1 and at
-    the skip layer add up into G.
+    one GEMM with W_l gives the adjoint of the layer's input in
+    adjoints[l - 1]; _TrainRows keeps it unmasked there for the value
+    backward, _EvalRows masks it in place at the layer below. The xyz
+    columns of that adjoint at layer 1 and at the skip layer add up into G.
     """
     arch = model.arch
     T, K, width = rows.n_tangent, len(top), arch.hidden_width
@@ -424,19 +436,23 @@ def _gradient_sweep(model: MlpModel, rows, top: np.ndarray) -> np.ndarray:
 
 
 def _block_rows(arch: MlpArchitecture) -> int:
-    """Points per row block of evaluation: 2^16 / width rounded down to a
-    multiple of 8, so a layer's activations are ~0.5 MB of float64 (~5 MB of
-    workspace at 6x256 for a one-channel sweep, which reads every layer's
-    outputs). The multiple of 8: numpy computes a one-channel output layer
-    with gemv, whose kernel rounds the last n mod 4 rows of a call apart
-    from the rest, so only blocks of whole row groups give every row the
-    bits of one call over the whole batch."""
-    return max(8, 2**16 // arch.hidden_width // 8 * 8)
+    """Points per row block of evaluation: 2^15 / width rounded down to a
+    multiple of 8, so a layer's activations are ~0.25 MB of float64 (~2.5 MB
+    of workspace per thread at 6x256 for a one-channel sweep, which reads
+    every layer's outputs). Every block runs over all of these rows, the
+    rows past a call's points being stale ones whose values are dropped, so
+    each product has one shape and BLAS one kernel for it. The multiple of
+    8: numpy computes a one-channel output layer with gemv, whose kernel
+    rounds the last n mod 4 rows of a call apart from the rest, so only
+    whole row groups give a row the same bits at every position in the
+    block. A row's bits then depend on the row alone."""
+    return max(8, 2**15 // arch.hidden_width // 8 * 8)
 
 
 # ---------------------------------------------------------------------------
-# evaluation threads: `forward` runs its row blocks on one thread per BLAS
-# thread while the BLAS is held to one thread
+# row-block threads: every row-block pass (`forward`, `forward_with_input_grad`
+# and the training step) runs its blocks on one thread per BLAS thread while
+# the BLAS is held to one thread
 
 
 @functools.cache
@@ -464,8 +480,8 @@ def _blas_control():
 
 
 _POOL = None  # (workers, ThreadPoolExecutor of workers - 1 threads)
-_POOL_LOCK = threading.Lock()  # one pooled call at a time holds the BLAS thread count
-_LOCAL = threading.local()  # each thread's value-only workspace
+_POOL_LOCK = threading.Lock()  # one call at a time holds the BLAS thread count
+_LOCAL = threading.local()  # each thread's evaluation workspaces
 
 
 def _drop_pool():
@@ -477,68 +493,88 @@ def _drop_pool():
 os.register_at_fork(after_in_child=_drop_pool)
 
 
-def _value_rows(arch: MlpArchitecture) -> _EvalRows:
-    """This thread's value-only workspace of _block_rows rows, replaced when
-    the architecture changes; a shorter block uses row prefixes of it."""
-    rows = getattr(_LOCAL, "rows", None)
-    if rows is None or rows.arch != arch:
-        _LOCAL.rows = rows = None  # free the old workspace before allocating
-        _LOCAL.rows = rows = _EvalRows(arch, _block_rows(arch), 0)
-    return rows
+def _eval_rows(arch: MlpArchitecture, n_swept: int) -> _EvalRows:
+    """This thread's evaluation workspace of _block_rows rows and a sweep of
+    n_swept channels, kept across calls; all of them are replaced when the
+    architecture changes."""
+    kept = getattr(_LOCAL, "rows", None)
+    if kept is None or kept[0] != arch:
+        _LOCAL.rows = None  # free the old workspaces before allocating
+        _LOCAL.rows = kept = (arch, {})
+    if n_swept not in kept[1]:
+        kept[1][n_swept] = _EvalRows(arch, _block_rows(arch), n_swept)
+    return kept[1][n_swept]
 
 
-def forward(model: MlpModel, x) -> np.ndarray:
-    """Evaluate the network at normalized coordinates: (B, C) for the (B, 3)
-    points of `as_points(x)`, in row blocks of about 2^16 / width points
-    (_block_rows). A call of two or more blocks runs them on one thread per
-    BLAS thread, the count the BLAS reports at call time: the calling
-    thread and a persistent pool. For the length of the call the BLAS is
-    held to one thread and its idle threads are shut down (an idle OpenBLAS
-    thread spins and slows the workers); the count is restored on return,
-    also when a block raises. The blocks do not depend on the thread count
-    and a block's rows get the same bits at any BLAS thread count, so the
-    values do not depend on it either. At one BLAS thread, or without
-    control of the BLAS, the blocks run in turn on the calling thread."""
+def _run_blocks(n_blocks: int, block, hold_one: bool) -> None:
+    """Calls block(i) for each i in range(n_blocks). Two or more blocks run
+    on one thread per BLAS thread, the count the BLAS reports at call time:
+    the calling thread and a persistent pool, taking the blocks in turn.
+    For the length of the call the BLAS is held to one thread and, when the
+    pool runs, its idle threads are shut down (an idle OpenBLAS thread spins
+    and slows the workers); the count is restored on return, also when a
+    block raises, and the error reaches the caller. With `hold_one` a single
+    block runs at one BLAS thread too, on the calling thread. A block's bits
+    then depend neither on the thread count nor on the thread that runs it.
+    At one BLAS thread, or without control of the BLAS, the blocks run in
+    turn on the calling thread."""
     global _POOL
-    pts, arch = as_points(x), model.arch
-    n, step = len(pts), _block_rows(arch)
-    y = np.empty((n, arch.output_channels))
-    layers = list(_with_bias(model))
+    todo = iter(range(n_blocks))  # shared: next() on a range iterator runs under the GIL
 
-    def run(starts):
-        rows = _value_rows(arch)
-        for s in starts:
-            e = min(s + step, n)
-            y[s:e] = _forward_pass(model, pts[s:e], [b[: e - s] for b in rows.inputs], layers)
+    def run():
+        for i in todo:
+            block(i)
 
-    starts = range(0, n, step)
-    blas = _blas_control() if len(starts) > 1 else None
+    blas = _blas_control() if n_blocks > 1 or (hold_one and n_blocks) else None
     if blas is None:
-        run(starts)
-        return y
+        run()
+        return
     get_threads, set_threads, shutdown = blas
     with _POOL_LOCK:
         workers = get_threads()
         if workers < 2:
-            run(starts)
-            return y
-        if _POOL is None or _POOL[0] != workers:
-            if _POOL is not None:
-                _POOL[1].shutdown()
-            _POOL = (workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="vinr-forward"))
-        todo = iter(starts)  # shared: next() on a range iterator runs under the GIL
+            run()
+            return
         set_threads(1)
-        shutdown()
         try:
-            jobs = [_POOL[1].submit(run, todo) for _ in range(workers - 1)]
+            if n_blocks == 1:
+                run()
+                return
+            if _POOL is None or _POOL[0] != workers:
+                if _POOL is not None:
+                    _POOL[1].shutdown()
+                _POOL = (workers, ThreadPoolExecutor(workers - 1, thread_name_prefix="vinr-blocks"))
+            shutdown()
+            jobs = [_POOL[1].submit(run) for _ in range(min(workers, n_blocks) - 1)]
             try:
-                run(todo)  # the calling thread is one of the workers
+                run()  # the calling thread is one of the workers
             finally:
                 wait(jobs)
             for job in jobs:
                 job.result()
         finally:
             set_threads(workers)
+
+
+def forward(model: MlpModel, x) -> np.ndarray:
+    """Evaluate the network at normalized coordinates: (B, C) for the (B, 3)
+    points of `as_points(x)`, in row blocks of about 2^15 / width points
+    (_block_rows), each computed over a full block of rows, so a point's
+    values do not depend on the batch it comes in. A call of two or more
+    blocks runs them on one thread per BLAS thread with the BLAS held to one
+    thread (_run_blocks); a single block runs on the calling thread with the
+    BLAS's own threads. A block's rows get the same bits at any BLAS thread
+    count, so the values do not depend on it either."""
+    pts, arch = as_points(x), model.arch
+    n, step = len(pts), _block_rows(arch)
+    y = np.empty((n, arch.output_channels))
+    layers = list(_with_bias(model))
+
+    def block(i):
+        s, e = i * step, min(i * step + step, n)
+        y[s:e] = _forward_pass(model, pts[s:e], _eval_rows(arch, 0).inputs, layers)[: e - s]
+
+    _run_blocks(-(-n // step), block, hold_one=False)
     return y
 
 
@@ -546,26 +582,27 @@ def forward_with_input_grad(model: MlpModel, x, channels=None) -> DualBatch:
     """Values (B, K) and exact spatial gradients (B, K, 3) of the K output
     channels listed in `channels` (every channel when None) at the (B, 3)
     points of `as_points(x)`: per row block of `forward` (_block_rows),
-    _forward_pass and a _gradient_sweep from the rows W_out[channels]; the
-    values are bitwise `forward`'s. It stays on the
-    calling thread with the BLAS's own threads: the sweep's products give
-    gradients whose bits depend on the BLAS thread count (at 6x256 they
-    differ between 1 and 2 threads; the values do not), and the band's
-    slope bound would then depend on the thread count too."""
+    _forward_pass and a _gradient_sweep from the rows W_out[channels] over
+    the whole block; the values are bitwise `forward`'s. Every block,
+    a single one too, runs at one BLAS thread (_run_blocks), so the
+    gradients, whose sweep products round differently at another BLAS
+    thread count, do not depend on the thread count either, and neither
+    does the band's slope bound read from them."""
     pts = as_points(x)
     if len(pts) == 0:
         raise ValueError("batch must be non-empty")
     channels = slice(None) if channels is None else list(channels)
     top = model.weights[-1][channels]
-    layers, n, step, rows = list(_with_bias(model)), len(pts), _block_rows(model.arch), None
+    layers, n, step = list(_with_bias(model)), len(pts), _block_rows(model.arch)
     y, G = np.empty((n, len(top))), np.empty((n, len(top), INPUT_DIM))
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        if rows is None or rows.n_rows != e - s:
-            rows = None  # free the full blocks' workspace before allocating the tail's
-            rows = _EvalRows(model.arch, e - s, len(top))
-        y[s:e] = _forward_pass(model, pts[s:e], rows.inputs, layers)[:, channels]
-        G[s:e] = _gradient_sweep(model, rows, top)
+
+    def block(i):
+        s, e = i * step, min(i * step + step, n)
+        rows = _eval_rows(model.arch, len(top))
+        y[s:e] = _forward_pass(model, pts[s:e], rows.inputs, layers)[: e - s, channels]
+        G[s:e] = _gradient_sweep(model, rows, top)[: e - s]
+
+    _run_blocks(-(-n // step), block, hold_one=True)
     return DualBatch(values=y, gradients=G)
 
 
@@ -637,11 +674,85 @@ def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np
     return list(rows.grads)
 
 
-def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float, rows):
-    """Runs the Eikonal and surface points through one value-only forward
-    pass and the Eikonal points through _gradient_sweep, in the training
-    workspace `rows` (a new one when None), and returns (LossTerms, rows,
-    ybar, Gbar), the input of _backward_pass."""
+# value rows per training row block: at most _TRAIN_BLOCK / width
+_TRAIN_BLOCK = 2**18
+
+
+class _TrainStep:
+    """Training workspace for one batch shape, built by `loss_workspace`.
+    `sizes` is (B, n_1, ..., n_C): the Eikonal batch, then each channel's
+    surface batch. Each batch is cut into k contiguous slices, k the fewest
+    blocks of at most _TRAIN_BLOCK / width value rows (but at most B, so
+    each block has Eikonal rows): the batch shape sets the blocks, never
+    the thread count. `cuts[b]` are the k + 1 slice bounds of batch b, and
+    block j, slice j of every batch, has a _TrainRows of its own in
+    `blocks[j]`. `grad` is block 0's gradient vector, into which the later
+    blocks' are added in block order, and `grads` its per-layer views."""
+
+    def __init__(self, arch: MlpArchitecture, sizes):
+        self.arch, self.sizes = arch, tuple(sizes)
+        k = min(self.sizes[0], -(-sum(self.sizes) // max(1, _TRAIN_BLOCK // arch.hidden_width)))
+        self.cuts = [[n * j // k for j in range(k + 1)] for n in self.sizes]
+        self.blocks = [
+            _TrainRows(arch, sum(c[j + 1] - c[j] for c in self.cuts), self.cuts[0][j + 1] - self.cuts[0][j])
+            for j in range(k)
+        ]
+        self.grad, self.grads = self.blocks[0].grad, self.blocks[0].grads
+
+
+def _block_loss(model: MlpModel, step: _TrainStep, j: int, batches, lam: float, nesting: float, backward: bool):
+    """Block j of a training step in its own workspace step.blocks[j]: one
+    value-only forward pass over its slice of every batch in `batches`
+    (the Eikonal batch first, then one per channel), the gradient sweep
+    over its Eikonal rows, and, with `backward`, _backward_pass into the
+    block's gradient vector. The adjoints of a row need only the batch
+    sizes, so each block runs alone. Returns the block's parts of the data,
+    Eikonal and hinge terms, each already divided by its global count;
+    FloatingPointError if one is not finite."""
+    rows, C = step.blocks[j], model.arch.output_channels
+    B, T = step.sizes[0], rows.n_tangent
+    pieces = [b[c[j] : c[j + 1]] for b, c in zip(batches, step.cuts)]
+    x = np.concatenate(pieces)
+    y = _forward_pass(model, x, [buf[: len(x)] for buf in rows.inputs])
+    G = _gradient_sweep(model, rows, model.weights[-1])
+    ybar = np.zeros_like(y)
+    data, row = 0.0, T
+    for c, (piece, n) in enumerate(zip(pieces[1:], step.sizes[1:])):
+        yc = y[row : row + len(piece), c]
+        data += np.abs(yc).sum() / (n * C)
+        ybar[row : row + len(piece), c] = np.sign(yc) / (n * C)
+        row += len(piece)
+
+    # the hinge: on the Eikonal batch, each outer channel should not exceed
+    # the next inner one (channels are ordered innermost first)
+    hinge, pairs = 0.0, C - 1
+    for i in range(pairs):
+        gap = y[:T, i + 1] - y[:T, i]
+        active = gap > 0
+        hinge += np.where(active, gap, 0.0).sum() / (B * pairs)
+        step_i = np.where(active, nesting / (B * pairs), 0.0)
+        ybar[:T, i + 1] += step_i
+        ybar[:T, i] -= step_i
+
+    norms = np.linalg.norm(G, axis=2)  # (T, C)
+    eik = ((norms - 1.0) ** 2).sum() / (B * C)
+    terms = np.array([data, eik, hinge])
+    if not np.all(np.isfinite(terms)):
+        raise FloatingPointError("non-finite loss")
+    if backward:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            coef = np.where(norms > 1e-300, 2.0 * (norms - 1.0) / norms, 0.0)
+        _backward_pass(model, rows, ybar, (lam / (B * C)) * coef[..., None] * G)
+    return terms
+
+
+def _train_step(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float, workspace, backward: bool):
+    """The loss terms of grad_of_loss, and with `backward` its parameter
+    gradient in the workspace's `grad`: the blocks of the training
+    workspace (a new one when None) run through _run_blocks at one BLAS
+    thread, and their terms and gradient vectors are added in block order,
+    so the bits depend on the batch shape alone. Returns (LossTerms,
+    workspace)."""
     if not lam >= 0:  # also catches NaN
         raise ValueError("lambda must be non-negative")
     if not nesting >= 0:
@@ -658,50 +769,25 @@ def _loss_and_adjoints(model: MlpModel, surface_batches, eikonal_batch, lam: flo
     if eik.shape[0] == 0:
         raise ValueError("eikonal batch must be non-empty")
 
-    # rows: the Eikonal batch, whose gradients the sweeps carry, then every
-    # channel's surface batch
-    B = eik.shape[0]
-    x = np.concatenate([eik] + batches)
-    if rows is None:
-        rows = _TrainRows(model.arch, len(x), B)
-    elif not isinstance(rows, _TrainRows) or (rows.arch, rows.n_rows, rows.n_tangent) != (model.arch, len(x), B):
+    batches = [eik] + batches  # the Eikonal rows first: the sweeps carry their gradients
+    sizes = tuple(len(b) for b in batches)
+    step = _TrainStep(model.arch, sizes) if workspace is None else workspace
+    if not isinstance(step, _TrainStep) or (step.arch, step.sizes) != (model.arch, sizes):
         raise ValueError("workspace was not built by loss_workspace for this model and batch sizes")
-    y = _forward_pass(model, x, [buf[: len(x)] for buf in rows.inputs])
-    G = _gradient_sweep(model, rows, model.weights[-1])
-    ybar = np.zeros_like(y)
-    data = 0.0
-    row = B
-    for c, b in enumerate(batches):
-        n = b.shape[0]
-        yc = y[row : row + n, c]
-        data += np.abs(yc).mean() / C
-        ybar[row : row + n, c] = np.sign(yc) / (n * C)
-        row += n
+    parts = [None] * len(step.blocks)
 
-    # the hinge: on the Eikonal batch, each outer channel should not exceed
-    # the next inner one (channels are ordered innermost first)
-    hinge = 0.0
-    pairs = C - 1
-    y_eik, ybar_eik = y[:B], ybar[:B]
-    for i in range(pairs):
-        gap = y_eik[:, i + 1] - y_eik[:, i]
-        active = gap > 0
-        hinge += float(np.where(active, gap, 0.0).mean()) / pairs
-        step = np.where(active, nesting / (B * pairs), 0.0)
-        ybar_eik[:, i + 1] += step
-        ybar_eik[:, i] -= step
+    def block(j):
+        parts[j] = _block_loss(model, step, j, batches, lam, nesting, backward)
 
-    norms = np.linalg.norm(G, axis=2)  # (B, C)
-    eik_term = float(((norms - 1.0) ** 2).mean())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coef = np.where(norms > 1e-300, 2.0 * (norms - 1.0) / norms, 0.0)
-    Gbar = (lam / (B * C)) * coef[..., None] * G
-
-    total = float(data) + lam * eik_term + nesting * hinge
+    _run_blocks(len(step.blocks), block, hold_one=True)
+    data, eik_term, hinge = (float(t) for t in functools.reduce(np.add, parts))
+    total = data + lam * eik_term + nesting * hinge
     if not np.isfinite(total):
         raise FloatingPointError("non-finite loss")
-    terms = LossTerms(total=total, data=float(data), eikonal=eik_term, nesting=hinge)
-    return terms, rows, ybar, Gbar
+    if backward:
+        for rows in step.blocks[1:]:
+            step.grad += rows.grad
+    return LossTerms(total=total, data=data, eikonal=eik_term, nesting=hinge), step
 
 
 def grad_of_loss(
@@ -710,7 +796,7 @@ def grad_of_loss(
     eikonal_batch,
     lam: float,
     nesting: float = 0.0,
-    workspace: _TrainRows | None = None,
+    workspace: _TrainStep | None = None,
 ) -> tuple[LossTerms, list]:
     """Loss value and exact parameter gradients for
 
@@ -721,7 +807,9 @@ def grad_of_loss(
     off-surface batch and all channels, and hinge averages
     max(f_{c+1} - f_c, 0) over that batch and the C - 1 adjacent channel
     pairs. The gradient includes the second-order path through the spatial
-    gradients.
+    gradients. The batches are cut into fixed row blocks (_TrainStep) whose
+    sums are added in block order, so the result has the same bits at any
+    BLAS thread count.
 
     surface_batches: one (B_c, 3) array per channel (a single array is
     accepted for C=1).
@@ -734,20 +822,21 @@ def grad_of_loss(
     of its gradient vector (`workspace.grad`, in .inr order), overwritten by
     the next call that uses it; without one they are fresh arrays.
     """
-    terms, rows, ybar, Gbar = _loss_and_adjoints(model, surface_batches, eikonal_batch, lam, nesting, workspace)
-    return terms, _backward_pass(model, rows, ybar, Gbar)
+    terms, step = _train_step(model, surface_batches, eikonal_batch, lam, nesting, workspace, backward=True)
+    return terms, list(step.grads)
 
 
-def loss_workspace(model: MlpModel, surface_sizes, n_eikonal: int) -> _TrainRows:
+def loss_workspace(model: MlpModel, surface_sizes, n_eikonal: int) -> _TrainStep:
     """Row buffers for `grad_of_loss(..., workspace=)` on one surface batch
     per channel of the given sizes and an Eikonal batch of `n_eikonal`."""
-    return _TrainRows(model.arch, sum(surface_sizes) + n_eikonal, n_eikonal)
+    return _TrainStep(model.arch, (n_eikonal, *surface_sizes))
 
 
 def loss_value(model: MlpModel, surface_batches, eikonal_batch, lam: float, nesting: float = 0.0) -> LossTerms:
-    """Loss value only (no gradients): the value forward pass and gradient
-    sweep of grad_of_loss, without its tangent sweep and value backward."""
-    return _loss_and_adjoints(model, surface_batches, eikonal_batch, lam, nesting, None)[0]
+    """Loss value only (no gradients): the blocks' value forward passes and
+    gradient sweeps of grad_of_loss, without their tangent sweeps and value
+    backwards."""
+    return _train_step(model, surface_batches, eikonal_batch, lam, nesting, None, backward=False)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -538,6 +538,32 @@ class TestNarrowBand:
         np.testing.assert_array_equal(band.values, dense.values)
         assert dense.values[27, 18, 18] < 0  # the blob's centre
 
+    @pytest.mark.parametrize("arch", [
+        MlpArchitecture(hidden_layers=4, hidden_width=64),
+        MlpArchitecture(hidden_layers=4, hidden_width=64, output_channels=2),
+        MlpArchitecture(hidden_layers=3, hidden_width=32, output_channels=3, skip_layer=2, activation="softplus"),
+    ], ids=["4x64", "4x64-C2", "3x32-softplus-C3"])
+    def test_exact_values_are_the_dense_pass_bits(self, dense_calls, monkeypatch, arch):
+        # in float64, before a grid rounds them: the band's exact passes call
+        # `forward` on per-slab picks of any size, the dense pass on whole
+        # slabs, and every row gets the bits of its own point
+        model = init_model(arch, seed=7, scheme="sphere")
+        model.transform = DomainTransform(scale=1.1, center=np.array([0.05, 0.0, -0.1]))
+        source = ModelSource(model, arch.output_channels - 1)
+        seen = []
+        value = ModelSource.value
+        monkeypatch.setattr(ModelSource, "value", lambda self, p: seen.append((p, value(self, p))) or seen[-1][1])
+        dims = (40, 41, 42)
+        evaluate_near_level(source, dims, self.LO, self.HI)
+        assert dense_calls == []
+        band, seen[:] = seen[:], []
+        evaluate_on_grid(source, dims, self.LO, self.HI)
+        dense = {p.tobytes(): v for pts, vals in seen for p, v in zip(pts, vals)}
+        sizes = [len(p) for p, _ in band]
+        assert min(sizes) < 100 < max(sizes)  # short picks and long ones
+        pts, vals = np.concatenate([p for p, _ in band]), np.concatenate([v for _, v in band])
+        np.testing.assert_array_equal(vals, [dense[p.tobytes()] for p in pts])
+
     def test_mesh_source_takes_the_band(self, dense_calls):
         source = icosphere(2, radius=0.5)
         dims = (14, 13, 12)

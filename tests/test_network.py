@@ -126,9 +126,15 @@ def whole_batch(m, x):
 
 
 def block_rows(arch):
-    """Rows per block of `forward` and `forward_with_input_grad`: ~0.5 MB of
-    float64 activations, in whole groups of 8 rows."""
-    return max(8, 2**16 // arch.hidden_width // 8 * 8)
+    """Rows per block of `forward` and `forward_with_input_grad`: ~0.25 MB
+    of float64 activations, in whole groups of 8 rows."""
+    return max(8, 2**15 // arch.hidden_width // 8 * 8)
+
+
+def whole_block(m, x):
+    """The core on x (at most one block of points) in a fresh workspace of a
+    full block, whose rows past x are zeros."""
+    return _forward_pass(m, x, _EvalRows(m.arch, block_rows(m.arch), 0).inputs)[: len(x)]
 
 
 @st.composite
@@ -151,13 +157,23 @@ def normwise_rel(a, b):
 
 
 class TestBlockedForward:
-    """`forward` runs in row blocks; the split may move a value by rounding
-    only (BLAS picks other kernels for few rows), never by more."""
+    """`forward` runs every row block over a full block of rows, so a split
+    of the batch gives each row the same bits; one product over the whole
+    batch takes other BLAS kernels and agrees to rounding only."""
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(case=split_cases())
     @example(  # N = 2 * rows + 1: a 1-row trailing block, also cut off as a piece
-        case=(MlpArchitecture(hidden_layers=4, hidden_width=64), 8193, [8192], 0)
+        case=(MlpArchitecture(hidden_layers=4, hidden_width=64), 1025, [1024], 0)
+    )
+    # several channels, whose output layer BLAS computes with a kernel it
+    # picks by the product's size: pieces of 1 and 37 rows
+    @example(case=(MlpArchitecture(hidden_layers=6, hidden_width=256, output_channels=2), 257, [1, 38], 1))
+    @example(
+        case=(
+            MlpArchitecture(hidden_layers=3, hidden_width=32, output_channels=3, skip_layer=2, activation="softplus"),
+            2049, [1, 38, 1000], 2,
+        )
     )
     def test_row_splits_agree(self, case):
         arch, n, cuts, seed = case
@@ -169,9 +185,8 @@ class TestBlockedForward:
         pieces = np.concatenate([forward(m, x[a:b]) for a, b in zip(edges[:-1], edges[1:])])
         unblocked = whole_batch(m, x)
         assert pieces.shape == unblocked.shape == y.shape
-        assert normwise_rel(pieces, y) <= 1e-15
+        np.testing.assert_array_equal(pieces, y)
         assert normwise_rel(unblocked, y) <= 1e-15
-        event(f"split bitwise equal: {np.array_equal(pieces, y)}")
         event(f"unblocked bitwise equal: {np.array_equal(unblocked, y)}")
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -204,7 +219,7 @@ class TestBlockedForward:
         assert peak < one_matrix / 8
 
     def test_input_grad_blocks_agree(self):
-        # 2^16 / 64 = 1024 points per block: two full blocks and a 1-point
+        # 2^15 / 64 = 512 points per block: four full blocks and a 1-point
         # one, against the einsum Jacobian of the whole batch at once
         m = init_model(MlpArchitecture(hidden_layers=4, hidden_width=64), seed=1, scheme="sphere")
         x = np.random.default_rng(1).uniform(-1, 1, size=(2049, 3))
@@ -215,7 +230,7 @@ class TestBlockedForward:
 
     def test_input_grad_peak_memory_is_one_block(self):
         # 8192 points at 6x256 carry 32768 rows: 64 MB per activation
-        # matrix unblocked, 2 MB in blocks of 256 points
+        # matrix unblocked, 1 MB in blocks of 128 points, one per thread
         m = init_model(MlpArchitecture(hidden_layers=6, hidden_width=256), seed=0, scheme="sphere")
         x = np.random.default_rng(0).uniform(-1, 1, size=(8192, 3))
         tracemalloc.start()
@@ -231,7 +246,7 @@ def per_block(m, x):
     """The core on each row block of `forward` in turn, on this thread with
     the BLAS's own threads, each block in a fresh workspace."""
     rows = block_rows(m.arch)
-    return np.concatenate([whole_batch(m, x[s : s + rows]) for s in range(0, len(x), rows)])
+    return np.concatenate([whole_block(m, x[s : s + rows]) for s in range(0, len(x), rows)])
 
 
 def forward_in_child(m, x, expected):
@@ -269,9 +284,9 @@ class TestEvaluationThreads:
                 one_worker = forward(m, x)
             np.testing.assert_array_equal(pooled, one_worker)
             np.testing.assert_array_equal(pooled, per_block(m, x))
-            # a 1-row product takes other BLAS kernels: equal to rounding only
-            per_row = np.concatenate([whole_batch(m, x[i : i + 1]) for i in range(n)])
-            assert normwise_rel(per_row, pooled) <= 1e-15
+            # a call of one point runs a full block too: the same bits
+            per_row = np.concatenate([forward(m, x[i : i + 1]) for i in range(n)])
+            np.testing.assert_array_equal(per_row, pooled)
 
     def test_thread_count_restored(self, monkeypatch):
         arch = self.ARCHS[0]
@@ -312,10 +327,38 @@ class TestEvaluationThreads:
         finally:
             blas[1](start)
 
-    @pytest.mark.parametrize("n", [1, 1024])
+    def test_input_grad_bits_do_not_depend_on_the_thread_count(self, monkeypatch):
+        # at 6x256 the sweep's products round differently at one and two
+        # BLAS threads; every block runs at one, a call of one block too
+        blas = vinr.network._blas_control()
+        if blas is None:
+            pytest.skip("no control of the BLAS")
+        arch = MlpArchitecture(hidden_layers=6, hidden_width=256)
+        m, x = self.model_and_points(arch, 3 * block_rows(arch) + 5)
+        start = blas[0]()
+        try:
+            runs = []
+            for count in (1, 2):
+                blas[1](count)
+                runs.append([forward_with_input_grad(m, pts) for pts in (x, x[:37])])
+                assert blas[0]() == count
+            with monkeypatch.context() as mp:  # the blocks in turn on this thread, the BLAS at one thread
+                blas[1](1)
+                mp.setattr(vinr.network, "_blas_control", lambda: None)
+                runs.append([forward_with_input_grad(m, pts) for pts in (x, x[:37])])
+        finally:
+            blas[1](start)
+        for run in runs[1:]:
+            for got, ref in zip(run, runs[0]):
+                np.testing.assert_array_equal(got.values, ref.values)
+                np.testing.assert_array_equal(got.gradients, ref.gradients)
+        np.testing.assert_array_equal(runs[0][1].gradients, runs[0][0].gradients[:37])
+        np.testing.assert_array_equal(runs[0][0].values, forward(m, x))
+
+    @pytest.mark.parametrize("n", [1, 1024])  # 1024: one full block at width 32
     def test_one_block_never_asks_the_blas(self, n, monkeypatch):
-        m, x = self.model_and_points(self.ARCHS[0], n)
-        expected = whole_batch(m, x)
+        m, x = self.model_and_points(self.ARCHS[2], n)
+        expected = whole_block(m, x)
         monkeypatch.setattr(vinr.network, "_blas_control", lambda: pytest.fail("asked the BLAS"))
         np.testing.assert_array_equal(forward(m, x), expected)
 
@@ -457,15 +500,17 @@ class TestLossGradients:
         np.testing.assert_allclose(d1.gradients[:, 0], d2.gradients[:, 0], rtol=1e-14, atol=1e-16)
 
 
-def nbytes(ws):
-    """Bytes of the distinct buffers a workspace holds: a view counts as the
-    array it views, once."""
-    arrays = {}
+def nbytes(ws, arrays=None):
+    """Bytes of the distinct buffers a workspace holds, its row blocks'
+    included: a view counts as the array it views, once."""
+    arrays = {} if arrays is None else arrays
     for v in vars(ws).values():
         for a in v if isinstance(v, list) else [v]:
             if isinstance(a, np.ndarray):
                 owner = a if a.base is None else a.base
                 arrays[id(owner)] = owner.nbytes
+            elif isinstance(a, _TrainRows):
+                nbytes(a, arrays)
     return sum(arrays.values())
 
 
@@ -545,19 +590,28 @@ def oracle_cases(draw):
 
 
 def rows_left_by_loss(model, surface, eik, ws):
-    """What the last grad_of_loss call in training workspace `ws` left:
-    whether every hidden layer's Eikonal value rows (the first rows) still
-    hold the forward pass's outputs rather than adjoints, and the spatial
-    gradients (T, C, 3) that its carried rows, which end as the masked
-    gradient-sweep rows, give through the xyz columns of layer 1 and of the
-    skip layer."""
-    arch, N, T = model.arch, ws.n_rows, ws.n_tangent
-    C, width = arch.output_channels, arch.hidden_width
-    fresh = _TrainRows(arch, N, T)
-    _forward_pass(model, np.concatenate([eik] + surface), [buf[:N] for buf in fresh.inputs])
-    untouched = all(np.array_equal(a[:T, :width], b[:T, :width]) for a, b in zip(ws.inputs[1:], fresh.inputs[1:]))
-    G = sum(ws.inputs[l][N:, :width] @ model.weights[l - 1][:, -INPUT_DIM:] for l in {1, arch.skip_layer})
-    return untouched, G.reshape(C, T, INPUT_DIM).transpose(1, 0, 2)
+    """What the last grad_of_loss call in training workspace `ws` left in
+    its row blocks: whether every hidden layer's Eikonal value rows (each
+    block's first rows) still hold the forward pass's outputs rather than
+    adjoints, and the spatial gradients (T, C, 3) that the blocks' carried
+    rows, which end as the masked gradient-sweep rows, give through the xyz
+    columns of layer 1 and of the skip layer."""
+    arch, width = model.arch, model.arch.hidden_width
+    untouched, G = True, []
+    for j, rows in enumerate(ws.blocks):
+        N, T = rows.n_rows, rows.n_tangent
+        x = np.concatenate([b[c[j] : c[j + 1]] for b, c in zip([eik] + surface, ws.cuts)])
+        fresh = _TrainRows(arch, N, T)
+        _forward_pass(model, x, [buf[:N] for buf in fresh.inputs])
+        untouched &= all(np.array_equal(a[:T, :width], b[:T, :width]) for a, b in zip(rows.inputs[1:], fresh.inputs[1:]))
+        g = sum(rows.inputs[l][N:, :width] @ model.weights[l - 1][:, -INPUT_DIM:] for l in {1, arch.skip_layer})
+        G.append(g.reshape(arch.output_channels, T, INPUT_DIM).transpose(1, 0, 2))
+    return untouched, np.concatenate(G)
+
+
+def row_buffers(ws):
+    """Every row buffer of a training workspace's blocks."""
+    return [buf for rows in ws.blocks for buf in rows.inputs + rows.adjoints]
 
 
 def assert_rel_close(got, ref, rtol=1e-12):
@@ -675,7 +729,7 @@ class TestEinsumOracle:
             for g, f in zip(reused[1], fresh[1]):
                 np.testing.assert_array_equal(g, f)
                 assert np.shares_memory(g, ws.grad)
-                assert not any(np.shares_memory(g, buf) for buf in ws.inputs + ws.adjoints)
+                assert not any(np.shares_memory(g, buf) for buf in row_buffers(ws))
                 assert not np.shares_memory(f, ws.grad)
             if earlier is not None:
                 for was, g in zip(earlier, reused[1]):
@@ -710,7 +764,7 @@ class TestEinsumOracle:
             for g, f in zip(reused[1], fresh[1]):
                 np.testing.assert_array_equal(g, f)
                 assert np.shares_memory(g, ws.grad)
-                assert not any(np.shares_memory(g, buf) for buf in ws.inputs + ws.adjoints)
+                assert not any(np.shares_memory(g, buf) for buf in row_buffers(ws))
             if earlier is not None:  # the previous call's gradients now hold this one's
                 for was, g in zip(earlier, reused[1]):
                     np.testing.assert_array_equal(was, g)
@@ -735,6 +789,58 @@ class TestEinsumOracle:
             with pytest.raises(ValueError, match="workspace"):
                 grad_of_loss(m, surface, eik, 0.1, workspace=ws)
         grad_of_loss(m, surface, eik, 0.1, workspace=loss_workspace(m, [4, 5], 6))
+
+
+class TestTrainingBlocks:
+    """A training step runs fixed row blocks, set by the batch shape alone,
+    at one BLAS thread on `forward`'s pool, and adds their loss sums and
+    gradient vectors in block order."""
+
+    @pytest.mark.parametrize("arch, surface, n_eik, cuts", [
+        (MlpArchitecture(6, 256), [1024], 1024, [[0, 512, 1024]] * 2),  # the paper's batch: two blocks
+        (MlpArchitecture(4, 64), [200], 200, [[0, 200]] * 2),  # the desk size: one
+        (MlpArchitecture(1, 256, 2, 1), [1000, 700], 1000, [[0, 333, 666, 1000]] * 2 + [[0, 233, 466, 700]]),
+        (MlpArchitecture(1, 2048, 1, 1), [300], 2, [[0, 1, 2], [0, 150, 300]]),  # never more blocks than Eikonal rows
+    ])
+    def test_blocks_follow_the_batch_shape(self, arch, surface, n_eik, cuts):
+        ws = loss_workspace(init_model(arch, seed=0), surface, n_eik)
+        assert ws.cuts == cuts
+        assert [(rows.n_rows, rows.n_tangent) for rows in ws.blocks] == [
+            (sum(c[j + 1] - c[j] for c in cuts), cuts[0][j + 1] - cuts[0][j]) for j in range(len(cuts[0]) - 1)
+        ]
+
+    @pytest.mark.parametrize("arch, sizes, n_eik, nesting", [
+        (MlpArchitecture(3, 8, 1, 2, "relu"), [37], 29, 0.0),
+        (MlpArchitecture(3, 8, 2, 2, "softplus"), [23, 40], 31, 0.7),
+        (MlpArchitecture(2, 8, 3, 1, "relu"), [9, 17, 12], 13, 1.0),
+    ])
+    def test_blocks_match_oracle_and_one_worker(self, arch, sizes, n_eik, nesting, monkeypatch):
+        # 16 value rows per block at width 8: several blocks of unequal slices
+        monkeypatch.setattr(vinr.network, "_TRAIN_BLOCK", 16 * 8)
+        rng = np.random.default_rng(3)
+        m = init_model(arch, seed=3, scheme="standard")
+        for b in m.biases:
+            b[:] = rng.normal(0.0, 0.3, size=b.shape)
+        surface = [rng.uniform(-1, 1, size=(n, 3)) for n in sizes]
+        eik = rng.uniform(-1, 1, size=(n_eik, 3))
+        ws = loss_workspace(m, sizes, n_eik)
+        assert len(ws.blocks) >= 3
+        terms, grads = grad_of_loss(m, surface, eik, 0.1, nesting, workspace=ws)
+        ref_terms, ref_grads = einsum_oracle.grad_of_loss(m, surface, eik, 0.1, nesting)
+        for got, ref in zip((terms.total, terms.data, terms.eikonal, terms.nesting), ref_terms):
+            assert_rel_close(got, ref)
+        for g, ref in zip(grads, ref_grads):
+            assert_rel_close(g, ref)
+        _, G_rows = rows_left_by_loss(m, surface, eik, ws)
+        assert_rel_close(G_rows, einsum_oracle.forward_pass(m, eik, with_jac=True)[1])
+        assert loss_value(m, surface, eik, 0.1, nesting) == terms
+        # one worker taking the blocks in turn gives the same bits
+        with monkeypatch.context() as mp:
+            mp.setattr(vinr.network, "_blas_control", lambda: None)
+            inline = grad_of_loss(m, surface, eik, 0.1, nesting)
+        assert inline[0] == terms
+        for g, f in zip(grads, inline[1]):
+            np.testing.assert_array_equal(g, f)
 
 
 class TestArchitecture:

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import fit_oracle
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import vinr.network
 import vinr.training
 from vinr.geometry import GeometryError, PointCloud
 from vinr.network import MlpArchitecture, forward, grad_of_loss, init_model, param_views
@@ -363,6 +370,77 @@ class TestFitNested:
         cloud = sphere_cloud(100)
         with pytest.raises(TrainingDiverged):
             fit(cloud, desk_config(epochs=2000, learning_rate=1e6))
+
+
+# a fit in a child process, which writes its .inr and its loss trace's raw
+# bytes: the paper's 6x256 ReLU network on two 512-row blocks per step, or a
+# 3x32 softplus network on two nested channels with the nesting hinge
+FIT_IN_CHILD = """
+import sys
+import numpy as np
+from vinr import network, synthetic, training
+case, out = sys.argv[1], sys.argv[2]
+if case == "6x256-relu":
+    clouds = [synthetic.sample_analytic_surface(synthetic.Sphere(radius=0.5), 1024, 1)]
+    cfg = training.TrainConfig(epochs=2, seed=3)
+else:
+    clouds = [synthetic.sample_analytic_surface(synthetic.Sphere(radius=r), 200, s) for r, s in ((0.3, 1), (0.5, 2))]
+    cfg = training.TrainConfig(epochs=20, learning_rate=1e-3, seed=3, hidden_layers=3, hidden_width=32,
+                               skip_layer=2, activation="softplus", nesting_penalty=0.5)
+model, report = training.fit_nested(clouds, cfg)
+network.save_model(model, out + ".inr")
+open(out + ".trace", "wb").write(report.trace.tobytes())
+"""
+
+
+class TestThreadCount:
+    """A fit's bits do not depend on the BLAS thread count: every training
+    step runs fixed row blocks at one BLAS thread and adds their sums in
+    block order."""
+
+    @pytest.mark.parametrize("case", ["6x256-relu", "3x32-softplus-nested"])
+    def test_fit_bits_equal_at_one_and_two_blas_threads(self, case, tmp_path):
+        src = os.path.dirname(os.path.dirname(vinr.training.__file__))  # the vinr under test
+        outputs = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"t{threads}")
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-c", FIT_IN_CHILD, case, out], env=env, check=True)
+            outputs.append([open(out + ext, "rb").read() for ext in (".inr", ".trace")])
+        assert outputs[0] == outputs[1]
+
+    def test_failing_block_on_a_pool_thread_diverges(self, monkeypatch):
+        # a block that raises on a pool thread, as a non-finite loss does:
+        # fit reports the divergence, the BLAS thread count is restored, and
+        # the next fit works; while the blocks run, the BLAS is held to one
+        # thread
+        blas = vinr.network._blas_control()
+        if blas is None:
+            pytest.skip("no control of the BLAS: the blocks run in turn on the calling thread")
+        monkeypatch.setattr(vinr.network, "_TRAIN_BLOCK", 16 * 24)  # 16 value rows per block
+        cloud, cfg = sphere_cloud(100), desk_config(epochs=3, hidden_layers=3, hidden_width=24)
+        real, held = vinr.network._block_loss, []
+
+        def failing(model, step, j, *args):
+            if threading.current_thread() is threading.main_thread():
+                held.append(blas[0]())
+                time.sleep(0.01)  # leaves blocks to the pool
+                return real(model, step, j, *args)
+            raise FloatingPointError("non-finite loss")
+
+        start = blas[0]()
+        try:
+            blas[1](2)
+            expected = fit(cloud, cfg)[0].params
+            with monkeypatch.context() as mp:
+                mp.setattr(vinr.network, "_block_loss", failing)
+                with pytest.raises(TrainingDiverged, match="non-finite loss at epoch 0"):
+                    fit(cloud, cfg)
+            assert held and set(held) == {1}
+            assert blas[0]() == 2
+            np.testing.assert_array_equal(fit(cloud, cfg)[0].params, expected)
+        finally:
+            blas[1](start)
 
 
 class TestLossValue:
