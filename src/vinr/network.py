@@ -30,23 +30,20 @@ lo = T when no loss term reads the Eikonal values and the activation has no
 act'' term (ReLU without an active nesting hinge): their adjoint is then
 zero at every layer and those rows stay out of the GEMMs; otherwise lo = 0.
 Per Eikonal point and layer the GEMMs carry 1 + 3C + 2 carry rows (carry =
-1 when lo = 0): fewer at C <= 2, the paper's one or two nested channels,
-than the 4 + 2 min(C, 3) + 2 carry of a forward pass with three tangent
-blocks and a backward over min(C, 3) direction blocks (README gives the
-measured fit times). Parameter gradients include the mixed d^2 f / dx
-dtheta path exactly. Everything is float64 so finite-difference checks
-are meaningful.
+1 when lo = 0). Parameter gradients include the mixed d^2 f / dx dtheta
+path exactly. Everything is float64 so finite-difference checks are
+meaningful.
 
 Both kinds of workspace are kept by their owners: `fit_nested` makes one
 `_TrainStep` per fit (`loss_workspace`), which cuts each step's batches
 into fixed row blocks, one `_TrainRows` each, and every thread that runs
-the blocks of `forward` or `forward_with_input_grad` keeps an `_EvalRows`
-per swept channel count across calls. All of these row blocks run through
-one helper (_run_blocks) on the calling thread and a pool, one thread per
-BLAS thread, with the BLAS held to one thread (a lone `forward` block keeps
-the BLAS's threads: value products round alike at any count). Each
-block's bits depend on its rows alone, and a step adds its blocks' sums in
-block order, so no result depends on the thread count. Every layer's
+evaluation blocks (`forward` and `forward_with_input_grad`, one pass)
+keeps one `_EvalRows` across calls, rebuilt only for another architecture
+or a wider sweep. All of these row blocks run through one helper
+(_run_blocks) on the calling thread and a pool, one thread per BLAS
+thread, with the BLAS held to one thread, a lone block too. Each block's
+bits depend on its rows alone, and a step adds its blocks' sums in block
+order, so no result depends on the thread count. Every layer's
 input rows end in a column of ones and its weights are [W | b]
 (`_with_bias`), so one GEMM also adds the bias. GEMMs write into the next
 layer's input buffer and the activation runs there in place; later sweeps
@@ -303,18 +300,19 @@ def _layer_rows(n_rows: int, n_in: int) -> np.ndarray:
 
 
 class _EvalRows:
-    """Evaluation workspace for N points and a gradient sweep of K channels
-    over all of them (K = 0: values only). `inputs[l]` holds the N input
-    rows of weight layer l (_layer_rows): inputs[0] is [x0, 1], and the skip
-    layer's buffer ends in x0's columns before its ones. For values only,
-    two buffers take turns besides the skip buffer; a sweep reads act' from
-    every layer's outputs, so then each has its own. The sweep writes its
-    adjoints into two buffers of K N rows that take turns (`adjoints`) and
-    masks each in place (`masked`, its hidden columns), as the GEMM input
-    that gives the other buffer."""
+    """Evaluation workspace for N points and a gradient sweep of up to
+    K = n_swept channels over all of them (K = 0: values only). `inputs[l]`
+    holds the N input rows of weight layer l (_layer_rows): inputs[0] is
+    [x0, 1], and the skip layer's buffer ends in x0's columns before its
+    ones. For values only, two buffers take turns besides the skip buffer; a
+    sweep reads act' from every layer's outputs, so then each has its own.
+    The sweep writes its adjoints into two buffers of K N rows that take
+    turns (`adjoints`) and masks each in place (`masked`, its hidden
+    columns), as the GEMM input that gives the other buffer. A sweep of
+    fewer channels uses their leading rows, and values alone the inputs."""
 
     def __init__(self, arch: MlpArchitecture, n_rows: int, n_swept: int):
-        self.arch, self.n_rows, self.n_tangent = arch, n_rows, n_rows
+        self.arch, self.n_rows, self.n_tangent, self.n_swept = arch, n_rows, n_rows, n_swept
         L, width, R = arch.hidden_layers, arch.hidden_width, n_swept * n_rows
         turns = None if n_swept else [_layer_rows(n_rows, width), _layer_rows(n_rows, width)]
         self.inputs = [_layer_rows(n_rows, INPUT_DIM)]
@@ -342,11 +340,10 @@ class _TrainRows:
     `adjoints[l]` (C T rows, the width of inputs[l]) holds the gradient
     sweep's unmasked adjoint of inputs[l], for l < L; the xyz columns of
     adjoints[0] and of the skip buffer's are the spatial gradient's terms.
-    That is N + 2 C T rows per layer: at C = 1 fewer than the N + 3 T a
-    training pass with three tangent blocks held, at C >= 2 more.
-    `out_adjoints` is [ybar; e_c rows] for the value backward. `grad` is
-    the parameter gradient vector in .inr order and `grads` its per-layer
-    views (`param_views`), which every _backward_pass overwrites.
+    That is N + 2 C T rows per layer. `out_adjoints` is [ybar; e_c rows]
+    for the value backward. `grad` is the parameter gradient vector in .inr
+    order and `grads` its per-layer views (`param_views`), which every
+    _backward_pass overwrites.
     """
 
     def __init__(self, arch: MlpArchitecture, n_rows: int, n_tangent: int):
@@ -363,12 +360,13 @@ class _TrainRows:
 
 def _gradient_rows(rows, l: int, top: np.ndarray) -> np.ndarray:
     """The gradient sweep's unmasked adjoint of hidden layer l's output,
-    (K, T, width): the hidden columns of rows.adjoints[l], or at the last
-    layer the output rows `top` (K, width) the sweep started from, as
-    (K, 1, width) for broadcasting."""
+    (K, T, width): the hidden columns of the leading K T rows of
+    rows.adjoints[l], or at the last layer the output rows `top` (K, width)
+    the sweep started from, as (K, 1, width) for broadcasting."""
     if l == rows.arch.hidden_layers:
         return top[:, None, :]
-    return rows.adjoints[l][:, : top.shape[1]].reshape(len(top), rows.n_tangent, top.shape[1])
+    K, T, width = len(top), rows.n_tangent, top.shape[1]
+    return rows.adjoints[l][: K * T, :width].reshape(K, T, width)
 
 
 def _with_bias(model: MlpModel):
@@ -416,17 +414,18 @@ def _gradient_sweep(model: MlpModel, rows, top: np.ndarray) -> np.ndarray:
 
     Block k of K T rows starts from the output adjoint e_c of its channel,
     so its adjoint of the last hidden output is top[k]. At each layer it is
-    masked by act' read from the stored value rows, into rows.masked, and
-    one GEMM with W_l gives the adjoint of the layer's input in
-    adjoints[l - 1]; _TrainRows keeps it unmasked there for the value
-    backward, _EvalRows masks it in place at the layer below. The xyz
-    columns of that adjoint at layer 1 and at the skip layer add up into G.
+    masked by act' read from the stored value rows, into the leading K T
+    rows of rows.masked, and one GEMM with W_l gives the adjoint of the
+    layer's input in those of adjoints[l - 1]; _TrainRows keeps it unmasked
+    there for the value backward, _EvalRows masks it in place at the layer
+    below. The xyz columns of that adjoint at layer 1 and at the skip layer
+    add up into G.
     """
     arch = model.arch
     T, K, width = rows.n_tangent, len(top), arch.hidden_width
     G = np.zeros((K, T, INPUT_DIM))
     for l in range(arch.hidden_layers, 0, -1):
-        gz, out = rows.masked[l - 1], rows.adjoints[l - 1]
+        gz, out = rows.masked[l - 1][: K * T], rows.adjoints[l - 1][: K * T]
         d1 = _act_d1(arch, rows.inputs[l][:T])[:, :width]  # from whole rows, which read faster
         np.multiply(_gradient_rows(rows, l, top), d1, out=gz.reshape(K, T, width))
         np.matmul(gz, model.weights[l - 1], out=out)
@@ -481,7 +480,7 @@ def _blas_control():
 
 _POOL = None  # (workers, ThreadPoolExecutor of workers - 1 threads)
 _POOL_LOCK = threading.Lock()  # one call at a time holds the BLAS thread count
-_LOCAL = threading.local()  # each thread's evaluation workspaces
+_LOCAL = threading.local()  # each thread's evaluation workspace
 
 
 def _drop_pool():
@@ -495,29 +494,26 @@ os.register_at_fork(after_in_child=_drop_pool)
 
 def _eval_rows(arch: MlpArchitecture, n_swept: int) -> _EvalRows:
     """This thread's evaluation workspace of _block_rows rows and a sweep of
-    n_swept channels, kept across calls; all of them are replaced when the
-    architecture changes."""
-    kept = getattr(_LOCAL, "rows", None)
-    if kept is None or kept[0] != arch:
-        _LOCAL.rows = None  # free the old workspaces before allocating
-        _LOCAL.rows = kept = (arch, {})
-    if n_swept not in kept[1]:
-        kept[1][n_swept] = _EvalRows(arch, _block_rows(arch), n_swept)
-    return kept[1][n_swept]
+    at least n_swept channels, kept across calls and replaced only for
+    another architecture or a wider sweep."""
+    rows = getattr(_LOCAL, "rows", None)
+    if rows is None or rows.arch != arch or rows.n_swept < n_swept:
+        _LOCAL.rows = None  # free the old workspace before allocating
+        _LOCAL.rows = rows = _EvalRows(arch, _block_rows(arch), n_swept)
+    return rows
 
 
-def _run_blocks(n_blocks: int, block, hold_one: bool) -> None:
-    """Calls block(i) for each i in range(n_blocks). Two or more blocks run
-    on one thread per BLAS thread, the count the BLAS reports at call time:
-    the calling thread and a persistent pool, taking the blocks in turn.
-    For the length of the call the BLAS is held to one thread and, when the
-    pool runs, its idle threads are shut down (an idle OpenBLAS thread spins
-    and slows the workers); the count is restored on return, also when a
-    block raises, and the error reaches the caller. With `hold_one` a single
-    block runs at one BLAS thread too, on the calling thread. A block's bits
-    then depend neither on the thread count nor on the thread that runs it.
-    At one BLAS thread, or without control of the BLAS, the blocks run in
-    turn on the calling thread."""
+def _run_blocks(n_blocks: int, block) -> None:
+    """Calls block(i) for each i in range(n_blocks), at one BLAS thread:
+    on one thread per BLAS thread, the count the BLAS reports at call time,
+    the calling thread and a persistent pool taking the blocks in turn; a
+    single block runs on the calling thread. For the length of the call the
+    BLAS is held to one thread and, when the pool runs, its idle threads
+    are shut down (an idle OpenBLAS thread spins and slows the workers); the
+    count is restored on return, also when a block raises, and the error
+    reaches the caller. A block's bits then depend neither on the thread
+    count nor on the thread that runs it. At one BLAS thread, or without
+    control of the BLAS, the blocks run in turn on the calling thread."""
     global _POOL
     todo = iter(range(n_blocks))  # shared: next() on a range iterator runs under the GIL
 
@@ -525,7 +521,7 @@ def _run_blocks(n_blocks: int, block, hold_one: bool) -> None:
         for i in todo:
             block(i)
 
-    blas = _blas_control() if n_blocks > 1 or (hold_one and n_blocks) else None
+    blas = _blas_control() if n_blocks else None
     if blas is None:
         run()
         return
@@ -556,54 +552,55 @@ def _run_blocks(n_blocks: int, block, hold_one: bool) -> None:
             set_threads(workers)
 
 
-def forward(model: MlpModel, x) -> np.ndarray:
-    """Evaluate the network at normalized coordinates: (B, C) for the (B, 3)
-    points of `as_points(x)`, in row blocks of about 2^15 / width points
-    (_block_rows), each computed over a full block of rows, so a point's
-    values do not depend on the batch it comes in. A call of two or more
-    blocks runs them on one thread per BLAS thread with the BLAS held to one
-    thread (_run_blocks); a single block runs on the calling thread with the
-    BLAS's own threads. A block's rows get the same bits at any BLAS thread
-    count, so the values do not depend on it either."""
-    pts, arch = as_points(x), model.arch
-    n, step = len(pts), _block_rows(arch)
-    y = np.empty((n, arch.output_channels))
+def _evaluate(model: MlpModel, pts: np.ndarray, top: np.ndarray | None):
+    """The one evaluation pass: the values (B, C) at the (B, 3) points
+    `pts` and the spatial gradients (B, K, 3) of a sweep from the K output
+    rows `top` (K = 0 when None). Per row block of about 2^15 / width points
+    (_block_rows) it runs _forward_pass and, with `top`, one _gradient_sweep,
+    both over the whole block, so a point's bits do not depend on the batch
+    it comes in; the blocks run at one BLAS thread (_run_blocks), so they do
+    not depend on the thread count either."""
+    arch, n, step = model.arch, len(pts), _block_rows(model.arch)
+    K = 0 if top is None else len(top)
+    y, G = np.empty((n, arch.output_channels)), np.empty((n, K, INPUT_DIM))
     layers = list(_with_bias(model))
 
     def block(i):
         s, e = i * step, min(i * step + step, n)
-        y[s:e] = _forward_pass(model, pts[s:e], _eval_rows(arch, 0).inputs, layers)[: e - s]
+        rows = _eval_rows(arch, K)
+        y[s:e] = _forward_pass(model, pts[s:e], rows.inputs, layers)[: e - s]
+        if K:
+            G[s:e] = _gradient_sweep(model, rows, top)[: e - s]
 
-    _run_blocks(-(-n // step), block, hold_one=False)
-    return y
+    _run_blocks(-(-n // step), block)
+    return y, G
+
+
+def forward(model: MlpModel, x) -> np.ndarray:
+    """Evaluate the network at normalized coordinates: (B, C) for the (B, 3)
+    points of `as_points(x)`, from the evaluation pass without a sweep
+    (_evaluate). A point's values depend on the point alone, neither on the
+    batch it comes in nor on the BLAS thread count."""
+    return _evaluate(model, as_points(x), None)[0]
 
 
 def forward_with_input_grad(model: MlpModel, x, channels=None) -> DualBatch:
     """Values (B, K) and exact spatial gradients (B, K, 3) of the K output
-    channels listed in `channels` (every channel when None) at the (B, 3)
-    points of `as_points(x)`: per row block of `forward` (_block_rows),
-    _forward_pass and a _gradient_sweep from the rows W_out[channels] over
-    the whole block; the values are bitwise `forward`'s. Every block,
-    a single one too, runs at one BLAS thread (_run_blocks), so the
-    gradients, whose sweep products round differently at another BLAS
-    thread count, do not depend on the thread count either, and neither
-    does the band's slope bound read from them."""
-    pts = as_points(x)
+    channels listed in `channels` (every channel when None; each in 0..C-1,
+    in any order, repeats allowed) at the (B, 3) points of `as_points(x)`:
+    the evaluation pass (_evaluate) with a sweep from the rows
+    W_out[channels], whose values are `forward`'s, selected. The gradients,
+    and the band's slope bound read from them, depend neither on the batch
+    nor on the BLAS thread count."""
+    pts, C = as_points(x), model.arch.output_channels
     if len(pts) == 0:
         raise ValueError("batch must be non-empty")
-    channels = slice(None) if channels is None else list(channels)
-    top = model.weights[-1][channels]
-    layers, n, step = list(_with_bias(model)), len(pts), _block_rows(model.arch)
-    y, G = np.empty((n, len(top))), np.empty((n, len(top), INPUT_DIM))
-
-    def block(i):
-        s, e = i * step, min(i * step + step, n)
-        rows = _eval_rows(model.arch, len(top))
-        y[s:e] = _forward_pass(model, pts[s:e], rows.inputs, layers)[: e - s, channels]
-        G[s:e] = _gradient_sweep(model, rows, top)[: e - s]
-
-    _run_blocks(-(-n // step), block, hold_one=True)
-    return DualBatch(values=y, gradients=G)
+    channels = list(range(C)) if channels is None else list(channels)
+    for c in channels:
+        if not (isinstance(c, numbers.Integral) and not isinstance(c, bool) and 0 <= c < C):
+            raise ValueError(f"channel {c!r} out of range 0..{C - 1}")
+    y, G = _evaluate(model, pts, model.weights[-1][channels])
+    return DualBatch(values=y[:, channels], gradients=G)
 
 
 def _backward_pass(model: MlpModel, rows: _TrainRows, ybar: np.ndarray, Gbar: np.ndarray):
@@ -779,7 +776,7 @@ def _train_step(model: MlpModel, surface_batches, eikonal_batch, lam: float, nes
     def block(j):
         parts[j] = _block_loss(model, step, j, batches, lam, nesting, backward)
 
-    _run_blocks(len(step.blocks), block, hold_one=True)
+    _run_blocks(len(step.blocks), block)
     data, eik_term, hinge = (float(t) for t in functools.reduce(np.add, parts))
     total = data + lam * eik_term + nesting * hinge
     if not np.isfinite(total):

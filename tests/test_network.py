@@ -255,9 +255,10 @@ def forward_in_child(m, x, expected):
 
 
 class TestEvaluationThreads:
-    """`forward` runs calls of two or more row blocks on one thread per BLAS
-    thread while the BLAS is held to one thread; where no control of the
-    BLAS is found, they run on the calling thread."""
+    """The evaluation pass runs its row blocks, a lone one too, at one BLAS
+    thread, two or more on one thread per BLAS thread; where no control of
+    the BLAS is found, they run on the calling thread. Each thread keeps one
+    workspace."""
 
     ARCHS = [
         MlpArchitecture(hidden_layers=4, hidden_width=64),
@@ -356,11 +357,55 @@ class TestEvaluationThreads:
         np.testing.assert_array_equal(runs[0][0].values, forward(m, x))
 
     @pytest.mark.parametrize("n", [1, 1024])  # 1024: one full block at width 32
-    def test_one_block_never_asks_the_blas(self, n, monkeypatch):
+    def test_one_block_runs_at_one_blas_thread(self, n, monkeypatch):
         m, x = self.model_and_points(self.ARCHS[2], n)
         expected = whole_block(m, x)
-        monkeypatch.setattr(vinr.network, "_blas_control", lambda: pytest.fail("asked the BLAS"))
-        np.testing.assert_array_equal(forward(m, x), expected)
+        blas = vinr.network._blas_control()
+        if blas is None:
+            np.testing.assert_array_equal(forward(m, x), expected)
+            return
+        real, held, start = vinr.network._forward_pass, [], blas[0]()
+
+        def counting(*args):
+            held.append((blas[0](), threading.current_thread() is threading.main_thread()))
+            return real(*args)
+
+        monkeypatch.setattr(vinr.network, "_forward_pass", counting)
+        try:
+            blas[1](2)
+            np.testing.assert_array_equal(forward(m, x), expected)
+            assert held == [(1, True)]
+            assert blas[0]() == 2
+        finally:
+            blas[1](start)
+
+    def test_one_workspace_serves_every_sweep(self, monkeypatch):
+        # a sweep of all three channels, then of one, then values alone, on
+        # this thread: the narrower passes read the leading rows of the
+        # first one's workspace, whose rows past the points are stale, and
+        # give the bits of the same call on fresh workspaces
+        m, x = self.model_and_points(self.ARCHS[2], 2 * block_rows(self.ARCHS[2]) + 5)
+        calls = [
+            lambda: forward_with_input_grad(m, x, channels=[0, 1, 2]),
+            lambda: forward_with_input_grad(m, x, channels=[2]),
+            lambda: forward(m, x),
+        ]
+        monkeypatch.setattr(vinr.network, "_blas_control", lambda: None)  # every block on this thread
+        fresh = []
+        for call in calls:
+            monkeypatch.setattr(vinr.network, "_LOCAL", threading.local())
+            fresh.append(call())
+        monkeypatch.setattr(vinr.network, "_LOCAL", threading.local())
+        reused, kept = [], []
+        for call in calls:
+            reused.append(call())
+            kept.append(vars(vinr.network._LOCAL).copy())
+        assert all(k.keys() == {"rows"} and k["rows"] is kept[0]["rows"] for k in kept)
+        assert kept[0]["rows"].n_swept == 3
+        for got, ref in zip(reused[:2], fresh[:2]):
+            np.testing.assert_array_equal(got.values, ref.values)
+            np.testing.assert_array_equal(got.gradients, ref.gradients)
+        np.testing.assert_array_equal(reused[2], fresh[2])
 
     def test_forked_child_evaluates(self):
         # a child forked after a pooled call inherits the executor but not its
@@ -418,6 +463,23 @@ class TestInputGradients:
         x = rng.uniform(-1, 1, size=(n, 3))
         dual = forward_with_input_grad(m, x)
         np.testing.assert_array_equal(dual.values, forward(m, x))
+
+    @pytest.mark.parametrize("channels", [[2, 0], [1, 1]])
+    def test_channels_in_any_order_match_the_oracle(self, channels):
+        arch = MlpArchitecture(hidden_layers=3, hidden_width=32, output_channels=3, skip_layer=2, activation="softplus")
+        m = init_model(arch, seed=8, scheme="standard")
+        x = np.random.default_rng(9).uniform(-1, 1, size=(300, 3))
+        y, G, _ = einsum_oracle.forward_pass(m, x, with_jac=True)
+        dual = forward_with_input_grad(m, x, channels=channels)
+        np.testing.assert_array_equal(dual.values, forward(m, x)[:, channels])
+        assert_rel_close(dual.values, y[:, channels])
+        assert_rel_close(dual.gradients, G[:, channels])
+
+    @pytest.mark.parametrize("channels", [[5], [-1], [0, 2]])
+    def test_channel_out_of_range_is_named(self, channels):
+        m = init_model(MlpArchitecture(hidden_layers=2, hidden_width=8, output_channels=2, skip_layer=2), seed=0)
+        with pytest.raises(ValueError, match=rf"channel {channels[-1]} out of range 0\.\.1"):
+            forward_with_input_grad(m, np.zeros((4, 3)), channels=channels)
 
     def test_piecewise_linearity_of_relu_net(self):
         arch = MlpArchitecture(hidden_layers=3, hidden_width=8, activation="relu")
